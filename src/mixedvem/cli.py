@@ -30,7 +30,6 @@ def build_parser():
     run = sub.add_parser("run", help="run a config file or built-in benchmark")
     run.add_argument("problem", help="YAML config path or built-in name")
     run.add_argument("--output-dir", default=".")
-    run.add_argument("--deterministic", action="store_true")
     run.add_argument("--tolerance", type=float, default=None)
     run.add_argument("--order", type=int, default=None)
     run.add_argument("--family3d", choices=["RT", "BDM"], default=None)
@@ -202,8 +201,7 @@ def run_config(args, manifest, timer):
         manifest.outputs.append(path)
 
     timer.start("solve")
-    sol = solve(system, tol=cfg.solver_tol,
-                deterministic=cfg.deterministic or args.deterministic)
+    sol = solve(system, tol=cfg.solver_tol)
     manifest.residual = sol.residual
     timer.stop()
 

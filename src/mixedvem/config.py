@@ -56,7 +56,6 @@ class ProblemConfig:
     mesh_node: dict
     spec: NetworkSpec
     solver_tol: float
-    deterministic: bool
     outputs: list
     eps_factor: float = None   # geometric tolerance relative to domain size
     quad_order: int = None     # override the stiffness quadrature exactness
@@ -160,7 +159,6 @@ def parse_config(text) -> ProblemConfig:
         mesh_node=doc.get("mesh", {"type": "box"}),
         spec=spec,
         solver_tol=float(solver.get("tolerance", 1e-10)),
-        deterministic=bool(solver.get("deterministic", True)),
         outputs=list(doc.get("outputs", ["fluxes", "manifest"])),
         eps_factor=float(eps_factor) if eps_factor is not None else None,
         quad_order=(int(doc["quad_order"]) if "quad_order" in doc else None),

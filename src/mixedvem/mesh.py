@@ -141,6 +141,12 @@ class PolyMesh3D:
 
     Cells store (face_id, sign) pairs; sign is +1 when the face's intrinsic
     loop normal (right-hand rule) points out of the cell.
+
+    ``cell_geometry`` keeps one PolyhedronGeometry per cell.  An entry is
+    reused while the cell's (face, sign) tuple and its faces' vertex tuples
+    are unchanged; ``snap_vertex`` is the only edit that moves an existing
+    vertex and drops every entry.  Other vertex coordinates must not be
+    changed in place.
     """
 
     def __init__(self, merge_tol=1e-9):
@@ -153,6 +159,7 @@ class PolyMesh3D:
         self._next_cell = 0
         self.merge_tol = merge_tol
         self._vhash: dict[tuple, list] = {}
+        self._geometry: dict[int, tuple] = {}      # cid -> (key, geometry)
         self.background_volume = None
 
     # -- vertices ----------------------------------------------------------
@@ -188,6 +195,7 @@ class PolyMesh3D:
         self._vhash[old_key].remove(vid)
         self.verts[vid] = np.asarray(p, dtype=float)
         self._vhash.setdefault(self._hash_key(p), []).append(vid)
+        self._geometry.clear()
 
     # -- faces and cells ----------------------------------------------------
 
@@ -227,11 +235,19 @@ class PolyMesh3D:
         return out
 
     def cell_geometry(self, cid) -> PolyhedronGeometry:
+        """The cell's geometry, built once while the cell is unchanged."""
+        ofs = self.cells[cid]
+        key = (ofs, tuple(self.faces[fid] for fid, _ in ofs))
+        cached = self._geometry.get(cid)
+        if cached is not None and cached[0] == key:
+            return cached[1]
         loops = []
-        for fid, s in self.cells[cid]:
+        for fid, s in ofs:
             coords = self.face_coords(fid)
             loops.append(coords if s > 0 else coords[::-1])
-        return PolyhedronGeometry(loops)
+        geom = PolyhedronGeometry(loops)
+        self._geometry[cid] = (key, geom)
+        return geom
 
     def face_outward_normal(self, fid, sign):
         plane = fit_plane(self.face_coords(fid))
@@ -245,6 +261,8 @@ class PolyMesh3D:
         return sum(self.cell_geometry(c).measure for c in self.cells)
 
     def prune_unused_faces(self):
+        for cid in [c for c in self._geometry if c not in self.cells]:
+            del self._geometry[cid]   # geometry of a cell that was split
         used = {fid for ofs in self.cells.values() for fid, _ in ofs}
         for fid in list(self.faces):
             if fid not in used:
@@ -1243,7 +1261,8 @@ def validate_conformity(md: MixedDimensionalMesh) -> list:
             report.append(f"cell {cid}: {len(bad)} edges not shared by exactly "
                           f"two faces")
         try:
-            mesh.cell_geometry(cid)
+            # builds the cell's quadrature cone once, for assembly to reuse
+            mesh.cell_geometry(cid).cone()
         except DegenerateGeometryError as exc:
             report.append(f"cell {cid}: {exc}")
 

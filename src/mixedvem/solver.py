@@ -14,8 +14,7 @@ from .errors import SingularSystemError
 DIRECT_SOLVE_LIMIT = 500_000
 
 
-def solve(system: GlobalSystem, tol: float = 1e-10,
-          deterministic: bool = True) -> "DiscreteSolution":
+def solve(system: GlobalSystem, tol: float = 1e-10) -> "DiscreteSolution":
     """Solve the assembled system; report singular systems with a null-space
     dimension estimate instead of returning garbage."""
     if not system.bc_applied:

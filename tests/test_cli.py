@@ -58,6 +58,13 @@ def test_parse_config_eta_number():
         parse_config("order: 9")
 
 
+def test_parse_config_legacy_solver_keys():
+    # solver.deterministic was a no-op knob; old configs still load
+    cfg = parse_config(CONFIG + "solver: {tolerance: 1.0e-9, deterministic: true}\n")
+    assert cfg.solver_tol == 1e-9
+    assert not hasattr(cfg, "deterministic")
+
+
 def test_cli_list_builtins(capsys):
     assert main(["list-builtins"]) == 0
     out = capsys.readouterr().out.split()

@@ -193,3 +193,29 @@ def test_rigid_motion_invariance():
     assert poly2.measure == pytest.approx(poly.measure, rel=1e-12)
     assert np.allclose(poly2.centroid, R @ poly.centroid + np.array([3.0, -1.0]), atol=1e-12)
     assert poly2.diameter == pytest.approx(poly.diameter, rel=1e-12)
+
+
+SLIVER_TET = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 3e-8]], float)
+TET_FACES = [(0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)]   # outward loops
+
+
+def test_sliver_cone_raises_typed_error():
+    # every centroid-cone tet of this sliver falls under the volume tolerance
+    tet = geo.PolyhedronGeometry([SLIVER_TET[list(f)] for f in TET_FACES])
+    assert tet.measure == pytest.approx(5e-9, rel=1e-12)
+    with pytest.raises(DegenerateGeometryError, match="sliver"):
+        tet.quadrature(2)
+    with pytest.raises(DegenerateGeometryError, match="sliver"):
+        tet.cone()
+
+
+def test_quadrature_returns_fresh_arrays():
+    cube = geo.PolyhedronGeometry(unit_cube_faces())
+    square = geo.PolygonGeometry([[0, 0], [1, 0], [1, 1], [0, 1]])
+    for cell in (cube, square, cube.faces[0]):
+        pts, w = cell.quadrature(2)
+        pts[:] = 0.0
+        w[:] = -1.0
+        pts2, w2 = cell.quadrature(2)
+        assert np.all(w2 > 0)
+        assert w2.sum() == pytest.approx(cell.measure, rel=1e-12)

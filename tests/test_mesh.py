@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from mixedvem import mesh as msh
-from mixedvem.errors import ConformityError
+from mixedvem.assembly import assemble_complete
+from mixedvem.errors import ConformityError, DegenerateGeometryError
 from mixedvem.mesh import (BoundaryCondition, FractureSpec, NetworkSpec,
                            box_mesh, build_domain_graph, cut_background_mesh,
                            cut_with_fracture, extract_lower_meshes,
                            read_mesh, validate_conformity, write_mesh)
+from tests.test_geometry import SLIVER_TET, TET_FACES
 
 DIR = BoundaryCondition("dirichlet", 0.0)
 
@@ -229,3 +231,78 @@ def test_perturbed_vertices_reported():
     mesh.snap_vertex(vid, np.array([3e-4, -2e-4, 1.0 + 4e-4]))
     report = validate_conformity(md)
     assert report != []
+
+
+def single_tet_mesh(tet):
+    mesh = msh.PolyMesh3D()
+    for p in tet:
+        mesh.add_vertex(p)
+    fids = [mesh.add_face(f) for f in TET_FACES]
+    for fid in fids:
+        mesh.boundary_tags[fid] = "wall"
+    mesh.add_cell([(fid, 1) for fid in fids])
+    return mesh
+
+
+def test_sliver_cell_reported_and_typed():
+    md = cut_background_mesh(single_tet_mesh(SLIVER_TET), NetworkSpec(fractures=[]))
+    report = validate_conformity(md)
+    assert len(report) == 1 and "sliver" in report[0]
+    with pytest.raises(DegenerateGeometryError, match="sliver"):
+        assemble_complete(md, order=0)
+
+
+def test_cell_geometry_rebuilt_after_snap():
+    tet = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], float)
+    mesh = single_tet_mesh(tet)
+    geom = mesh.cell_geometry(0)
+    assert mesh.cell_geometry(0) is geom
+    mesh.snap_vertex(3, np.array([0.0, 0.0, 2.0]))
+    moved = mesh.cell_geometry(0)
+    assert moved is not geom
+    assert geom.measure == pytest.approx(1 / 6, rel=1e-14)
+    assert moved.measure == pytest.approx(1 / 3, rel=1e-14)
+
+
+def _fresh_cell_geometry(mesh, cid):
+    loops = [mesh.face_coords(fid)[::s] for fid, s in mesh.cells[cid]]
+    return msh.PolyhedronGeometry(loops)
+
+
+@pytest.mark.parametrize("fracture", [
+    square_fracture(2, 1e-9),   # snaps the z = 0 vertices, splits no cell
+    # splits the middle cells; their neighbours gain hanging vertices
+    FractureSpec(np.array([[-0.3, -0.3, -0.15], [0.3, -0.3, 0.15],
+                           [0.3, 0.3, 0.25], [-0.3, 0.3, -0.05]])),
+])
+def test_cell_geometry_follows_cut(fracture):
+    mesh = box_mesh([-1, -1, -1], [1, 1, 1], (3, 3, 3))
+    assert mesh.total_volume() == pytest.approx(8.0, rel=1e-13)   # fills the cache
+    cut_with_fracture(mesh, fracture, 0)
+    assert mesh.total_volume() == pytest.approx(mesh.background_volume, rel=1e-12)
+    for cid in mesh.cells:
+        cached, fresh = mesh.cell_geometry(cid), _fresh_cell_geometry(mesh, cid)
+        assert cached.measure == fresh.measure
+        assert np.array_equal(cached.centroid, fresh.centroid)
+        assert len(cached.face_loops) == len(fresh.face_loops)
+        for a, b in zip(cached.face_loops, fresh.face_loops):
+            assert np.array_equal(a, b)
+
+
+def test_one_geometry_per_cell_through_assembly(monkeypatch):
+    built = []
+    init = msh.PolyhedronGeometry.__init__
+
+    def counting_init(self, face_loops):
+        built.append(self)
+        init(self, face_loops)
+
+    monkeypatch.setattr(msh.PolyhedronGeometry, "__init__", counting_init)
+    mesh = box_mesh([-1, -1, -1], [1, 1, 1], (3, 3, 3))
+    spec = NetworkSpec(fractures=[square_fracture(0, 0.1, lo=-0.8, hi=0.8)])
+    md = cut_background_mesh(mesh, spec)
+    assert validate_conformity(md) == []
+    system = assemble_complete(md, order=1)
+    assert len(built) == len(mesh.cells) > 27
+    assert system.dofmap.block(3).geoms == [mesh.cell_geometry(c)
+                                            for c in sorted(mesh.cells)]

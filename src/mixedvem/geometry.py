@@ -265,16 +265,17 @@ def _triangulation(coords):
 
 
 def plane_frame(normal):
-    """Deterministic orthonormal in-plane axes (t1, t2) with t1 x t2 = n."""
+    """Deterministic orthonormal in-plane axes (t1, t2) with t1 x t2 = n,
+    for one normal or row by row for an (m, 3) array of them."""
     n = np.asarray(normal, dtype=float)
-    n = n / np.linalg.norm(n)
-    if abs(n[0]) > 0.9:
-        t1 = np.array([n[2], 0.0, -n[0]])    # e_y x n
-    else:
-        t1 = np.array([0.0, -n[2], n[1]])    # e_x x n
-    t1 /= np.linalg.norm(t1)
-    t2 = _cross(n, t1)
-    return t1, t2
+    n = n / np.linalg.norm(n, axis=-1, keepdims=True)
+    n0, n1, n2 = n[..., 0], n[..., 1], n[..., 2]
+    zero = np.zeros_like(n0)
+    t1 = np.where((np.abs(n0) > 0.9)[..., None],
+                  np.stack([n2, zero, -n0], axis=-1),    # e_y x n
+                  np.stack([zero, -n2, n1], axis=-1))    # e_x x n
+    t1 /= np.linalg.norm(t1, axis=-1, keepdims=True)
+    return t1, _cross(n, t1)
 
 
 @dataclass(frozen=True)
@@ -313,27 +314,53 @@ def fit_plane(coords, eps=None):
 
     The normal follows the loop orientation (right-hand rule).
     """
-    coords = np.asarray(coords, dtype=float)
-    return Plane.from_normal_point(*_loop_normal(coords, eps))
+    loops = _Loops([np.asarray(coords, dtype=float)])
+    normal, mean = loops.plane_normals(eps)
+    return Plane.from_normal_point(normal[0], mean[0])
 
 
-def _loop_normal(coords, eps=None):
-    """Unit Newell normal and vertex mean of a planar (n, 3) vertex loop."""
-    nxt = _next(coords)
-    normal = ((coords - nxt)[:, (1, 2, 0)] * (coords + nxt)[:, (2, 0, 1)]).sum(axis=0)
-    nrm = np.linalg.norm(normal)
-    scale = max((coords.max(axis=0) - coords.min(axis=0)).max(), 1e-300)
-    if nrm <= geo_eps(scale) * scale:
-        raise DegenerateGeometryError("degenerate vertex loop (zero area)")
-    normal = normal / nrm
-    mean = coords.mean(axis=0)
-    if eps is None:
-        eps = geo_eps(scale)
-    dist = np.max(np.abs(coords @ normal - normal @ mean))
-    if dist > eps:
-        raise DegenerateGeometryError(
-            f"vertex loop non-planar: max deviation {dist:.3e} > {eps:.3e}")
-    return normal, mean
+class _Loops:
+    """Vertex loops stored as one (N, 3) array, for work on all at once."""
+
+    def __init__(self, loops):
+        self.coords = np.vstack(loops)
+        self.sizes = np.array([len(loop) for loop in loops])
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.loop_of = np.repeat(np.arange(len(loops)), self.sizes)
+        nxt = np.arange(1, len(self.coords) + 1)    # next vertex in its loop
+        nxt[self.starts + self.sizes - 1] = self.starts
+        self.next = nxt
+
+    def sums(self, values):
+        return np.add.reduceat(values, self.starts)
+
+    def extents(self, coords):
+        """Largest coordinate extent of each loop."""
+        return (np.maximum.reduceat(coords, self.starts) -
+                np.minimum.reduceat(coords, self.starts)).max(axis=1)
+
+    def plane_normals(self, eps=None):
+        """Unit Newell normals and vertex means of planar loops; checks
+        each loop for zero area and for planarity within ``eps``."""
+        c, nxt = self.coords, self.coords[self.next]
+        normal = self.sums((c - nxt)[:, (1, 2, 0)] * (c + nxt)[:, (2, 0, 1)])
+        nrm = np.linalg.norm(normal, axis=1)
+        scale = np.maximum(self.extents(c), 1e-300)
+        tol = EPS_GEO_FACTOR * np.maximum(scale, 1.0)
+        if np.any(nrm <= tol * scale):
+            raise DegenerateGeometryError("degenerate vertex loop (zero area)")
+        normal = normal / nrm[:, None]
+        mean = self.sums(c) / self.sizes[:, None]
+        dist = np.maximum.reduceat(np.abs(_dot_rows(c - mean[self.loop_of],
+                                                    normal[self.loop_of])),
+                                   self.starts)
+        tol = tol if eps is None else np.full_like(tol, eps)
+        bad = np.argmax(dist - tol)
+        if dist[bad] > tol[bad]:
+            raise DegenerateGeometryError(
+                f"vertex loop non-planar: max deviation {dist[bad]:.3e} > "
+                f"{tol[bad]:.3e}")
+        return normal, mean
 
 
 # ---------------------------------------------------------------------------
@@ -485,31 +512,35 @@ def _lex_positive(n):
     return n
 
 
+def _lex_signs(normals):
+    """Per row of an (m, 3) array: +1, or -1 where ``-row`` is the
+    lexicographically positive direction."""
+    first = (normals != 0).argmax(axis=1)
+    return np.where(normals[np.arange(len(normals)), first] < 0, -1.0, 1.0)
+
+
+@dataclass
 class _FaceView:
     """Planar face of a PolyhedronGeometry with outward normal and 2D frame.
 
-    ``coords3d`` is ordered so the right-hand rule gives the outward normal.
     The 2D frame (used for face monomials) is anchored at the face centroid
     and built from the lexicographically positive normal, so the two cells
-    sharing a face see identical face coordinates.
+    sharing a face see identical face coordinates.  ``coords2d`` is the loop
+    in that frame, counter-clockwise; ``triangulation`` holds its triangles
+    (t, 3, 2) and their areas (t,).
     """
 
-    def __init__(self, coords3d):
-        self.coords = np.asarray(coords3d, dtype=float)
-        self.normal, mean = _loop_normal(self.coords)
-        n = _lex_positive(self.normal)
-        t1, t2 = plane_frame(n)
-        rel = self.coords - mean
-        coords2d = np.column_stack([rel @ t1, rel @ t2])
-        if n is not self.normal:   # the loop is clockwise in the lex frame
-            coords2d = coords2d[::-1]
-        area, c2 = polygon_area_centroid_2d(coords2d)
-        self.centroid = mean + c2[0] * t1 + c2[1] * t2
-        self.plane = Plane(n, float(n @ self.centroid), self.centroid, t1, t2)
-        self.coords2d = coords2d - c2
-        self.measure = abs(area)
-        self.diameter = _diameter(self.coords)
-        self.triangulation = _triangulation(self.coords2d)
+    coords: np.ndarray
+    normal: np.ndarray
+    plane: Plane
+    coords2d: np.ndarray
+    measure: float
+    diameter: float
+    triangulation: tuple
+
+    @property
+    def centroid(self):
+        return self.plane.origin
 
     def quadrature(self, order):
         pts2d, w = _map_rule(*_triangle_ref_rule(order), *self.triangulation)
@@ -527,9 +558,10 @@ class PolyhedronGeometry:
     """
 
     def __init__(self, face_loops):
-        self.face_loops = [np.asarray(f, dtype=float) for f in face_loops]
+        self._loops = _Loops([np.asarray(f, dtype=float) for f in face_loops])
+        self.face_loops = np.split(self._loops.coords, self._loops.starts[1:])
         vol, centroid = self._volume_centroid()
-        scale = _diameter(np.vstack(self.face_loops))
+        scale = _diameter(self._loops.coords)
         if vol <= geo_eps(scale) * scale ** 2:
             raise DegenerateGeometryError("polyhedron volume not positive")
         self.measure = float(vol)
@@ -547,26 +579,80 @@ class PolyhedronGeometry:
     @property
     def faces(self):
         if self._faces is None:
-            self._faces = [_FaceView(loop) for loop in self.face_loops]
+            self._faces = self._build_faces()
         return self._faces
 
     def _volume_centroid(self):
         """Volume and centroid from signed tetrahedra (apex, face fan
         triangles); exact for any closed polyhedron."""
-        c = np.vstack(self.face_loops)
+        loops = self._loops
+        c = loops.coords
         apex = c.mean(axis=0)
-        sizes = np.array([len(loop) for loop in self.face_loops])
-        starts = np.cumsum(sizes) - sizes
-        nxt = np.arange(1, len(c) + 1)
-        nxt[starts + sizes - 1] = starts
-        d = c[nxt]
-        bases = np.repeat(np.add.reduceat(c, starts) / sizes[:, None], sizes, axis=0)
+        bases = (loops.sums(c) / loops.sizes[:, None])[loops.loop_of]
+        d = c[loops.next]
         v = _dot_rows(_cross(bases - apex, c - apex), d - apex) / 6.0
         vol = v.sum()
         if abs(vol) < 1e-300:
             return 0.0, apex
         mom = v @ ((apex + bases + c + d) / 4.0)
         return abs(vol), mom / vol
+
+    def _build_faces(self):
+        """All face views at once: one plane fit, frame and triangulation
+        per face, computed for every face together."""
+        loops = self._loops
+        c, of, starts = loops.coords, loops.loop_of, loops.starts
+        normal, mean = loops.plane_normals()   # outward, as the loops run
+        sign = _lex_signs(normal)
+        n = normal * sign[:, None]
+        t1, t2 = plane_frame(n)
+        rel = c - mean[of]
+        xy = np.column_stack([_dot_rows(rel, t1[of]), _dot_rows(rel, t2[of])])
+        # a loop is clockwise in its frame when the lex normal is flipped
+        index = np.arange(len(c))
+        last = starts[of] + loops.sizes[of] - 1
+        xy = xy[np.where(sign[of] < 0, last - (index - starts[of]), index)]
+        xyn = xy[loops.next]
+        cross = xy[:, 0] * xyn[:, 1] - xyn[:, 0] * xy[:, 1]
+        area = 0.5 * loops.sums(cross)
+        c2 = loops.sums((xy + xyn) * cross[:, None]) / (6.0 * area[:, None])
+        centroid = mean + c2[:, :1] * t1 + c2[:, 1:] * t2
+        xy = xy - c2[of]
+
+        # centroid fans, as triangulate_polygon_2d builds them; faces that
+        # are not star-shaped w.r.t. their centroid are ear-clipped
+        xyn = xy[loops.next]
+        fan = xy[:, 0] * xyn[:, 1] - xyn[:, 0] * xy[:, 1]
+        scale = loops.extents(xy)
+        if np.any(area <= EPS_GEO_FACTOR * np.maximum(scale, 1.0) * scale):
+            raise DegenerateGeometryError("polygon area is zero within tolerance")
+        star = np.minimum.reduceat(fan, starts) > 0.0
+        keep = (fan > 1e-12 * scale[of] ** 2) & star[of]
+        fan_tris = np.stack([np.zeros((keep.sum(), 2)), xy[keep], xyn[keep]], axis=1)
+        fan_areas = 0.5 * fan[keep]
+        tri_counts = np.bincount(of[keep], minlength=len(starts))
+        tri_ends = np.cumsum(tri_counts)
+
+        d2 = np.sum((c[:, None, :] - c[None, :, :]) ** 2, axis=2)
+        d2[of[:, None] != of[None, :]] = 0.0
+        diameter = np.sqrt(np.maximum.reduceat(d2.max(axis=1), starts))
+        offset = _dot_rows(n, centroid)
+        faces = []
+        bounds = zip(starts.tolist(), (starts + loops.sizes).tolist(),
+                     (tri_ends - tri_counts).tolist(), tri_ends.tolist())
+        for f, (lo, hi, tri_lo, tri_hi) in enumerate(bounds):
+            if star[f]:
+                triangulation = (fan_tris[tri_lo:tri_hi], fan_areas[tri_lo:tri_hi])
+            else:
+                triangulation = _triangulation(xy[lo:hi])
+            if not len(triangulation[1]):
+                raise DegenerateGeometryError("polygon has no positively oriented triangle")
+            plane = Plane(n[f], float(offset[f]), centroid[f], t1[f], t2[f])
+            faces.append(_FaceView(
+                coords=self.face_loops[f], normal=normal[f], plane=plane,
+                coords2d=xy[lo:hi], measure=float(area[f]),
+                diameter=float(diameter[f]), triangulation=triangulation))
+        return faces
 
     def cone(self):
         """Centroid cone over the face triangles: tetrahedra (m, 4, 3) and

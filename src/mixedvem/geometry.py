@@ -7,14 +7,15 @@ closed polyhedron; quadrature rules are built from positively oriented
 triangulations only, so weights are guaranteed positive.
 
 Geometry is computed once.  A ``PolyhedronGeometry`` fits each face plane
-once, triangulates each face once and keeps its centroid *cone* (the
-positively oriented tetrahedra joining the face triangles to the centroid,
-with their volumes); ``PolygonGeometry`` and the face views keep their
-triangulations.  No point array is kept per order: every ``quadrature(order)``
-call maps the cached reference rule onto all tetrahedra or triangles in one
-batch and returns fresh arrays, so callers may modify them.  The objects are
-immutable once built; ``mesh.PolyMesh3D.cell_geometry`` hands the same object
-to every caller until the cell's faces or vertices change (see there).
+once and triangulates each face once, for all its faces together, and keeps
+its centroid *cone* (the positively oriented tetrahedra joining the face
+triangles to the centroid, with their volumes); ``PolygonGeometry`` and the
+face views keep their triangulations.  No point array is kept per order:
+every ``quadrature(order)`` call maps the cached reference rule onto all
+tetrahedra or triangles in one batch and returns fresh arrays, so callers may
+modify them.  The objects are immutable once built;
+``mesh.PolyMesh3D.cell_geometry`` hands the same object to every caller until
+the cell's faces or vertices change (see there).
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ simplicial decompositions and are therefore exact for any simple polygon /
 closed polyhedron; quadrature rules are built from positively oriented
 triangulations only, so weights are guaranteed positive.
 
-Geometry is computed once.  A ``PolyhedronGeometry`` fits each face plane
-once and triangulates each face once, for all its faces together, and keeps
-its centroid *cone* (the positively oriented tetrahedra joining the face
+Geometry is computed once.  A ``PolyhedronGeometry`` fits all its face
+planes in one batch, builds each face view (frame, 2D loop, triangulation)
+once from that fit, and keeps its centroid *cone* (the positively oriented tetrahedra joining the face
 triangles to the centroid, with their volumes); ``PolygonGeometry`` and the
 face views keep their triangulations.  No point array is kept per order:
 every ``quadrature(order)`` call maps the cached reference rule onto all
@@ -31,10 +31,12 @@ from .errors import DegenerateGeometryError
 EPS_GEO_FACTOR = 1e-9
 
 # Share of a cell's volume its centroid cone may lose to dropped (under
-# tolerance) tetrahedra.  A tiny face loses a few volume tolerances, at most
-# 3.4e-4 of a cell's volume over 400 scanned cut networks.  A sliver cell,
-# whose cone tetrahedra all fall under the tolerance, loses all of it.
-CONE_VOLUME_RTOL = 1e-2
+# tolerance) tetrahedra.  A tiny face loses a few volume tolerances: at most
+# 3.4e-4 of a cell's volume over 400 scanned cut networks (200 seeded
+# ``perfbench`` fracture networks on a 4^3 box and 200 random networks as the
+# acceptance suite draws them).  A sliver cell, whose cone tetrahedra all
+# fall under the tolerance, loses all of it.
+CONE_VOLUME_RTOL = 1e-3
 
 
 def geo_eps(scale: float) -> float:
@@ -266,17 +268,16 @@ def _triangulation(coords):
 
 
 def plane_frame(normal):
-    """Deterministic orthonormal in-plane axes (t1, t2) with t1 x t2 = n,
-    for one normal or row by row for an (m, 3) array of them."""
+    """Deterministic orthonormal in-plane axes (t1, t2) with t1 x t2 = n."""
     n = np.asarray(normal, dtype=float)
-    n = n / np.linalg.norm(n, axis=-1, keepdims=True)
-    n0, n1, n2 = n[..., 0], n[..., 1], n[..., 2]
-    zero = np.zeros_like(n0)
-    t1 = np.where((np.abs(n0) > 0.9)[..., None],
-                  np.stack([n2, zero, -n0], axis=-1),    # e_y x n
-                  np.stack([zero, -n2, n1], axis=-1))    # e_x x n
-    t1 /= np.linalg.norm(t1, axis=-1, keepdims=True)
-    return t1, _cross(n, t1)
+    n = n / np.linalg.norm(n)
+    if abs(n[0]) > 0.9:
+        t1 = np.array([n[2], 0.0, -n[0]])    # e_y x n
+    else:
+        t1 = np.array([0.0, -n[2], n[1]])    # e_x x n
+    t1 /= np.linalg.norm(t1)
+    t2 = _cross(n, t1)
+    return t1, t2
 
 
 @dataclass(frozen=True)
@@ -513,35 +514,34 @@ def _lex_positive(n):
     return n
 
 
-def _lex_signs(normals):
-    """Per row of an (m, 3) array: +1, or -1 where ``-row`` is the
-    lexicographically positive direction."""
-    first = (normals != 0).argmax(axis=1)
-    return np.where(normals[np.arange(len(normals)), first] < 0, -1.0, 1.0)
-
-
-@dataclass
 class _FaceView:
     """Planar face of a PolyhedronGeometry with outward normal and 2D frame.
 
-    The 2D frame (used for face monomials) is anchored at the face centroid
-    and built from the lexicographically positive normal, so the two cells
-    sharing a face see identical face coordinates.  ``coords2d`` is the loop
-    in that frame, counter-clockwise; ``triangulation`` holds its triangles
-    (t, 3, 2) and their areas (t,).
+    ``coords3d`` is ordered so the right-hand rule gives the outward unit
+    ``normal``; ``mean`` is the mean of its vertices (both from the
+    polyhedron's plane fit).  The 2D frame (used for face monomials) is
+    anchored at the face centroid and built from the lexicographically
+    positive normal, so the two cells sharing a face see identical face
+    coordinates.  ``coords2d`` is the loop in that frame, counter-clockwise;
+    ``triangulation`` holds its triangles (t, 3, 2) and their areas (t,).
     """
 
-    coords: np.ndarray
-    normal: np.ndarray
-    plane: Plane
-    coords2d: np.ndarray
-    measure: float
-    diameter: float
-    triangulation: tuple
-
-    @property
-    def centroid(self):
-        return self.plane.origin
+    def __init__(self, coords3d, normal, mean):
+        self.coords = coords3d
+        self.normal = normal
+        n = _lex_positive(normal)
+        t1, t2 = plane_frame(n)
+        rel = self.coords - mean
+        coords2d = np.column_stack([rel @ t1, rel @ t2])
+        if n is not normal:   # the loop is clockwise in the lex frame
+            coords2d = coords2d[::-1]
+        area, c2 = polygon_area_centroid_2d(coords2d)
+        self.centroid = mean + c2[0] * t1 + c2[1] * t2
+        self.plane = Plane(n, float(n @ self.centroid), self.centroid, t1, t2)
+        self.coords2d = coords2d - c2
+        self.measure = abs(area)
+        self.diameter = _diameter(self.coords)
+        self.triangulation = _triangulation(self.coords2d)
 
     def quadrature(self, order):
         pts2d, w = _map_rule(*_triangle_ref_rule(order), *self.triangulation)
@@ -580,7 +580,9 @@ class PolyhedronGeometry:
     @property
     def faces(self):
         if self._faces is None:
-            self._faces = self._build_faces()
+            normals, means = self._loops.plane_normals()
+            self._faces = [_FaceView(*face) for face in
+                           zip(self.face_loops, normals, means)]
         return self._faces
 
     def _volume_centroid(self):
@@ -597,63 +599,6 @@ class PolyhedronGeometry:
             return 0.0, apex
         mom = v @ ((apex + bases + c + d) / 4.0)
         return abs(vol), mom / vol
-
-    def _build_faces(self):
-        """All face views at once: one plane fit, frame and triangulation
-        per face, computed for every face together."""
-        loops = self._loops
-        c, of, starts = loops.coords, loops.loop_of, loops.starts
-        normal, mean = loops.plane_normals()   # outward, as the loops run
-        sign = _lex_signs(normal)
-        n = normal * sign[:, None]
-        t1, t2 = plane_frame(n)
-        rel = c - mean[of]
-        xy = np.column_stack([_dot_rows(rel, t1[of]), _dot_rows(rel, t2[of])])
-        # a loop is clockwise in its frame when the lex normal is flipped
-        index = np.arange(len(c))
-        last = starts[of] + loops.sizes[of] - 1
-        xy = xy[np.where(sign[of] < 0, last - (index - starts[of]), index)]
-        xyn = xy[loops.next]
-        cross = xy[:, 0] * xyn[:, 1] - xyn[:, 0] * xy[:, 1]
-        area = 0.5 * loops.sums(cross)
-        c2 = loops.sums((xy + xyn) * cross[:, None]) / (6.0 * area[:, None])
-        centroid = mean + c2[:, :1] * t1 + c2[:, 1:] * t2
-        xy = xy - c2[of]
-
-        # centroid fans, as triangulate_polygon_2d builds them; faces that
-        # are not star-shaped w.r.t. their centroid are ear-clipped
-        xyn = xy[loops.next]
-        fan = xy[:, 0] * xyn[:, 1] - xyn[:, 0] * xy[:, 1]
-        scale = loops.extents(xy)
-        if np.any(area <= EPS_GEO_FACTOR * np.maximum(scale, 1.0) * scale):
-            raise DegenerateGeometryError("polygon area is zero within tolerance")
-        star = np.minimum.reduceat(fan, starts) > 0.0
-        keep = (fan > 1e-12 * scale[of] ** 2) & star[of]
-        fan_tris = np.stack([np.zeros((keep.sum(), 2)), xy[keep], xyn[keep]], axis=1)
-        fan_areas = 0.5 * fan[keep]
-        tri_counts = np.bincount(of[keep], minlength=len(starts))
-        tri_ends = np.cumsum(tri_counts)
-
-        d2 = np.sum((c[:, None, :] - c[None, :, :]) ** 2, axis=2)
-        d2[of[:, None] != of[None, :]] = 0.0
-        diameter = np.sqrt(np.maximum.reduceat(d2.max(axis=1), starts))
-        offset = _dot_rows(n, centroid)
-        faces = []
-        bounds = zip(starts.tolist(), (starts + loops.sizes).tolist(),
-                     (tri_ends - tri_counts).tolist(), tri_ends.tolist())
-        for f, (lo, hi, tri_lo, tri_hi) in enumerate(bounds):
-            if star[f]:
-                triangulation = (fan_tris[tri_lo:tri_hi], fan_areas[tri_lo:tri_hi])
-            else:
-                triangulation = _triangulation(xy[lo:hi])
-            if not len(triangulation[1]):
-                raise DegenerateGeometryError("polygon has no positively oriented triangle")
-            plane = Plane(n[f], float(offset[f]), centroid[f], t1[f], t2[f])
-            faces.append(_FaceView(
-                coords=self.face_loops[f], normal=normal[f], plane=plane,
-                coords2d=xy[lo:hi], measure=float(area[f]),
-                diameter=float(diameter[f]), triangulation=triangulation))
-        return faces
 
     def cone(self):
         """Centroid cone over the face triangles: tetrahedra (m, 4, 3) and

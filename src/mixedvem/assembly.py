@@ -35,7 +35,7 @@ import scipy.sparse as sps
 from .elements import (ElementSpace, Local1D, LocalMatrixSet, local_matrices,
                        local_matrices_1d)
 from .errors import ConfigError
-from .mesh import MixedDimensionalMesh, BoundaryCondition
+from .mesh import MixedDimensionalMesh, field_values
 from .polyspace import MonomialBasis, dim_poly
 
 
@@ -169,8 +169,9 @@ def _build_3d_block(dm, md, offset, quad_order):
         else:
             ids = np.arange(next_u, next_u + per_face)
             next_u += per_face
-            from .geometry import fit_plane
-            intrinsic = fit_plane(mesh.face_coords(fid)).normal
+            # the face loop's own normal, as seen by its positive owner
+            cid, s = max(owners, key=lambda owner: owner[1])
+            intrinsic = s * mesh.face_outward_normal(fid, cid)
             canon = 1 if tuple(intrinsic) > tuple(-intrinsic) else -1
             for cid, s in owners:
                 dm.face_dofs[(fid, cid)] = ids
@@ -618,9 +619,7 @@ def assemble_rhs(dm: GlobalDofMap, md) -> np.ndarray:
             if basis is None:
                 continue
             pts, w = geom.quadrature(qo)
-            phys = to_phys(ci, pts)
-            f = np.asarray([src(x) for x in phys]) if callable(src) \
-                else np.full(len(w), float(src))
+            f = field_values(src, to_phys(ci, pts))
             rhs[blk.cell_p_dofs[ci]] += basis.evaluate(pts).T @ (w * f)
     return rhs
 
@@ -673,7 +672,7 @@ def apply_boundary_conditions(system: GlobalSystem) -> GlobalSystem:
         face = blk3.geoms[ci].faces[lf]
         fpts, fw = face.quadrature(qo)
         dual = loc.face_dual_values(lf, face.to_face_coords(fpts))
-        g = np.asarray([bc.datum(x) for x in fpts])
+        g = bc.datum(fpts)
         r_loc = -dual.T @ (fw * g)
         rhs[ids] += sgn * r_loc
 
@@ -690,8 +689,7 @@ def apply_boundary_conditions(system: GlobalSystem) -> GlobalSystem:
             edge = blk2.geoms[ci].faces[k]
             epts, ew = edge.quadrature(qo)
             dual = loc.face_dual_values(k, edge.to_face_coords(epts))
-            phys = fm.plane.to_3d(epts)
-            g = np.asarray([bc.datum(x) for x in phys])
+            g = bc.datum(fm.plane.to_3d(epts))
             rhs[ids] += -dual.T @ (ew * g)
 
     for tm in md.traces:

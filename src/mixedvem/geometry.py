@@ -30,13 +30,18 @@ from .errors import DegenerateGeometryError
 # Relative coplanarity/degeneracy tolerance: eps = EPS_GEO_FACTOR * (scale).
 EPS_GEO_FACTOR = 1e-9
 
-# Share of a cell's volume its centroid cone may lose to dropped (under
-# tolerance) tetrahedra.  A tiny face loses a few volume tolerances: at most
-# 3.4e-4 of a cell's volume over 400 scanned cut networks (200 seeded
-# ``perfbench`` fracture networks on a 4^3 box and 200 random networks as the
-# acceptance suite draws them).  A sliver cell, whose cone tetrahedra all
-# fall under the tolerance, loses all of it.
+# Share of a cell's volume its centroid cone may hold in tetrahedra under the
+# volume tolerance geo_eps(d) * d**2 before the cell counts as a sliver.  A
+# tiny face puts a few volume tolerances there: at most 3.4e-4 of a cell's
+# volume over 400 scanned cut networks (200 seeded ``perfbench`` fracture
+# networks on a 4^3 box and 200 random networks as the acceptance suite draws
+# them).  A sliver cell, whose cone tetrahedra all fall under the tolerance,
+# holds all of it there.
 CONE_VOLUME_RTOL = 1e-3
+
+# Cone tetrahedra of at most this many ulps of diameter**3 are degenerate
+# (zero volume up to roundoff) and left out of the rule; all others are kept.
+CONE_DROP_ULPS = 8
 
 
 def geo_eps(scale: float) -> float:
@@ -605,11 +610,11 @@ class PolyhedronGeometry:
         their volumes (m,), built on first use and kept.
 
         Requires the element to be star-shaped with respect to its centroid
-        (always true for the convex cells produced by plane cutting).  Cone
-        tetrahedra under the volume tolerance are dropped; if what is kept
-        differs from ``measure`` by more than CONE_VOLUME_RTOL of it (a
-        sliver cell), the cell has no usable rule and DegenerateGeometryError
-        is raised.
+        (always true for the convex cells produced by plane cutting).  Only
+        degenerate cone tetrahedra (CONE_DROP_ULPS) are dropped.  If the
+        tetrahedra above the volume tolerance fall short of ``measure`` by
+        more than CONE_VOLUME_RTOL of it (a sliver cell), the cell has no
+        usable rule and DegenerateGeometryError is raised.
         """
         if self._cone is None:
             self._cone = self._build_cone()
@@ -617,7 +622,8 @@ class PolyhedronGeometry:
 
     def _build_cone(self):
         apex = self.centroid
-        tol = geo_eps(self.diameter) * self.diameter ** 2
+        d = self.diameter
+        tol = geo_eps(d) * d ** 2
         tris, orient = [], []
         for face in self.faces:
             # face 2D loops are CCW in the canonical frame; flip the cone sign
@@ -634,12 +640,13 @@ class PolyhedronGeometry:
             raise DegenerateGeometryError(
                 "cell not star-shaped w.r.t. centroid; cannot build a "
                 "positive quadrature rule")
-        keep = v > tol
-        vols = v[keep]
-        if abs(vols.sum() - self.measure) > CONE_VOLUME_RTOL * self.measure:
+        resolved = v[v > tol].sum()
+        if abs(resolved - self.measure) > CONE_VOLUME_RTOL * self.measure:
             raise DegenerateGeometryError(
-                f"centroid cone keeps volume {vols.sum():.3e} of "
+                f"centroid cone resolves volume {resolved:.3e} of "
                 f"{self.measure:.3e}: sliver cell, no positive quadrature rule")
+        keep = v > CONE_DROP_ULPS * np.finfo(float).eps * d ** 3
+        vols = v[keep]
         tets = np.concatenate(
             [tris[keep], np.broadcast_to(apex, (len(vols), 1, 3))], axis=1)
         return tets, vols

@@ -10,6 +10,16 @@ faces through the shared-face splitting.  Fracture geometry is never altered.
 After cutting, the 2D fracture meshes are the patchworks of marked faces,
 the 1D trace meshes are the shared edge partitions along fracture-fracture
 intersection segments, and 0D points are collected where traces meet.
+
+Data callbacks (boundary data, sources, exact fields) are evaluated on all
+quadrature points of a cell at once through ``field_values``.  A callable
+receives the coordinate rows ``x = points.T``, so ``x[0]``, ``x[1]`` and
+``x[2]`` are arrays, and returns an (n,) array for a scalar field or a
+(3, n) array (components as rows) for a vector field; a scalar or (3,)
+result is broadcast.  Written with ``x[i]`` and NumPy ufuncs, the same
+function also serves a single (3,) point.  The batched values are checked
+against per-point calls on a few probe points; a callable that raises on
+rows or disagrees there is evaluated point by point instead.
 """
 
 from __future__ import annotations
@@ -51,7 +61,57 @@ class BoundaryCondition:
             raise ConfigError(f"unknown boundary condition kind {self.kind!r}")
 
     def datum(self, x):
-        return self.value(np.asarray(x, dtype=float)) if callable(self.value) else self.value
+        """Pressure datum at one (3,) point, or at each row of an (n, 3)
+        array (see ``field_values``)."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return field_values(self.value, x[None, :])[0]
+        return field_values(self.value, x)
+
+
+# Relative agreement required between batched and per-point probe values.
+FIELD_PROBE_RTOL = 1e-12
+
+
+def field_values(f, points):
+    """Values of a data field at the rows of an (n, 3) point array.
+
+    ``f`` is a constant (scalar or (3,) vector) or a callable.  A callable is
+    called once on the coordinate rows ``points.T``; its result is checked
+    against per-point calls at the first, middle and last point, and if the
+    call raises or the values disagree beyond FIELD_PROBE_RTOL, ``f`` is
+    called point by point.  Returns (n,) for a scalar field, (n, 3) for a
+    vector field.
+    """
+    points = np.asarray(points, dtype=float)
+    n = len(points)
+    if not callable(f):
+        value = np.asarray(f, dtype=float)
+        return np.broadcast_to(value, (n,) + value.shape).copy()
+    probes = sorted({0, n // 2, n - 1}) if n else []
+    probed = np.array([f(points[i]) for i in probes], dtype=float)
+    if n <= len(probes):
+        return probed
+    try:
+        batched = _rows_result(f(points.T), probed.shape[1:], n)
+    except Exception:   # a callable that only takes single points
+        batched = None
+    if batched is not None:
+        scale = max(float(np.abs(probed).max()), np.finfo(float).tiny)
+        if np.all(np.abs(batched[probes] - probed) <= FIELD_PROBE_RTOL * scale):
+            return batched
+    return np.array([f(x) for x in points], dtype=float)
+
+
+def _rows_result(values, shape, n):
+    """A batched callback result as (n,) + shape, or None if it has neither
+    the per-point shape (a constant) nor the rows layout shape + (n,)."""
+    values = np.asarray(values, dtype=float)
+    if values.shape == shape:
+        return np.broadcast_to(values, (n,) + shape).copy()
+    if values.shape == shape + (n,):
+        return np.moveaxis(values, -1, 0).copy()
+    return None
 
 
 NEUMANN = BoundaryCondition("neumann")
@@ -249,9 +309,13 @@ class PolyMesh3D:
         self._geometry[cid] = (key, geom)
         return geom
 
-    def face_outward_normal(self, fid, sign):
-        plane = fit_plane(self.face_coords(fid))
-        return plane.normal * sign
+    def face_outward_normal(self, fid, cid):
+        """Outward unit normal of face ``fid`` of cell ``cid``, from the plane
+        fit the cell's cached geometry holds."""
+        for lf, (f, _) in enumerate(self.cells[cid]):
+            if f == fid:
+                return self.cell_geometry(cid).faces[lf].normal
+        raise KeyError(f"face {fid} does not bound cell {cid}")
 
     def domain_diameter(self):
         pts = np.asarray(self.verts)
@@ -1009,8 +1073,8 @@ def extract_lower_meshes(mesh: PolyMesh3D, spec: NetworkSpec, eps=None):
                 vids = tuple(reversed(loop))
                 coords2d = coords2d[::-1]
             plus, minus = None, None
-            for cid, s in owners:
-                outward = mesh.face_outward_normal(fid, s)
+            for cid, _ in owners:
+                outward = mesh.face_outward_normal(fid, cid)
                 if outward @ plane.normal > 0:
                     plus = cid   # outward co-normal equals the lex-positive normal
                 else:
@@ -1272,7 +1336,6 @@ def validate_conformity(md: MixedDimensionalMesh) -> list:
             report.append(f"volume mismatch: cells {vol!r} vs background "
                           f"{mesh.background_volume!r}")
 
-    inc = mesh.face_cells()
     for fm in md.fractures:
         area, _ = polygon_area_centroid_2d(fm.spec.polygon2d)
         got = fm.area()
@@ -1280,11 +1343,8 @@ def validate_conformity(md: MixedDimensionalMesh) -> list:
             report.append(f"fracture {fm.index}: area {got!r} vs polygon {area!r}")
         for cell in fm.cells:
             try:
-                owners = dict(inc[cell.face_id])
-                n_plus = mesh.face_outward_normal(cell.face_id,
-                                                  owners[cell.cell_plus])
-                n_minus = mesh.face_outward_normal(cell.face_id,
-                                                   owners[cell.cell_minus])
+                n_plus = mesh.face_outward_normal(cell.face_id, cell.cell_plus)
+                n_minus = mesh.face_outward_normal(cell.face_id, cell.cell_minus)
             except (DegenerateGeometryError, KeyError) as exc:
                 report.append(f"fracture {fm.index} face {cell.face_id}: {exc}")
                 continue

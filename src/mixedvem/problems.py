@@ -68,7 +68,7 @@ def _fracture_fields(axis):
     others = [i for i in range(3) if i != axis]
 
     def velocity(x):
-        v = np.zeros(3)
+        v = np.zeros((3,) + np.shape(x[0]))
         for i in others:
             v[i] = -A2 * _dP(x[i])
         return v
@@ -87,7 +87,7 @@ def _trace_fields(axis):
     """Exact data on the trace running along the given coordinate axis."""
 
     def velocity(x):
-        v = np.zeros(3)
+        v = np.zeros((3,) + np.shape(x[0]))
         v[axis] = -A1 * _dP(x[axis])
         return v
 
@@ -393,12 +393,13 @@ def convergence_sweep(orders=(0, 1), levels=(2, 4, 6), family3d="RT",
 
 
 def _poly_fields(dim, degree, a=1.0):
-    """P = (c0 + c.x)^degree with flux -a grad P; works for any dimension."""
+    """P = (c0 + c.x)^degree with flux -a grad P; works for any dimension,
+    at one point or on coordinate rows."""
     c0 = 0.37
     c = np.array([1.0, 0.6, -0.4][:dim])
 
     def s(x):
-        return c0 + float(np.dot(c, np.atleast_1d(x)[:dim]))
+        return c0 + c @ np.atleast_1d(x)[:dim]
 
     def P(x):
         return s(x) ** degree
@@ -406,9 +407,9 @@ def _poly_fields(dim, degree, a=1.0):
     def U(x):
         if degree == 0:
             return np.zeros(3)
-        g = degree * s(x) ** (degree - 1) * c
-        out = np.zeros(3)
-        out[:dim] = -a * g
+        g = degree * s(x) ** (degree - 1)
+        out = np.zeros((3,) + np.shape(g))
+        out[:dim] = -a * np.multiply.outer(c, g)
         return out
 
     def DIV(x):

@@ -10,6 +10,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import GlobalSystem, _domain_point_map
 from .errors import SingularSystemError
+from .mesh import field_values
 
 DIRECT_SOLVE_LIMIT = 500_000
 
@@ -138,25 +139,29 @@ def error_norms(sol: DiscreteSolution, exact: dict, quad_order=None):
             loc = blk.locals_[ci]
             pts, w = geom.quadrature(qo)
             phys = to_phys(ci, pts)
+            mono_p = loc.basis_p.evaluate(pts)   # pressure and divergence
             # pressure
-            p_h = loc.basis_p.evaluate(pts) @ sol.pressure_coeffs(blk, ci)
-            p_ex = np.asarray([ex.pressure(x) for x in phys])
+            p_h = mono_p @ sol.pressure_coeffs(blk, ci)
+            p_ex = field_values(ex.pressure, phys)
             acc[0] += np.sum(w * (p_ex - p_h) ** 2)
             acc[3] += np.sum(w * p_ex ** 2)
             # velocity
-            u_ex3 = np.asarray([ex.velocity(x) for x in phys])
-            u_ex = u_ex3 if frame is None else u_ex3 @ frame.T
+            u_ex = field_values(ex.velocity, phys)
+            if frame is not None:
+                u_ex = u_ex @ frame.T
             coeffs = sol.projected_velocity(blk, ci)
             if blk.dim == 1:
-                u_h = loc.basis_u.evaluate(pts) @ coeffs
-                u_h = u_h[:, None]
+                u_h = (loc.basis_u.evaluate(pts) @ coeffs)[:, None]
             else:
-                u_h = np.einsum("b,pbi->pi", coeffs, loc.vec_basis.evaluate(pts))
+                # contract the coefficients first: (n_k, d) monomial rows
+                vb = loc.vec_basis
+                u_h = vb.scalar.evaluate(pts) @ np.einsum("b,bij->ji", coeffs,
+                                                          vb.coeffs)
             acc[1] += np.sum(w * np.sum((u_ex - u_h) ** 2, axis=1))
             acc[4] += np.sum(w * np.sum(u_ex ** 2, axis=1))
             # divergence
-            div_h = loc.basis_p.evaluate(pts) @ (loc.V @ sol.local_flux_dofs(blk, ci))
-            div_ex = np.asarray([ex.divergence(x) for x in phys])
+            div_h = mono_p @ (loc.V @ sol.local_flux_dofs(blk, ci))
+            div_ex = field_values(ex.divergence, phys)
             acc[2] += np.sum(w * (div_ex - div_h) ** 2)
             acc[5] += np.sum(w * div_ex ** 2)
         out[key] = tuple(np.sqrt(acc))
@@ -290,9 +295,7 @@ def flux_report(sol: DiscreteSolution) -> FluxReport:
             qo = 2 * (dm.order + 2)
             for ci, geom in enumerate(blk.geoms):
                 pts, w = geom.quadrature(qo)
-                f = np.asarray([src(x) for x in to_phys(ci, pts)]) if callable(src) \
-                    else np.full(len(w), float(src))
-                e.source += float(np.sum(w * f))
+                e.source += float(np.sum(w * field_values(src, to_phys(ci, pts))))
 
     # interface exchanges: first face moments of the duplicated DOF sets
     blk3 = dm.block(3)

@@ -1,5 +1,9 @@
 """Mesh cutting, lower-dimensional extraction, domain graph, conformity."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -306,3 +310,71 @@ def test_one_geometry_per_cell_through_assembly(monkeypatch):
     assert len(built) == len(mesh.cells) > 27
     assert system.dofmap.block(3).geoms == [mesh.cell_geometry(c)
                                             for c in sorted(mesh.cells)]
+
+
+def _perfbench_network(seed):
+    """The seeded fracture network of the benchmark's fracture-net workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                         path)
+    workloads = importlib.util.module_from_spec(module_spec)
+    sys.modules[module_spec.name] = workloads   # its dataclasses look it up
+    module_spec.loader.exec_module(workloads)
+    return workloads.random_network(np.random.default_rng(seed))
+
+
+def _acceptance_network(seed):
+    rng = np.random.default_rng(seed)
+    return random_network(rng, int(rng.integers(1, 6)))
+
+
+# the cut networks whose cells once lost the most cone volume to dropped
+# tetrahedra: 3.4e-4 and 2.1e-4 of a cell's volume
+LOSSY_NETWORKS = [lambda: _acceptance_network(43012),
+                  lambda: _perfbench_network(181)]
+
+
+@pytest.mark.parametrize("network", LOSSY_NETWORKS,
+                         ids=["acceptance-43012", "fracture-net-181"])
+def test_cone_keeps_every_cell_volume(network):
+    md = cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (4, 4, 4)),
+                             network())
+    for cid in md.mesh3d.cells:
+        geom = md.mesh3d.cell_geometry(cid)
+        _, vols = geom.cone()
+        assert vols.sum() == pytest.approx(geom.measure, rel=1e-10), cid
+
+
+def _face_loop_normal(mesh, fid):
+    return msh.fit_plane(mesh.face_coords(fid)).normal
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (3, 3, 3)),
+                                NetworkSpec(fractures=[])),
+    lambda: cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (4, 4, 4)),
+                                _acceptance_network(43012)),
+], ids=["box", "cut-network"])
+def test_cached_face_normals_keep_signs_and_sides(make):
+    # oracle: the normal fitted afresh to each face's own vertex loop
+    md = make()
+    mesh = md.mesh3d
+    dm = assemble_complete(md, order=0).dofmap
+    for fid, owners in mesh.face_cells().items():
+        if len(owners) != 2 or mesh.face_fracture.get(fid) is not None:
+            continue
+        n = _face_loop_normal(mesh, fid)
+        canon = 1 if tuple(n) > tuple(-n) else -1
+        for cid, s in owners:
+            assert dm.face_signs[(fid, cid)] == s * canon
+    for fm in md.fractures:
+        for cell in fm.cells:
+            owners = dict(mesh.face_cells()[cell.face_id])
+            n = _face_loop_normal(mesh, cell.face_id)
+            assert owners[cell.cell_plus] * n @ fm.plane.normal > 0
+            assert owners[cell.cell_minus] * n @ fm.plane.normal < 0
+    cid = sorted(mesh.cells)[0]
+    stranger = next(f for f in mesh.faces
+                    if f not in dict(mesh.cells[cid]))
+    with pytest.raises(KeyError):
+        mesh.face_outward_normal(stranger, cid)

@@ -32,16 +32,24 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sps
 
-from .elements import (ElementSpace, Local1D, LocalMatrixSet, local_matrices,
-                       local_matrices_1d)
+from .elements import ElementSpace, local_matrices, local_matrices_1d
 from .errors import ConfigError
 from .mesh import MixedDimensionalMesh, field_values
 from .polyspace import MonomialBasis, dim_poly
 
 
+def _same_points(ci, pts):
+    return pts
+
+
 @dataclass
 class DomainBlock:
-    """One domain's slice of the global system with its scatter data."""
+    """One domain's slice of the global system with its scatter data.
+
+    ``point_map(ci, pts)`` maps cell ``ci``'s quadrature points (in the
+    coordinates its geometry uses) to physical (n, 3) points; ``frame`` holds
+    the domain's orthonormal tangent directions as (dim, 3) rows (None in 3D).
+    """
 
     dim: int
     index: int
@@ -60,6 +68,20 @@ class DomainBlock:
     constrained: list = field(default_factory=list)    # zero-flux dof ids
     cell_ids: list = field(default_factory=list)       # 3D: mesh cell ids
     cell_index_of: dict = field(default_factory=dict)
+    point_map: object = _same_points
+    frame: np.ndarray = None
+
+    def place_on_plane(self, plane):
+        """Cells in the 2D frame of ``plane``."""
+        self.point_map = lambda ci, pts: plane.to_3d(pts)
+        self.frame = np.vstack([plane.t1, plane.t2])
+
+    def place_on_line(self, tangent):
+        """Segment cells along ``tangent``, with arc-length points measured
+        from each cell's midpoint."""
+        geoms = self.geoms
+        self.point_map = lambda ci, pts: geoms[ci].centroid + pts[:, :1] * tangent
+        self.frame = tangent[None, :]
 
     @property
     def n_dof(self):
@@ -89,10 +111,17 @@ class GlobalDofMap:
     edge_dofs: dict = field(default_factory=dict)     # (frac, ekey, ci) -> ids
     edge_signs: dict = field(default_factory=dict)
     vertex_dofs: dict = field(default_factory=dict)   # (trace, vid, ci) -> id
-    vertex_signs: dict = field(default_factory=dict)
+    local_face: dict = field(default_factory=dict)    # (fid, cid) -> cell face index
 
     def block(self, dim, index=0):
         return self.blocks[(dim, index)]
+
+    def vertex_dof(self, trace, vid, ci):
+        """Block-local flux DOF of trace vertex ``vid`` seen from 1D cell
+        ``ci``: the cell's own DOF at a duplicated endpoint, else the shared
+        one."""
+        key = (trace, vid, ci)
+        return self.vertex_dofs[key if key in self.vertex_dofs else (trace, vid, None)]
 
     def space(self, dim) -> ElementSpace:
         if dim == 3:
@@ -113,8 +142,7 @@ def _local_quad_order(order, override):
 
 
 def build_dof_map(md: MixedDimensionalMesh, order: int, family3d: str = "RT",
-                  trace_flow: bool = True, quad_order: int = None,
-                  data_quad_order: int = None) -> GlobalDofMap:
+                  trace_flow: bool = True, quad_order: int = None) -> GlobalDofMap:
     """Number all DOFs, duplicate interface DOFs, build local matrices."""
     if not trace_flow:
         for tm in md.traces:
@@ -193,7 +221,8 @@ def _build_3d_block(dm, md, offset, quad_order):
         blk.geoms.append(geom)
         blk.locals_.append(local_matrices(space, geom, nu=blk.nu, quad_order=qo))
         u_ids, u_sgn = [], []
-        for (fid, s) in mesh.cells[cid]:
+        for lf, (fid, s) in enumerate(mesh.cells[cid]):
+            dm.local_face[(fid, cid)] = lf
             u_ids.append(dm.face_dofs[(fid, cid)])
             u_sgn.append(np.full(per_face, dm.face_signs[(fid, cid)], dtype=float))
         u_ids.append(interior_of[cid])
@@ -218,6 +247,7 @@ def _build_2d_block(dm, md, fm, offset, quad_order):
     blk = DomainBlock(dim=2, index=fm.index, offset=offset)
     blk.nu = 1.0 / fm.spec.a2
     blk.source = fm.spec.source
+    blk.place_on_plane(fm.plane)
 
     next_u = 0
     # edges in deterministic order: by (cell index, local edge) first use
@@ -275,11 +305,9 @@ def _build_2d_block(dm, md, fm, offset, quad_order):
         n = len(cell.vids)
         for k in range(n):
             key = tuple(sorted((cell.vids[k], cell.vids[(k + 1) % n])))
-            u_ids.append(dm.edge_dofs[(fm.index, key, ci)]
-                         if (fm.index, key, ci) in dm.edge_dofs
-                         else dm.edge_dofs[(fm.index, key, _shared_user(fm, key))])
-            u_sgn.append(np.full(per_edge,
-                                 dm.edge_signs.get((fm.index, key, ci), 1), dtype=float))
+            u_ids.append(dm.edge_dofs[(fm.index, key, ci)])
+            u_sgn.append(np.full(per_edge, dm.edge_signs[(fm.index, key, ci)],
+                                 dtype=float))
         u_ids.append(interior_of[ci])
         u_sgn.append(np.ones(lay_ii + lay_iii))
         blk.cell_u_dofs.append(offset + np.concatenate(u_ids))
@@ -297,17 +325,13 @@ def _build_2d_block(dm, md, fm, offset, quad_order):
     return offset + blk.n_dof
 
 
-def _shared_user(fm, key):
-    # shared edges register the same dof ids under every user cell index
-    return fm.edge_cells[key][0][0]
-
-
 def _build_1d_block(dm, md, tm, offset, quad_order):
     space = dm.space(1)
     blk = DomainBlock(dim=1, index=tm.index, offset=offset)
     tdata = md.spec.trace_data(tm.index)
     blk.nu = 1.0 / tdata.a1
     blk.source = tdata.source
+    blk.place_on_line(tm.tangent)
 
     if not dm.trace_flow:
         # multiplier-only block: no 1D flux, one multiplier per pressure dof
@@ -355,9 +379,7 @@ def _build_1d_block(dm, md, tm, offset, quad_order):
         blk.locals_.append(local_matrices_1d(space, geom, nu=blk.nu, quad_order=qo))
         ids, sgn = [], []
         for endpoint, vid in ((0, cell.vid_a), (1, cell.vid_b)):
-            key = (tm.index, vid, ci) if (tm.index, vid, ci) in dm.vertex_dofs \
-                else (tm.index, vid, None)
-            ids.append(dm.vertex_dofs[key])
+            ids.append(dm.vertex_dof(tm.index, vid, ci))
             # global convention: flux value along +tangent; outward at the
             # start of a cell is the -tangent direction
             sgn.append(-1.0 if endpoint == 0 else 1.0)
@@ -376,7 +398,7 @@ def _build_1d_block(dm, md, tm, offset, quad_order):
         if kind == "external":
             blk.boundary.append((ci, endpoint, endpoint_vid, None))
         else:
-            dof = offset + dm.vertex_dofs[(tm.index, endpoint_vid, None)]
+            dof = offset + dm.vertex_dof(tm.index, endpoint_vid, ci)
             blk.constrained.append(int(dof))
     dm.blocks[(1, tm.index)] = blk
     return offset + blk.n_dof
@@ -470,8 +492,7 @@ def assemble_coupling_same_dim(dm: GlobalDofMap, md, dim: int, coo: _Coo,
                 for cid in (cell.cell_plus, cell.cell_minus):
                     ci3 = blk3.cell_index_of[cid]
                     loc = blk3.locals_[ci3]
-                    lf = [k for k, (fid, _) in
-                          enumerate(md.mesh3d.cells[cid]) if fid == cell.face_id][0]
+                    lf = dm.local_face[(cell.face_id, cid)]
                     face = blk3.geoms[ci3].faces[lf]
                     fpts, fw = face.quadrature(qo)
                     vals = loc.face_dual_values(lf, face.to_face_coords(fpts))
@@ -506,10 +527,7 @@ def assemble_coupling_same_dim(dm: GlobalDofMap, md, dim: int, coo: _Coo,
                 blk1 = dm.block(1, s.trace)
                 cell = tm.cells[s.cell_index]
                 vid = cell.vid_a if s.endpoint == 0 else cell.vid_b
-                key = (s.trace, vid, s.cell_index)
-                if key not in dm.vertex_dofs:
-                    key = (s.trace, vid, None)
-                dof = blk1.offset + dm.vertex_dofs[key]
+                dof = blk1.offset + dm.vertex_dof(s.trace, vid, s.cell_index)
                 coo.add([dof], [dof], [[inv_eta]])
 
 
@@ -527,8 +545,7 @@ def assemble_coupling_cross_dim(dm: GlobalDofMap, md, dim: int, coo: _Coo,
                 for cid in (cell.cell_plus, cell.cell_minus):
                     ci3 = blk3.cell_index_of[cid]
                     loc3 = blk3.locals_[ci3]
-                    lf = [k for k, (fid, _) in
-                          enumerate(md.mesh3d.cells[cid]) if fid == cell.face_id][0]
+                    lf = dm.local_face[(cell.face_id, cid)]
                     face = blk3.geoms[ci3].faces[lf]
                     fpts, fw = face.quadrature(qo)
                     dual = loc3.face_dual_values(lf, face.to_face_coords(fpts))
@@ -571,33 +588,11 @@ def assemble_coupling_cross_dim(dm: GlobalDofMap, md, dim: int, coo: _Coo,
                 blk1 = dm.block(1, s.trace)
                 cell = tm.cells[s.cell_index]
                 vid = cell.vid_a if s.endpoint == 0 else cell.vid_b
-                key = (s.trace, vid, s.cell_index)
-                if key not in dm.vertex_dofs:
-                    key = (s.trace, vid, None)
-                dof = blk1.offset + dm.vertex_dofs[key]
+                dof = blk1.offset + dm.vertex_dof(s.trace, vid, s.cell_index)
                 # outward flux at the endpoint in global (+tangent) convention
                 val = s.outward_tangent
                 coo.add([dof], p0, [[val]])
                 coo.add(p0, [dof], [[-val]])
-
-
-def _domain_point_map(md, blk):
-    """Map quadrature points of a domain's cells to physical coordinates."""
-    if blk.dim == 3:
-        return lambda ci, pts: pts
-    if blk.dim == 2:
-        plane = md.fractures[blk.index].plane
-        return lambda ci, pts: plane.to_3d(pts)
-    if blk.dim == 1:
-        tm = md.traces[blk.index]
-
-        def to_phys(ci, pts):
-            cell = tm.cells[ci]
-            mid3 = 0.5 * (np.asarray(md.mesh3d.verts[cell.vid_a]) +
-                          np.asarray(md.mesh3d.verts[cell.vid_b]))
-            return mid3[None, :] + pts[:, :1] * tm.tangent[None, :]
-        return to_phys
-    return None
 
 
 def assemble_rhs(dm: GlobalDofMap, md) -> np.ndarray:
@@ -612,14 +607,13 @@ def assemble_rhs(dm: GlobalDofMap, md) -> np.ndarray:
         src = blk.source
         if not callable(src) and float(src) == 0.0:
             continue
-        to_phys = _domain_point_map(md, blk)
         for ci, geom in enumerate(blk.geoms):
             loc = blk.locals_[ci]
             basis = loc.basis_p if loc is not None else None
             if basis is None:
                 continue
             pts, w = geom.quadrature(qo)
-            f = field_values(src, to_phys(ci, pts))
+            f = field_values(src, blk.point_map(ci, pts))
             rhs[blk.cell_p_dofs[ci]] += basis.evaluate(pts).T @ (w * f)
     return rhs
 
@@ -650,99 +644,74 @@ def assemble_complete(md: MixedDimensionalMesh, order: int, family3d="RT",
 
 
 def apply_boundary_conditions(system: GlobalSystem) -> GlobalSystem:
-    """Dirichlet data into the flux RHS; homogeneous Neumann DOFs eliminated."""
+    """Dirichlet data into the flux RHS; homogeneous Neumann DOFs eliminated.
+
+    No-flow flux DOFs are fixed at zero and Dirichlet intersection pressures
+    at their datum: their known values move to the right-hand side and their
+    rows and columns become unit rows, so the system keeps its size.
+    """
+    if system.bc_applied:
+        raise ValueError("boundary conditions are already applied")
     dm, md = system.dofmap, system.md
     rhs = system.rhs
     qo = 2 * (dm.order + 2)
-    constrained = []
-    mesh = md.mesh3d
-
-    blk3 = dm.block(3)
-    for ci, lf, fid, tag in blk3.boundary:
-        bc = md.spec.bc3.get(tag)
-        if bc is None:
-            raise ConfigError(f"external face {fid} has boundary tag {tag!r} "
-                              f"with no boundary condition")
-        ids = blk3.cell_u_dofs[ci][_face_dof_slice(blk3, ci, lf, dm)]
-        sgn = blk3.cell_u_signs[ci][_face_dof_slice(blk3, ci, lf, dm)]
-        if bc.kind == "neumann":
-            constrained.extend(int(i) for i in ids)
-            continue
-        loc = blk3.locals_[ci]
-        face = blk3.geoms[ci].faces[lf]
-        fpts, fw = face.quadrature(qo)
-        dual = loc.face_dual_values(lf, face.to_face_coords(fpts))
-        g = bc.datum(fpts)
-        r_loc = -dual.T @ (fw * g)
-        rhs[ids] += sgn * r_loc
-
-    for fm in md.fractures:
-        blk2 = dm.block(2, fm.index)
-        bc = fm.spec.bc
-        for ci, k, key, _ in blk2.boundary:
-            ids_local = dm.edge_dofs[(fm.index, key, ci)]
-            ids = blk2.offset + ids_local
+    no_flow = []
+    for (d, idx), blk in dm.blocks.items():
+        no_flow.extend(blk.constrained)
+        for ci, lf, where, tag in blk.boundary:
+            if d == 3:
+                bc = md.spec.bc3.get(tag)
+                if bc is None:
+                    raise ConfigError(f"external face {where} has boundary tag "
+                                      f"{tag!r} with no boundary condition")
+            else:
+                bc = (md.fractures[idx].spec.bc if d == 2
+                      else md.spec.trace_data(idx).bc)
             if bc.kind == "neumann":
-                constrained.extend(int(i) for i in ids)
-                continue
-            loc = blk2.locals_[ci]
-            edge = blk2.geoms[ci].faces[k]
-            epts, ew = edge.quadrature(qo)
-            dual = loc.face_dual_values(k, edge.to_face_coords(epts))
-            g = bc.datum(fm.plane.to_3d(epts))
-            rhs[ids] += -dual.T @ (ew * g)
+                sl = blk.locals_[ci].layout.face_slice(lf)
+                no_flow.extend(blk.cell_u_dofs[ci][sl])
+            else:
+                add_dirichlet_load(rhs, blk, ci, lf, bc, qo)
 
-    for tm in md.traces:
-        if not dm.trace_flow:
-            break
-        blk1 = dm.block(1, tm.index)
-        bc = md.spec.trace_data(tm.index).bc
-        for ci, endpoint, vid, _ in blk1.boundary:
-            key = (tm.index, vid, None)
-            dof = blk1.offset + dm.vertex_dofs[key]
-            sgn = -1.0 if endpoint == 0 else 1.0
-            if bc.kind == "neumann":
-                constrained.append(int(dof))
-                continue
-            g = bc.datum(mesh.verts[vid])
-            # local outward-flux dof r = -g; scatter with the sign map
-            rhs[dof] += sgn * (-g)
-
-    constrained.extend(int(i) for blk in dm.blocks.values() for i in blk.constrained)
-
-    A = system.matrix.tolil()
-    # 0D Dirichlet: substitute the data and keep unit rows
+    pinned, values = [], []
     if dm.trace_flow:
-        pinned = []
         for ip in md.intersections:
-            idata = md.spec.intersection_data(ip.index)
-            if idata.bc is None or idata.bc.kind != "dirichlet":
-                continue
-            pinned.append((dm.block(0, ip.index).offset, idata.bc.datum(ip.coords)))
-        if pinned:
-            dofs = [d for d, _ in pinned]
-            vals = np.array([v for _, v in pinned])
-            rhs -= system.matrix[:, dofs] @ vals
-            for dof, val in pinned:
-                A[dof, :] = 0.0
-                A[:, dof] = 0.0
-                A[dof, dof] = 1.0
-                rhs[dof] = val
+            bc = md.spec.intersection_data(ip.index).bc
+            if bc is not None and bc.kind == "dirichlet":
+                pinned.append(dm.block(0, ip.index).offset)
+                values.append(bc.datum(ip.coords))
+    cset = np.unique(np.asarray(no_flow, dtype=int))
+    fixed = np.concatenate([np.asarray(pinned, dtype=int), cset])
+    x_fixed = np.concatenate([values, np.zeros(len(cset))])
 
-    cset = np.array(sorted(set(constrained)), dtype=int)
-    for dof in cset:
-        A[dof, :] = 0.0
-        A[:, dof] = 0.0
-        A[dof, dof] = 1.0
-        rhs[dof] = 0.0
+    A = system.matrix
+    rhs -= A[:, fixed] @ x_fixed
+    free = np.ones(A.shape[0])
+    free[fixed] = 0.0
+    A = sps.diags(free) @ A @ sps.diags(free) + sps.diags(1.0 - free)
+    A = A.tocsr()
+    A.eliminate_zeros()
+    rhs[fixed] = x_fixed
 
-    system.matrix = A.tocsr()
+    system.matrix = A
     system.rhs = rhs
     system.bc_applied = True
     system.constrained = cset
     return system
 
 
-def _face_dof_slice(blk, ci, lf, dm):
-    per = dm.space(blk.dim).n_face_dofs()
-    return slice(lf * per, (lf + 1) * per)
+def add_dirichlet_load(rhs, blk, ci, lf, bc, quad_order):
+    """Add the pressure datum's moments on external face ``lf`` of cell ``ci``
+    to the flux rows of ``rhs``."""
+    loc = blk.locals_[ci]
+    sl = loc.layout.face_slice(lf)
+    if blk.dim == 1:
+        # an endpoint: the datum itself, at arc length -+ L/2
+        pts = np.array([[(lf - 0.5) * loc.measure]])
+        w, dual = np.ones(1), np.ones((1, 1))
+    else:
+        face = blk.geoms[ci].faces[lf]
+        pts, w = face.quadrature(quad_order)
+        dual = loc.face_dual_values(lf, face.to_face_coords(pts))
+    g = bc.datum(blk.point_map(ci, pts))
+    rhs[blk.cell_u_dofs[ci][sl]] -= blk.cell_u_signs[ci][sl] * (dual.T @ (w * g))

@@ -91,8 +91,6 @@ def cmd_validate_mesh(args):
 
 
 def cmd_convergence(args):
-    import numpy as np
-
     from .config import load_config
     from .problems import convergence_sweep
 
@@ -132,9 +130,7 @@ def row_orders(k, family):
 
 
 def cmd_run(args):
-    import numpy as np
-
-    from .config import ProblemConfig, RunManifest, StageTimer, load_config
+    from .config import RunManifest, StageTimer
     from .problems import list_builtins
 
     os.makedirs(args.output_dir, exist_ok=True)
@@ -221,8 +217,6 @@ def run_config(args, manifest, timer):
 
 
 def run_builtin(args, manifest, timer):
-    import numpy as np
-
     from .solver import (error_norms, flux_report, relative_errors,
                          write_error_table, write_fields_vtk)
 

@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from .assembly import GlobalSystem, _domain_point_map
+from .assembly import GlobalSystem
 from .errors import SingularSystemError
 from .mesh import field_values
 
@@ -119,7 +118,7 @@ def error_norms(sol: DiscreteSolution, exact: dict, quad_order=None):
     skipped.  Returns {key: (e_p, e_u, e_div, n_p, n_u, n_div)} with absolute
     errors and exact norms, plus an "aggregate" entry.
     """
-    dm, md = sol.dofmap, sol.md
+    dm = sol.dofmap
     qo = quad_order if quad_order is not None else 2 * (dm.order + 2)
     out = {}
     agg = np.zeros(6)
@@ -127,18 +126,11 @@ def error_norms(sol: DiscreteSolution, exact: dict, quad_order=None):
         if key not in exact or blk.dim == 0:
             continue
         ex = exact[key]
-        to_phys = _domain_point_map(md, blk)
-        frame = None
-        if blk.dim == 2:
-            plane = md.fractures[blk.index].plane
-            frame = np.vstack([plane.t1, plane.t2])
-        elif blk.dim == 1:
-            frame = md.traces[blk.index].tangent[None, :]
         acc = np.zeros(6)
         for ci, geom in enumerate(blk.geoms):
             loc = blk.locals_[ci]
             pts, w = geom.quadrature(qo)
-            phys = to_phys(ci, pts)
+            phys = blk.point_map(ci, pts)
             mono_p = loc.basis_p.evaluate(pts)   # pressure and divergence
             # pressure
             p_h = mono_p @ sol.pressure_coeffs(blk, ci)
@@ -147,8 +139,8 @@ def error_norms(sol: DiscreteSolution, exact: dict, quad_order=None):
             acc[3] += np.sum(w * p_ex ** 2)
             # velocity
             u_ex = field_values(ex.velocity, phys)
-            if frame is not None:
-                u_ex = u_ex @ frame.T
+            if blk.frame is not None:
+                u_ex = u_ex @ blk.frame.T
             coeffs = sol.projected_velocity(blk, ci)
             if blk.dim == 1:
                 u_h = (loc.basis_u.evaluate(pts) @ coeffs)[:, None]
@@ -270,32 +262,21 @@ def flux_report(sol: DiscreteSolution) -> FluxReport:
                 continue
             div_coeffs = loc.V @ sol.local_flux_dofs(blk, ci)
             e.divergence += float(loc.H[0] @ div_coeffs)
-        # boundary flux from the lowest face moments (outward convention)
-        per = dm.space(blk.dim).n_face_dofs() if blk.dim > 1 else 1
-        for rec in blk.boundary:
-            ci, lf = rec[0], rec[1]
-            if blk.dim == 3:
-                ids = blk.cell_u_dofs[ci][lf * per: lf * per + 1]
-                sgn = blk.cell_u_signs[ci][lf * per]
-                e.bc_flux += float(sgn * sol.x[ids[0]]) * blk.geoms[ci].faces[lf].measure
-            elif blk.dim == 2:
-                key_e = rec[2]
-                ids = blk.offset + dm.edge_dofs[(blk.index, key_e, ci)]
-                edge = blk.geoms[ci].faces[lf]
-                e.bc_flux += float(sol.x[ids[0]]) * edge.measure
-            else:
-                vid = rec[2]
-                dof = blk.offset + dm.vertex_dofs[(blk.index, vid, None)]
-                sgn = -1.0 if lf == 0 else 1.0
-                e.bc_flux += float(sgn * sol.x[dof])
+        # boundary flux from the lowest face moments (outward convention);
+        # an endpoint of a 1D cell has unit measure
+        per = dm.space(blk.dim).n_face_dofs()
+        for ci, lf, *_ in blk.boundary:
+            j = lf * per
+            measure = blk.geoms[ci].faces[lf].measure if blk.dim > 1 else 1.0
+            e.bc_flux += float(blk.cell_u_signs[ci][j] * sol.x[blk.cell_u_dofs[ci][j]]) \
+                * measure
         # constrained (no-flux) parts contribute zero by construction
         src = blk.source
         if callable(src) or float(src) != 0.0:
-            to_phys = _domain_point_map(md, blk)
             qo = 2 * (dm.order + 2)
             for ci, geom in enumerate(blk.geoms):
                 pts, w = geom.quadrature(qo)
-                e.source += float(np.sum(w * field_values(src, to_phys(ci, pts))))
+                e.source += float(np.sum(w * field_values(src, blk.point_map(ci, pts))))
 
     # interface exchanges: first face moments of the duplicated DOF sets
     blk3 = dm.block(3)
@@ -330,10 +311,7 @@ def flux_report(sol: DiscreteSolution) -> FluxReport:
                 blk1 = dm.block(1, s.trace)
                 cell = tm.cells[s.cell_index]
                 vid = cell.vid_a if s.endpoint == 0 else cell.vid_b
-                key_v = (s.trace, vid, s.cell_index)
-                if key_v not in dm.vertex_dofs:
-                    key_v = (s.trace, vid, None)
-                dof = blk1.offset + dm.vertex_dofs[key_v]
+                dof = blk1.offset + dm.vertex_dof(s.trace, vid, s.cell_index)
                 val = float(s.outward_tangent * sol.x[dof])
                 ent = entities[(1, s.trace)]
                 ent.sent[(0, ip.index)] = ent.sent.get((0, ip.index), 0.0) + val
@@ -420,23 +398,15 @@ def write_fields_vtk(sol: DiscreteSolution, path):
         for ci, geom in enumerate(blk.geoms):
             loc = blk.locals_[ci]
             coeffs = sol.projected_velocity(blk, ci)
-            c_local = np.asarray(geom.centroid)[None, :]
             if blk.dim == 1:
-                val = float(loc.basis_u.evaluate(np.zeros((1, 1)))[0] @ coeffs)
-                vec = val * md.traces[blk.index].tangent
-                tm = md.traces[blk.index]
-                cell = tm.cells[ci]
-                center = 0.5 * (np.asarray(md.mesh3d.verts[cell.vid_a]) +
-                                np.asarray(md.mesh3d.verts[cell.vid_b]))
-            elif blk.dim == 2:
-                u2 = np.einsum("b,pbi->pi", coeffs, loc.vec_basis.evaluate(c_local))[0]
-                plane = md.fractures[blk.index].plane
-                vec = u2[0] * plane.t1 + u2[1] * plane.t2
-                center = plane.to_3d(c_local)[0]
+                c_local = np.zeros((1, 1))   # arc length from the midpoint
+                vec = loc.basis_u.evaluate(c_local)[0] @ coeffs * blk.frame[0]
             else:
+                c_local = np.asarray(geom.centroid)[None, :]
                 vec = np.einsum("b,pbi->pi", coeffs, loc.vec_basis.evaluate(c_local))[0]
-                center = geom.centroid
-            centers.append(center)
+                if blk.frame is not None:
+                    vec = vec @ blk.frame
+            centers.append(blk.point_map(ci, c_local)[0])
             vectors.append(vec)
     with open(vec_path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\nmixedvem velocities\nASCII\n")

@@ -1,210 +1,124 @@
-"""Mixed solves on standalone single-dimension meshes (patch-test harness).
+"""Standalone single-dimension meshes for the 1D/2D patch tests.
 
-Assembles the plain [A, -W^T; W, 0] system on a 1D segment chain or a 2D
-polygon mesh with shared-face flux continuity and Dirichlet pressure data on
-the whole external boundary.  Used by the patch tests and the built-in
-benchmark suite; the mixed-dimensional pipeline has its own assembler.
+A 1D segment chain lies on the x axis and a 2D polygon mesh in the z = 0
+plane, so their data callbacks take physical (3,) points like every other
+callback.  ``single_domain_block`` numbers the faces (interior faces share
+one flux DOF set) and builds one ``DomainBlock``; ``solve_single_domain``
+then runs the mixed-dimensional pipeline's scatter, source moments,
+Dirichlet face moments and solve on it, with Dirichlet pressure data on the
+whole external boundary.  Errors come from ``solver.error_norms``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-import scipy.sparse as sps
-import scipy.sparse.linalg as spla
 
+from .assembly import (DomainBlock, GlobalDofMap, GlobalSystem, add_dirichlet_load,
+                       assemble_dimension, assemble_rhs)
 from .elements import ElementSpace, local_matrices, local_matrices_1d
 from .errors import ConfigError
+from .geometry import Plane, PolygonGeometry, SegmentGeometry
+from .mesh import BoundaryCondition
+from .solver import DiscreteSolution, solve
+
+X_AXIS = np.array([1.0, 0.0, 0.0])
+XY_PLANE = Plane(np.array([0.0, 0.0, 1.0]), 0.0, np.zeros(3), X_AXIS,
+                 np.array([0.0, 1.0, 0.0]))
 
 
 def _round_key(p, tol):
-    return tuple(int(np.floor(c / tol + 0.5)) for c in np.atleast_1d(p))
+    return tuple(int(np.floor(c / tol + 0.5)) for c in p)
 
 
-@dataclass
-class SingleDomainSolution:
-    space: ElementSpace
-    geoms: list
-    locals_: list
-    cell_u: list
-    cell_s: list
-    cell_p: list
-    x: np.ndarray
-
-    def errors(self, pressure, velocity, divergence, quad_order=None):
-        """Absolute and exact L2 norms, as (e_p, e_u, e_div, n_p, n_u, n_div).
-
-        Callbacks receive the mesh's own coordinates (1D scalar / 2D point).
-        """
-        qo = quad_order if quad_order is not None else 2 * (self.space.order + 2)
-        acc = np.zeros(6)
-        for ci, geom in enumerate(self.geoms):
-            loc = self.locals_[ci]
-            pts, w = geom.quadrature(qo)
-            if self.space.dim == 1:
-                phys = geom.centroid[0] + pts[:, 0]
-            else:
-                phys = pts
-            u_loc = self.cell_s[ci] * self.x[self.cell_u[ci]]
-            p_h = loc.basis_p.evaluate(pts) @ self.x[self.cell_p[ci]]
-            p_ex = np.asarray([pressure(x) for x in phys])
-            acc[0] += np.sum(w * (p_ex - p_h) ** 2)
-            acc[3] += np.sum(w * p_ex ** 2)
-            if self.space.dim == 1:
-                u_h = loc.velocity_values(u_loc, pts[:, 0])[:, None]
-                u_ex = np.asarray([velocity(x) for x in phys]).reshape(-1, 1)
-            else:
-                coeffs = loc.Pi0_hat @ u_loc
-                u_h = np.einsum("b,pbi->pi", coeffs, loc.vec_basis.evaluate(pts))
-                u_ex = np.asarray([velocity(x) for x in phys])
-            acc[1] += np.sum(w * np.sum((u_ex - u_h) ** 2, axis=1))
-            acc[4] += np.sum(w * np.sum(u_ex ** 2, axis=1))
-            div_h = loc.basis_p.evaluate(pts) @ (loc.V @ u_loc)
-            div_ex = np.asarray([divergence(x) for x in phys])
-            acc[2] += np.sum(w * (div_ex - div_h) ** 2)
-            acc[5] += np.sum(w * div_ex ** 2)
-        return tuple(np.sqrt(acc))
-
-    def relative_errors(self, pressure, velocity, divergence, quad_order=None):
-        v = self.errors(pressure, velocity, divergence, quad_order)
-        return tuple(v[i] / v[3 + i] if v[3 + i] > 1e-14 else v[i] for i in range(3))
+def _faces(geom, tol):
+    """(rounded key, sign of the cell's outward normal against the
+    canonical one) of each face of a 1D or 2D cell."""
+    if geom.dim == 1:
+        return [((_round_key(geom.a, tol),), -1.0), ((_round_key(geom.b, tol),), 1.0)]
+    out = []
+    for e in geom.faces:
+        key = tuple(sorted((_round_key(e.a, tol), _round_key(e.b, tol))))
+        out.append((key, 1.0 if tuple(e.tangent) > tuple(-e.tangent) else -1.0))
+    return out
 
 
-def solve_single_domain(geoms, space: ElementSpace, nu=1.0, source=0.0,
-                        dirichlet=None, quad_order=None) -> SingleDomainSolution:
-    """Solve the mixed problem on a standalone mesh of one dimension.
+def single_domain_block(geoms, space: ElementSpace, nu=1.0, source=0.0,
+                        quad_order=None) -> DomainBlock:
+    """Number the DOFs of a 1D or 2D mesh and build its local matrices.
 
-    ``geoms`` is a list of SegmentGeometry (1D) or PolygonGeometry (2D, all
-    in one shared coordinate system).  Every external face gets the Dirichlet
-    pressure datum; interior faces share one flux DOF set.
+    ``geoms`` is a list of SegmentGeometry on the x axis (1D) or of
+    PolygonGeometry in the z = 0 plane frame (2D).  Faces are matched by
+    rounded coordinates; a face used by two cells carries one DOF set, one
+    used by a single cell is external and listed in ``boundary``.
     """
     d = space.dim
     if d == 3:
         raise ConfigError("use the mixed-dimensional pipeline for 3D domains")
     per = space.n_face_dofs()
-    scale = max(g.diameter for g in geoms)
-    tol = 1e-8 * scale
+    tol = 1e-8 * max(g.diameter for g in geoms)
+    blk = DomainBlock(dim=d, index=0, nu=nu, source=source)
+    if d == 1:
+        blk.place_on_line(X_AXIS)
+    else:
+        blk.place_on_plane(XY_PLANE)
 
-    # face registry keyed by rounded geometry
-    face_users = {}
-    for ci, geom in enumerate(geoms):
-        if d == 1:
-            keys = [(_round_key(geom.a, tol),), (_round_key(geom.b, tol),)]
-        else:
-            keys = []
-            for e in geom.faces:
-                keys.append(tuple(sorted((_round_key(e.a, tol), _round_key(e.b, tol)))))
-        for lf, key in enumerate(keys):
-            face_users.setdefault(key, []).append((ci, lf))
-
-    n_u = 0
-    face_ids = {}
-    for ci, geom in enumerate(geoms):
-        n_faces = 2 if d == 1 else geom.n_faces
-        for lf in range(n_faces):
-            key = [k for k, users in face_users.items() if (ci, lf) in users][0]
+    faces = [_faces(geom, tol) for geom in geoms]
+    face_ids, users = {}, {}
+    for cell_faces in faces:
+        for key, _ in cell_faces:
             if key not in face_ids:
-                face_ids[key] = np.arange(n_u, n_u + per)
-                n_u += per
-    n_ii = space.grad_order if d == 1 else None
-    locals_ = []
-    cell_u, cell_s, cell_p = [], [], []
-    interior = []
+                face_ids[key] = np.arange(len(face_ids) * per, (len(face_ids) + 1) * per)
+            users[key] = users.get(key, 0) + 1
+    n_u = len(face_ids) * per
     for ci, geom in enumerate(geoms):
-        if d == 1:
-            loc = local_matrices_1d(space, geom, nu=nu, quad_order=quad_order)
-            n_int = space.grad_order
-        else:
-            loc = local_matrices(space, geom, nu=nu, quad_order=quad_order)
-            n_int = loc.layout.n_typeii + loc.layout.n_typeiii
-        locals_.append(loc)
-        interior.append(np.arange(n_u, n_u + n_int))
+        loc = (local_matrices_1d(space, geom, nu=nu, quad_order=quad_order) if d == 1
+               else local_matrices(space, geom, nu=nu, quad_order=quad_order))
+        n_int = loc.layout.n_typeii + loc.layout.n_typeiii
+        blk.geoms.append(geom)
+        blk.locals_.append(loc)
+        blk.cell_u_dofs.append(np.concatenate(
+            [face_ids[key] for key, _ in faces[ci]] + [np.arange(n_u, n_u + n_int)]))
+        blk.cell_u_signs.append(np.concatenate(
+            [np.full(per, sgn) for _, sgn in faces[ci]] + [np.ones(n_int)]))
         n_u += n_int
-    n_p_cell = locals_[0].basis_p.size
-    n_p = n_p_cell * len(geoms)
+        blk.boundary.extend((ci, lf, key, None) for lf, (key, _) in enumerate(faces[ci])
+                            if users[key] == 1)
+    n_p_cell = blk.locals_[0].basis_p.size
+    blk.n_u, blk.n_p = n_u, n_p_cell * len(geoms)
+    blk.cell_p_dofs = [n_u + n_p_cell * ci + np.arange(n_p_cell)
+                       for ci in range(len(geoms))]
+    return blk
 
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(n_u + n_p)
-    qo_data = 2 * (space.order + 3)
-    for ci, geom in enumerate(geoms):
-        loc = locals_[ci]
-        ids, sgn = [], []
-        if d == 1:
-            for lf, key in enumerate([(_round_key(geom.a, tol),),
-                                      (_round_key(geom.b, tol),)]):
-                ids.append(face_ids[key])
-                sgn.append(np.array([-1.0 if lf == 0 else 1.0]))
-        else:
-            for lf, e in enumerate(geom.faces):
-                key = tuple(sorted((_round_key(e.a, tol), _round_key(e.b, tol))))
-                ids.append(face_ids[key])
-                ta = e.tangent
-                shared = len(face_users[key]) > 1
-                canon = 1.0 if (tuple(ta) > tuple(-ta) or not shared) else -1.0
-                sgn.append(np.full(per, canon))
-        ids.append(interior[ci])
-        sgn.append(np.ones(len(interior[ci])))
-        u = np.concatenate(ids)
-        s = np.concatenate(sgn)
-        p = n_u + n_p_cell * ci + np.arange(n_p_cell)
-        cell_u.append(u)
-        cell_s.append(s)
-        cell_p.append(p)
-        S = np.concatenate([s, np.ones(n_p_cell)])
-        dofs = np.concatenate([u, p])
-        K = loc.K * np.outer(S, S)
-        r, c = np.meshgrid(dofs, dofs, indexing="ij")
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(K.ravel())
-        # source moments
-        pts, w = geom.quadrature(qo_data)
-        phys = geom.centroid[0] + pts[:, 0] if d == 1 else pts
-        f = np.asarray([source(x) for x in phys]) if callable(source) \
-            else np.full(len(w), float(source))
-        rhs[p] += loc.basis_p.evaluate(pts).T @ (w * f)
-        # Dirichlet data on single-user faces
-        if dirichlet is None:
-            continue
-        if d == 1:
-            for lf, (endpoint, key) in enumerate(
-                    [(geom.centroid[0] - geom.measure / 2, (_round_key(geom.a, tol),)),
-                     (geom.centroid[0] + geom.measure / 2, (_round_key(geom.b, tol),))]):
-                if len(face_users[key]) > 1:
-                    continue
-                g = dirichlet(endpoint)
-                local_sgn = -1.0 if lf == 0 else 1.0
-                rhs[face_ids[key][0]] += local_sgn * (-g)
-        else:
-            for lf, e in enumerate(geom.faces):
-                key = tuple(sorted((_round_key(e.a, tol), _round_key(e.b, tol))))
-                if len(face_users[key]) > 1:
-                    continue
-                epts, ew = e.quadrature(qo_data)
-                dual = loc.face_dual_values(lf, e.to_face_coords(epts))
-                g = np.asarray([dirichlet(x) for x in epts])
-                rhs[face_ids[key]] += -dual.T @ (ew * g)
 
-    A = sps.csr_matrix((np.concatenate(vals),
-                        (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(n_u + n_p, n_u + n_p))
-    x = spla.spsolve(A.tocsc(), rhs)
-    return SingleDomainSolution(space=space, geoms=geoms, locals_=locals_,
-                                cell_u=cell_u, cell_s=cell_s, cell_p=cell_p, x=x)
+def solve_single_domain(geoms, space: ElementSpace, nu=1.0, source=0.0,
+                        dirichlet=None, quad_order=None) -> DiscreteSolution:
+    """Solve the mixed problem on a standalone mesh of one dimension.
+
+    Every external face gets the Dirichlet pressure datum ``dirichlet``
+    (zero if None).  The solution's only domain has the key (dim, 0).
+    """
+    blk = single_domain_block(geoms, space, nu=nu, source=source,
+                              quad_order=quad_order)
+    dm = GlobalDofMap(blocks={(blk.dim, 0): blk}, total=blk.n_dof,
+                      order=space.order, family3d="RT", trace_flow=True)
+    system = GlobalSystem(matrix=assemble_dimension(dm, blk.dim).matrix(dm.total),
+                          rhs=assemble_rhs(dm, None), dofmap=dm, md=None)
+    bc = BoundaryCondition("dirichlet", 0.0 if dirichlet is None else dirichlet)
+    for ci, lf, _, _ in blk.boundary:
+        add_dirichlet_load(system.rhs, blk, ci, lf, bc, 2 * (dm.order + 2))
+    system.bc_applied = True
+    return solve(system)
 
 
 def interval_mesh(a, b, n):
-    """n-segment 1D mesh of [a, b] as SegmentGeometry list."""
-    from .geometry import SegmentGeometry
+    """n-segment mesh of [a, b] on the x axis, as a SegmentGeometry list."""
     xs = np.linspace(a, b, n + 1)
-    return [SegmentGeometry(np.array([xs[i]]), np.array([xs[i + 1]]))
-            for i in range(n)]
+    return [SegmentGeometry(xs[i] * X_AXIS, xs[i + 1] * X_AXIS) for i in range(n)]
 
 
 def unit_square_mesh(n, distort=0.0, seed=0):
-    """n x n polygon mesh of the unit square, optionally with a cut cell."""
-    from .geometry import PolygonGeometry
+    """n x n polygon mesh of the unit square in the z = 0 plane frame,
+    optionally with jittered interior nodes."""
     xs = np.linspace(0.0, 1.0, n + 1)
     rng = np.random.default_rng(seed)
     nodes = {}

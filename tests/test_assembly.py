@@ -308,6 +308,79 @@ def test_determinism():
     assert np.array_equal(results[0][2], results[1][2])
 
 
+def _lil_boundary_oracle(matrix, rhs, pinned, values, no_flow):
+    """Pinned and no-flow DOFs substituted one at a time into a LIL matrix:
+    the elimination the boundary conditions used before the CSR step."""
+    A = matrix.tolil()
+    rhs = rhs.copy()
+    if pinned:
+        rhs -= matrix[:, pinned] @ np.asarray(values)
+    for dof, val in list(zip(pinned, values)) + [(d, 0.0) for d in no_flow]:
+        A[dof, :] = 0.0
+        A[:, dof] = 0.0
+        A[dof, dof] = 1.0
+        rhs[dof] = val
+    return A.tocsr(), rhs
+
+
+def _pinned_network_md():
+    # the benchmark's network: fracture and trace tips, no-flow box faces;
+    # its four trace intersections get a pressure datum
+    from tests.test_mesh import _perfbench_network
+    spec = _perfbench_network(9400)
+    spec.intersection_defaults.bc = BoundaryCondition("dirichlet", 0.25)
+    return cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (3, 3, 3)), spec)
+
+
+def _pinned_cross_md():
+    # the determinism set-up: Dirichlet data everywhere, the centre pinned
+    from tests.test_mesh import problem1_spec
+    md = cut_background_mesh(box_mesh([-1, -1, -1], [1, 1, 1], (2, 2, 2)),
+                             problem1_spec(bc=BoundaryCondition("dirichlet", 1.0)))
+    md.spec.bc3 = {t: BoundaryCondition("dirichlet", 1.0) for t in TAGS}
+    md.spec.trace_defaults.bc = BoundaryCondition("dirichlet", 1.0)
+    md.spec.intersection_defaults.bc = BoundaryCondition("dirichlet", 1.0)
+    return md
+
+
+@pytest.mark.parametrize("build_md", [_pinned_cross_md, _pinned_network_md])
+def test_boundary_substitution_matches_lil_oracle(build_md):
+    from mixedvem.assembly import GlobalSystem
+    md = build_md()
+    system = assemble_complete(md, order=1)
+    A0 = system.matrix.copy()
+    # the loads alone: on a zero matrix the substitution moves nothing
+    loads = GlobalSystem(matrix=sps.csr_matrix(A0.shape), rhs=system.rhs.copy(),
+                         dofmap=system.dofmap, md=md)
+    apply_boundary_conditions(loads)
+    pinned = [system.dofmap.block(0, ip.index).offset for ip in md.intersections]
+    assert pinned
+    apply_boundary_conditions(system)
+    assert np.array_equal(system.constrained, loads.constrained)
+    A_ref, rhs_ref = _lil_boundary_oracle(A0, loads.rhs, pinned,
+                                          loads.rhs[pinned], system.constrained)
+    assert system.matrix.nnz == A_ref.nnz
+    assert (system.matrix != A_ref).nnz == 0
+    assert np.abs(system.rhs - rhs_ref).max() <= 1e-14 * np.abs(rhs_ref).max()
+    assert np.all(system.rhs[pinned] == md.spec.intersection_defaults.bc.value)
+    if build_md is _pinned_network_md:
+        assert any(system.dofmap.block(2, l).constrained   # fracture tip edges
+                   for l in range(len(md.fractures)))
+        assert len(system.constrained) > 0
+
+
+def test_second_boundary_condition_call_raises():
+    from mixedvem.problems import problem1_case
+    case = problem1_case(order=1)
+    system = assemble_complete(case.md, case.order)
+    apply_boundary_conditions(system)
+    A, rhs = system.matrix.copy(), system.rhs.copy()
+    with pytest.raises(ValueError):
+        apply_boundary_conditions(system)
+    assert np.array_equal(system.rhs, rhs)
+    assert (system.matrix != A).nnz == 0
+
+
 def test_flux_continuity_conflicts_with_finite_eta1():
     from mixedvem.mesh import TraceData
     mesh = box_mesh([-1, -1, -1], [1, 1, 1], (2, 2, 2))

@@ -10,10 +10,18 @@ from mixedvem.problems import (PROBLEM1_CHART, boundary_flux_by_tag,
                                problem1_chart_values, problem2_case,
                                quartic_div3, quartic_pressure,
                                quartic_velocity3)
-from mixedvem.solver import error_norms, flux_report, relative_errors
-from mixedvem.standalone import (interval_mesh, solve_single_domain,
-                                 unit_square_mesh)
+from mixedvem.solver import (ExactFields, error_norms, flux_report,
+                             relative_errors)
+from mixedvem.standalone import (interval_mesh, single_domain_block,
+                                 solve_single_domain, unit_square_mesh)
 from mixedvem.elements import ElementSpace
+
+
+def single_domain_errors(sol, P, U, DIV):
+    """Relative (e_p, e_u, e_div) of a standalone solve; callbacks take
+    physical points."""
+    [key] = sol.dofmap.blocks
+    return relative_errors(error_norms(sol, {key: ExactFields(P, U, DIV)}))[key]
 
 
 def test_builtins_listed():
@@ -84,14 +92,35 @@ def test_patch_single_domain_2d_nonpoly_converges():
     # sanity: the standalone 2D solver approximates non-polynomial data
     P = lambda x: np.sin(x[0]) * np.cos(x[1])
     U = lambda x: -np.array([np.cos(x[0]) * np.cos(x[1]),
-                             -np.sin(x[0]) * np.sin(x[1])])
+                             -np.sin(x[0]) * np.sin(x[1]), 0 * x[2]])
     DIV = lambda x: 2 * np.sin(x[0]) * np.cos(x[1]) * 0 + 2 * P(x)
     errs = []
     for n in (2, 4):
         sol = solve_single_domain(unit_square_mesh(n), ElementSpace(2, 0),
                                   nu=1.0, source=DIV, dirichlet=P)
-        errs.append(sol.relative_errors(P, U, DIV)[0])
+        errs.append(single_domain_errors(sol, P, U, DIV)[0])
     assert errs[1] < 0.7 * errs[0]
+
+
+def test_unit_square_numbering_shares_interior_edges():
+    n, space = 3, ElementSpace(2, 1)
+    per = space.n_face_dofs()
+    blk = single_domain_block(unit_square_mesh(n), space)
+    sets = {}
+    for ci, u in enumerate(blk.cell_u_dofs):
+        for lf in range(4):
+            key = tuple(u[lf * per:(lf + 1) * per])
+            sets[key] = sets.get(key, 0) + 1
+    users = sorted(sets.values())
+    # 2n(n-1) interior edges with one shared set, 4n boundary edges with
+    # their own; DOF sets never overlap
+    assert users == [1] * 4 * n + [2] * 2 * n * (n - 1)
+    assert len(set(np.concatenate([np.array(k) for k in sets]))) == per * len(sets)
+    assert len(blk.boundary) == 4 * n
+    assert all(sets[tuple(blk.cell_u_dofs[ci][lf * per:(lf + 1) * per])] == 1
+               for ci, lf, _, _ in blk.boundary)
+    n_int = blk.locals_[0].layout.n_typeii + blk.locals_[0].layout.n_typeiii
+    assert blk.n_u == per * 2 * n * (n + 1) + n * n * n_int
 
 
 def test_patch_tests_all_machine_zero():
@@ -102,12 +131,12 @@ def test_patch_tests_all_machine_zero():
 
 def test_interval_mesh_1d_high_order():
     a = 3.0
-    P = lambda s: 1 + s + 0.5 * s ** 2
-    U = lambda s: -a * (1 + s)
-    DIV = lambda s: -a
+    P = lambda x: 1 + x[0] + 0.5 * x[0] ** 2
+    U = lambda x: -a * np.array([1 + x[0], 0 * x[0], 0 * x[0]])
+    DIV = lambda x: -a
     sol = solve_single_domain(interval_mesh(0.0, 2.0, 3), ElementSpace(1, 2),
                               nu=1 / a, source=DIV, dirichlet=P)
-    rel = sol.relative_errors(P, U, DIV)
+    rel = single_domain_errors(sol, P, U, DIV)
     assert max(rel) < 1e-12
 
 

@@ -630,44 +630,70 @@ def _cross_section(mesh, cid, signs, cut_vid_existing):
     return on_plane_edges
 
 
+# (face, new vertex) pairs per batched bounding-box comparison
+_BOX_TEST_PAIRS = 1 << 16
+
+
 def _insert_hanging_vertices(mesh, new_vids, eps):
     """Insert new vertices into the loops of all faces whose edges they lie on.
 
     Keeps the mesh vertex-conforming: every vertex on a face boundary is a
     member of that face's loop (as a collinear, hanging vertex).
+
+    Every face's bounding box, grown by ``eps``, is compared with all new
+    vertices at once, a chunk of faces at a time.  A face with candidates
+    (boxed new vertices not already in its loop) tests all its edges against
+    all of them at once: a candidate lies on an edge of length ``L > eps``
+    when its projection ``t`` along the edge is in ``(eps, L - eps)`` and its
+    distance from the edge is ``<= eps``.  The hits on one edge follow the
+    edge's start vertex in increasing ``t``.
     """
-    pts = {v: mesh.verts[v] for v in new_vids}
-    if not pts:
+    new = np.fromiter(new_vids, dtype=np.intp)
+    if new.size == 0:
         return
-    for fid in list(mesh.faces):
-        loop = mesh.faces[fid]
-        coords = mesh.face_coords(fid)
-        lo, hi = coords.min(axis=0) - eps, coords.max(axis=0) + eps
-        cands = [v for v, p in pts.items()
-                 if v not in loop and np.all(p >= lo) and np.all(p <= hi)]
-        if not cands:
-            continue
-        out = []
-        n = len(loop)
-        for i in range(n):
-            a, b = loop[i], loop[(i + 1) % n]
-            out.append(a)
-            pa, pb = mesh.verts[a], mesh.verts[b]
-            d = pb - pa
-            L = np.linalg.norm(d)
-            if L <= eps:
-                continue
-            dn = d / L
-            hits = []
-            for v in cands:
-                t = (pts[v] - pa) @ dn
-                if t <= eps or t >= L - eps:
-                    continue
-                if np.linalg.norm(pts[v] - (pa + t * dn)) <= eps:
-                    hits.append((t, v))
-            out.extend(v for _, v in sorted(hits))
-        if len(out) > n:
-            mesh.faces[fid] = tuple(out)
+    verts = np.asarray(mesh.verts)
+    pts = verts[new]
+    fids = list(mesh.faces)
+    loops = [mesh.faces[fid] for fid in fids]
+    sizes = np.fromiter(map(len, loops), dtype=np.intp, count=len(loops))
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    coords = verts[np.concatenate(loops)]
+    lo = np.minimum.reduceat(coords, starts) - eps
+    hi = np.maximum.reduceat(coords, starts) + eps
+    step = max(1, _BOX_TEST_PAIRS // new.size)
+    for s in range(0, len(fids), step):
+        boxed = ((pts >= lo[s:s + step, None]) &
+                 (pts <= hi[s:s + step, None])).all(axis=2)
+        for i in np.flatnonzero(boxed.any(axis=1)):
+            loop = loops[s + i]
+            cands = [v for v in new[boxed[i]].tolist() if v not in loop]
+            if cands:
+                out = _loop_with_hanging(verts, loop, cands, eps)
+                if len(out) > len(loop):
+                    mesh.faces[fids[s + i]] = out
+
+
+def _loop_with_hanging(verts, loop, cands, eps):
+    """``loop`` with each candidate vertex that lies on one of its edges
+    inserted after that edge's start vertex."""
+    pa = verts[list(loop)]                          # (n, 3) edge starts
+    d = np.roll(pa, -1, axis=0) - pa
+    L = np.linalg.norm(d, axis=1)
+    edge = L > eps
+    dn = d / np.where(edge, L, 1.0)[:, None]
+    p = verts[cands][None]                          # (1, c, 3)
+    t = np.einsum("ecj,ej->ec", p - pa[:, None], dn)
+    foot = pa[:, None] + t[..., None] * dn[:, None]
+    dist = np.linalg.norm(p - foot, axis=2)
+    hit = (edge[:, None] & (t > eps) & (t < (L - eps)[:, None]) & (dist <= eps))
+    out = []
+    for e, a in enumerate(loop):
+        out.append(a)
+        js = np.flatnonzero(hit[e])
+        if js.size:
+            out.extend(v for _, v in sorted(zip(t[e, js].tolist(),
+                                                (cands[j] for j in js))))
+    return tuple(out)
 
 
 def cut_with_fracture(mesh: PolyMesh3D, frac: FractureSpec, fracture_index: int,
@@ -1112,6 +1138,7 @@ def extract_lower_meshes(mesh: PolyMesh3D, spec: NetworkSpec, eps=None):
 
     # --- trace meshes -----------------------------------------------------
     traces = []
+    edge_trace = {}     # 1D edge key -> the trace that claimed it
     for t, ((i, j), p0, p1) in enumerate(traces_geo):
         d = p1 - p0
         L = np.linalg.norm(d)
@@ -1131,6 +1158,10 @@ def extract_lower_meshes(mesh: PolyMesh3D, spec: NetworkSpec, eps=None):
             if params[b] - params[a] <= eps:
                 continue
             key = (a, b) if a < b else (b, a)
+            if edge_trace.setdefault(key, t) != t:
+                raise TopologyError(
+                    f"edge {key} lies on traces {edge_trace[key]} and {t}: a "
+                    f"trace shared by more than two fractures is not supported")
             sides = {}
             for l in (i, j):
                 fm = fractures[l]

@@ -24,8 +24,8 @@ from .elements import ElementSpace
 from .errors import ConfigError
 from .mesh import (BoundaryCondition, FractureSpec, IntersectionData,
                    NetworkSpec, TraceData, box_mesh, cut_background_mesh)
-from .solver import (ExactFields, error_norms, flux_report, relative_errors,
-                     solve)
+from .solver import (ExactFields, boundary_face_fluxes, error_norms,
+                     flux_report, relative_errors, solve)
 from .standalone import interval_mesh, solve_single_domain, unit_square_mesh
 
 BOX_TAGS = ["xmin", "xmax", "ymin", "ymax", "zmin", "zmax"]
@@ -263,15 +263,10 @@ def problem2_case(inverse_eta=1.0, eta_overrides=None, order=1,
 
 def boundary_flux_by_tag(sol):
     """Signed boundary flux integral per 3D boundary tag."""
-    dm, md = sol.dofmap, sol.md
-    blk = dm.block(3)
-    per = dm.space(3).n_face_dofs()
+    blk = sol.dofmap.block(3)
     out = {}
-    for ci, lf, fid, tag in blk.boundary:
-        ids = blk.cell_u_dofs[ci][lf * per: lf * per + 1]
-        sgn = blk.cell_u_signs[ci][lf * per]
-        val = float(sgn * sol.x[ids[0]]) * blk.geoms[ci].faces[lf].measure
-        out[tag] = out.get(tag, 0.0) + val
+    for (*_, tag), flux in zip(blk.boundary, boundary_face_fluxes(sol, blk)):
+        out[tag] = out.get(tag, 0.0) + flux
     return out
 
 

@@ -244,6 +244,20 @@ def _entity_name(key):
             0: f"intersection_{i}"}[d]
 
 
+def boundary_face_fluxes(sol: DiscreteSolution, blk) -> list:
+    """Outward flux through each boundary face of a block, in the order of
+    ``blk.boundary``: the lowest face moment times its sign times the face
+    measure (an endpoint of a 1D cell has unit measure)."""
+    per = sol.dofmap.space(blk.dim).n_face_dofs()
+    out = []
+    for ci, lf, *_ in blk.boundary:
+        j = lf * per
+        measure = blk.geoms[ci].faces[lf].measure if blk.dim > 1 else 1.0
+        out.append(float(blk.cell_u_signs[ci][j] * sol.x[blk.cell_u_dofs[ci][j]])
+                   * measure)
+    return out
+
+
 def flux_report(sol: DiscreteSolution) -> FluxReport:
     """Integrate interface and boundary fluxes directly from face DOF data."""
     dm, md = sol.dofmap, sol.md
@@ -262,14 +276,8 @@ def flux_report(sol: DiscreteSolution) -> FluxReport:
                 continue
             div_coeffs = loc.V @ sol.local_flux_dofs(blk, ci)
             e.divergence += float(loc.H[0] @ div_coeffs)
-        # boundary flux from the lowest face moments (outward convention);
-        # an endpoint of a 1D cell has unit measure
-        per = dm.space(blk.dim).n_face_dofs()
-        for ci, lf, *_ in blk.boundary:
-            j = lf * per
-            measure = blk.geoms[ci].faces[lf].measure if blk.dim > 1 else 1.0
-            e.bc_flux += float(blk.cell_u_signs[ci][j] * sol.x[blk.cell_u_dofs[ci][j]]) \
-                * measure
+        for flux in boundary_face_fluxes(sol, blk):
+            e.bc_flux += flux
         # constrained (no-flux) parts contribute zero by construction
         src = blk.source
         if callable(src) or float(src) != 0.0:

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +85,14 @@ def test_cli_run_config(tmp_path, capsys):
     assert (tmp_path / "fluxes.txt").exists()
     assert (tmp_path / "fields.vtk").exists()
     assert (tmp_path / "system.coo").exists()
+    assert manifest["checks"]["max_relative_flux_mismatch"] < 1e-9
+
+
+def test_cli_run_shipped_barrier_config(tmp_path):
+    config = Path(__file__).resolve().parents[1] / "configs" / "barrier_network.yaml"
+    assert main(["run", str(config), "--output-dir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == "ok"
     assert manifest["checks"]["max_relative_flux_mismatch"] < 1e-9
 
 

@@ -1,5 +1,6 @@
 """Mesh cutting, lower-dimensional extraction, domain graph, conformity."""
 
+import copy
 import importlib.util
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 
 from mixedvem import mesh as msh
 from mixedvem.assembly import assemble_complete
-from mixedvem.errors import ConformityError, DegenerateGeometryError
+from mixedvem.errors import (ConformityError, DegenerateGeometryError,
+                             TopologyError)
 from mixedvem.mesh import (BoundaryCondition, FractureSpec, NetworkSpec,
                            box_mesh, build_domain_graph, cut_background_mesh,
                            cut_with_fracture, extract_lower_meshes,
@@ -378,3 +380,119 @@ def test_cached_face_normals_keep_signs_and_sides(make):
                     if f not in dict(mesh.cells[cid]))
     with pytest.raises(KeyError):
         mesh.face_outward_normal(stranger, cid)
+
+
+# -- the batched hanging-vertex search against the scalar search it replaced --
+
+def _scalar_insert_hanging_vertices(mesh, new_vids, eps):
+    """Oracle: one face, one edge and one new vertex at a time."""
+    pts = {v: mesh.verts[v] for v in new_vids}
+    if not pts:
+        return
+    for fid in list(mesh.faces):
+        loop = mesh.faces[fid]
+        coords = mesh.face_coords(fid)
+        lo, hi = coords.min(axis=0) - eps, coords.max(axis=0) + eps
+        cands = [v for v, p in pts.items()
+                 if v not in loop and np.all(p >= lo) and np.all(p <= hi)]
+        if not cands:
+            continue
+        out = []
+        n = len(loop)
+        for i in range(n):
+            a, b = loop[i], loop[(i + 1) % n]
+            out.append(a)
+            pa, pb = mesh.verts[a], mesh.verts[b]
+            d = pb - pa
+            L = np.linalg.norm(d)
+            if L <= eps:
+                continue
+            dn = d / L
+            hits = []
+            for v in cands:
+                t = (pts[v] - pa) @ dn
+                if t <= eps or t >= L - eps:
+                    continue
+                if np.linalg.norm(pts[v] - (pa + t * dn)) <= eps:
+                    hits.append((t, v))
+            out.extend(v for _, v in sorted(hits))
+        if len(out) > n:
+            mesh.faces[fid] = tuple(out)
+
+
+def _assert_same_mesh(a, b):
+    assert a.faces == b.faces
+    assert a.cells == b.cells
+    assert a.face_fracture == b.face_fracture
+    assert a.boundary_tags == b.boundary_tags
+    assert np.array_equal(np.asarray(a.verts), np.asarray(b.verts))
+
+
+@pytest.mark.parametrize("network", [
+    lambda: _perfbench_network(9400),
+    lambda: _perfbench_network(181),
+    lambda: _acceptance_network(43012),
+    lambda: _acceptance_network(42007),
+], ids=["fracture-net-9400", "fracture-net-181", "acceptance-43012",
+        "acceptance-42007"])
+def test_hanging_vertex_search_matches_scalar_oracle(network, monkeypatch):
+    spec = network()
+    batched = cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (4, 4, 4)),
+                                  spec).mesh3d
+    monkeypatch.setattr(msh, "_insert_hanging_vertices",
+                        _scalar_insert_hanging_vertices)
+    scalar = cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (4, 4, 4)),
+                                 spec).mesh3d
+    _assert_same_mesh(batched, scalar)
+    # the networks do leave hanging vertices: some face has more than 4
+    assert max(len(loop) for loop in batched.faces.values()) > 4
+
+
+def test_hanging_vertex_search_hand_built():
+    eps = 1e-3
+    mesh = box_mesh([0, 0, 0], [1, 1, 1], (1, 1, 1))
+    first = len(mesh.verts)
+    off_edges = mesh.add_vertex([0.5, 0.5, 0.0])     # zmin's box, no edge
+    near_end = mesh.add_vertex([5e-4, 0.0, 0.0])     # t <= eps: not inserted
+    far = mesh.add_vertex([0.7, 0.0, 0.0])           # two on one edge, added
+    near = mesh.add_vertex([0.3, 0.0, 0.0])          # against t order
+    beside = mesh.add_vertex([1.0, 0.5, 5e-4])       # eps/2 off an edge
+    oracle = copy.deepcopy(mesh)
+    msh._insert_hanging_vertices(mesh, range(first, len(mesh.verts)), eps)
+    _scalar_insert_hanging_vertices(oracle, range(first, len(oracle.verts)), eps)
+    _assert_same_mesh(mesh, oracle)
+
+    def users(v):
+        return [loop for loop in mesh.faces.values() if v in loop]
+    assert users(off_edges) == [] and users(near_end) == []
+    assert len(users(beside)) == 2
+    origin = mesh.find_vertex([0, 0, 0])
+    x_end = mesh.find_vertex([1, 0, 0])
+    loops = users(near)
+    assert len(loops) == 2 and loops == users(far)
+    for loop in loops:
+        i = loop.index(near)
+        j = loop.index(far)
+        if loop[i - 1] == origin:        # edge runs from x = 0 to x = 1
+            assert j == (i + 1) % len(loop)
+        else:
+            assert loop[j - 1] == x_end and i == (j + 1) % len(loop)
+
+
+def test_trace_shared_by_three_fractures_rejected():
+    # three rectangles through the line x = y = 0.5 (normals x, y and x + y)
+    # would give three coincident traces; that is out of scope
+    def rect(t1):
+        c, t1, t2 = np.full(3, 0.5), np.asarray(t1, float), np.array([0, 0, 1.0])
+        a = 0.3
+        return FractureSpec(np.array([c + a * t1 + a * t2, c - a * t1 + a * t2,
+                                      c - a * t1 - a * t2, c + a * t1 - a * t2]))
+    s = np.sqrt(0.5)
+    spec = NetworkSpec(fractures=[rect([0, 1, 0]), rect([1, 0, 0]),
+                                  rect([s, -s, 0])])
+    with pytest.raises(TopologyError, match="more than two fractures"):
+        cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (3, 3, 3)), spec)
+    # any two of them share one ordinary trace
+    md = cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (3, 3, 3)),
+                             NetworkSpec(fractures=spec.fractures[:2]))
+    assert len(md.traces) == 1 and validate_conformity(md) == []

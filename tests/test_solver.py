@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
+from mixedvem import problems, solver
 from mixedvem.assembly import apply_boundary_conditions, assemble_complete
 from mixedvem.mesh import (BoundaryCondition, FractureSpec, NetworkSpec,
                            box_mesh, cut_background_mesh)
@@ -191,3 +192,26 @@ def test_exports(tmp_path):
     assert (tmp_path / "fields.vtk.velocity.vtk").exists()
     system.export_coo(tmp_path / "mat.coo")
     assert (tmp_path / "mat.coo").read_text().startswith("#")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: problems.problem1_case((2, 2, 2), order=1),
+    lambda: problems.poisson3d_case(3, 1),
+], ids=["problem1-order1", "poisson3d-3-1"])
+def test_iterative_branch_matches_direct(make, monkeypatch):
+    case = make()
+    direct = case.solve()
+    calls = []
+    gmres = solver.spla.gmres
+
+    def counting_gmres(*args, **kw):
+        calls.append(1)
+        return gmres(*args, **kw)
+
+    monkeypatch.setattr(solver, "DIRECT_SOLVE_LIMIT", 0)
+    monkeypatch.setattr(solver.spla, "gmres", counting_gmres)
+    iterative = case.solve()     # raises if the residual check fails
+    assert calls == [1]
+    scale = np.abs(direct.x).max()
+    assert np.abs(iterative.x - direct.x).max() <= 1e-8 * scale
+    assert iterative.residual <= 1e-10 * np.linalg.norm(iterative.system.rhs)

@@ -8,7 +8,11 @@ with each domain block h = [flux dofs, pressure dofs].  Flux DOFs are shared
 across neighbouring cells (H(div) conformity) except on interfaces: a face
 on a fracture carries one DOF set per 3D side, an edge on a trace carries
 one set per fracture side, and a trace endpoint at a trace intersection one
-set per 1D side.  The assembled matrix has the block skeleton
+set per 1D side.  ``fill_block`` is the one routine that numbers every 2D
+and 3D block (and the standalone 1D/2D meshes): face DOFs in face order,
+then the interiors cell by cell, then the pressures; the ``_build_*_block``
+functions only name the faces, their users' signs and the interfaces.  The assembled matrix
+has the block skeleton
 
     [ K3+C33   C32     0      0  ]
     [ -C32^T  K2+C22  C21     0  ]
@@ -169,72 +173,80 @@ def build_dof_map(md: MixedDimensionalMesh, order: int, family3d: str = "RT",
     return dm
 
 
+def fill_block(blk, space, geoms, face_users, split, quad_order):
+    """Number one domain's DOFs and build its local matrices.
+
+    ``face_users`` maps each face key, in numbering order, to its users as
+    (cell index, local face, sign); ``split`` holds the interface keys.  A
+    face with two users that is not an interface carries one DOF set, which
+    each user sees with its own sign (local outward = sign * global); every
+    other face carries one set per user, with sign +1.  The interior DOFs
+    follow all face DOFs, cell by cell, and the pressures follow all fluxes.
+    Fills the block's geometry, local matrices and per-cell DOF ids, and
+    returns the block-local (ids, sign) of each (face key, cell index).
+    """
+    per = space.n_face_dofs()
+    dofs, slots = {}, [{} for _ in geoms]
+    next_u = 0
+    for key, users in face_users.items():
+        shared = len(users) == 2 and key not in split
+        for i, (ci, lf, sign) in enumerate(users):
+            if i == 0 or not shared:
+                ids = np.arange(next_u, next_u + per)
+                next_u += per
+            dofs[(key, ci)] = slots[ci][lf] = (ids, sign if shared else 1)
+
+    build = local_matrices_1d if space.dim == 1 else local_matrices
+    for ci, geom in enumerate(geoms):
+        loc = build(space, geom, nu=blk.nu, quad_order=quad_order)
+        n_int = loc.layout.n_typeii + loc.layout.n_typeiii
+        faces = [slots[ci][lf] for lf in range(len(slots[ci]))]
+        blk.geoms.append(geom)
+        blk.locals_.append(loc)
+        blk.cell_u_dofs.append(blk.offset + np.concatenate(
+            [ids for ids, _ in faces] + [np.arange(next_u, next_u + n_int)]))
+        blk.cell_u_signs.append(np.concatenate(
+            [np.full(per, sign, dtype=float) for _, sign in faces] + [np.ones(n_int)]))
+        next_u += n_int
+    blk.n_u = next_u
+    for loc in blk.locals_:
+        n_p = loc.basis_p.size
+        blk.cell_p_dofs.append(blk.offset + next_u + blk.n_p + np.arange(n_p))
+        blk.n_p += n_p
+    return dofs
+
+
 def _build_3d_block(dm, md, offset, quad_order):
+    """Faces in fid order; fracture faces are the interfaces."""
     mesh = md.mesh3d
-    space = dm.space(3)
-    per_face = space.n_face_dofs()
     blk = DomainBlock(dim=3, index=0, offset=offset)
     blk.nu = 1.0 / md.spec.a3
     blk.source = md.spec.source3
-
-    inc = mesh.face_cells()
     cids = sorted(mesh.cells)
-    next_u = 0
-    for fid in sorted(mesh.faces):
-        owners = inc[fid]
-        if not owners:
-            continue
-        if mesh.face_fracture.get(fid) is not None:
-            for cid, s in sorted(owners):
-                dm.face_dofs[(fid, cid)] = np.arange(next_u, next_u + per_face)
-                dm.face_signs[(fid, cid)] = 1
-                next_u += per_face
-        elif len(owners) == 1:
-            cid, s = owners[0]
-            dm.face_dofs[(fid, cid)] = np.arange(next_u, next_u + per_face)
-            dm.face_signs[(fid, cid)] = 1
-            next_u += per_face
-        else:
-            ids = np.arange(next_u, next_u + per_face)
-            next_u += per_face
-            # the face loop's own normal, as seen by its positive owner
-            cid, s = max(owners, key=lambda owner: owner[1])
-            intrinsic = s * mesh.face_outward_normal(fid, cid)
-            canon = 1 if tuple(intrinsic) > tuple(-intrinsic) else -1
-            for cid, s in owners:
-                dm.face_dofs[(fid, cid)] = ids
-                dm.face_signs[(fid, cid)] = s * canon
-
-    interior_of = {}
-    lay_ii = dim_poly(3, space.grad_order) - 1
-    lay_iii = 3 * dim_poly(3, space.order) - (dim_poly(3, space.order + 1) - 1)
-    for cid in cids:
-        interior_of[cid] = np.arange(next_u, next_u + lay_ii + lay_iii)
-        next_u += lay_ii + lay_iii
-    blk.n_u = next_u
-    n_p_cell = dim_poly(3, space.grad_order)
-    blk.n_p = n_p_cell * len(cids)
-
-    qo = _local_quad_order(dm.order, quad_order)
-    for i, cid in enumerate(cids):
-        geom = mesh.cell_geometry(cid)
-        blk.geoms.append(geom)
-        blk.locals_.append(local_matrices(space, geom, nu=blk.nu, quad_order=qo))
-        u_ids, u_sgn = [], []
+    geoms = [mesh.cell_geometry(cid) for cid in cids]
+    users = {fid: [] for fid in sorted(mesh.faces)}
+    for ci, cid in enumerate(cids):
         for lf, (fid, s) in enumerate(mesh.cells[cid]):
             dm.local_face[(fid, cid)] = lf
-            u_ids.append(dm.face_dofs[(fid, cid)])
-            u_sgn.append(np.full(per_face, dm.face_signs[(fid, cid)], dtype=float))
-        u_ids.append(interior_of[cid])
-        u_sgn.append(np.ones(lay_ii + lay_iii))
-        blk.cell_u_dofs.append(offset + np.concatenate(u_ids) if u_ids else np.zeros(0, int))
-        blk.cell_u_signs.append(np.concatenate(u_sgn))
-        blk.cell_p_dofs.append(offset + blk.n_u + n_p_cell * i + np.arange(n_p_cell))
-        # external boundary faces of this cell
-        for lf, (fid, s) in enumerate(mesh.cells[cid]):
-            if len(inc[fid]) == 1:
-                tag = mesh.boundary_tags.get(fid)
-                blk.boundary.append((i, lf, fid, tag))
+            users[fid].append((ci, lf, s))
+    split = {fid for fid in users if mesh.face_fracture.get(fid) is not None}
+    for fid, owners in users.items():
+        if len(owners) == 2 and fid not in split:
+            # the face loop's own normal, as seen by its positive owner
+            ci, lf, s = max(owners, key=lambda owner: owner[2])
+            intrinsic = s * geoms[ci].faces[lf].normal
+            canon = 1 if tuple(intrinsic) > tuple(-intrinsic) else -1
+            users[fid] = [(ci, lf, s * canon) for ci, lf, s in owners]
+
+    dofs = fill_block(blk, dm.space(3), geoms, users, split,
+                      _local_quad_order(dm.order, quad_order))
+    for (fid, ci), (ids, sign) in dofs.items():
+        dm.face_dofs[(fid, cids[ci])] = ids
+        dm.face_signs[(fid, cids[ci])] = sign
+    for ci, cid in enumerate(cids):
+        for lf, (fid, _) in enumerate(mesh.cells[cid]):
+            if len(users[fid]) == 1:
+                blk.boundary.append((ci, lf, fid, mesh.boundary_tags.get(fid)))
     blk.cell_index_of = {cid: i for i, cid in enumerate(cids)}
     blk.cell_ids = cids
     dm.blocks[(3, 0)] = blk
@@ -242,85 +254,38 @@ def _build_3d_block(dm, md, offset, quad_order):
 
 
 def _build_2d_block(dm, md, fm, offset, quad_order):
-    space = dm.space(2)
-    per_edge = space.n_face_dofs()
+    """Edges in order of first use; trace edges are the interfaces, external
+    edges take boundary data and tip edges carry no flow."""
     blk = DomainBlock(dim=2, index=fm.index, offset=offset)
     blk.nu = 1.0 / fm.spec.a2
     blk.source = fm.spec.source
     blk.place_on_plane(fm.plane)
 
-    next_u = 0
-    # edges in deterministic order: by (cell index, local edge) first use
-    edge_order = []
-    seen = set()
+    users, cell_edges = {}, []
     for ci, cell in enumerate(fm.cells):
         n = len(cell.vids)
-        for k in range(n):
-            key = tuple(sorted((cell.vids[k], cell.vids[(k + 1) % n])))
-            if key not in seen:
-                seen.add(key)
-                edge_order.append(key)
-    for key in edge_order:
-        users = fm.edge_cells[key]
-        cls = fm.edge_class.get(key, ("interior",))
-        if cls[0] == "trace":
-            for ci, k in sorted(users):
-                dm.edge_dofs[(fm.index, key, ci)] = np.arange(next_u, next_u + per_edge)
-                dm.edge_signs[(fm.index, key, ci)] = 1
-                next_u += per_edge
-        elif len(users) == 1:
-            ci, k = users[0]
-            dm.edge_dofs[(fm.index, key, ci)] = np.arange(next_u, next_u + per_edge)
-            dm.edge_signs[(fm.index, key, ci)] = 1
-            next_u += per_edge
-        else:
-            ids = np.arange(next_u, next_u + per_edge)
-            next_u += per_edge
-            a2, b2 = None, None
-            for ci, k in users:
-                cell = fm.cells[ci]
-                ta = cell.coords2d[(k + 1) % len(cell.vids)] - cell.coords2d[k]
-                ta = ta / np.linalg.norm(ta)
-                canon = 1 if tuple(ta) > tuple(-ta) else -1
-                # sign relates the cell's outward normal to the canonical one:
-                # outward normal = rot(-90 deg) of the traversal tangent
-                dm.edge_dofs[(fm.index, key, ci)] = ids
-                dm.edge_signs[(fm.index, key, ci)] = canon
-    lay_ii = dim_poly(2, space.grad_order) - 1
-    lay_iii = 2 * dim_poly(2, space.order) - (dim_poly(2, space.order + 1) - 1)
-    interior_of = {}
-    for ci in range(len(fm.cells)):
-        interior_of[ci] = np.arange(next_u, next_u + lay_ii + lay_iii)
-        next_u += lay_ii + lay_iii
-    blk.n_u = next_u
-    n_p_cell = dim_poly(2, space.grad_order)
-    blk.n_p = n_p_cell * len(fm.cells)
+        keys = [tuple(sorted((cell.vids[k], cell.vids[(k + 1) % n]))) for k in range(n)]
+        for k, key in enumerate(keys):
+            # the outward normal is the traversal tangent turned by -90 deg,
+            # so the tangent against its canonical direction gives the sign
+            ta = cell.coords2d[(k + 1) % n] - cell.coords2d[k]
+            users.setdefault(key, []).append(
+                (ci, k, 1 if tuple(ta) > tuple(-ta) else -1))
+        cell_edges.append(keys)
+    kind = {key: fm.edge_class.get(key, ("interior",))[0] for key in users}
+    split = {key for key in users if kind[key] == "trace"}
 
-    qo = _local_quad_order(dm.order, quad_order)
-    for ci, cell in enumerate(fm.cells):
-        geom = cell.geometry
-        blk.geoms.append(geom)
-        blk.locals_.append(local_matrices(space, geom, nu=blk.nu, quad_order=qo))
-        u_ids, u_sgn = [], []
-        n = len(cell.vids)
-        for k in range(n):
-            key = tuple(sorted((cell.vids[k], cell.vids[(k + 1) % n])))
-            u_ids.append(dm.edge_dofs[(fm.index, key, ci)])
-            u_sgn.append(np.full(per_edge, dm.edge_signs[(fm.index, key, ci)],
-                                 dtype=float))
-        u_ids.append(interior_of[ci])
-        u_sgn.append(np.ones(lay_ii + lay_iii))
-        blk.cell_u_dofs.append(offset + np.concatenate(u_ids))
-        blk.cell_u_signs.append(np.concatenate(u_sgn))
-        blk.cell_p_dofs.append(offset + blk.n_u + n_p_cell * ci + np.arange(n_p_cell))
-        for k in range(n):
-            key = tuple(sorted((cell.vids[k], cell.vids[(k + 1) % n])))
-            cls = fm.edge_class.get(key, ("interior",))
-            if cls[0] == "external":
+    dofs = fill_block(blk, dm.space(2), [cell.geometry for cell in fm.cells],
+                      users, split, _local_quad_order(dm.order, quad_order))
+    for (key, ci), (ids, sign) in dofs.items():
+        dm.edge_dofs[(fm.index, key, ci)] = ids
+        dm.edge_signs[(fm.index, key, ci)] = sign
+    for ci, keys in enumerate(cell_edges):
+        for k, key in enumerate(keys):
+            if kind[key] == "external":
                 blk.boundary.append((ci, k, key, None))
-            elif cls[0] == "tip":
-                ids = offset + dm.edge_dofs[(fm.index, key, ci)]
-                blk.constrained.extend(int(v) for v in ids)
+            elif kind[key] == "tip":
+                blk.constrained.extend(int(v) for v in offset + dofs[(key, ci)][0])
     dm.blocks[(2, fm.index)] = blk
     return offset + blk.n_dof
 
@@ -389,7 +354,7 @@ def _build_1d_block(dm, md, tm, offset, quad_order):
         blk.cell_p_dofs.append(offset + blk.n_u + n_p_cell * ci + np.arange(n_p_cell))
 
     # external / tip endpoints (the extreme vertices not at intersections)
-    for endpoint_vid, s_param, ci, endpoint in _trace_extremes(tm):
+    for endpoint_vid, ci, endpoint in _trace_extremes(tm):
         if (tm.index, endpoint_vid, ci) in dm.vertex_dofs:
             continue  # duplicated: intersection side, no external BC
         kind = tm.endpoint_class.get(endpoint_vid, "tip")
@@ -406,7 +371,7 @@ def _build_1d_block(dm, md, tm, offset, quad_order):
 
 def _trace_extremes(tm):
     first, last = tm.cells[0], tm.cells[-1]
-    return [(first.vid_a, first.s_a, 0, 0), (last.vid_b, last.s_b, len(tm.cells) - 1, 1)]
+    return [(first.vid_a, 0, 0), (last.vid_b, len(tm.cells) - 1, 1)]
 
 
 # ---------------------------------------------------------------------------

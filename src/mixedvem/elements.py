@@ -168,8 +168,6 @@ class LocalMatrixSet:
     G_nu: np.ndarray
     H: np.ndarray
     H_hash: np.ndarray
-    W1: np.ndarray
-    W2: np.ndarray
     W: np.ndarray
     V: np.ndarray
     B: np.ndarray
@@ -192,9 +190,6 @@ class LocalMatrixSet:
         """
         vals = self.face_bases[i].evaluate(face_points)
         return vals @ self.face_dual[i]
-
-    def stiffness(self):
-        return self.K
 
 
 def local_matrices(space: ElementSpace, geom, nu=1.0, quad_order=None) -> LocalMatrixSet:
@@ -245,11 +240,9 @@ def local_matrices(space: ElementSpace, geom, nu=1.0, quad_order=None) -> LocalM
     n_dof = layout.n_dof
     nf = layout.n_face_total
 
-    W1 = np.zeros((n_p, n_dof))
+    W = np.zeros((n_p, n_dof))
     for a in range(1, n_p):
-        W1[a, nf + a - 1] = -geom.measure
-
-    W2 = np.zeros((n_p, n_dof))
+        W[a, nf + a - 1] = -geom.measure
     B2 = np.zeros((n_grad, n_dof))
     D = np.zeros((n_dof, d * n_k))
     face_dual, face_bases = [], []
@@ -264,14 +257,13 @@ def local_matrices(space: ElementSpace, geom, nu=1.0, quad_order=None) -> LocalM
         vol_at_f = basis_k1.evaluate(fpts)
         moments = vol_at_f.T @ (fw[:, None] * (Ff @ dual))  # int_f m_a p_j
         sl = layout.face_slice(i)
-        W2[:, sl] = moments[:n_p, :]
+        W[:, sl] = moments[:n_p, :]
         B2[:, sl] = moments[1:, :]
         gface = vec.evaluate(fpts) @ face.normal            # (npf, nb)
         D[sl, :] = (Ff * fw[:, None]).T @ gface / face.measure
         face_dual.append(dual)
         face_bases.append(fb)
 
-    W = W1 + W2
     V = _spd_solve(H, W, "pressure mass matrix H")
 
     B = np.zeros((d * n_k, n_dof))
@@ -299,7 +291,7 @@ def local_matrices(space: ElementSpace, geom, nu=1.0, quad_order=None) -> LocalM
     return LocalMatrixSet(
         space=space, layout=layout, basis_p=basis_p, basis_k1=basis_k1,
         vec_basis=vec, n_grad=n_grad, G=G, G_nu=G_nu, H=H, H_hash=H_hash,
-        W1=W1, W2=W2, W=W, V=V, B=B, D=D, Pi0_hat=Pi0_hat, Pi0=Pi0,
+        W=W, V=V, B=B, D=D, Pi0_hat=Pi0_hat, Pi0=Pi0,
         K_a=K_a, K_s=K_s, K=K, measure=geom.measure,
         face_dual=face_dual, face_bases=face_bases)
 

@@ -81,15 +81,6 @@ def _gauss01(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def segment_quadrature(a, b, order: int):
-    """Rule exact for polynomials of degree <= order on the segment a-b."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x, w = _gauss01(max(1, (order + 2) // 2))
-    pts = a[None, :] + np.outer(x, b - a)
-    return pts, w * np.linalg.norm(b - a)
-
-
 @lru_cache(maxsize=None)
 def _triangle_ref_rule(order: int):
     """Duffy rule on the reference triangle, exact for total degree <= order.

@@ -724,35 +724,31 @@ def cut_with_fracture(mesh: PolyMesh3D, frac: FractureSpec, fracture_index: int,
         cut_cache[key] = vid
         return vid
 
-    # candidate cells: strict vertices on both sides and overlap with qpoly
+    # candidate cells: strict vertices on both sides and overlap with qpoly;
+    # each keeps the pieces of its cross-section for the split below
     candidates = []
     for cid in sorted(mesh.cells):
-        vs = mesh.cell_vertices(cid)
-        ss = {signs[v] for v in vs}
+        ss = {signs[v] for v in mesh.cell_vertices(cid)}
         if not (1 in ss and -1 in ss):
             continue
-        try:
-            chords = _cross_section(mesh, cid, signs, cut_vid)
-        except ConformityError:
-            raise
-        loops = _chain_loops(list(chords))
+        loops = _chain_loops(list(_cross_section(mesh, cid, signs, cut_vid)))
         if len(loops) != 1:
             raise ConformityError(
                 f"cell {cid}: cross-section is not a single loop (non-convex cell?)")
         loop2d = [plane.to_2d(mesh.verts[v][None, :])[0] for v in loops[0]]
         if _poly_area(loop2d) < 0:
-            loops[0] = loops[0][::-1]
             loop2d = loop2d[::-1]
-        ins, _ = split_by_convex_polygon(loop2d, qpoly, eps)
+        ins, outs = split_by_convex_polygon(loop2d, qpoly, eps)
         if ins:
-            candidates.append((cid, loops[0], loop2d))
+            candidates.append((cid, [(p, True) for p in ins] + [(p, False) for p in outs]))
 
-    # update vertex signs for the cut vertices created during probing
+    # the signs of the cut vertices created while probing; splitting the
+    # faces below reuses those vertices and makes no new ones
     signs = _vertex_signs(mesh, plane, eps)[0]
 
     # split the crossing faces of the cells to be cut (shared faces split once)
     split_children: dict[int, tuple] = {}
-    for cid, loop_vids, loop2d in candidates:
+    for cid, _ in candidates:
         for fid, _ in mesh.cells[cid]:
             if fid in split_children:
                 continue
@@ -760,45 +756,24 @@ def cut_with_fracture(mesh: PolyMesh3D, frac: FractureSpec, fracture_index: int,
             fs = {int(signs[v]) for v in loop}
             if not (1 in fs and -1 in fs):
                 continue
-            plus, minus = _split_loop(loop, signs, cut_vid)
             frac_mark = mesh.face_fracture.get(fid)
             tag = mesh.boundary_tags.get(fid)
             children = []
-            for sub in (plus, minus):
+            for sub in _split_loop(loop, signs, cut_vid):
                 nf = mesh.add_face(sub, fracture=frac_mark)
                 if tag is not None:
                     mesh.boundary_tags[nf] = tag
                 children.append(nf)
             split_children[fid] = tuple(children)
-
-    if split_children:
-        for cid in sorted(mesh.cells):
-            ofs = mesh.cells[cid]
-            if any(f in split_children for f, _ in ofs):
-                new = []
-                for f, s in ofs:
-                    if f in split_children:
-                        new.extend((c, s) for c in split_children[f])
-                    else:
-                        new.append((f, s))
-                mesh.cells[cid] = tuple(new)
-
-    signs = _vertex_signs(mesh, plane, eps)[0]
+    _replace_faces(mesh, split_children)
 
     # now split each candidate cell into its two sides + cross-section faces
-    for cid, _, _ in candidates:
-        chords = set()
+    for cid, pieces in candidates:
         plus_faces, minus_faces = [], []
         for fid, s in mesh.cells[cid]:
-            loop = mesh.faces[fid]
-            fsigns = [int(signs[v]) for v in loop]
+            fsigns = {int(signs[v]) for v in mesh.faces[fid]}
             if 1 in fsigns and -1 in fsigns:
                 raise ConformityError("crossing face survived the splitting pass")
-            n = len(loop)
-            for i in range(n):
-                a, b = loop[i], loop[(i + 1) % n]
-                if signs[a] == 0 and signs[b] == 0:
-                    chords.add(tuple(sorted((a, b))))
             if 1 in fsigns:
                 plus_faces.append((fid, s))
             elif -1 in fsigns:
@@ -806,26 +781,12 @@ def cut_with_fracture(mesh: PolyMesh3D, frac: FractureSpec, fracture_index: int,
             else:
                 raise ConformityError("face lies entirely in the cutting plane "
                                       "of a crossed cell")
-        loops = _chain_loops(list(chords))
-        if len(loops) != 1:
-            raise ConformityError("cut cross-section is not a single loop")
-        loop_vids = loops[0]
-        loop2d = [plane.to_2d(mesh.verts[v][None, :])[0] for v in loop_vids]
-        if _poly_area(loop2d) < 0:
-            loop_vids = loop_vids[::-1]
-            loop2d = loop2d[::-1]
-
-        ins, outs = split_by_convex_polygon(loop2d, qpoly, eps)
-        pieces = [(p, True) for p in ins] + [(p, False) for p in outs]
         piece_faces = []
         for p2d, inside in pieces:
-            vids = [mesh.add_vertex(plane.to_3d(np.asarray(pt))[0]) for pt in p2d]
-            vids = list(dict.fromkeys(vids))
-            if len(vids) < 3:
-                continue
-            mark = fracture_index if (inside and physical) else None
-            nf = mesh.add_face(vids, fracture=mark)
-            piece_faces.append(nf)
+            vids = _piece_vids(mesh, plane, p2d)
+            if vids:
+                mark = fracture_index if (inside and physical) else None
+                piece_faces.append(mesh.add_face(vids, fracture=mark))
         # piece loops are CCW w.r.t. the fracture normal: that normal points
         # out of the minus-side cell
         plus_cell = plus_faces + [(f, -1) for f in piece_faces]
@@ -844,6 +805,7 @@ def _split_and_mark_coplanar(mesh, plane, qpoly, fracture_index, eps):
     """Mark interior on-plane faces inside the polygon; split partial overlaps."""
     signs = _vertex_signs(mesh, plane, eps)[0]
     inc = mesh.face_cells()
+    split_children = {}
     for fid in sorted(mesh.faces):
         if len(inc.get(fid, ())) != 2:
             continue
@@ -867,9 +829,8 @@ def _split_and_mark_coplanar(mesh, plane, qpoly, fracture_index, eps):
         # partial overlap: split the face in-plane along the polygon boundary
         children = []
         for p2d, inside in [(p, True) for p in ins] + [(p, False) for p in outs]:
-            vids = [mesh.add_vertex(plane.to_3d(np.asarray(pt))[0]) for pt in p2d]
-            vids = list(dict.fromkeys(vids))
-            if len(vids) < 3:
+            vids = _piece_vids(mesh, plane, p2d)
+            if not vids:
                 continue
             if reversed_loop:
                 vids = vids[::-1]
@@ -878,16 +839,25 @@ def _split_and_mark_coplanar(mesh, plane, qpoly, fracture_index, eps):
             if fid in mesh.boundary_tags:
                 mesh.boundary_tags[nf] = mesh.boundary_tags[fid]
             children.append(nf)
-        for cid in sorted(mesh.cells):
-            ofs = mesh.cells[cid]
-            if any(f == fid for f, _ in ofs):
-                new = []
-                for f, s in ofs:
-                    if f == fid:
-                        new.extend((c, s) for c in children)
-                    else:
-                        new.append((f, s))
-                mesh.cells[cid] = tuple(new)
+        split_children[fid] = tuple(children)
+    _replace_faces(mesh, split_children)
+
+
+def _piece_vids(mesh, plane, p2d):
+    """Vertex loop of an in-plane piece given in plane coordinates, or None
+    when it collapses below three vertices under the vertex merge."""
+    vids = [mesh.add_vertex(plane.to_3d(np.asarray(pt))[0]) for pt in p2d]
+    vids = list(dict.fromkeys(vids))
+    return vids if len(vids) >= 3 else None
+
+
+def _replace_faces(mesh, children):
+    """Put each split face's children in its place in every cell that uses it."""
+    if not children:
+        return
+    for cid, ofs in mesh.cells.items():
+        if any(f in children for f, _ in ofs):
+            mesh.cells[cid] = tuple((c, s) for f, s in ofs for c in children.get(f, (f,)))
 
 
 # ---------------------------------------------------------------------------
@@ -950,9 +920,6 @@ class TraceMesh:
     cells: list
     vertex_params: dict    # vid -> arc-length parameter
     endpoint_class: dict = field(default_factory=dict)  # extreme vid -> kind
-
-    def point_at(self, s):
-        return self.p0 + s * self.tangent
 
 
 @dataclass

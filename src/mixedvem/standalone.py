@@ -2,11 +2,13 @@
 
 A 1D segment chain lies on the x axis and a 2D polygon mesh in the z = 0
 plane, so their data callbacks take physical (3,) points like every other
-callback.  ``single_domain_block`` numbers the faces (interior faces share
-one flux DOF set) and builds one ``DomainBlock``; ``solve_single_domain``
-then runs the mixed-dimensional pipeline's scatter, source moments,
-Dirichlet face moments and solve on it, with Dirichlet pressure data on the
-whole external boundary.  Errors come from ``solver.error_norms``.
+callback.  ``single_domain_block`` numbers the faces and builds one
+``DomainBlock`` through ``assembly.fill_block``, the routine that numbers
+every 2D/3D block of the mixed-dimensional pipeline (interior faces share one
+flux DOF set); ``solve_single_domain`` then runs the pipeline's scatter,
+source moments, Dirichlet face moments and solve on it, with Dirichlet
+pressure data on the whole external boundary.  Errors come from
+``solver.error_norms``.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .assembly import (DomainBlock, GlobalDofMap, GlobalSystem, add_dirichlet_load,
-                       assemble_dimension, assemble_rhs)
-from .elements import ElementSpace, local_matrices, local_matrices_1d
+                       assemble_dimension, assemble_rhs, fill_block)
+from .elements import ElementSpace
 from .errors import ConfigError
 from .geometry import Plane, PolygonGeometry, SegmentGeometry
 from .mesh import BoundaryCondition
@@ -48,13 +50,14 @@ def single_domain_block(geoms, space: ElementSpace, nu=1.0, source=0.0,
 
     ``geoms`` is a list of SegmentGeometry on the x axis (1D) or of
     PolygonGeometry in the z = 0 plane frame (2D).  Faces are matched by
-    rounded coordinates; a face used by two cells carries one DOF set, one
-    used by a single cell is external and listed in ``boundary``.
+    rounded coordinates and numbered in order of first use by
+    ``assembly.fill_block``; there are no interfaces, so a face used by two
+    cells carries one DOF set and one used by a single cell is external and
+    listed in ``boundary``.
     """
     d = space.dim
     if d == 3:
         raise ConfigError("use the mixed-dimensional pipeline for 3D domains")
-    per = space.n_face_dofs()
     tol = 1e-8 * max(g.diameter for g in geoms)
     blk = DomainBlock(dim=d, index=0, nu=nu, source=source)
     if d == 1:
@@ -63,30 +66,13 @@ def single_domain_block(geoms, space: ElementSpace, nu=1.0, source=0.0,
         blk.place_on_plane(XY_PLANE)
 
     faces = [_faces(geom, tol) for geom in geoms]
-    face_ids, users = {}, {}
-    for cell_faces in faces:
-        for key, _ in cell_faces:
-            if key not in face_ids:
-                face_ids[key] = np.arange(len(face_ids) * per, (len(face_ids) + 1) * per)
-            users[key] = users.get(key, 0) + 1
-    n_u = len(face_ids) * per
-    for ci, geom in enumerate(geoms):
-        loc = (local_matrices_1d(space, geom, nu=nu, quad_order=quad_order) if d == 1
-               else local_matrices(space, geom, nu=nu, quad_order=quad_order))
-        n_int = loc.layout.n_typeii + loc.layout.n_typeiii
-        blk.geoms.append(geom)
-        blk.locals_.append(loc)
-        blk.cell_u_dofs.append(np.concatenate(
-            [face_ids[key] for key, _ in faces[ci]] + [np.arange(n_u, n_u + n_int)]))
-        blk.cell_u_signs.append(np.concatenate(
-            [np.full(per, sgn) for _, sgn in faces[ci]] + [np.ones(n_int)]))
-        n_u += n_int
-        blk.boundary.extend((ci, lf, key, None) for lf, (key, _) in enumerate(faces[ci])
-                            if users[key] == 1)
-    n_p_cell = blk.locals_[0].basis_p.size
-    blk.n_u, blk.n_p = n_u, n_p_cell * len(geoms)
-    blk.cell_p_dofs = [n_u + n_p_cell * ci + np.arange(n_p_cell)
-                       for ci in range(len(geoms))]
+    users = {}
+    for ci, cell_faces in enumerate(faces):
+        for lf, (key, sign) in enumerate(cell_faces):
+            users.setdefault(key, []).append((ci, lf, sign))
+    fill_block(blk, space, geoms, users, set(), quad_order)
+    blk.boundary = [(ci, lf, key, None) for ci, cell_faces in enumerate(faces)
+                    for lf, (key, _) in enumerate(cell_faces) if len(users[key]) == 1]
     return blk
 
 

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
+from mixedvem import assembly
 from mixedvem.assembly import (apply_boundary_conditions, assemble_complete,
                                assemble_coupling_same_dim, assemble_dimension,
-                               build_dof_map, _Coo)
+                               build_dof_map, fill_block, _Coo)
 from mixedvem.errors import ConfigError, SingularSystemError
 from mixedvem.mesh import (BoundaryCondition, FractureSpec, NetworkSpec,
                            box_mesh, cut_background_mesh)
+from mixedvem.problems import problem1_case
 from mixedvem.solver import solve
+from tests.test_mesh import _perfbench_network
 
 TAGS = ["xmin", "xmax", "ymin", "ymax", "zmin", "zmax"]
 DIRICHLET0 = {t: BoundaryCondition("dirichlet", 0.0) for t in TAGS}
@@ -393,3 +396,76 @@ def test_flux_continuity_conflicts_with_finite_eta1():
     md = cut_background_mesh(mesh, spec)
     with pytest.raises(ConfigError):
         build_dof_map(md, order=0, trace_flow=False)
+
+
+def _network_9400_md():
+    return cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (4, 4, 4)),
+                               _perfbench_network(9400))
+
+
+def _face_kind(md, blk, key, users):
+    if blk.dim == 3:
+        if md.mesh3d.face_fracture.get(key) is not None:
+            return "fracture"
+        return "external" if len(users) == 1 else "shared"
+    kind = md.fractures[blk.index].edge_class.get(key, ("interior",))[0]
+    return "shared" if kind == "interior" else kind
+
+
+@pytest.mark.parametrize("build_md, kinds", [
+    (_network_9400_md, {(3, "fracture"), (3, "external"), (3, "shared"),
+                        (2, "trace"), (2, "tip"), (2, "shared")}),
+    (lambda: problem1_case(order=1, artificial_cuts=2).md,
+     {(3, "fracture"), (3, "external"), (3, "shared"), (2, "trace"),
+      (2, "external"), (2, "shared")}),
+], ids=["fracture-net-9400", "problem1-cut"])
+def test_fill_block_numbering_policy(build_md, kinds, monkeypatch):
+    calls = []
+
+    def recording(blk, space, geoms, face_users, split, quad_order):
+        dofs = fill_block(blk, space, geoms, face_users, split, quad_order)
+        calls.append((blk, face_users, split, dofs))
+        return dofs
+
+    monkeypatch.setattr(assembly, "fill_block", recording)
+    md = build_md()
+    dm = build_dof_map(md, order=1)
+    assert sorted((blk.dim, blk.index) for blk, *_ in calls) == sorted(
+        key for key in dm.blocks if key[0] >= 2)
+    seen = set()
+    for blk, face_users, split, dofs in calls:
+        per = dm.space(blk.dim).n_face_dofs()
+        face_ids = set()
+        for key, users in face_users.items():
+            kind = _face_kind(md, blk, key, users)
+            seen.add((blk.dim, kind))
+            assert (key in split) == (kind in ("fracture", "trace"))
+            sets = [dofs[(key, ci)] for ci, _, _ in users]
+            for (ci, lf, _), (ids, sign) in zip(users, sets):
+                sl = blk.locals_[ci].layout.face_slice(lf)
+                assert np.array_equal(blk.cell_u_dofs[ci][sl], blk.offset + ids)
+                assert np.all(blk.cell_u_signs[ci][sl] == sign)
+                face_ids.update(ids.tolist())
+            if kind == "shared":
+                # one set; sign times outward (co-)normal is one vector
+                assert len(users) == 2
+                assert np.array_equal(sets[0][0], sets[1][0])
+                (c0, f0, _), (c1, f1, _) = users
+                n0 = sets[0][1] * blk.geoms[c0].faces[f0].normal
+                n1 = sets[1][1] * blk.geoms[c1].faces[f1].normal
+                assert np.allclose(n0, n1, atol=1e-12), (blk.dim, key)
+            else:
+                assert all(sign == 1 for _, sign in sets), (blk.dim, kind, key)
+                flat = np.concatenate([ids for ids, _ in sets])
+                assert len(np.unique(flat)) == per * len(users)
+        # face DOFs first, then the interiors cell by cell, then pressures
+        assert face_ids == set(range(len(face_ids)))
+        first = len(face_ids)
+        for ci, loc in enumerate(blk.locals_):
+            interior = blk.cell_u_dofs[ci][loc.layout.n_face_total:] - blk.offset
+            assert np.array_equal(interior, first + np.arange(len(interior)))
+            first += len(interior)
+        assert first == blk.n_u
+        p = np.concatenate(blk.cell_p_dofs) - blk.offset
+        assert np.array_equal(p, blk.n_u + np.arange(blk.n_p))
+    assert kinds <= seen

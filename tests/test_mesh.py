@@ -496,3 +496,35 @@ def test_trace_shared_by_three_fractures_rejected():
     md = cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (3, 3, 3)),
                              NetworkSpec(fractures=spec.fractures[:2]))
     assert len(md.traces) == 1 and validate_conformity(md) == []
+
+
+@pytest.mark.parametrize("network, sizes", [
+    (lambda: _perfbench_network(9400), (139, 604, 435, 105)),
+    (lambda: _perfbench_network(181), (130, 574, 427, 95)),
+    (lambda: _acceptance_network(43012), (148, 632, 426, 111)),
+    (lambda: _acceptance_network(42007), (136, 596, 441, 94)),
+], ids=["fracture-net-9400", "fracture-net-181", "acceptance-43012",
+        "acceptance-42007"])
+def test_cut_splits_each_crossed_cell_once(network, sizes, monkeypatch):
+    # each crossed cell's cross-section is probed once and split by the
+    # fracture polygon once; the pieces are reused when the cell is cut
+    calls = {"probe": 0, "split": 0}
+    cross_section, split = msh._cross_section, msh.split_by_convex_polygon
+
+    def probing(*args):
+        calls["probe"] += 1
+        return cross_section(*args)
+
+    def splitting(*args):
+        if sys._getframe(1).f_code.co_name == "cut_with_fracture":
+            calls["split"] += 1
+        return split(*args)
+
+    monkeypatch.setattr(msh, "_cross_section", probing)
+    monkeypatch.setattr(msh, "split_by_convex_polygon", splitting)
+    mesh = cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (4, 4, 4)),
+                               network()).mesh3d
+    assert calls["split"] == calls["probe"] > 0
+    # (cells, faces, vertices, fracture faces) of the cut mesh
+    n_fracture = sum(1 for mark in mesh.face_fracture.values() if mark is not None)
+    assert (len(mesh.cells), len(mesh.faces), len(mesh.verts), n_fracture) == sizes

@@ -147,11 +147,18 @@ def cmd_run(args):
     return code
 
 
-def _record_dofs(manifest, dofmap):
+def _record_solution(manifest, sol):
+    """DOF counts, residual and how the solve ran (branch, DOFs condensed
+    out of the global factorization, the entries its factors store)."""
+    dofmap = sol.dofmap
     manifest.dof_counts = {str(d): {"flux": u, "pressure": p}
                            for d, (u, p) in sorted(dofmap.counts().items(),
                                                    reverse=True)}
     manifest.total_dofs = dofmap.total
+    manifest.residual = sol.residual
+    manifest.checks["solve_branch"] = sol.branch
+    manifest.checks["condensed_dofs"] = sol.condensed_dofs
+    manifest.checks["lu_fill"] = sol.lu_fill
 
 
 def run_config(args, manifest, timer):
@@ -188,7 +195,6 @@ def run_config(args, manifest, timer):
                                trace_flow=cfg.trace_flow,
                                quad_order=cfg.quad_order)
     apply_boundary_conditions(system)
-    _record_dofs(manifest, system.dofmap)
     timer.stop()
 
     if "matrix" in cfg.outputs:
@@ -198,7 +204,7 @@ def run_config(args, manifest, timer):
 
     timer.start("solve")
     sol = solve(system, tol=cfg.solver_tol)
-    manifest.residual = sol.residual
+    _record_solution(manifest, sol)
     timer.stop()
 
     timer.start("post")
@@ -233,8 +239,7 @@ def run_builtin(args, manifest, timer):
         timer.start("solve")
         sol = case.solve(tol=args.tolerance or 1e-10)
         timer.stop()
-        _record_dofs(manifest, sol.dofmap)
-        manifest.residual = sol.residual
+        _record_solution(manifest, sol)
         norms = error_norms(sol, case.exact)
         rel = relative_errors(norms)
         write_error_table(norms, os.path.join(out, "errors.csv"))

@@ -768,6 +768,7 @@ def cut_with_fracture(mesh: PolyMesh3D, frac: FractureSpec, fracture_index: int,
     _replace_faces(mesh, split_children)
 
     # now split each candidate cell into its two sides + cross-section faces
+    pieces_made = set()
     for cid, pieces in candidates:
         plus_faces, minus_faces = [], []
         for fid, s in mesh.cells[cid]:
@@ -787,6 +788,7 @@ def cut_with_fracture(mesh: PolyMesh3D, frac: FractureSpec, fracture_index: int,
             if vids:
                 mark = fracture_index if (inside and physical) else None
                 piece_faces.append(mesh.add_face(vids, fracture=mark))
+        pieces_made.update(piece_faces)
         # piece loops are CCW w.r.t. the fracture normal: that normal points
         # out of the minus-side cell
         plus_cell = plus_faces + [(f, -1) for f in piece_faces]
@@ -796,18 +798,22 @@ def cut_with_fracture(mesh: PolyMesh3D, frac: FractureSpec, fracture_index: int,
         mesh.add_cell(minus_cell)
 
     if physical:
-        _split_and_mark_coplanar(mesh, plane, qpoly, fracture_index, eps)
+        _split_and_mark_coplanar(mesh, plane, qpoly, fracture_index, eps,
+                                 pieces_made)
     _insert_hanging_vertices(mesh, range(first_new_vid, len(mesh.verts)), eps)
     mesh.prune_unused_faces()
 
 
-def _split_and_mark_coplanar(mesh, plane, qpoly, fracture_index, eps):
-    """Mark interior on-plane faces inside the polygon; split partial overlaps."""
+def _split_and_mark_coplanar(mesh, plane, qpoly, fracture_index, eps, pieces):
+    """Mark interior on-plane faces inside the polygon; split partial overlaps.
+
+    The cut's own ``pieces`` are already classified and marked, and skipped.
+    """
     signs = _vertex_signs(mesh, plane, eps)[0]
     inc = mesh.face_cells()
     split_children = {}
     for fid in sorted(mesh.faces):
-        if len(inc.get(fid, ())) != 2:
+        if fid in pieces or len(inc.get(fid, ())) != 2:
             continue
         loop = mesh.faces[fid]
         if any(signs[v] != 0 for v in loop):

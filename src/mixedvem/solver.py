@@ -1,17 +1,164 @@
-"""Sparse solve, velocity projection, error norms and flux accounting."""
+"""Sparse solve, velocity projection, error norms and flux accounting.
+
+The direct solve condenses the 3D element interiors out of the global
+factorization.  In each 3D cell the interior velocity DOFs (types ii and iii)
+and the pressure moments above the constant couple only with each other and
+with the cell's own face DOFs and constant pressure, so the cell's rows of the
+boundary-conditioned matrix give a dense interior block ``K_ii`` (factorized
+by LU, with the pivot-ratio check of the local matrices) and the Schur term
+``K_bi K_ii^-1 K_ib`` on its retained DOFs.  Those terms and the retained
+block of the matrix make one sparse matrix, factorized once; the interiors
+are recovered cell by cell, so every caller sees the full solution vector.
+This is the static condensation of mixed methods (Arnold & Brezzi, M2AN 19,
+1985).  With no interiors (RT0, systems without a 3D block) the retained
+block is the whole matrix.  The refinement step and the residual check use
+the full matrix.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
+import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from .assembly import GlobalSystem
-from .errors import SingularSystemError
+from .elements import COND_PIVOT_TOL
+from .errors import ConditioningError, SingularSystemError
 from .mesh import field_values
 
 DIRECT_SOLVE_LIMIT = 500_000
+
+
+def condensed_cells(system: GlobalSystem) -> list:
+    """(eliminated, retained) global DOF ids of each 3D cell with interiors:
+    the interior fluxes and the pressure moments above the constant, and the
+    face fluxes and the constant pressure."""
+    dm = system.dofmap
+    if dm is None or (3, 0) not in dm.blocks:
+        return []
+    blk = dm.block(3)
+    out = []
+    for ci, loc in enumerate(blk.locals_):
+        nf = loc.layout.n_face_total
+        u, p = blk.cell_u_dofs[ci], blk.cell_p_dofs[ci]
+        if len(u) > nf or len(p) > 1:
+            out.append((np.concatenate([u[nf:], p[1:]]),
+                        np.concatenate([u[:nf], p[:1]])))
+    return out
+
+
+class CondensedLU:
+    """Direct solver of ``A`` with the given cells' DOFs condensed out.
+
+    ``cells`` lists (eliminated, retained) DOF ids as ``condensed_cells``
+    gives them: a cell's eliminated rows and columns must have nonzeros only
+    in its own eliminated and retained DOFs.  Entries outside them are left
+    out of the condensed operator, which the residual check on ``A`` would
+    then refuse.
+    """
+
+    def __init__(self, A: sps.csr_matrix, cells: list):
+        # _condense's temporaries are freed before the factorization
+        S, self.kept, self.cells = _condense(A, cells)
+        self.lu = spla.splu(S)
+        self.condensed = A.shape[0] - S.shape[0]
+        # the factor entries SuperLU stores; reading lu.L and lu.U instead
+        # would copy both factors for the life of the factorization
+        self.fill = self.lu.nnz
+
+    def solve(self, b):
+        b_kept = b[self.kept].copy()
+        y = []
+        for elim, r, lu, X, K_bi in self.cells:
+            y.append(lu.solve(b[elim]))
+            b_kept[r] -= K_bi @ y[-1]
+        x = np.zeros(len(b))
+        x[self.kept] = x_kept = self.lu.solve(b_kept)
+        for (elim, r, _, X, _), y_c in zip(self.cells, y):
+            x[elim] = y_c - X @ x_kept[r]
+        return x
+
+
+def _condense(A, cells):
+    """The condensed matrix on the kept DOFs, the kept DOF ids, and per cell
+    (eliminated ids, their kept neighbours' positions, interior LU,
+    ``K_ii^-1 K_ib``, ``K_bi``)."""
+    n = A.shape[0]
+    keep = np.ones(n, dtype=bool)
+    for elim, _ in cells:
+        keep[elim] = False
+    kept = np.flatnonzero(keep)
+    index = np.full(n, -1, dtype=np.int32)
+    index[kept] = np.arange(len(kept))
+    kk = A[kept][:, kept].tocoo()
+    rows, cols, vals = [kk.row], [kk.col], [kk.data]
+    # the cells' rows of A, and their columns as rows of A^T
+    elim_all = np.concatenate([np.zeros(0, dtype=int)] + [e for e, _ in cells])
+    from_rows, from_cols = A[elim_all], A[:, elim_all].T.tocsr()
+    pos = np.full(n, -1)
+    out = []
+    start = 0
+    for elim, ret in cells:
+        m = len(elim)
+        local = np.concatenate([elim, ret])
+        pos[local] = np.arange(len(local))
+        K_i = _dense_rows(from_rows, start, m, pos, len(local))
+        K_bi = _dense_rows(from_cols, start, m, pos, len(local))[:, m:].T
+        pos[local] = -1
+        start += m
+        lu = _InteriorLU(K_i[:, :m])
+        X = lu.solve(K_i[:, m:])
+        r = index[ret]
+        rows.append(np.repeat(r, len(r)))
+        cols.append(np.tile(r, len(r)))
+        vals.append(-(K_bi @ X).ravel())
+        out.append((elim, r, lu, X, K_bi))
+    S = sps.csc_matrix((np.concatenate(vals),
+                        (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(len(kept), len(kept)))
+    return S, kept, out
+
+
+def _dense_rows(M, start, count, pos, width):
+    """Rows ``start .. start+count`` of the CSR matrix ``M`` as a dense
+    (count, width) array, with column j moved to ``pos[j]``; columns with no
+    position are left out."""
+    ptr = M.indptr[start:start + count + 1]
+    cols = pos[M.indices[ptr[0]:ptr[-1]]]
+    rows = np.repeat(np.arange(count), np.diff(ptr))
+    out = np.zeros((count, width))
+    keep = cols >= 0
+    out[rows[keep], cols[keep]] = M.data[ptr[0]:ptr[-1]][keep]
+    return out
+
+
+class _InteriorLU:
+    """Dense LU of one cell's interior block, rejecting near-singular pivots.
+
+    Rows and then columns are scaled to unit max-norm first, so the pivot
+    ratio measures the block's conditioning and not the scale of its
+    monomials.
+    """
+
+    def __init__(self, K):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.r = 1.0 / np.abs(K).max(axis=1)
+            Kr = self.r[:, None] * K
+            self.c = 1.0 / np.abs(Kr).max(axis=0)
+            self.lu, self.piv, info = sla.lapack.dgetrf(Kr * self.c)
+        pivots = np.abs(np.diag(self.lu))
+        # a zero row or column leaves NaNs, which fail the comparison too
+        if info != 0 or not pivots.min() >= COND_PIVOT_TOL * pivots.max():
+            raise ConditioningError(
+                "element interior block is numerically singular")
+
+    def solve(self, rhs):
+        y = sla.lu_solve((self.lu, self.piv), (self.r * rhs.T).T,
+                         check_finite=False)
+        return (self.c * y.T).T
 
 
 def solve(system: GlobalSystem, tol: float = 1e-10) -> "DiscreteSolution":
@@ -19,19 +166,23 @@ def solve(system: GlobalSystem, tol: float = 1e-10) -> "DiscreteSolution":
     dimension estimate instead of returning garbage."""
     if not system.bc_applied:
         raise ValueError("apply_boundary_conditions before solving")
-    A = system.matrix.tocsc()
+    A = system.matrix.tocsr()
     b = system.rhs
     n = A.shape[0]
+    branch, condensed, fill = "direct", 0, 0
     if n <= DIRECT_SOLVE_LIMIT:
         with np.errstate(all="ignore"):
             try:
-                lu = spla.splu(A)
+                lu = CondensedLU(A, condensed_cells(system))
                 x = lu.solve(b)
                 x = x + lu.solve(b - A @ x)  # one refinement step
+                condensed, fill = lu.condensed, lu.fill
             except RuntimeError:  # singular factorization
                 x = np.full(n, np.nan)
     else:
+        branch = "iterative"
         ilu = spla.spilu(A.tocsc(), drop_tol=1e-6)
+        fill = ilu.nnz
         M = spla.LinearOperator(A.shape, ilu.solve)
         x, info = spla.gmres(A, b, M=M, rtol=tol, maxiter=2000)
         if info != 0:
@@ -46,7 +197,8 @@ def solve(system: GlobalSystem, tol: float = 1e-10) -> "DiscreteSolution":
         raise SingularSystemError(
             f"global system singular or solve failed (residual {res:.3e})",
             null_dim=null_dim)
-    return DiscreteSolution(system=system, x=x, residual=res)
+    return DiscreteSolution(system=system, x=x, residual=res, branch=branch,
+                            condensed_dofs=condensed, lu_fill=fill)
 
 
 @dataclass
@@ -56,6 +208,9 @@ class DiscreteSolution:
     system: GlobalSystem
     x: np.ndarray
     residual: float
+    branch: str = "direct"     # "direct" (condensed LU) or "iterative"
+    condensed_dofs: int = 0    # DOFs eliminated before the global factorization
+    lu_fill: int = 0           # entries stored by the global factorization
     _proj: dict = field(default_factory=dict)
 
     @property

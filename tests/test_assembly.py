@@ -12,7 +12,7 @@ from mixedvem.errors import ConfigError, SingularSystemError
 from mixedvem.mesh import (BoundaryCondition, FractureSpec, NetworkSpec,
                            box_mesh, cut_background_mesh)
 from mixedvem.problems import problem1_case
-from mixedvem.solver import solve
+from mixedvem.solver import condensed_cells, solve
 from tests.test_mesh import _perfbench_network
 
 TAGS = ["xmin", "xmax", "ymin", "ymax", "zmin", "zmax"]
@@ -183,6 +183,19 @@ def test_all_neumann_singular_reported():
     md = cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (2, 2, 2)), spec)
     system = assemble_complete(md, order=0)
     apply_boundary_conditions(system)
+    with pytest.raises(SingularSystemError) as err:
+        solve(system)
+    assert err.value.null_dim is None or err.value.null_dim >= 1
+
+
+def test_all_neumann_singular_reported_condensed():
+    # the order-1 copy runs the singular system through the condensed solve
+    bc = {t: BoundaryCondition("neumann") for t in TAGS}
+    spec = NetworkSpec(fractures=[], bc3=bc, source3=1.0)
+    md = cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (2, 2, 2)), spec)
+    system = assemble_complete(md, order=1)
+    apply_boundary_conditions(system)
+    assert len(condensed_cells(system)) == 8
     with pytest.raises(SingularSystemError) as err:
         solve(system)
     assert err.value.null_dim is None or err.value.null_dim >= 1

@@ -86,6 +86,13 @@ def test_cli_run_config(tmp_path, capsys):
     assert (tmp_path / "fields.vtk").exists()
     assert (tmp_path / "system.coo").exists()
     assert manifest["checks"]["max_relative_flux_mismatch"] < 1e-9
+    # order 1: the 3 + 3 interior fluxes and 3 higher pressure moments of
+    # each of the 8 cells (the fracture lies on a grid plane) are condensed
+    # out of the direct solve
+    checks = manifest["checks"]
+    assert checks["solve_branch"] == "direct"
+    assert checks["condensed_dofs"] == 9 * 8
+    assert 0 < checks["lu_fill"]
 
 
 def test_cli_run_shipped_barrier_config(tmp_path):

@@ -507,8 +507,10 @@ def test_trace_shared_by_three_fractures_rejected():
         "acceptance-42007"])
 def test_cut_splits_each_crossed_cell_once(network, sizes, monkeypatch):
     # each crossed cell's cross-section is probed once and split by the
-    # fracture polygon once; the pieces are reused when the cell is cut
-    calls = {"probe": 0, "split": 0}
+    # fracture polygon once; the pieces are reused when the cell is cut, and
+    # the coplanar pass does not split them again (no grid face lies in the
+    # plane of these oblique fractures, so it splits nothing)
+    calls = {"probe": 0, "split": 0, "coplanar": 0}
     cross_section, split = msh._cross_section, msh.split_by_convex_polygon
 
     def probing(*args):
@@ -516,8 +518,11 @@ def test_cut_splits_each_crossed_cell_once(network, sizes, monkeypatch):
         return cross_section(*args)
 
     def splitting(*args):
-        if sys._getframe(1).f_code.co_name == "cut_with_fracture":
+        caller = sys._getframe(1).f_code.co_name
+        if caller == "cut_with_fracture":
             calls["split"] += 1
+        elif caller == "_split_and_mark_coplanar":
+            calls["coplanar"] += 1
         return split(*args)
 
     monkeypatch.setattr(msh, "_cross_section", probing)
@@ -525,6 +530,7 @@ def test_cut_splits_each_crossed_cell_once(network, sizes, monkeypatch):
     mesh = cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (4, 4, 4)),
                                network()).mesh3d
     assert calls["split"] == calls["probe"] > 0
+    assert calls["coplanar"] == 0
     # (cells, faces, vertices, fracture faces) of the cut mesh
     n_fracture = sum(1 for mark in mesh.face_fracture.values() if mark is not None)
     assert (len(mesh.cells), len(mesh.faces), len(mesh.verts), n_fracture) == sizes

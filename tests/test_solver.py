@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 
 from mixedvem import problems, solver
 from mixedvem.assembly import apply_boundary_conditions, assemble_complete
+from mixedvem.errors import ConditioningError
 from mixedvem.mesh import (BoundaryCondition, FractureSpec, NetworkSpec,
                            box_mesh, cut_background_mesh)
-from mixedvem.solver import (DiscreteSolution, ExactFields, error_norms,
-                             flux_report, project_solution, relative_errors,
-                             solve, write_error_table, write_fields_vtk)
+from mixedvem.solver import (DiscreteSolution, ExactFields, condensed_cells,
+                             error_norms, flux_report, project_solution,
+                             relative_errors, solve, write_error_table,
+                             write_fields_vtk)
+from tests.test_mesh import _perfbench_network
 
 TAGS = ["xmin", "xmax", "ymin", "ymax", "zmin", "zmax"]
 
@@ -211,7 +215,85 @@ def test_iterative_branch_matches_direct(make, monkeypatch):
     monkeypatch.setattr(solver, "DIRECT_SOLVE_LIMIT", 0)
     monkeypatch.setattr(solver.spla, "gmres", counting_gmres)
     iterative = case.solve()     # raises if the residual check fails
-    assert calls == [1]
+    assert calls == [1] and iterative.branch == "iterative"
     scale = np.abs(direct.x).max()
     assert np.abs(iterative.x - direct.x).max() <= 1e-8 * scale
     assert iterative.residual <= 1e-10 * np.linalg.norm(iterative.system.rhs)
+
+
+def _network_system():
+    # the benchmark's fracture network (finite eta everywhere) on a 3^3 box
+    md = cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (3, 3, 3)),
+                             _perfbench_network(9400))
+    system = assemble_complete(md, order=1)
+    apply_boundary_conditions(system)
+    return system
+
+
+def _case_system(**kw):
+    case = problems.problem1_case(**kw)
+    system = assemble_complete(case.md, case.order, family3d=case.family3d)
+    apply_boundary_conditions(system)
+    return system
+
+
+CONDENSED_CASES = pytest.mark.parametrize("make", [
+    lambda: _case_system(order=4, artificial_cuts=1),
+    lambda: _case_system(order=2, family3d="BDM"),
+    _network_system,
+], ids=["problem1-order4-cut1", "problem1-bdm2", "network-9400-3x3x3"])
+
+
+@CONDENSED_CASES
+def test_condensed_solve_matches_full_lu(make):
+    system = make()
+    sol = solve(system)
+    # oracle: a sparse LU of the whole boundary-conditioned matrix with one
+    # refinement step (without it the LU alone is off by up to 3e-2 relative
+    # on the network)
+    A, b = system.matrix.tocsc(), system.rhs
+    lu = spla.splu(A)
+    x = lu.solve(b)
+    x = x + lu.solve(b - A @ x)
+    assert np.abs(sol.x - x).max() <= 1e-10 * np.abs(x).max()
+    n_elim = sum(len(elim) for elim, _ in condensed_cells(system))
+    assert sol.branch == "direct" and sol.condensed_dofs == n_elim > 0
+    assert 0 < sol.lu_fill < lu.nnz
+
+
+@CONDENSED_CASES
+def test_condensed_dofs_couple_inside_their_cell(make):
+    # each cell's eliminated rows and columns reach only its own eliminated,
+    # face and constant-pressure DOFs, so the elimination is exact
+    system = make()
+    A = system.matrix.tocsr()
+    blk = system.dofmap.block(3)
+    cells = condensed_cells(system)
+    assert len(cells) == len(blk.geoms)
+    for ci, (elim, ret) in enumerate(cells):
+        nf = blk.locals_[ci].layout.n_face_total
+        assert set(ret) == (set(blk.cell_u_dofs[ci][:nf])
+                            | {blk.cell_p_dofs[ci][0]})
+        own = set(elim) | set(ret)
+        assert set(A[elim].indices) <= own
+        assert set(A[:, elim].tocoo().row) <= own
+
+
+def test_singular_interior_block_rejected():
+    system = _case_system(order=1)
+    elim, _ = condensed_cells(system)[0]
+    A = system.matrix.tolil()
+    A[elim[0], :] = 0.0      # one cell's interior block loses a row
+    system.matrix = A.tocsr()
+    with pytest.raises(ConditioningError, match="interior block"):
+        solve(system)
+
+
+def test_rt0_solve_is_one_plain_lu():
+    # no interiors: the factorized matrix is the whole system
+    system, _ = linear_case(order=0)
+    sol = solve(system)
+    lu = spla.splu(system.matrix.tocsc())
+    assert condensed_cells(system) == []
+    assert sol.condensed_dofs == 0
+    assert sol.lu_fill == lu.nnz

@@ -196,9 +196,12 @@ def fill_block(blk, space, geoms, face_users, split, quad_order):
                 next_u += per
             dofs[(key, ci)] = slots[ci][lf] = (ids, sign if shared else 1)
 
-    build = local_matrices_1d if space.dim == 1 else local_matrices
-    for ci, geom in enumerate(geoms):
-        loc = build(space, geom, nu=blk.nu, quad_order=quad_order)
+    if space.dim == 1:
+        locs = [local_matrices_1d(space, geom, nu=blk.nu, quad_order=quad_order)
+                for geom in geoms]
+    else:
+        locs = local_matrices(space, geoms, nu=blk.nu, quad_order=quad_order)
+    for ci, (geom, loc) in enumerate(zip(geoms, locs)):
         n_int = loc.layout.n_typeii + loc.layout.n_typeiii
         faces = [slots[ci][lf] for lf in range(len(slots[ci]))]
         blk.geoms.append(geom)

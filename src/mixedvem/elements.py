@@ -11,18 +11,30 @@ space is known only through its degrees of freedom:
 All auxiliary matrices, the polynomial projector and the stabilized local
 stiffness block are computed from these data.  1D elements are plain
 polynomials and get exact matrices with no projector.
+
+``local_matrices`` builds a whole block of cells in one call.  The
+integrals are made cell by cell: the volume mass matrix from the cell's rule,
+and every face's moments from one product over the concatenated face rules.
+The fixed-size algebra (the complement basis, the Gram matrix, the face
+duals, the ``V`` and ``Pi0_hat`` solves and the stabilized ``K``) then runs on
+``(m, n, n)`` stacks over the cells, grouped by face count where the number
+of DOFs differs.  Every local SPD solve is equilibrated, checked for its
+pivot ratio and refined once (``_spd_solve``).  The inverse transmissivity
+``nu`` of a block is one positive number, so the weighted Gram matrix is
+``nu * G`` and the stabilization uses ``nu`` itself as its mean.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
-import scipy.linalg as sla
 
-from .errors import ConditioningError
+from .errors import ConditioningError, ConfigError
 from .polyspace import (MonomialBasis, VectorPolyBasis, dim_poly,
-                        gradient_basis, oplus_basis, vector_monomial_mass)
+                        gradient_basis, monomials, oplus_coeffs,
+                        vector_monomial_mass)
 
 # Pivot-ratio threshold below which a local SPD factorization is rejected.
 COND_PIVOT_TOL = 1e-13
@@ -100,86 +112,89 @@ def dof_layout(space: ElementSpace, geom) -> DofLayout:
 
 
 def _spd_solve(M, rhs, what):
-    """Solve with an SPD factorization, rejecting near-singular pivots.
+    """Solve a stack of SPD systems M x = rhs, rejecting near-singular pivots.
 
-    The system is symmetrically Jacobi-equilibrated first, which recovers
-    several digits on badly shaped elements, and polished with one step of
-    iterative refinement.
+    ``M`` is (m, n, n) and ``rhs`` (m, n, r).  Each system is symmetrically
+    Jacobi-equilibrated first, which recovers several digits on badly shaped
+    elements, and factorized by Cholesky for the pivot-ratio test.  NumPy
+    has no stacked triangular solve, so the equilibrated systems are solved
+    by LU, and the solution is polished with one step of iterative
+    refinement.  One bad matrix fails the whole stack.
     """
-    dg = np.diag(M).copy()
+    dg = np.diagonal(M, axis1=1, axis2=2)
     if np.any(dg <= 0):
         raise ConditioningError(f"{what} is not positive definite")
-    s = 1.0 / np.sqrt(dg)
-    Ms = M * np.outer(s, s)
+    s = 1.0 / np.sqrt(dg)[:, :, None]
+    Ms = M * s * s.transpose(0, 2, 1)
     try:
-        c, low = sla.cho_factor(Ms, check_finite=False)
+        piv = np.abs(np.diagonal(np.linalg.cholesky(Ms), axis1=1, axis2=2))
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"{what} is not positive definite") from exc
-    piv = np.abs(np.diag(c))
-    if piv.min() < COND_PIVOT_TOL * piv.max():
+    if np.any(piv.min(axis=1) < COND_PIVOT_TOL * piv.max(axis=1)):
         raise ConditioningError(f"{what} is numerically singular")
 
     def solve(b):
-        return s[:, None] * sla.cho_solve((c, low), s[:, None] * b,
-                                          check_finite=False) \
-            if b.ndim == 2 else \
-            s * sla.cho_solve((c, low), s * b, check_finite=False)
+        return s * np.linalg.solve(Ms, s * b)
 
-    rhs = np.asarray(rhs, dtype=float)
     x = solve(rhs)
-    x = x + solve(rhs - M @ x)  # one refinement step
-    return x
+    return x + solve(rhs - M @ x)  # one refinement step
 
 
-def _nu_at(nu, points, d):
-    """Evaluate the inverse transmissivity as (npts, d, d) arrays."""
-    if callable(nu):
-        vals = np.asarray([nu(p) for p in np.atleast_2d(points)], dtype=float)
-        if vals.ndim == 1:
-            return vals[:, None, None] * np.eye(d)
-        return vals
-    nu = np.asarray(nu, dtype=float)
-    n = len(np.atleast_2d(points))
-    if nu.ndim == 0:
-        return np.broadcast_to(float(nu) * np.eye(d), (n, d, d))
-    return np.broadcast_to(nu, (n, d, d))
-
-
-def _nu_mean(nu, geom, quad_order):
-    if not callable(nu):
-        nu = np.asarray(nu, dtype=float)
-        return float(nu) if nu.ndim == 0 else float(np.trace(nu) / nu.shape[0])
-    pts, w = geom.quadrature(quad_order)
-    vals = _nu_at(nu, pts, geom.dim)
-    return float(np.einsum("q,qii->", w, vals) / (geom.dim * geom.measure))
+def _positive_nu(nu):
+    """The inverse transmissivity as a float; it must be a positive number."""
+    if isinstance(nu, Real) and 0.0 < nu < np.inf:
+        return float(nu)
+    raise ConfigError(f"inverse transmissivity nu must be a positive number, "
+                      f"got {nu!r}")
 
 
 @dataclass
 class LocalMatrixSet:
-    """All per-element matrices for one polygon/polyhedron element."""
+    """The matrices of one polygon/polyhedron element.
+
+    What assembly and post-processing read is stored; ``W``, ``G_nu``,
+    ``Pi0``, ``K_a`` and ``K_s`` are derived from it on demand.
+    """
 
     space: ElementSpace
     layout: DofLayout
     basis_p: MonomialBasis          # pressure monomials, degree k_grad
-    basis_k1: MonomialBasis         # scalar monomials, degree k+1
     vec_basis: VectorPolyBasis      # gradient ++ oplus rows, degree k
-    n_grad: int
+    nu: float                       # inverse transmissivity, also its mean
+    measure: float
     G: np.ndarray
-    G_nu: np.ndarray
     H: np.ndarray
     H_hash: np.ndarray
-    W: np.ndarray
     V: np.ndarray
     B: np.ndarray
     D: np.ndarray
     Pi0_hat: np.ndarray
-    Pi0: np.ndarray
-    K_a: np.ndarray
-    K_s: np.ndarray
     K: np.ndarray
-    measure: float
-    face_dual: list = field(default_factory=list)   # per-face dual-basis coeffs
-    face_bases: list = field(default_factory=list)  # per-face monomial bases
+    face_dual: np.ndarray           # (n_faces, per_face, per_face) dual-basis coeffs
+    face_scale: np.ndarray          # (n_faces,) face monomial scales
+
+    @property
+    def W(self):
+        n = self.layout.n_dof
+        return self.K[n:, :n]
+
+    @property
+    def G_nu(self):
+        return self.nu * self.G
+
+    @property
+    def Pi0(self):
+        return self.D @ self.Pi0_hat
+
+    @property
+    def K_a(self):
+        K_a = self.Pi0_hat.T @ self.G_nu @ self.Pi0_hat
+        return 0.5 * (K_a + K_a.T)
+
+    @property
+    def K_s(self):
+        R = np.eye(self.layout.n_dof) - self.Pi0
+        return self.nu * self.measure * (R.T @ R)
 
     def face_dual_values(self, i, face_points):
         """Values of the face-DOF normal-trace polynomials at face points.
@@ -188,112 +203,140 @@ class LocalMatrixSet:
         array has shape (npts, per_face) and is oriented with the element's
         outward normal.
         """
-        vals = self.face_bases[i].evaluate(face_points)
-        return vals @ self.face_dual[i]
+        xi = np.atleast_2d(np.asarray(face_points, dtype=float)) / self.face_scale[i]
+        return monomials(xi, self.space.order) @ self.face_dual[i]
 
 
-def local_matrices(space: ElementSpace, geom, nu=1.0, quad_order=None) -> LocalMatrixSet:
-    """Build the full local matrix set on a polygon/polyhedron element.
+def _face_moments(geom, quad_order, k, per):
+    """Every face's moment rows of one cell from a single product.
 
-    ``geom`` is a PolygonGeometry (with coordinates in the fracture frame)
-    or a PolyhedronGeometry.  ``nu`` is the inverse tangential
-    transmissivity: a scalar, a d x d array, or a callable of position.
+    Evaluates the face monomials (scaled per face) and the cell's degree-k+1
+    monomials once at all face points.  Each point's face values go into
+    that face's own column block, so one product gives, per face, the face
+    mass matrix, the moments of the cell monomials against the face
+    monomials and those of the normal-scaled degree-k monomials: an
+    (n_faces, per, per + n_k1 + d * n_k) array.
     """
-    d, k = space.dim, space.order
-    if d != geom.dim:
+    d, faces = geom.dim, geom.faces
+    coords, pts, w, face_of = geom.face_quadrature(quad_order)
+    scale = np.array([face.diameter for face in faces])
+    normals = np.array([face.normal for face in faces])
+    Ff = monomials(coords / scale[face_of, None], k)
+    Vf = monomials((pts - geom.centroid) / geom.diameter, k + 1)
+    n_k = dim_poly(d, k)
+    nV = (normals[face_of][:, :, None] * Vf[:, None, :n_k]).reshape(len(w), d * n_k)
+    blocks = np.zeros((len(w), len(faces) * per))
+    blocks[np.arange(len(w))[:, None], face_of[:, None] * per + np.arange(per)] = Ff
+    Y = blocks.T @ (w[:, None] * np.hstack([Ff, Vf, nV]))
+    return Y.reshape(len(faces), per, -1), scale
+
+
+def local_matrices(space: ElementSpace, geoms, nu=1.0, quad_order=None) -> list:
+    """Build the local matrix sets of a block of polygons/polyhedra.
+
+    ``geoms`` are PolygonGeometry cells (in their fracture frame) or
+    PolyhedronGeometry cells; ``nu`` is the block's inverse tangential
+    transmissivity, a positive number.  The volume and face integrals are
+    made cell by cell; the fixed-size algebra runs on stacks over the cells,
+    grouped by face count where the DOF count differs.  Returns one
+    LocalMatrixSet per cell, in order; a badly conditioned cell raises
+    ConditioningError for the whole block.
+    """
+    nu = _positive_nu(nu)
+    d, k, kg = space.dim, space.order, space.grad_order
+    if any(geom.dim != d for geom in geoms):
         raise ValueError("space/geometry dimension mismatch")
-    kg = space.grad_order
-    layout = dof_layout(space, geom)
+    if not geoms:
+        return []
     if quad_order is None:
         quad_order = 2 * (k + 1)
-
-    xE, hE = np.asarray(geom.centroid, dtype=float), geom.diameter
-    basis_k1 = MonomialBasis(d, k + 1, xE, hE)
-    basis_k = MonomialBasis(d, k, xE, hE)
-    basis_p = MonomialBasis(d, kg, xE, hE)
-    n_k, n_k1, n_p = basis_k.size, basis_k1.size, basis_p.size
+    n_k, n_k1, n_p = dim_poly(d, k), dim_poly(d, k + 1), dim_poly(d, kg)
     n_grad = n_k1 - 1
+    per = space.n_face_dofs()
 
-    pts, w = geom.quadrature(quad_order)
-    vals_k1 = basis_k1.evaluate(pts)
-    H_full = vals_k1.T @ (w[:, None] * vals_k1)
-    H = H_full[:n_p, :n_p]
-    H_hash = H_full[1:, :n_p]
-    H_k = H_full[:n_k, :n_k]
+    # integrals, cell by cell: volume mass matrix and face moment rows
+    m = len(geoms)
+    H_full = np.empty((m, n_k1, n_k1))
+    faces, scales = [], []
+    for c, geom in enumerate(geoms):
+        pts, w = geom.quadrature(quad_order)
+        vals = monomials((pts - geom.centroid) / geom.diameter, k + 1)
+        H_full[c] = vals.T @ (w[:, None] * vals)
+        Y, scale = _face_moments(geom, quad_order, k, per)
+        faces.append(Y)
+        scales.append(scale)
+    n_faces = np.array([len(Y) for Y in faces])
+    first = np.cumsum(n_faces) - n_faces
+    Y = np.concatenate(faces)
+    face_measure = np.array([face.measure for geom in geoms for face in geom.faces])
+    measure = np.array([geom.measure for geom in geoms])
 
-    grad = gradient_basis(basis_k)
-    opl = oplus_basis(basis_k, H_k)
-    C_all = np.vstack([grad.flat_coeffs(), opl.flat_coeffs()])
-    vec = VectorPolyBasis(basis_k, C_all.reshape(-1, d, n_k))
-    M_vec = vector_monomial_mass(H_k, d)
-    G = C_all @ M_vec @ C_all.T
-    G = 0.5 * (G + G.T)
+    # face duals (one stack over all faces of the block)
+    dual = _spd_solve(Y[:, :, :per], face_measure[:, None, None] * np.eye(per),
+                      "face mass matrix")
+    moments = Y[:, :, per:per + n_k1].transpose(0, 2, 1) @ dual   # int_f m_a p_j
+    normal_moments = Y[:, :, per + n_k1:]
 
-    if not callable(nu) and np.asarray(nu).ndim == 0:
-        G_nu = float(nu) * G
-    else:
-        gvals = vec.evaluate(pts)                      # (np, nb, d)
-        nuv = _nu_at(nu, pts, d)                       # (np, d, d)
-        G_nu = np.einsum("q,qai,qij,qbj->ab", w, gvals, nuv, gvals, optimize=True)
-        G_nu = 0.5 * (G_nu + G_nu.T)
+    # polynomial bases and their Gram matrix (one stack over all cells)
+    H = H_full[:, :n_p, :n_p]
+    H_hash = H_full[:, 1:, :n_p]
+    H_k = H_full[:, :n_k, :n_k]
+    unit = gradient_basis(MonomialBasis(d, k, np.zeros(d), 1.0)).flat_coeffs()
+    grad = unit / np.array([geom.diameter for geom in geoms])[:, None, None]
+    C_all = np.concatenate([grad, oplus_coeffs(grad, H_k)], axis=1)
+    G = C_all @ vector_monomial_mass(H_k, d) @ C_all.transpose(0, 2, 1)
+    G = 0.5 * (G + G.transpose(0, 2, 1))
 
-    n_dof = layout.n_dof
-    nf = layout.n_face_total
+    # the DOF-dependent matrices, one stack per face count
+    out = [None] * m
+    for nf in np.unique(n_faces):
+        cells = np.flatnonzero(n_faces == nf)
+        layout = dof_layout(space, geoms[cells[0]])
+        mg, n_dof, nft = len(cells), layout.n_dof, layout.n_face_total
+        on_face = first[cells][:, None] + np.arange(nf)       # (mg, nf)
+        meas = measure[cells][:, None]
+        C, Gc = C_all[cells], G[cells]
 
-    W = np.zeros((n_p, n_dof))
-    for a in range(1, n_p):
-        W[a, nf + a - 1] = -geom.measure
-    B2 = np.zeros((n_grad, n_dof))
-    D = np.zeros((n_dof, d * n_k))
-    face_dual, face_bases = [], []
-    face_quad = quad_order
-    for i, face in enumerate(geom.faces):
-        fb = MonomialBasis(d - 1, k, np.zeros(d - 1), face.diameter)
-        fpts, fw = face.quadrature(face_quad)
-        fcoords = face.to_face_coords(fpts)
-        Ff = fb.evaluate(fcoords)
-        M_f = Ff.T @ (fw[:, None] * Ff)
-        dual = _spd_solve(M_f, np.eye(fb.size) * face.measure, "face mass matrix")
-        vol_at_f = basis_k1.evaluate(fpts)
-        moments = vol_at_f.T @ (fw[:, None] * (Ff @ dual))  # int_f m_a p_j
-        sl = layout.face_slice(i)
-        W[:, sl] = moments[:n_p, :]
-        B2[:, sl] = moments[1:, :]
-        gface = vec.evaluate(fpts) @ face.normal            # (npf, nb)
-        D[sl, :] = (Ff * fw[:, None]).T @ gface / face.measure
-        face_dual.append(dual)
-        face_bases.append(fb)
+        mom = moments[on_face].transpose(0, 2, 1, 3).reshape(mg, n_k1, nft)
+        W = np.zeros((mg, n_p, n_dof))
+        W[:, :, :nft] = mom[:, :n_p]
+        a = np.arange(1, n_p)
+        W[:, a, nft + a - 1] = -meas
+        V = _spd_solve(H[cells], W, "pressure mass matrix H")
 
-    V = _spd_solve(H, W, "pressure mass matrix H")
+        B = np.zeros((mg, d * n_k, n_dof))
+        B[:, :n_grad] = -H_hash[cells] @ V
+        B[:, :n_grad, :nft] += mom[:, 1:]
+        g = np.arange(layout.n_typeiii)
+        B[:, n_grad + g, nft + layout.n_typeii + g] = meas
 
-    B = np.zeros((d * n_k, n_dof))
-    B[:n_grad, :] = -H_hash @ V + B2
-    for g in range(layout.n_typeiii):
-        B[n_grad + g, nf + layout.n_typeii + g] = geom.measure
+        D = np.empty((mg, n_dof, d * n_k))
+        rows = normal_moments[on_face] @ C[:, None].transpose(0, 1, 3, 2)
+        D[:, :nft] = (rows / face_measure[on_face][:, :, None, None]).reshape(mg, nft, -1)
+        D[:, layout.typeii_slice] = Gc[:, :n_p - 1] / meas[:, :, None]
+        D[:, layout.typeiii_slice] = Gc[:, n_grad:] / meas[:, :, None]
 
-    D[layout.typeii_slice, :] = G[: n_p - 1, :] / geom.measure
-    D[layout.typeiii_slice, :] = G[n_grad:, :] / geom.measure
+        Pi0_hat = _spd_solve(Gc, B, "projector Gram matrix G")
+        Pi0_t = Pi0_hat.transpose(0, 2, 1)
+        K_a = Pi0_t @ (nu * Gc) @ Pi0_hat
+        R = np.eye(n_dof) - D @ Pi0_hat
+        K = np.zeros((mg, n_dof + n_p, n_dof + n_p))
+        K[:, :n_dof, :n_dof] = 0.5 * (K_a + K_a.transpose(0, 2, 1)) + \
+            (nu * meas)[:, :, None] * (R.transpose(0, 2, 1) @ R)
+        K[:, :n_dof, n_dof:] = -W.transpose(0, 2, 1)
+        K[:, n_dof:, :n_dof] = W
 
-    Pi0_hat = _spd_solve(G, B, "projector Gram matrix G")
-    Pi0 = D @ Pi0_hat
-
-    nu_bar = _nu_mean(nu, geom, quad_order)
-    K_a = Pi0_hat.T @ G_nu @ Pi0_hat
-    K_a = 0.5 * (K_a + K_a.T)
-    R = np.eye(n_dof) - Pi0
-    K_s = nu_bar * geom.measure * (R.T @ R)
-
-    K = np.zeros((n_dof + n_p, n_dof + n_p))
-    K[:n_dof, :n_dof] = K_a + K_s
-    K[:n_dof, n_dof:] = -W.T
-    K[n_dof:, :n_dof] = W
-
-    return LocalMatrixSet(
-        space=space, layout=layout, basis_p=basis_p, basis_k1=basis_k1,
-        vec_basis=vec, n_grad=n_grad, G=G, G_nu=G_nu, H=H, H_hash=H_hash,
-        W=W, V=V, B=B, D=D, Pi0_hat=Pi0_hat, Pi0=Pi0,
-        K_a=K_a, K_s=K_s, K=K, measure=geom.measure,
-        face_dual=face_dual, face_bases=face_bases)
+        for i, c in enumerate(cells):
+            geom = geoms[c]
+            xE, hE = np.asarray(geom.centroid, dtype=float), geom.diameter
+            out[c] = LocalMatrixSet(
+                space=space, layout=layout, basis_p=MonomialBasis(d, kg, xE, hE),
+                vec_basis=VectorPolyBasis(MonomialBasis(d, k, xE, hE),
+                                          C[i].reshape(-1, d, n_k)),
+                nu=nu, measure=geom.measure, G=G[c], H=H[c], H_hash=H_hash[c],
+                V=V[i], B=B[i], D=D[i], Pi0_hat=Pi0_hat[i], K=K[i],
+                face_dual=dual[first[c]:first[c] + nf], face_scale=scales[c])
+    return out
 
 
 @dataclass
@@ -331,6 +374,7 @@ def local_matrices_1d(space: ElementSpace, geom, nu=1.0, quad_order=None) -> Loc
     """Local matrices of the 1D element on a SegmentGeometry."""
     if space.dim != 1:
         raise ValueError("local_matrices_1d requires a 1D space")
+    nu = _positive_nu(nu)
     kg = space.grad_order
     layout = DofLayout(n_faces=2, per_face=1, n_typeii=kg, n_typeiii=0)
     L = geom.measure
@@ -358,18 +402,13 @@ def local_matrices_1d(space: ElementSpace, geom, nu=1.0, quad_order=None) -> Loc
     phi = np.linalg.solve(Vnd, np.eye(n_u))
 
     mass_u = vals_u.T @ (w[:, None] * vals_u)
-    if callable(nu):
-        nuv = np.array([np.atleast_1d(nu(p))[0] for p in pts], dtype=float)
-        mass_nu = vals_u.T @ ((w * nuv)[:, None] * vals_u)
-    else:
-        mass_nu = float(np.asarray(nu)) * mass_u
-    K_a = phi.T @ mass_nu @ phi
+    K_a = phi.T @ (nu * mass_u) @ phi
 
     H = vals_p.T @ (w[:, None] * vals_p)
     Du = basis_u.derivative_coeffs(0)      # u' coefficients in the degree-kg basis
     dphi = Du @ phi
     W = vals_p.T @ (w[:, None] * (vals_p @ dphi))
-    V = _spd_solve(H, W, "1D pressure mass matrix")
+    V = _spd_solve(H[None], W[None], "1D pressure mass matrix")[0]
 
     n_dof = n_u
     K = np.zeros((n_dof + basis_p.size, n_dof + basis_p.size))

@@ -8,12 +8,14 @@ triangulations only, so weights are guaranteed positive.
 
 Geometry is computed once.  A ``PolyhedronGeometry`` fits all its face
 planes in one batch, builds each face view (frame, 2D loop, triangulation)
-once from that fit, and keeps its centroid *cone* (the positively oriented tetrahedra joining the face
-triangles to the centroid, with their volumes); ``PolygonGeometry`` and the
-face views keep their triangulations.  No point array is kept per order:
-every ``quadrature(order)`` call maps the cached reference rule onto all
-tetrahedra or triangles in one batch and returns fresh arrays, so callers may
-modify them.  The objects are immutable once built;
+once from that fit, and keeps its centroid *cone* (the positively oriented
+tetrahedra joining the face triangles to the centroid, with their volumes)
+and its *face simplices* (all face triangles, in face and in space
+coordinates); ``PolygonGeometry`` keeps its triangulation and its edges as
+segments, and the face views their triangulations.  No point array is kept
+per order: every ``quadrature(order)`` or ``face_quadrature(order)`` call maps
+the cached reference rule onto all simplices in one batch and returns fresh
+arrays, so callers may modify them.  The objects are immutable once built;
 ``mesh.PolyMesh3D.cell_geometry`` hands the same object to every caller until
 the cell's faces or vertices change (see there).
 """
@@ -120,6 +122,13 @@ def _tet_ref_rule(order: int):
     return np.column_stack([l0, l1, l2, l3]), w
 
 
+@lru_cache(maxsize=None)
+def _segment_ref_rule(order: int):
+    """Gauss rule on the reference segment (barycentric, weights sum 1)."""
+    x, w = _gauss01(max(1, (order + 2) // 2))
+    return np.column_stack([1.0 - x, x]), w
+
+
 def triangle_quadrature(verts, order: int):
     """Quadrature on a triangle given by a (3, dim) vertex array."""
     verts = np.asarray(verts, dtype=float)
@@ -149,8 +158,20 @@ def _map_rule(bary, w, simplices, measures):
     ``simplices``, as a loop over ``triangle_quadrature``/``tet_quadrature``
     would concatenate them.
     """
-    pts = np.einsum("qk,mkd->mqd", bary, simplices).reshape(-1, simplices.shape[2])
+    pts = np.matmul(bary, simplices).reshape(-1, simplices.shape[2])
     return pts, (measures[:, None] * w[None, :]).ravel()
+
+
+def _face_quadrature(simplices, ref_rule):
+    """One reference rule mapped onto all face simplices of a cell (see
+    ``face_simplices``): face-frame coordinates (n, d-1), points in the
+    cell's coordinates (n, d), weights (n,) and the face of each point (n,),
+    face by face in face order."""
+    local, space, measures, face_of = simplices
+    bary, w = ref_rule
+    coords, wts = _map_rule(bary, w, local, measures)
+    pts = np.matmul(bary, space).reshape(-1, space.shape[2])
+    return coords, pts, wts, np.repeat(face_of, len(w))
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +453,7 @@ class PolygonGeometry:
         self.diameter = scale
         self._faces = None
         self._triangulation = None
+        self._face_simplices = None
 
     dim = 2
 
@@ -460,6 +482,23 @@ class PolygonGeometry:
         if self._triangulation is None:
             self._triangulation = _triangulation(self.coords)
         return _map_rule(*_triangle_ref_rule(order), *self._triangulation)
+
+    def face_simplices(self):
+        """Every edge as a segment: ends in its edge coordinate (e, 2, 1) and
+        in the polygon's frame (e, 2, 2), lengths (e,) and edge indices (e,)."""
+        if self._face_simplices is None:
+            faces = self.faces
+            ends = np.stack([self.coords, _next(self.coords)], axis=1)
+            tangents = np.array([f.frame_tangent for f in faces])
+            rel = ends - 0.5 * (ends[:, :1] + ends[:, 1:])
+            local = np.einsum("ekd,ed->ek", rel, tangents)[:, :, None]
+            lengths = np.array([f.measure for f in faces])
+            self._face_simplices = (local, ends, lengths, np.arange(len(faces)))
+        return self._face_simplices
+
+    def face_quadrature(self, order):
+        """Rules on all edges at once; see ``_face_quadrature``."""
+        return _face_quadrature(self.face_simplices(), _segment_ref_rule(order))
 
 
 @dataclass
@@ -566,6 +605,7 @@ class PolyhedronGeometry:
         self.diameter = scale
         self._faces = None
         self._cone = None
+        self._face_simplices = None
 
     dim = 3
 
@@ -580,6 +620,24 @@ class PolyhedronGeometry:
             self._faces = [_FaceView(*face) for face in
                            zip(self.face_loops, normals, means)]
         return self._faces
+
+    def face_simplices(self):
+        """Triangles of every face: in its face frame (t, 3, 2) and in space
+        (t, 3, 3), with areas (t,) and face indices (t,); built once."""
+        if self._face_simplices is None:
+            faces = self.faces
+            local = [face.triangulation[0] for face in faces]
+            self._face_simplices = (
+                np.concatenate(local),
+                np.concatenate([face.plane.to_3d(tri)
+                                for face, tri in zip(faces, local)]),
+                np.concatenate([face.triangulation[1] for face in faces]),
+                np.repeat(np.arange(len(faces)), [len(tri) for tri in local]))
+        return self._face_simplices
+
+    def face_quadrature(self, order):
+        """Rules on all faces at once; see ``_face_quadrature``."""
+        return _face_quadrature(self.face_simplices(), _triangle_ref_rule(order))
 
     def _volume_centroid(self):
         """Volume and centroid from signed tetrahedra (apex, face fan
@@ -615,18 +673,14 @@ class PolyhedronGeometry:
         apex = self.centroid
         d = self.diameter
         tol = geo_eps(d) * d ** 2
-        tris, orient = [], []
-        for face in self.faces:
-            # face 2D loops are CCW in the canonical frame; flip the cone sign
-            # when the canonical normal opposes the outward one
-            tri3d = face.plane.to_3d(face.triangulation[0])
-            tris.append(tri3d)
-            sign = 1.0 if face.plane.normal @ face.normal > 0 else -1.0
-            orient.append(np.full(len(tri3d), sign))
-        tris = np.concatenate(tris)
+        _, tris, _, face_of = self.face_simplices()
+        # face 2D loops are CCW in the canonical frame; flip the cone sign
+        # when the canonical normal opposes the outward one
+        orient = np.array([1.0 if face.plane.normal @ face.normal > 0 else -1.0
+                           for face in self.faces])
         raw = _dot_rows(_cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]),
                         apex - tris[:, 0]) / 6.0
-        v = -raw * np.concatenate(orient)
+        v = -raw * orient[face_of]
         if np.any(v < -tol):
             raise DegenerateGeometryError(
                 "cell not star-shaped w.r.t. centroid; cannot build a "

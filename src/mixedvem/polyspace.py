@@ -49,6 +49,32 @@ def _fixed_degree_lex(d, deg):
 
 
 @lru_cache(maxsize=None)
+def _exponent_array(d: int, k: int) -> np.ndarray:
+    return np.array(monomial_exponents(d, k)).reshape(-1, d)
+
+
+def monomials(xi, order: int) -> np.ndarray:
+    """Values of all monomials of degree <= order at scaled coordinates.
+
+    ``xi`` holds one point per row, already centered and scaled; the result
+    has shape (npts, dim_poly(d, order)) in graded-lex order.
+    """
+    n, d = xi.shape
+    exps = _exponent_array(d, order)
+    # powers[i, p] = xi[:, i] ** p, by repeated multiplication
+    powers = np.empty((d, order + 1, n))
+    powers[:, 0] = 1.0
+    if order > 0:
+        powers[:, 1] = xi.T
+    for p in range(2, order + 1):
+        powers[:, p] = powers[:, p - 1] * xi.T
+    vals = powers[0, exps[:, 0]]
+    for i in range(1, d):
+        vals = vals * powers[i, exps[:, i]]
+    return np.ascontiguousarray(vals.T)
+
+
+@lru_cache(maxsize=None)
 def _exponent_index(d: int, k: int):
     return {alpha: i for i, alpha in enumerate(monomial_exponents(d, k))}
 
@@ -77,15 +103,8 @@ class MonomialBasis:
     def evaluate(self, points) -> np.ndarray:
         """Values of all monomials at the given points, shape (npts, size)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        xi = (pts - np.asarray(self.center, dtype=float)) / self.scale
-        exps = np.array(self.exponents)  # (n, d)
-        # powers[i][p, q] = xi[q, i] ** p
-        maxp = int(exps.max()) if exps.size else 0
-        vals = np.ones((pts.shape[0], len(exps)))
-        for i in range(self.dim):
-            powers = np.vander(xi[:, i], maxp + 1, increasing=True)
-            vals *= powers[:, exps[:, i]]
-        return vals
+        return monomials((pts - np.asarray(self.center, dtype=float)) / self.scale,
+                         self.order)
 
     def derivative_coeffs(self, direction: int) -> np.ndarray:
         """Matrix mapping coefficients to d/dx_i coefficients (degree k-1 basis).
@@ -155,40 +174,41 @@ def gradient_basis(basis_k: MonomialBasis) -> VectorPolyBasis:
 
 
 def vector_monomial_mass(scalar_mass: np.ndarray, d: int) -> np.ndarray:
-    """Mass matrix of the canonical vector monomials (component-major)."""
-    return np.kron(np.eye(d), scalar_mass)
+    """Mass matrices of the canonical vector monomials (component-major):
+    ``d`` copies of each scalar mass matrix in a stack (..., n, n) on the
+    diagonal."""
+    n = scalar_mass.shape[-1]
+    out = np.zeros(scalar_mass.shape[:-2] + (d * n, d * n))
+    for i in range(d):
+        out[..., i * n:(i + 1) * n, i * n:(i + 1) * n] = scalar_mass
+    return out
 
 
-def oplus_basis(basis_k: MonomialBasis, scalar_mass: np.ndarray,
-                rel_tol: float = 1e-13) -> VectorPolyBasis:
+def oplus_coeffs(grad: np.ndarray, scalar_mass: np.ndarray,
+                 rel_tol: float = 1e-13) -> np.ndarray:
     """L2(E)-orthogonal complement of the gradient part inside degree-k vectors.
 
-    ``scalar_mass`` is the mass matrix of the degree-k scaled monomials on the
-    element.  Working in the metric of that mass matrix, the complement is
+    For a stack of m elements, ``grad`` (m, n_grad, d*n_k) holds each
+    element's gradient rows over the canonical vector monomials and
+    ``scalar_mass`` (m, n_k, n_k) the mass matrix of its degree-k scaled
+    monomials.  Working in the metric of that mass matrix, the complement is
     the span of the trailing right singular vectors of the gradient block, so
-    its dimension is fixed a priori and the returned entries are M-orthonormal
-    and M-orthogonal to every gradient entry to machine precision even on
-    badly shaped elements.
+    its dimension is fixed a priori and the returned rows (m, n_oplus,
+    d*n_k) are M-orthonormal and M-orthogonal to every gradient row to
+    machine precision even on badly shaped elements.
     """
-    d, k = basis_k.dim, basis_k.order
-    n_k = basis_k.size
-    n_full = d * n_k
-    n_grad = dim_poly(d, k + 1) - 1
-    n_oplus = n_full - n_grad
-    if n_oplus == 0:
-        return VectorPolyBasis(basis_k, np.zeros((0, d, n_k)))
-    C = gradient_basis(basis_k).flat_coeffs()  # (n_grad, n_full)
-    M = vector_monomial_mass(scalar_mass, d)
-    evals, evecs = np.linalg.eigh(0.5 * (M + M.T))
-    if evals[-1] <= 0:
+    m, n_grad, n_full = grad.shape
+    if n_full == n_grad:
+        return np.zeros((m, 0, n_full))
+    M = vector_monomial_mass(scalar_mass, n_full // scalar_mass.shape[-1])
+    evals, evecs = np.linalg.eigh(0.5 * (M + M.transpose(0, 2, 1)))
+    if np.any(evals[:, -1] <= 0):
         raise ConditioningError("monomial mass matrix not positive definite")
     evals = np.maximum(evals, 1e-300)
-    L = evecs * np.sqrt(evals)          # M = L L^T
-    Ct = C @ L
-    _, sv, Vt = np.linalg.svd(Ct)
-    if sv[n_grad - 1] <= rel_tol * sv[0]:
+    L = evecs * np.sqrt(evals)[:, None, :]          # M = L L^T
+    _, sv, Vt = np.linalg.svd(grad @ L)
+    if np.any(sv[:, n_grad - 1] <= rel_tol * sv[:, 0]):
         raise ConditioningError("orthogonal-complement construction rank deficient")
     # rows in original coefficients: w = w_tilde L^{-1}
-    Wt = Vt[n_grad:, :]
-    rows = np.linalg.solve(L.T, Wt.T).T
-    return VectorPolyBasis(basis_k, rows.reshape(n_oplus, d, n_k))
+    Wt = Vt[:, n_grad:, :]
+    return np.linalg.solve(L.transpose(0, 2, 1), Wt.transpose(0, 2, 1)).transpose(0, 2, 1)

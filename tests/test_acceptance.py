@@ -145,9 +145,10 @@ def test_criterion_4_identity_suite():
     for d in (2, 3):
         for k in range(4):
             rng = np.random.default_rng(7_000 + 10 * d + k)
-            for _ in range(n_per_case):
-                cell = _random_polygon(rng) if d == 2 else _random_polyhedron(rng)
-                loc = local_matrices(ElementSpace(d, k), cell, nu=1.3)
+            cells = [_random_polygon(rng) if d == 2 else _random_polyhedron(rng)
+                     for _ in range(n_per_case)]
+            # one batch per (d, k)
+            for loc in local_matrices(ElementSpace(d, k), cells, nu=1.3):
                 count += 1
                 gscale = np.abs(loc.G).max()
                 worst["BD"] = max(worst["BD"],

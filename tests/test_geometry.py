@@ -219,3 +219,20 @@ def test_quadrature_returns_fresh_arrays():
         pts2, w2 = cell.quadrature(2)
         assert np.all(w2 > 0)
         assert w2.sum() == pytest.approx(cell.measure, rel=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: geo.PolygonGeometry([[0, 0], [1.3, 0.1], [1.1, 1.2], [0.4, 1.5], [-0.2, 0.9]]),
+    lambda: geo.PolyhedronGeometry(unit_cube_faces((0, 0, 0), (1.1, 0.9, 1.3))),
+], ids=["pentagon", "box"])
+def test_face_quadrature_matches_face_by_face_rules(make):
+    poly = make()
+    coords, pts, w, face_of = poly.face_quadrature(5)
+    assert np.array_equal(np.unique(face_of), np.arange(poly.n_faces))
+    assert np.all(np.diff(face_of) >= 0)    # face by face, in face order
+    for i, face in enumerate(poly.faces):
+        fpts, fw = face.quadrature(5)
+        mine = face_of == i
+        assert np.allclose(pts[mine], fpts, rtol=0, atol=1e-14)
+        assert np.allclose(coords[mine], face.to_face_coords(fpts), rtol=0, atol=1e-14)
+        assert np.allclose(w[mine], fw, rtol=1e-14, atol=0)

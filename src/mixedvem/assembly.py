@@ -6,13 +6,17 @@ Global layout follows the dimension blocks
 
 with each domain block h = [flux dofs, pressure dofs].  Flux DOFs are shared
 across neighbouring cells (H(div) conformity) except on interfaces: a face
-on a fracture carries one DOF set per 3D side, an edge on a trace carries
-one set per fracture side, and a trace endpoint at a trace intersection one
-set per 1D side.  ``fill_block`` is the one routine that numbers every 2D
-and 3D block (and the standalone 1D/2D meshes): face DOFs in face order,
-then the interiors cell by cell, then the pressures; the ``_build_*_block``
-functions only name the faces, their users' signs and the interfaces.  The assembled matrix
-has the block skeleton
+on a fracture carries one DOF set per 3D side, an edge on a trace one set
+per fracture side, and a trace vertex at a trace intersection one DOF per
+1D side.  ``fill_block`` is the one routine that numbers every 1D, 2D and
+3D block (and the standalone 1D/2D meshes): face DOFs in face order, then
+the interiors cell by cell, then the pressures; the ``_build_*_block``
+functions only name the faces, their users' signs and the interfaces.  An
+interface or external face's DOF set is its cell's outward flux moments.
+Each interface set is recorded once, as an ``InterfaceSide`` in
+``GlobalDofMap.interfaces``; the couplings and the exchange fluxes of the
+flux report are loops over that list.  The assembled matrix has the block
+skeleton
 
     [ K3+C33   C32     0      0  ]
     [ -C32^T  K2+C22  C21     0  ]
@@ -41,6 +45,9 @@ from .errors import ConfigError
 from .mesh import MixedDimensionalMesh, field_values
 from .polyspace import MonomialBasis, dim_poly
 
+# an intersection's one pressure: the constant, in physical coordinates
+POINT_BASIS = MonomialBasis(3, 0, np.zeros(3), 1.0)
+
 
 def _same_points(ci, pts):
     return pts
@@ -53,6 +60,7 @@ class DomainBlock:
     ``point_map(ci, pts)`` maps cell ``ci``'s quadrature points (in the
     coordinates its geometry uses) to physical (n, 3) points; ``frame`` holds
     the domain's orthonormal tangent directions as (dim, 3) rows (None in 3D).
+    ``bases_p`` holds each cell's pressure monomials in those coordinates.
     """
 
     dim: int
@@ -65,6 +73,7 @@ class DomainBlock:
     cell_u_dofs: list = field(default_factory=list)    # global flux dof ids
     cell_u_signs: list = field(default_factory=list)   # local-outward = sign*global
     cell_p_dofs: list = field(default_factory=list)
+    bases_p: list = field(default_factory=list)
     nu: object = 1.0
     source: object = 0.0
     # (cell, local face/edge/endpoint, bc) for external boundary parts
@@ -87,6 +96,14 @@ class DomainBlock:
         self.point_map = lambda ci, pts: geoms[ci].centroid + pts[:, :1] * tangent
         self.frame = tangent[None, :]
 
+    def local_coords(self, ci, phys):
+        """Cell ``ci``'s coordinates of physical (n, 3) points: the inverse
+        of ``point_map``."""
+        if self.frame is None:
+            return phys
+        origin = self.point_map(ci, np.zeros((1, len(self.frame))))
+        return (phys - origin) @ self.frame.T
+
     @property
     def n_dof(self):
         return self.n_u + self.n_p
@@ -101,6 +118,21 @@ class DomainBlock:
 
 
 @dataclass
+class InterfaceSide:
+    """One flux-DOF set on an interface: the face ``face`` of cell ``cell`` of
+    the upper block, against cell ``lower_cell`` of the block one dimension
+    down.  ``dofs`` are the set's global ids, the outward flux moments."""
+
+    upper: tuple
+    cell: int
+    face: int
+    dofs: np.ndarray
+    lower: tuple
+    lower_cell: int
+    inverse_eta: float
+
+
+@dataclass
 class GlobalDofMap:
     """DOF numbering with interface duplication plus per-domain blocks."""
 
@@ -109,23 +141,10 @@ class GlobalDofMap:
     order: int
     family3d: str
     trace_flow: bool
-    # registries used by the coupling assembly and post-processing
-    face_dofs: dict = field(default_factory=dict)     # (fid, cid) -> ids
-    face_signs: dict = field(default_factory=dict)    # (fid, cid) -> +-1
-    edge_dofs: dict = field(default_factory=dict)     # (frac, ekey, ci) -> ids
-    edge_signs: dict = field(default_factory=dict)
-    vertex_dofs: dict = field(default_factory=dict)   # (trace, vid, ci) -> id
-    local_face: dict = field(default_factory=dict)    # (fid, cid) -> cell face index
+    interfaces: list = field(default_factory=list)   # InterfaceSide records
 
     def block(self, dim, index=0):
         return self.blocks[(dim, index)]
-
-    def vertex_dof(self, trace, vid, ci):
-        """Block-local flux DOF of trace vertex ``vid`` seen from 1D cell
-        ``ci``: the cell's own DOF at a duplicated endpoint, else the shared
-        one."""
-        key = (trace, vid, ci)
-        return self.vertex_dofs[key if key in self.vertex_dofs else (trace, vid, None)]
 
     def space(self, dim) -> ElementSpace:
         if dim == 3:
@@ -164,10 +183,10 @@ def build_dof_map(md: MixedDimensionalMesh, order: int, family3d: str = "RT",
         offset = _build_1d_block(dm, md, tm, offset, quad_order)
     if trace_flow:
         for ip in md.intersections:
-            blk = DomainBlock(dim=0, index=ip.index, offset=offset, n_u=0, n_p=1)
-            idata = md.spec.intersection_data(ip.index)
-            blk.source = idata.source
-            dm.blocks[(0, ip.index)] = blk
+            dm.blocks[(0, ip.index)] = DomainBlock(
+                dim=0, index=ip.index, offset=offset, n_p=1,
+                cell_p_dofs=[np.array([offset])], bases_p=[POINT_BASIS],
+                source=md.spec.intersection_data(ip.index).source)
             offset += 1
     dm.total = offset
     return dm
@@ -206,6 +225,7 @@ def fill_block(blk, space, geoms, face_users, split, quad_order):
         faces = [slots[ci][lf] for lf in range(len(slots[ci]))]
         blk.geoms.append(geom)
         blk.locals_.append(loc)
+        blk.bases_p.append(loc.basis_p)
         blk.cell_u_dofs.append(blk.offset + np.concatenate(
             [ids for ids, _ in faces] + [np.arange(next_u, next_u + n_int)]))
         blk.cell_u_signs.append(np.concatenate(
@@ -219,6 +239,16 @@ def fill_block(blk, space, geoms, face_users, split, quad_order):
     return dofs
 
 
+def _add_interfaces(dm, blk, face_users, dofs, lower):
+    """One ``InterfaceSide`` per user of each interface key; ``lower`` maps
+    the key to (lower block key, lower cell, inverse_eta)."""
+    for key, (low, lower_cell, inverse_eta) in lower.items():
+        for ci, lf, _ in face_users[key]:
+            dm.interfaces.append(InterfaceSide(
+                (blk.dim, blk.index), ci, lf, blk.offset + dofs[(key, ci)][0],
+                low, lower_cell, inverse_eta))
+
+
 def _build_3d_block(dm, md, offset, quad_order):
     """Faces in fid order; fracture faces are the interfaces."""
     mesh = md.mesh3d
@@ -230,22 +260,20 @@ def _build_3d_block(dm, md, offset, quad_order):
     users = {fid: [] for fid in sorted(mesh.faces)}
     for ci, cid in enumerate(cids):
         for lf, (fid, s) in enumerate(mesh.cells[cid]):
-            dm.local_face[(fid, cid)] = lf
             users[fid].append((ci, lf, s))
-    split = {fid for fid in users if mesh.face_fracture.get(fid) is not None}
+    lower = {cell.face_id: ((2, fm.index), ci2, fm.spec.inverse_eta2)
+             for fm in md.fractures for ci2, cell in enumerate(fm.cells)}
     for fid, owners in users.items():
-        if len(owners) == 2 and fid not in split:
+        if len(owners) == 2 and fid not in lower:
             # the face loop's own normal, as seen by its positive owner
             ci, lf, s = max(owners, key=lambda owner: owner[2])
             intrinsic = s * geoms[ci].faces[lf].normal
             canon = 1 if tuple(intrinsic) > tuple(-intrinsic) else -1
             users[fid] = [(ci, lf, s * canon) for ci, lf, s in owners]
 
-    dofs = fill_block(blk, dm.space(3), geoms, users, split,
+    dofs = fill_block(blk, dm.space(3), geoms, users, lower,
                       _local_quad_order(dm.order, quad_order))
-    for (fid, ci), (ids, sign) in dofs.items():
-        dm.face_dofs[(fid, cids[ci])] = ids
-        dm.face_signs[(fid, cids[ci])] = sign
+    _add_interfaces(dm, blk, users, dofs, lower)
     for ci, cid in enumerate(cids):
         for lf, (fid, _) in enumerate(mesh.cells[cid]):
             if len(users[fid]) == 1:
@@ -276,13 +304,14 @@ def _build_2d_block(dm, md, fm, offset, quad_order):
                 (ci, k, 1 if tuple(ta) > tuple(-ta) else -1))
         cell_edges.append(keys)
     kind = {key: fm.edge_class.get(key, ("interior",))[0] for key in users}
-    split = {key for key in users if kind[key] == "trace"}
+    lower = {tuple(sorted((cell.vid_a, cell.vid_b))):
+             ((1, tm.index), ci1, md.spec.trace_data(tm.index).inverse_eta1)
+             for tm in md.traces if fm.index in tm.fractures
+             for ci1, cell in enumerate(tm.cells)}
 
     dofs = fill_block(blk, dm.space(2), [cell.geometry for cell in fm.cells],
-                      users, split, _local_quad_order(dm.order, quad_order))
-    for (key, ci), (ids, sign) in dofs.items():
-        dm.edge_dofs[(fm.index, key, ci)] = ids
-        dm.edge_signs[(fm.index, key, ci)] = sign
+                      users, lower, _local_quad_order(dm.order, quad_order))
+    _add_interfaces(dm, blk, users, dofs, lower)
     for ci, keys in enumerate(cell_edges):
         for k, key in enumerate(keys):
             if kind[key] == "external":
@@ -294,87 +323,52 @@ def _build_2d_block(dm, md, fm, offset, quad_order):
 
 
 def _build_1d_block(dm, md, tm, offset, quad_order):
+    """Vertices in order of first use, seen with the sign of the +tangent
+    flux; trace intersections are the interfaces, external extremes take
+    boundary data and tip extremes carry no flow."""
     space = dm.space(1)
     blk = DomainBlock(dim=1, index=tm.index, offset=offset)
     tdata = md.spec.trace_data(tm.index)
     blk.nu = 1.0 / tdata.a1
     blk.source = tdata.source
     blk.place_on_line(tm.tangent)
+    geoms = [cell.geometry for cell in tm.cells]
 
     if not dm.trace_flow:
         # multiplier-only block: no 1D flux, one multiplier per pressure dof
         n_p_cell = dim_poly(1, space.grad_order)
-        blk.n_u = 0
-        blk.n_p = n_p_cell * len(tm.cells)
-        for ci, cell in enumerate(tm.cells):
-            blk.geoms.append(cell.geometry)
+        blk.n_p = n_p_cell * len(geoms)
+        for ci, geom in enumerate(geoms):
+            blk.geoms.append(geom)
             blk.locals_.append(None)
+            blk.bases_p.append(MonomialBasis(1, space.grad_order, np.zeros(1),
+                                             geom.measure))
             blk.cell_u_dofs.append(np.zeros(0, dtype=int))
             blk.cell_u_signs.append(np.zeros(0))
             blk.cell_p_dofs.append(offset + n_p_cell * ci + np.arange(n_p_cell))
         dm.blocks[(1, tm.index)] = blk
         return offset + blk.n_dof
 
-    # duplicated endpoints at trace intersections
-    duplicated = {}
-    for ip in md.intersections:
-        for s in ip.sides:
-            if s.trace == tm.index:
-                duplicated.setdefault(ip.vid, []).append((s.cell_index, s.endpoint))
-
-    next_u = 0
+    users = {}
     for ci, cell in enumerate(tm.cells):
-        for endpoint, vid in ((0, cell.vid_a), (1, cell.vid_b)):
-            if vid in duplicated and (ci, endpoint) in duplicated[vid]:
-                dm.vertex_dofs[(tm.index, vid, ci)] = next_u
-                next_u += 1
-            elif (tm.index, vid, None) not in dm.vertex_dofs:
-                dm.vertex_dofs[(tm.index, vid, None)] = next_u
-                next_u += 1
-    n_ii = space.grad_order  # interior gradient moments per cell
-    interior_of = {}
-    for ci in range(len(tm.cells)):
-        interior_of[ci] = np.arange(next_u, next_u + n_ii)
-        next_u += n_ii
-    blk.n_u = next_u
-    n_p_cell = dim_poly(1, space.grad_order)
-    blk.n_p = n_p_cell * len(tm.cells)
+        users.setdefault(cell.vid_a, []).append((ci, 0, -1))
+        users.setdefault(cell.vid_b, []).append((ci, 1, 1))
+    lower = {ip.vid: ((0, ip.index), 0,
+                      md.spec.intersection_data(ip.index).inverse_eta0)
+             for ip in md.intersections
+             if any(s.trace == tm.index for s in ip.sides)}
 
-    qo = quad_order
-    for ci, cell in enumerate(tm.cells):
-        geom = cell.geometry
-        blk.geoms.append(geom)
-        blk.locals_.append(local_matrices_1d(space, geom, nu=blk.nu, quad_order=qo))
-        ids, sgn = [], []
-        for endpoint, vid in ((0, cell.vid_a), (1, cell.vid_b)):
-            ids.append(dm.vertex_dof(tm.index, vid, ci))
-            # global convention: flux value along +tangent; outward at the
-            # start of a cell is the -tangent direction
-            sgn.append(-1.0 if endpoint == 0 else 1.0)
-        blk.cell_u_dofs.append(offset + np.concatenate(
-            [np.array(ids, dtype=int), interior_of[ci]]))
-        blk.cell_u_signs.append(np.concatenate([np.array(sgn), np.ones(n_ii)]))
-        blk.cell_p_dofs.append(offset + blk.n_u + n_p_cell * ci + np.arange(n_p_cell))
-
-    # external / tip endpoints (the extreme vertices not at intersections)
-    for endpoint_vid, ci, endpoint in _trace_extremes(tm):
-        if (tm.index, endpoint_vid, ci) in dm.vertex_dofs:
-            continue  # duplicated: intersection side, no external BC
-        kind = tm.endpoint_class.get(endpoint_vid, "tip")
-        if kind == "intersection":
-            continue
-        if kind == "external":
-            blk.boundary.append((ci, endpoint, endpoint_vid, None))
-        else:
-            dof = offset + dm.vertex_dof(tm.index, endpoint_vid, ci)
-            blk.constrained.append(int(dof))
+    dofs = fill_block(blk, space, geoms, users, lower, quad_order)
+    _add_interfaces(dm, blk, users, dofs, lower)
+    for vid, owners in users.items():
+        if len(owners) == 1 and vid not in lower:
+            ci, end, _ = owners[0]
+            if tm.endpoint_class.get(vid, "tip") == "external":
+                blk.boundary.append((ci, end, vid, None))
+            else:
+                blk.constrained.extend(int(v) for v in offset + dofs[(vid, ci)][0])
     dm.blocks[(1, tm.index)] = blk
     return offset + blk.n_dof
-
-
-def _trace_extremes(tm):
-    first, last = tm.cells[0], tm.cells[-1]
-    return [(first.vid_a, 0, 0), (last.vid_b, len(tm.cells) - 1, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -440,127 +434,47 @@ def assemble_dimension(dm: GlobalDofMap, dim: int) -> _Coo:
     return coo
 
 
-def assemble_coupling_same_dim(dm: GlobalDofMap, md, dim: int, coo: _Coo,
-                               quad_order=None):
-    """(1/eta) face/edge/point mass terms on duplicated interface DOFs.
+def face_rule(blk, ci, lf, qo):
+    """Points (in cell ``ci``'s coordinates), weights and face-DOF dual values
+    of a degree-``qo`` rule on face ``lf``; a 1D cell's face is its endpoint,
+    with unit weight and dual value."""
+    loc = blk.locals_[ci]
+    if blk.dim == 1:
+        return np.array([[(lf - 0.5) * loc.measure]]), np.ones(1), np.ones((1, 1))
+    face = blk.geoms[ci].faces[lf]
+    pts, w = face.quadrature(qo)
+    return pts, w, loc.face_dual_values(lf, face.to_face_coords(pts))
+
+
+def assemble_coupling_same_dim(dm: GlobalDofMap, coo: _Coo):
+    """(1/eta) face mass terms on the interface sides' flux DOFs.
 
     A finite normal transmissivity penalizes inter-dimensional exchange: the
     term enters the flux rows with a positive (dissipative) sign, so the flux
     block stays positive definite and any nonzero exchange costs a pressure
     drop proportional to 1/eta.  It vanishes identically when inverse_eta = 0.
     """
-    qo = _local_quad_order(dm.order, quad_order)
-    if dim == 3:
-        blk3 = dm.block(3)
-        for fm in md.fractures:
-            inv_eta = fm.spec.inverse_eta2
-            if inv_eta == 0.0:
-                continue
-            for cell in fm.cells:
-                for cid in (cell.cell_plus, cell.cell_minus):
-                    ci3 = blk3.cell_index_of[cid]
-                    loc = blk3.locals_[ci3]
-                    lf = dm.local_face[(cell.face_id, cid)]
-                    face = blk3.geoms[ci3].faces[lf]
-                    fpts, fw = face.quadrature(qo)
-                    vals = loc.face_dual_values(lf, face.to_face_coords(fpts))
-                    N = vals.T @ (fw[:, None] * vals)
-                    ids = blk3.offset + dm.face_dofs[(cell.face_id, cid)]
-                    coo.add(ids, ids, inv_eta * N)
-    elif dim == 2:
-        for tm in md.traces:
-            inv_eta = md.spec.trace_data(tm.index).inverse_eta1
-            if inv_eta == 0.0:
-                continue
-            for cell in tm.cells:
-                for l, sides in cell.sides.items():
-                    blk2 = dm.block(2, l)
-                    for side in sides:
-                        loc = blk2.locals_[side.cell_index]
-                        edge = blk2.geoms[side.cell_index].faces[side.local_edge]
-                        epts, ew = edge.quadrature(qo)
-                        vals = loc.face_dual_values(side.local_edge,
-                                                    edge.to_face_coords(epts))
-                        N = vals.T @ (ew[:, None] * vals)
-                        key = tuple(sorted((cell.vid_a, cell.vid_b)))
-                        ids = blk2.offset + dm.edge_dofs[(l, key, side.cell_index)]
-                        coo.add(ids, ids, inv_eta * N)
-    elif dim == 1:
-        for ip in md.intersections:
-            inv_eta = md.spec.intersection_data(ip.index).inverse_eta0
-            if inv_eta == 0.0:
-                continue
-            for s in ip.sides:
-                tm = md.traces[s.trace]
-                blk1 = dm.block(1, s.trace)
-                cell = tm.cells[s.cell_index]
-                vid = cell.vid_a if s.endpoint == 0 else cell.vid_b
-                dof = blk1.offset + dm.vertex_dof(s.trace, vid, s.cell_index)
-                coo.add([dof], [dof], [[inv_eta]])
+    qo = 2 * (dm.order + 2)
+    for side in dm.interfaces:
+        if side.inverse_eta != 0.0:
+            _, w, dual = face_rule(dm.blocks[side.upper], side.cell, side.face, qo)
+            coo.add(side.dofs, side.dofs,
+                    side.inverse_eta * (dual.T @ (w[:, None] * dual)))
 
 
-def assemble_coupling_cross_dim(dm: GlobalDofMap, md, dim: int, coo: _Coo,
-                                quad_order=None):
-    """Pair dim-flux jumps with (dim-1)-pressures: +C and -C^T blocks."""
-    qo = _local_quad_order(dm.order + 1, quad_order)
-    if dim == 3:
-        blk3 = dm.block(3)
-        for fm in md.fractures:
-            blk2 = dm.block(2, fm.index)
-            for ci2, cell in enumerate(fm.cells):
-                loc2 = blk2.locals_[ci2]
-                p2 = blk2.cell_p_dofs[ci2]
-                for cid in (cell.cell_plus, cell.cell_minus):
-                    ci3 = blk3.cell_index_of[cid]
-                    loc3 = blk3.locals_[ci3]
-                    lf = dm.local_face[(cell.face_id, cid)]
-                    face = blk3.geoms[ci3].faces[lf]
-                    fpts, fw = face.quadrature(qo)
-                    dual = loc3.face_dual_values(lf, face.to_face_coords(fpts))
-                    mu = loc2.basis_p.evaluate(fm.plane.to_2d(fpts))
-                    C = dual.T @ (fw[:, None] * mu)       # (per_face, n_p2)
-                    u3 = blk3.offset + dm.face_dofs[(cell.face_id, cid)]
-                    coo.add(u3, p2, C)
-                    coo.add(p2, u3, -C.T)
-    elif dim == 2:
-        for tm in md.traces:
-            blk1 = dm.block(1, tm.index)
-            for ci1, cell in enumerate(tm.cells):
-                p1 = blk1.cell_p_dofs[ci1]
-                mid = 0.5 * (cell.s_a + cell.s_b)
-                L = cell.s_b - cell.s_a
-                basis_p1 = MonomialBasis(1, dm.space(1).grad_order, np.zeros(1), L)
-                key = tuple(sorted((cell.vid_a, cell.vid_b)))
-                for l, sides in cell.sides.items():
-                    blk2 = dm.block(2, l)
-                    fm = md.fractures[l]
-                    for side in sides:
-                        loc2 = blk2.locals_[side.cell_index]
-                        edge = blk2.geoms[side.cell_index].faces[side.local_edge]
-                        epts, ew = edge.quadrature(qo)
-                        dual = loc2.face_dual_values(side.local_edge,
-                                                     edge.to_face_coords(epts))
-                        pts3 = fm.plane.to_3d(epts)
-                        s_par = (pts3 - tm.p0) @ tm.tangent - mid
-                        mu = basis_p1.evaluate(s_par[:, None])
-                        C = dual.T @ (ew[:, None] * mu)
-                        u2 = blk2.offset + dm.edge_dofs[(l, key, side.cell_index)]
-                        coo.add(u2, p1, C)
-                        coo.add(p1, u2, -C.T)
-    elif dim == 1:
-        for ip in md.intersections:
-            blk0 = dm.block(0, ip.index)
-            p0 = [blk0.offset]
-            for s in ip.sides:
-                tm = md.traces[s.trace]
-                blk1 = dm.block(1, s.trace)
-                cell = tm.cells[s.cell_index]
-                vid = cell.vid_a if s.endpoint == 0 else cell.vid_b
-                dof = blk1.offset + dm.vertex_dof(s.trace, vid, s.cell_index)
-                # outward flux at the endpoint in global (+tangent) convention
-                val = s.outward_tangent
-                coo.add([dof], p0, [[val]])
-                coo.add(p0, [dof], [[-val]])
+def assemble_coupling_cross_dim(dm: GlobalDofMap, coo: _Coo):
+    """Pair each interface side's outward flux with the pressures of its
+    lower cell: +C and -C^T blocks."""
+    qo = 2 * (dm.order + 2)
+    for side in dm.interfaces:
+        upper, lower = dm.blocks[side.upper], dm.blocks[side.lower]
+        pts, w, dual = face_rule(upper, side.cell, side.face, qo)
+        lc = side.lower_cell
+        phys = upper.point_map(side.cell, pts)
+        mu = lower.bases_p[lc].evaluate(lower.local_coords(lc, phys))
+        C = dual.T @ (w[:, None] * mu)
+        coo.add(side.dofs, lower.cell_p_dofs[lc], C)
+        coo.add(lower.cell_p_dofs[lc], side.dofs, -C.T)
 
 
 def assemble_rhs(dm: GlobalDofMap, md) -> np.ndarray:
@@ -597,11 +511,8 @@ def assemble_complete(md: MixedDimensionalMesh, order: int, family3d="RT",
         coo.rows += part.rows
         coo.cols += part.cols
         coo.vals += part.vals
-        assemble_coupling_same_dim(dm, md, d, coo)
-    assemble_coupling_cross_dim(dm, md, 3, coo)
-    assemble_coupling_cross_dim(dm, md, 2, coo)
-    if trace_flow:
-        assemble_coupling_cross_dim(dm, md, 1, coo)
+    assemble_coupling_same_dim(dm, coo)
+    assemble_coupling_cross_dim(dm, coo)
     rhs = assemble_rhs(dm, md)
     return GlobalSystem(matrix=coo.matrix(dm.total), rhs=rhs, dofmap=dm, md=md)
 
@@ -671,15 +582,7 @@ def apply_boundary_conditions(system: GlobalSystem) -> GlobalSystem:
 def add_dirichlet_load(rhs, blk, ci, lf, bc, quad_order):
     """Add the pressure datum's moments on external face ``lf`` of cell ``ci``
     to the flux rows of ``rhs``."""
-    loc = blk.locals_[ci]
-    sl = loc.layout.face_slice(lf)
-    if blk.dim == 1:
-        # an endpoint: the datum itself, at arc length -+ L/2
-        pts = np.array([[(lf - 0.5) * loc.measure]])
-        w, dual = np.ones(1), np.ones((1, 1))
-    else:
-        face = blk.geoms[ci].faces[lf]
-        pts, w = face.quadrature(quad_order)
-        dual = loc.face_dual_values(lf, face.to_face_coords(pts))
+    sl = blk.locals_[ci].layout.face_slice(lf)
+    pts, w, dual = face_rule(blk, ci, lf, quad_order)
     g = bc.datum(blk.point_map(ci, pts))
     rhs[blk.cell_u_dofs[ci][sl]] -= blk.cell_u_signs[ci][sl] * (dual.T @ (w * g))

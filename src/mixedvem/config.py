@@ -18,10 +18,8 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError
-from .mesh import (BoundaryCondition, FractureSpec, IntersectionData,
+from .mesh import (BOX_TAGS, BoundaryCondition, FractureSpec, IntersectionData,
                    NetworkSpec, TraceData, box_mesh, read_mesh)
-
-BOX_TAGS = ["xmin", "xmax", "ymin", "ymax", "zmin", "zmax"]
 
 
 def _parse_eta(value):

@@ -335,8 +335,11 @@ class PolyMesh3D:
                 self.boundary_tags.pop(fid, None)
 
 
+BOX_TAGS = ["xmin", "xmax", "ymin", "ymax", "zmin", "zmax"]
+
+
 def box_mesh(lo, hi, subdivisions) -> PolyMesh3D:
-    """Axis-aligned box grid with boundary faces tagged xmin..zmax."""
+    """Axis-aligned box grid with its boundary faces tagged by ``BOX_TAGS``."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     nx, ny, nz = subdivisions
@@ -933,7 +936,6 @@ class IntersectionSide:
     trace: int
     cell_index: int        # index into TraceMesh.cells
     endpoint: int          # 0 = cell start, 1 = cell end
-    outward_tangent: float  # +-1, outward direction in trace parameter
 
 
 @dataclass
@@ -1218,11 +1220,9 @@ def extract_lower_meshes(mesh: PolyMesh3D, spec: NetworkSpec, eps=None):
                 continue
             for ci, cell in enumerate(tm.cells):
                 if abs(cell.s_b - s) <= eps:
-                    sides.append(IntersectionSide(trace=t, cell_index=ci,
-                                                  endpoint=1, outward_tangent=+1.0))
+                    sides.append(IntersectionSide(trace=t, cell_index=ci, endpoint=1))
                 elif abs(cell.s_a - s) <= eps:
-                    sides.append(IntersectionSide(trace=t, cell_index=ci,
-                                                  endpoint=0, outward_tangent=-1.0))
+                    sides.append(IntersectionSide(trace=t, cell_index=ci, endpoint=0))
         if not sides:
             raise ConformityError("intersection point touches no trace cell")
         for s in sides:

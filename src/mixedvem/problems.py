@@ -22,13 +22,11 @@ import numpy as np
 from .assembly import apply_boundary_conditions, assemble_complete
 from .elements import ElementSpace
 from .errors import ConfigError
-from .mesh import (BoundaryCondition, FractureSpec, IntersectionData,
+from .mesh import (BOX_TAGS, BoundaryCondition, FractureSpec, IntersectionData,
                    NetworkSpec, TraceData, box_mesh, cut_background_mesh)
 from .solver import (ExactFields, boundary_face_fluxes, error_norms,
                      flux_report, relative_errors, solve)
 from .standalone import interval_mesh, solve_single_domain, unit_square_mesh
-
-BOX_TAGS = ["xmin", "xmax", "ymin", "ymax", "zmin", "zmax"]
 
 
 def list_builtins():
@@ -107,9 +105,8 @@ class BenchmarkCase:
     order: int
     family3d: str
 
-    def solve(self, trace_flow=True, tol=1e-10):
-        system = assemble_complete(self.md, self.order, family3d=self.family3d,
-                                   trace_flow=trace_flow)
+    def solve(self, tol=1e-10):
+        system = assemble_complete(self.md, self.order, family3d=self.family3d)
         apply_boundary_conditions(system)
         return solve(system, tol=tol)
 

@@ -266,7 +266,7 @@ class ExactFields:
     divergence: object
 
 
-def error_norms(sol: DiscreteSolution, exact: dict, quad_order=None):
+def error_norms(sol: DiscreteSolution, exact: dict):
     """L2 errors (e_p, e_u, e_div) per domain and aggregated.
 
     ``exact`` maps (dim, index) -> ExactFields; domains without an entry are
@@ -274,7 +274,7 @@ def error_norms(sol: DiscreteSolution, exact: dict, quad_order=None):
     errors and exact norms, plus an "aggregate" entry.
     """
     dm = sol.dofmap
-    qo = quad_order if quad_order is not None else 2 * (dm.order + 2)
+    qo = 2 * (dm.order + 2)
     out = {}
     agg = np.zeros(6)
     for key, blk in dm.blocks.items():
@@ -387,7 +387,7 @@ class FluxReport:
             for key, e in sorted(self.entities.items()):
                 name = _entity_name(key)
                 fh.write(f"{name} BC {e.bc_flux:.12e}\n")
-                fh.write(f"{name} S {(-(self.entities[key].source)):.12e}\n")
+                fh.write(f"{name} S {-e.source:.12e}\n")
                 fh.write(f"{name} DIV {e.divergence:.12e}\n")
                 for tgt, v in sorted(e.sent.items()):
                     fh.write(f"{name} {_entity_name(tgt)} {v:.12e}\n")
@@ -399,18 +399,19 @@ def _entity_name(key):
             0: f"intersection_{i}"}[d]
 
 
+def face_flux(sol: DiscreteSolution, blk, ci, lf) -> float:
+    """Outward flux through face ``lf`` of cell ``ci``: the lowest face moment
+    times its sign times the face measure (an endpoint of a 1D cell has unit
+    measure)."""
+    j = blk.locals_[ci].layout.face_slice(lf).start
+    measure = blk.geoms[ci].faces[lf].measure if blk.dim > 1 else 1.0
+    return float(blk.cell_u_signs[ci][j] * sol.x[blk.cell_u_dofs[ci][j]]) * measure
+
+
 def boundary_face_fluxes(sol: DiscreteSolution, blk) -> list:
     """Outward flux through each boundary face of a block, in the order of
-    ``blk.boundary``: the lowest face moment times its sign times the face
-    measure (an endpoint of a 1D cell has unit measure)."""
-    per = sol.dofmap.space(blk.dim).n_face_dofs()
-    out = []
-    for ci, lf, *_ in blk.boundary:
-        j = lf * per
-        measure = blk.geoms[ci].faces[lf].measure if blk.dim > 1 else 1.0
-        out.append(float(blk.cell_u_signs[ci][j] * sol.x[blk.cell_u_dofs[ci][j]])
-                   * measure)
-    return out
+    ``blk.boundary``."""
+    return [face_flux(sol, blk, ci, lf) for ci, lf, *_ in blk.boundary]
 
 
 def flux_report(sol: DiscreteSolution) -> FluxReport:
@@ -441,45 +442,13 @@ def flux_report(sol: DiscreteSolution) -> FluxReport:
                 pts, w = geom.quadrature(qo)
                 e.source += float(np.sum(w * field_values(src, blk.point_map(ci, pts))))
 
-    # interface exchanges: first face moments of the duplicated DOF sets
-    blk3 = dm.block(3)
-    per3 = dm.space(3).n_face_dofs()
-    for fm in md.fractures:
-        total = 0.0
-        for cell in fm.cells:
-            area = cell.geometry.measure
-            for cid in (cell.cell_plus, cell.cell_minus):
-                dof0 = blk3.offset + dm.face_dofs[(cell.face_id, cid)][0]
-                total += float(sol.x[dof0]) * area
-        entities[(3, 0)].sent[(2, fm.index)] = total
-        entities[(2, fm.index)].received[(3, 0)] = total
-    per2 = dm.space(2).n_face_dofs()
-    for tm in md.traces:
-        for l in tm.fractures:
-            total = 0.0
-            blk2 = dm.block(2, l)
-            for cell in tm.cells:
-                key_e = tuple(sorted((cell.vid_a, cell.vid_b)))
-                if l not in cell.sides:
-                    continue
-                for side in cell.sides[l]:
-                    dof0 = blk2.offset + dm.edge_dofs[(l, key_e, side.cell_index)][0]
-                    total += float(sol.x[dof0]) * cell.geometry.measure
-            entities[(2, l)].sent[(1, tm.index)] = total
-            entities[(1, tm.index)].received[(2, l)] = total
+    # interface exchanges: the outward flux of every interface side
+    for side in dm.interfaces:
+        flux = face_flux(sol, dm.blocks[side.upper], side.cell, side.face)
+        sent, received = entities[side.upper].sent, entities[side.lower].received
+        sent[side.lower] = sent.get(side.lower, 0.0) + flux
+        received[side.upper] = received.get(side.upper, 0.0) + flux
     if dm.trace_flow:
-        for ip in md.intersections:
-            for s in ip.sides:
-                tm = md.traces[s.trace]
-                blk1 = dm.block(1, s.trace)
-                cell = tm.cells[s.cell_index]
-                vid = cell.vid_a if s.endpoint == 0 else cell.vid_b
-                dof = blk1.offset + dm.vertex_dof(s.trace, vid, s.cell_index)
-                val = float(s.outward_tangent * sol.x[dof])
-                ent = entities[(1, s.trace)]
-                ent.sent[(0, ip.index)] = ent.sent.get((0, ip.index), 0.0) + val
-                rec = entities[(0, ip.index)]
-                rec.received[(1, s.trace)] = rec.received.get((1, s.trace), 0.0) + val
         for ip in md.intersections:
             idata = md.spec.intersection_data(ip.index)
             e = entities[(0, ip.index)]

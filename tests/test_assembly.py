@@ -54,10 +54,7 @@ def test_trace_edge_four_dof_sets():
                                dtype=float))
     md = cut_background_mesh(mesh, NetworkSpec(fractures=[f1, f2]))
     dm = build_dof_map(md, order=0)
-    tm = md.traces[0]
-    cell = tm.cells[0]
-    key = tuple(sorted((cell.vid_a, cell.vid_b)))
-    sets = [k for k in dm.edge_dofs if k[1] == key]
+    sets = [s for s in dm.interfaces if (s.lower, s.lower_cell) == ((1, 0), 0)]
     assert len(sets) == 4  # (2 fractures) x (2 sides)
 
 
@@ -115,7 +112,7 @@ def test_same_dim_coupling_values_and_vanishing():
     md0 = cut_background_mesh(two_cube_mesh(), spec0)
     dm0 = build_dof_map(md0, order=0)
     coo = _Coo()
-    assemble_coupling_same_dim(dm0, md0, 3, coo)
+    assemble_coupling_same_dim(dm0, coo)
     assert coo.matrix(dm0.total).nnz == 0  # eta -> infinity: no term at all
 
     eta = 10.0
@@ -123,7 +120,7 @@ def test_same_dim_coupling_values_and_vanishing():
     md = cut_background_mesh(two_cube_mesh(), spec)
     dm = build_dof_map(md, order=0)
     coo = _Coo()
-    assemble_coupling_same_dim(dm, md, 3, coo)
+    assemble_coupling_same_dim(dm, coo)
     C = coo.matrix(dm.total)
     # one RT0 DOF per side: diagonal entries (1/eta) * |f| (the face mass of
     # the unit normal trace); the dissipative sign is positive
@@ -142,16 +139,16 @@ def test_cross_dim_coupling_rt0_values():
     blk3, blk2 = dm.block(3), dm.block(2, 0)
     cell = md.fractures[0].cells[0]
     p2 = blk2.cell_p_dofs[0]
+    side_dof = {blk3.cell_ids[s.cell]: s.dofs[0] for s in dm.interfaces
+                if (s.lower, s.lower_cell) == ((2, 0), 0)}
     rows = []
     for cid in (cell.cell_plus, cell.cell_minus):
-        dof = blk3.offset + dm.face_dofs[(cell.face_id, cid)][0]
-        rows.append(system.matrix[dof, p2[0]])
+        rows.append(system.matrix[side_dof[cid], p2[0]])
     # RT0/constant pressure: entry = face area for each side
     assert np.allclose(rows, 1.0)
     # equal-and-opposite outward side fluxes produce a zero jump row
     u = np.zeros(dm.total)
-    d_plus = blk3.offset + dm.face_dofs[(cell.face_id, cell.cell_plus)][0]
-    d_minus = blk3.offset + dm.face_dofs[(cell.face_id, cell.cell_minus)][0]
+    d_plus, d_minus = side_dof[cell.cell_plus], side_dof[cell.cell_minus]
     u[d_plus], u[d_minus] = 1.0, -1.0
     jump_row = system.matrix[p2[0], :] @ u
     assert abs(jump_row) < 1e-14
@@ -246,9 +243,9 @@ def test_doubling_count_matches_formula():
         assert dm.block(3).n_u - base == n_frac_faces * per_face
         # each trace edge adds 2 extra sets per fracture (4 sets vs 2 shared)
         for tm in md.traces:
-            for cell in tm.cells:
-                key = tuple(sorted((cell.vid_a, cell.vid_b)))
-                sets = [kk for kk in dm.edge_dofs if kk[1] == key]
+            for ci in range(len(tm.cells)):
+                sets = [s for s in dm.interfaces
+                        if (s.lower, s.lower_cell) == ((1, tm.index), ci)]
                 assert len(sets) == 4
 
 
@@ -265,9 +262,8 @@ def build_dof_map_undoubled_count(md, dm, k):
     return n_interior_sets * per_face + cell_interior
 
 
-def test_flux_continuity_mode():
-    # without trace flow: no 1D flux DOFs, multipliers approximate the trace
-    # pressure; constraint rows sum duplicated DOFs to zero for RT0
+def continuity_md():
+    """Two crossing fractures with the pressure datum x everywhere."""
     mesh = box_mesh([-1, -1, -1], [1, 1, 1], (2, 2, 2))
     f1 = FractureSpec(np.array([[-1, -1, 0], [1, -1, 0], [1, 1, 0], [-1, 1, 0]],
                                dtype=float), a2=1.0,
@@ -276,9 +272,13 @@ def test_flux_continuity_mode():
                                dtype=float), a2=1.0,
                       bc=BoundaryCondition("dirichlet", lambda x: x[0]))
     bc3 = {t: BoundaryCondition("dirichlet", lambda x: x[0]) for t in TAGS}
-    spec = NetworkSpec(fractures=[f1, f2], bc3=bc3)
-    md = cut_background_mesh(mesh, spec)
+    return cut_background_mesh(mesh, NetworkSpec(fractures=[f1, f2], bc3=bc3))
 
+
+def test_flux_continuity_mode():
+    # without trace flow: no 1D flux DOFs, multipliers approximate the trace
+    # pressure; constraint rows sum duplicated DOFs to zero for RT0
+    md = continuity_md()
     system = assemble_complete(md, order=0, trace_flow=False)
     dm = system.dofmap
     blk1 = dm.block(1, 0)
@@ -294,7 +294,7 @@ def test_flux_continuity_mode():
     sol = solve(system)
     # multiplier approximates the trace pressure: full model in the
     # eta -> infinity, vanishing-a1 limit
-    spec.trace_defaults.a1 = 1e-8
+    md.spec.trace_defaults.a1 = 1e-8
     system_full = assemble_complete(md, order=0, trace_flow=True)
     apply_boundary_conditions(system_full)
     sol_full = solve(system_full)
@@ -421,16 +421,30 @@ def _face_kind(md, blk, key, users):
         if md.mesh3d.face_fracture.get(key) is not None:
             return "fracture"
         return "external" if len(users) == 1 else "shared"
+    if blk.dim == 1:
+        if any(ip.vid == key and any(s.trace == blk.index for s in ip.sides)
+               for ip in md.intersections):
+            return "intersection"
+        if len(users) == 2:
+            return "shared"
+        return md.traces[blk.index].endpoint_class[key]
     kind = md.fractures[blk.index].edge_class.get(key, ("interior",))[0]
     return "shared" if kind == "interior" else kind
 
 
+def _outward_normal(blk, ci, lf):
+    geom = blk.geoms[ci]
+    return (2 * lf - 1) * geom.tangent if blk.dim == 1 else geom.faces[lf].normal
+
+
 @pytest.mark.parametrize("build_md, kinds", [
     (_network_9400_md, {(3, "fracture"), (3, "external"), (3, "shared"),
-                        (2, "trace"), (2, "tip"), (2, "shared")}),
+                        (2, "trace"), (2, "tip"), (2, "shared"),
+                        (1, "intersection"), (1, "shared"), (1, "tip")}),
     (lambda: problem1_case(order=1, artificial_cuts=2).md,
      {(3, "fracture"), (3, "external"), (3, "shared"), (2, "trace"),
-      (2, "external"), (2, "shared")}),
+      (2, "external"), (2, "shared"), (1, "intersection"), (1, "shared"),
+      (1, "external")}),
 ], ids=["fracture-net-9400", "problem1-cut"])
 def test_fill_block_numbering_policy(build_md, kinds, monkeypatch):
     calls = []
@@ -444,7 +458,7 @@ def test_fill_block_numbering_policy(build_md, kinds, monkeypatch):
     md = build_md()
     dm = build_dof_map(md, order=1)
     assert sorted((blk.dim, blk.index) for blk, *_ in calls) == sorted(
-        key for key in dm.blocks if key[0] >= 2)
+        key for key in dm.blocks if key[0] >= 1)
     seen = set()
     for blk, face_users, split, dofs in calls:
         per = dm.space(blk.dim).n_face_dofs()
@@ -452,7 +466,7 @@ def test_fill_block_numbering_policy(build_md, kinds, monkeypatch):
         for key, users in face_users.items():
             kind = _face_kind(md, blk, key, users)
             seen.add((blk.dim, kind))
-            assert (key in split) == (kind in ("fracture", "trace"))
+            assert (key in split) == (kind in ("fracture", "trace", "intersection"))
             sets = [dofs[(key, ci)] for ci, _, _ in users]
             for (ci, lf, _), (ids, sign) in zip(users, sets):
                 sl = blk.locals_[ci].layout.face_slice(lf)
@@ -464,8 +478,8 @@ def test_fill_block_numbering_policy(build_md, kinds, monkeypatch):
                 assert len(users) == 2
                 assert np.array_equal(sets[0][0], sets[1][0])
                 (c0, f0, _), (c1, f1, _) = users
-                n0 = sets[0][1] * blk.geoms[c0].faces[f0].normal
-                n1 = sets[1][1] * blk.geoms[c1].faces[f1].normal
+                n0 = sets[0][1] * _outward_normal(blk, c0, f0)
+                n1 = sets[1][1] * _outward_normal(blk, c1, f1)
                 assert np.allclose(n0, n1, atol=1e-12), (blk.dim, key)
             else:
                 assert all(sign == 1 for _, sign in sets), (blk.dim, kind, key)

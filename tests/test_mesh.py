@@ -361,14 +361,15 @@ def test_cached_face_normals_keep_signs_and_sides(make):
     # oracle: the normal fitted afresh to each face's own vertex loop
     md = make()
     mesh = md.mesh3d
-    dm = assemble_complete(md, order=0).dofmap
+    blk = assemble_complete(md, order=0).dofmap.block(3)
     for fid, owners in mesh.face_cells().items():
         if len(owners) != 2 or mesh.face_fracture.get(fid) is not None:
             continue
         n = _face_loop_normal(mesh, fid)
         canon = 1 if tuple(n) > tuple(-n) else -1
         for cid, s in owners:
-            assert dm.face_signs[(fid, cid)] == s * canon
+            lf = [f for f, _ in mesh.cells[cid]].index(fid)   # RT0: one DOF per face
+            assert blk.cell_u_signs[blk.cell_index_of[cid]][lf] == s * canon
     for fm in md.fractures:
         for cell in fm.cells:
             owners = dict(mesh.face_cells()[cell.face_id])

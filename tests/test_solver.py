@@ -141,8 +141,10 @@ def test_finite_eta_jump_reproduced_exactly():
     dm = sol.dofmap
     blk3 = dm.block(3)
     cell = sol.md.fractures[0].cells[0]
-    plus = sol.x[blk3.offset + dm.face_dofs[(cell.face_id, cell.cell_plus)][0]]
-    minus = sol.x[blk3.offset + dm.face_dofs[(cell.face_id, cell.cell_minus)][0]]
+    side_dof = {blk3.cell_ids[s.cell]: s.dofs[0] for s in dm.interfaces
+                if (s.lower, s.lower_cell) == ((2, 0), 0)}
+    plus = sol.x[side_dof[cell.cell_plus]]
+    minus = sol.x[side_dof[cell.cell_minus]]
     assert sorted([plus, minus]) == pytest.approx([-1.0, 1.0], abs=1e-10)
 
 

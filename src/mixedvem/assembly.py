@@ -160,12 +160,8 @@ class GlobalDofMap:
         return out
 
 
-def _local_quad_order(order, override):
-    return override if override is not None else 2 * (order + 1)
-
-
 def build_dof_map(md: MixedDimensionalMesh, order: int, family3d: str = "RT",
-                  trace_flow: bool = True, quad_order: int = None) -> GlobalDofMap:
+                  trace_flow: bool = True) -> GlobalDofMap:
     """Number all DOFs, duplicate interface DOFs, build local matrices."""
     if not trace_flow:
         for tm in md.traces:
@@ -176,11 +172,11 @@ def build_dof_map(md: MixedDimensionalMesh, order: int, family3d: str = "RT",
     dm = GlobalDofMap(blocks={}, total=0, order=order, family3d=family3d,
                       trace_flow=trace_flow)
     offset = 0
-    offset = _build_3d_block(dm, md, offset, quad_order)
+    offset = _build_3d_block(dm, md, offset)
     for fm in md.fractures:
-        offset = _build_2d_block(dm, md, fm, offset, quad_order)
+        offset = _build_2d_block(dm, md, fm, offset)
     for tm in md.traces:
-        offset = _build_1d_block(dm, md, tm, offset, quad_order)
+        offset = _build_1d_block(dm, md, tm, offset)
     if trace_flow:
         for ip in md.intersections:
             dm.blocks[(0, ip.index)] = DomainBlock(
@@ -192,7 +188,7 @@ def build_dof_map(md: MixedDimensionalMesh, order: int, family3d: str = "RT",
     return dm
 
 
-def fill_block(blk, space, geoms, face_users, split, quad_order):
+def fill_block(blk, space, geoms, face_users, split):
     """Number one domain's DOFs and build its local matrices.
 
     ``face_users`` maps each face key, in numbering order, to its users as
@@ -216,10 +212,9 @@ def fill_block(blk, space, geoms, face_users, split, quad_order):
             dofs[(key, ci)] = slots[ci][lf] = (ids, sign if shared else 1)
 
     if space.dim == 1:
-        locs = [local_matrices_1d(space, geom, nu=blk.nu, quad_order=quad_order)
-                for geom in geoms]
+        locs = [local_matrices_1d(space, geom, nu=blk.nu) for geom in geoms]
     else:
-        locs = local_matrices(space, geoms, nu=blk.nu, quad_order=quad_order)
+        locs = local_matrices(space, geoms, nu=blk.nu)
     for ci, (geom, loc) in enumerate(zip(geoms, locs)):
         n_int = loc.layout.n_typeii + loc.layout.n_typeiii
         faces = [slots[ci][lf] for lf in range(len(slots[ci]))]
@@ -249,7 +244,7 @@ def _add_interfaces(dm, blk, face_users, dofs, lower):
                 low, lower_cell, inverse_eta))
 
 
-def _build_3d_block(dm, md, offset, quad_order):
+def _build_3d_block(dm, md, offset):
     """Faces in fid order; fracture faces are the interfaces."""
     mesh = md.mesh3d
     blk = DomainBlock(dim=3, index=0, offset=offset)
@@ -271,8 +266,7 @@ def _build_3d_block(dm, md, offset, quad_order):
             canon = 1 if tuple(intrinsic) > tuple(-intrinsic) else -1
             users[fid] = [(ci, lf, s * canon) for ci, lf, s in owners]
 
-    dofs = fill_block(blk, dm.space(3), geoms, users, lower,
-                      _local_quad_order(dm.order, quad_order))
+    dofs = fill_block(blk, dm.space(3), geoms, users, lower)
     _add_interfaces(dm, blk, users, dofs, lower)
     for ci, cid in enumerate(cids):
         for lf, (fid, _) in enumerate(mesh.cells[cid]):
@@ -284,7 +278,7 @@ def _build_3d_block(dm, md, offset, quad_order):
     return offset + blk.n_dof
 
 
-def _build_2d_block(dm, md, fm, offset, quad_order):
+def _build_2d_block(dm, md, fm, offset):
     """Edges in order of first use; trace edges are the interfaces, external
     edges take boundary data and tip edges carry no flow."""
     blk = DomainBlock(dim=2, index=fm.index, offset=offset)
@@ -310,7 +304,7 @@ def _build_2d_block(dm, md, fm, offset, quad_order):
              for ci1, cell in enumerate(tm.cells)}
 
     dofs = fill_block(blk, dm.space(2), [cell.geometry for cell in fm.cells],
-                      users, lower, _local_quad_order(dm.order, quad_order))
+                      users, lower)
     _add_interfaces(dm, blk, users, dofs, lower)
     for ci, keys in enumerate(cell_edges):
         for k, key in enumerate(keys):
@@ -322,7 +316,7 @@ def _build_2d_block(dm, md, fm, offset, quad_order):
     return offset + blk.n_dof
 
 
-def _build_1d_block(dm, md, tm, offset, quad_order):
+def _build_1d_block(dm, md, tm, offset):
     """Vertices in order of first use, seen with the sign of the +tangent
     flux; trace intersections are the interfaces, external extremes take
     boundary data and tip extremes carry no flow."""
@@ -358,7 +352,7 @@ def _build_1d_block(dm, md, tm, offset, quad_order):
              for ip in md.intersections
              if any(s.trace == tm.index for s in ip.sides)}
 
-    dofs = fill_block(blk, space, geoms, users, lower, quad_order)
+    dofs = fill_block(blk, space, geoms, users, lower)
     _add_interfaces(dm, blk, users, dofs, lower)
     for vid, owners in users.items():
         if len(owners) == 1 and vid not in lower:
@@ -446,6 +440,18 @@ def face_rule(blk, ci, lf, qo):
     return pts, w, loc.face_dual_values(lf, face.to_face_coords(pts))
 
 
+def face_mass(blk, ci, lf):
+    """Mass matrix of the face-DOF duals of face ``lf`` of cell ``ci``.
+
+    The duals solve ``M x = |f| I`` against the face mass ``M`` of the face
+    monomials, so their own mass is ``|f|`` times the stored dual
+    coefficients; a 1D cell's endpoint has the unit mass.
+    """
+    if blk.dim == 1:
+        return np.ones((1, 1))
+    return blk.geoms[ci].faces[lf].measure * blk.locals_[ci].face_dual[lf]
+
+
 def assemble_coupling_same_dim(dm: GlobalDofMap, coo: _Coo):
     """(1/eta) face mass terms on the interface sides' flux DOFs.
 
@@ -454,12 +460,10 @@ def assemble_coupling_same_dim(dm: GlobalDofMap, coo: _Coo):
     block stays positive definite and any nonzero exchange costs a pressure
     drop proportional to 1/eta.  It vanishes identically when inverse_eta = 0.
     """
-    qo = 2 * (dm.order + 2)
     for side in dm.interfaces:
         if side.inverse_eta != 0.0:
-            _, w, dual = face_rule(dm.blocks[side.upper], side.cell, side.face, qo)
-            coo.add(side.dofs, side.dofs,
-                    side.inverse_eta * (dual.T @ (w[:, None] * dual)))
+            mass = face_mass(dm.blocks[side.upper], side.cell, side.face)
+            coo.add(side.dofs, side.dofs, side.inverse_eta * mass)
 
 
 def assemble_coupling_cross_dim(dm: GlobalDofMap, coo: _Coo):
@@ -501,10 +505,9 @@ def assemble_rhs(dm: GlobalDofMap, md) -> np.ndarray:
 
 
 def assemble_complete(md: MixedDimensionalMesh, order: int, family3d="RT",
-                      trace_flow=True, quad_order=None) -> GlobalSystem:
+                      trace_flow=True) -> GlobalSystem:
     """Assemble the full block system (boundary conditions NOT yet applied)."""
-    dm = build_dof_map(md, order, family3d=family3d, trace_flow=trace_flow,
-                       quad_order=quad_order)
+    dm = build_dof_map(md, order, family3d=family3d, trace_flow=trace_flow)
     coo = _Coo()
     for d in (3, 2, 1):
         part = assemble_dimension(dm, d)

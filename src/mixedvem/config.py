@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +57,6 @@ class ProblemConfig:
     solver_tol: float
     outputs: list
     eps_factor: float = None   # geometric tolerance relative to domain size
-    quad_order: int = None     # override the stiffness quadrature exactness
     raw_text: str = ""
     mesh_path: str = None
 
@@ -159,50 +159,63 @@ def parse_config(text) -> ProblemConfig:
         solver_tol=float(solver.get("tolerance", 1e-10)),
         outputs=list(doc.get("outputs", ["fluxes", "manifest"])),
         eps_factor=float(eps_factor) if eps_factor is not None else None,
-        quad_order=(int(doc["quad_order"]) if "quad_order" in doc else None),
         raw_text=text)
 
 
 @dataclass
-class RunManifest:
-    """Input hashes, DOF counts, stage timings and output paths of one run."""
+class RunOutcome:
+    """What one ``mixedvem run`` decided and wrote.
 
-    inputs: dict = field(default_factory=dict)
-    dof_counts: dict = field(default_factory=dict)
-    total_dofs: int = 0
-    timings: dict = field(default_factory=dict)
-    outputs: list = field(default_factory=list)
-    residual: float = 0.0
-    status: str = "ok"
+    ``checks`` holds the values the pass/fail decision read, ``outputs``
+    every file written, ``solution`` the DiscreteSolution of a single-solve
+    run, and ``inputs`` the named input texts whose hashes the manifest keeps.
+    """
+
+    ok: bool
+    summary: str
     checks: dict = field(default_factory=dict)
+    outputs: list = field(default_factory=list)
+    solution: object = None
+    inputs: dict = field(default_factory=dict)
 
-    def add_input(self, name, text):
-        self.inputs[name] = hashlib.sha256(
-            text.encode() if isinstance(text, str) else text).hexdigest()
-
-    def write(self, path):
+    def write_manifest(self, path, timings):
+        """``manifest.json``: input hashes, stage timings, files, status and
+        checks; for a single solve also its DOF counts, residual and how the
+        solve ran (branch, DOFs condensed out of the global factorization,
+        the entries its factors store)."""
+        manifest = {
+            "inputs": {name: hashlib.sha256(
+                text.encode() if isinstance(text, str) else text).hexdigest()
+                for name, text in self.inputs.items()},
+            "dof_counts": {}, "total_dofs": 0, "timings": timings,
+            "outputs": self.outputs, "residual": 0.0,
+            "status": "ok" if self.ok else "failed", "checks": self.checks}
+        sol = self.solution
+        if sol is not None:
+            manifest["dof_counts"] = {
+                str(d): {"flux": u, "pressure": p}
+                for d, (u, p) in sorted(sol.dofmap.counts().items(), reverse=True)}
+            manifest["total_dofs"] = sol.dofmap.total
+            manifest["residual"] = sol.residual
+            manifest["checks"] = {"solve_branch": sol.branch,
+                                  "condensed_dofs": sol.condensed_dofs,
+                                  "lu_fill": sol.lu_fill} | self.checks
         with open(path, "w") as fh:
-            json.dump({
-                "inputs": self.inputs,
-                "dof_counts": self.dof_counts,
-                "total_dofs": self.total_dofs,
-                "timings": self.timings,
-                "outputs": [str(p) for p in self.outputs],
-                "residual": self.residual,
-                "status": self.status,
-                "checks": self.checks,
-            }, fh, indent=2)
+            json.dump(manifest, fh, indent=2)
 
 
 class StageTimer:
-    def __init__(self, manifest):
-        self.manifest = manifest
-        self._t0 = None
-        self._name = None
+    """Wall time per named stage: ``with timer("solve"):``.  A stage entered
+    more than once sums its times."""
 
-    def start(self, name):
-        self._name = name
-        self._t0 = time.perf_counter()
+    def __init__(self):
+        self.timings = {}
 
-    def stop(self):
-        self.manifest.timings[self._name] = time.perf_counter() - self._t0
+    @contextmanager
+    def __call__(self, name):
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.timings[name] = (self.timings.get(name, 0.0)
+                                  + time.perf_counter() - t0)

@@ -207,7 +207,7 @@ class LocalMatrixSet:
         return monomials(xi, self.space.order) @ self.face_dual[i]
 
 
-def _face_moments(geom, quad_order, k, per):
+def _face_moments(geom, qo, k, per):
     """Every face's moment rows of one cell from a single product.
 
     Evaluates the face monomials (scaled per face) and the cell's degree-k+1
@@ -218,7 +218,7 @@ def _face_moments(geom, quad_order, k, per):
     (n_faces, per, per + n_k1 + d * n_k) array.
     """
     d, faces = geom.dim, geom.faces
-    coords, pts, w, face_of = geom.face_quadrature(quad_order)
+    coords, pts, w, face_of = geom.face_quadrature(qo)
     scale = np.array([face.diameter for face in faces])
     normals = np.array([face.normal for face in faces])
     Ff = monomials(coords / scale[face_of, None], k)
@@ -231,7 +231,7 @@ def _face_moments(geom, quad_order, k, per):
     return Y.reshape(len(faces), per, -1), scale
 
 
-def local_matrices(space: ElementSpace, geoms, nu=1.0, quad_order=None) -> list:
+def local_matrices(space: ElementSpace, geoms, nu=1.0) -> list:
     """Build the local matrix sets of a block of polygons/polyhedra.
 
     ``geoms`` are PolygonGeometry cells (in their fracture frame) or
@@ -248,8 +248,7 @@ def local_matrices(space: ElementSpace, geoms, nu=1.0, quad_order=None) -> list:
         raise ValueError("space/geometry dimension mismatch")
     if not geoms:
         return []
-    if quad_order is None:
-        quad_order = 2 * (k + 1)
+    qo = 2 * (k + 1)   # exact for the degree-(k+1) monomial products
     n_k, n_k1, n_p = dim_poly(d, k), dim_poly(d, k + 1), dim_poly(d, kg)
     n_grad = n_k1 - 1
     per = space.n_face_dofs()
@@ -259,10 +258,10 @@ def local_matrices(space: ElementSpace, geoms, nu=1.0, quad_order=None) -> list:
     H_full = np.empty((m, n_k1, n_k1))
     faces, scales = [], []
     for c, geom in enumerate(geoms):
-        pts, w = geom.quadrature(quad_order)
+        pts, w = geom.quadrature(qo)
         vals = monomials((pts - geom.centroid) / geom.diameter, k + 1)
         H_full[c] = vals.T @ (w[:, None] * vals)
-        Y, scale = _face_moments(geom, quad_order, k, per)
+        Y, scale = _face_moments(geom, qo, k, per)
         faces.append(Y)
         scales.append(scale)
     n_faces = np.array([len(Y) for Y in faces])
@@ -370,7 +369,7 @@ class Local1D:
         return self.basis_u.evaluate(np.atleast_2d(s).T.reshape(-1, 1)) @ coeffs
 
 
-def local_matrices_1d(space: ElementSpace, geom, nu=1.0, quad_order=None) -> Local1D:
+def local_matrices_1d(space: ElementSpace, geom, nu=1.0) -> Local1D:
     """Local matrices of the 1D element on a SegmentGeometry."""
     if space.dim != 1:
         raise ValueError("local_matrices_1d requires a 1D space")
@@ -378,15 +377,13 @@ def local_matrices_1d(space: ElementSpace, geom, nu=1.0, quad_order=None) -> Loc
     kg = space.grad_order
     layout = DofLayout(n_faces=2, per_face=1, n_typeii=kg, n_typeiii=0)
     L = geom.measure
-    if quad_order is None:
-        quad_order = 2 * (kg + 2)
 
     basis_u = MonomialBasis(1, kg + 1, np.zeros(1), L)
     basis_p = MonomialBasis(1, kg, np.zeros(1), L)
     n_u = basis_u.size
 
     # DOF matrix rows: outward flux at both endpoints, then gradient moments
-    pts, w = geom.quadrature(quad_order)
+    pts, w = geom.quadrature(2 * (kg + 2))   # exact for the velocity mass
     vals_u = basis_u.evaluate(pts)
     vals_p = basis_p.evaluate(pts)
     Vnd = np.zeros((n_u, n_u))

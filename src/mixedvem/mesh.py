@@ -902,9 +902,6 @@ class FractureMesh:
 class TraceSide:
     """One side of a trace inside one fracture."""
 
-    fracture: int
-    cell_index: int        # index into FractureMesh.cells
-    local_edge: int
     conormal: np.ndarray   # outward in-plane unit normal of that cell, 3D
 
 
@@ -933,9 +930,9 @@ class TraceMesh:
 
 @dataclass
 class IntersectionSide:
+    """One trace cell ending at an intersection point."""
+
     trace: int
-    cell_index: int        # index into TraceMesh.cells
-    endpoint: int          # 0 = cell start, 1 = cell end
 
 
 @dataclass
@@ -1153,7 +1150,6 @@ def extract_lower_meshes(mesh: PolyMesh3D, spec: NetworkSpec, eps=None):
                     e = e / np.linalg.norm(e)
                     nrm2 = np.array([e[1], -e[0]])  # outward of CCW cell
                     srecs.append(TraceSide(
-                        fracture=l, cell_index=ci, local_edge=k,
                         conormal=nrm2[0] * fm.plane.t1 + nrm2[1] * fm.plane.t2))
                 if len(srecs) not in (1, 2):
                     raise ConformityError(
@@ -1218,11 +1214,9 @@ def extract_lower_meshes(mesh: PolyMesh3D, spec: NetworkSpec, eps=None):
             s = _point_on_segment(x, tm.p0, tm.p1, eps)
             if s is None:
                 continue
-            for ci, cell in enumerate(tm.cells):
-                if abs(cell.s_b - s) <= eps:
-                    sides.append(IntersectionSide(trace=t, cell_index=ci, endpoint=1))
-                elif abs(cell.s_a - s) <= eps:
-                    sides.append(IntersectionSide(trace=t, cell_index=ci, endpoint=0))
+            for cell in tm.cells:
+                if abs(cell.s_b - s) <= eps or abs(cell.s_a - s) <= eps:
+                    sides.append(IntersectionSide(trace=t))
         if not sides:
             raise ConformityError("intersection point touches no trace cell")
         for s in sides:

@@ -1,5 +1,9 @@
 """Built-in benchmark problems and their manufactured data.
 
+The module also holds the runs behind ``mixedvem run``: ``BUILTINS`` maps
+each built-in name to its run function, ``run_config`` runs a config file,
+and ``solve_and_report`` is the pipeline of every single-solve run.
+
 The quartic benchmark drives the full mixed-dimensional pipeline: the 3D box
 [-1,1]^3 with the three axis-plane fractures, their three traces along the
 coordinate axes and the single trace intersection at the origin.  Pressure
@@ -15,23 +19,22 @@ machine precision.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import apply_boundary_conditions, assemble_complete
+from .config import RunOutcome, load_config
 from .elements import ElementSpace
 from .errors import ConfigError
 from .mesh import (BOX_TAGS, BoundaryCondition, FractureSpec, IntersectionData,
-                   NetworkSpec, TraceData, box_mesh, cut_background_mesh)
+                   NetworkSpec, TraceData, box_mesh, cut_background_mesh,
+                   validate_conformity)
 from .solver import (ExactFields, boundary_face_fluxes, error_norms,
-                     flux_report, relative_errors, solve)
+                     flux_report, relative_errors, solve, write_error_table,
+                     write_fields_vtk)
 from .standalone import interval_mesh, solve_single_domain, unit_square_mesh
-
-
-def list_builtins():
-    return ["problem1_quartic", "problem2_finite_eta", "convergence_sweep",
-            "patch_tests"]
 
 
 # ---------------------------------------------------------------------------
@@ -443,3 +446,176 @@ def patch_tests(orders=(0, 1, 2), families3d=("RT", "BDM")):
             rel = relative_errors(error_norms(sol3, case.exact))[(3, 0)]
             results[f"3D_{fam}{k}"] = rel
     return results
+
+
+# ---------------------------------------------------------------------------
+# The runs behind ``mixedvem run``: each takes the ``run`` options (``args``:
+# problem, output_dir, order, family3d, tolerance; None where not given) and
+# a ``config.StageTimer``, and returns one ``config.RunOutcome``.
+# ---------------------------------------------------------------------------
+
+
+def solve_and_report(md, order, family3d, out_dir, timer,
+                     outputs=("fluxes", "fields"), tol=1e-10, trace_flow=True):
+    """validate_conformity -> assemble_complete -> apply_boundary_conditions
+    -> solve -> flux_report, then the files named in ``outputs`` ("matrix",
+    "fluxes", "fields").  Returns the outcome, failed only for a
+    nonconforming mesh, and the flux report (None then)."""
+    with timer("mesh"):
+        faults = validate_conformity(md)
+    if faults:
+        return RunOutcome(False, "\n".join(f"conformity: {f}" for f in faults),
+                          {"conformity_faults": len(faults)}), None
+    with timer("assembly"):
+        system = assemble_complete(md, order, family3d=family3d,
+                                   trace_flow=trace_flow)
+        apply_boundary_conditions(system)
+    files = []
+    if "matrix" in outputs:
+        files.append(os.path.join(out_dir, "system.coo"))
+        system.export_coo(files[-1])
+    with timer("solve"):
+        sol = solve(system, tol=tol)
+    with timer("post"):
+        report = flux_report(sol)
+        if "fluxes" in outputs:
+            files.append(os.path.join(out_dir, "fluxes.txt"))
+            report.write(files[-1])
+        if "fields" in outputs:
+            files += write_fields_vtk(sol, os.path.join(out_dir, "fields.vtk"))
+    checks = {"max_relative_flux_mismatch": report.max_relative_mismatch()}
+    return RunOutcome(True, "", checks, files, sol), report
+
+
+def run_config(args, timer):
+    """Run the config file ``args.problem``; the order, family and tolerance
+    options override its values when set."""
+    cfg = load_config(args.problem)
+    if args.order is not None:
+        cfg.order = args.order
+    if args.family3d is not None:
+        cfg.family3d = args.family3d
+    if args.tolerance is not None:
+        cfg.solver_tol = args.tolerance
+    with timer("mesh"):
+        mesh = cfg.build_mesh()
+        eps = cfg.eps_factor * mesh.domain_diameter() if cfg.eps_factor else None
+        md = cut_background_mesh(mesh, cfg.spec, eps=eps)
+    outcome, _ = solve_and_report(md, cfg.order, cfg.family3d, args.output_dir,
+                                  timer, outputs=cfg.outputs, tol=cfg.solver_tol,
+                                  trace_flow=cfg.trace_flow)
+    outcome.inputs["config"] = cfg.raw_text
+    if cfg.mesh_path:
+        with open(cfg.mesh_path, "rb") as fh:
+            outcome.inputs["mesh"] = fh.read()
+    if outcome.ok:
+        mismatch = outcome.checks["max_relative_flux_mismatch"]
+        outcome.summary = (f"{args.problem}: {outcome.solution.dofmap.total} "
+                           f"DOFs, flux mismatch {mismatch:.3e}")
+    return outcome
+
+
+def run_problem1_quartic(args, timer):
+    """Order 4 (the default) must reproduce the quartic and the flux chart
+    to 1e-8 relative; lower orders only report their errors."""
+    order = 4 if args.order is None else args.order
+    with timer("mesh"):
+        case = problem1_case(order=order, family3d=args.family3d or "RT")
+    outcome, report = solve_and_report(case.md, order, case.family3d,
+                                       args.output_dir, timer,
+                                       tol=args.tolerance or 1e-10)
+    if report is None:
+        return outcome
+    with timer("post"):
+        norms = error_norms(outcome.solution, case.exact)
+        path = os.path.join(args.output_dir, "errors.csv")
+        write_error_table(norms, path)
+    outcome.outputs.append(path)
+    worst = max(max(v) for k, v in relative_errors(norms).items()
+                if isinstance(k, tuple))
+    checks = outcome.checks
+    checks["worst_relative_error"] = worst
+    if order >= 4:
+        values = problem1_chart_values(report)
+        checks["flux_chart_ok"] = all(
+            abs(got - want) <= 1e-8 * want
+            for key, want in PROBLEM1_CHART.items()
+            for got in np.atleast_1d(values[key]))
+        outcome.ok = worst <= 1e-8 and checks["flux_chart_ok"]
+    outcome.summary = (f"problem1_quartic: worst relative error {worst:.3e}, "
+                       f"flux mismatch {checks['max_relative_flux_mismatch']:.3e}")
+    return outcome
+
+
+def run_problem2_finite_eta(args, timer):
+    """Finite eta must cut the inflow of the continuity limit by more than
+    1.5x, and the low-eta fracture must hold the larger pressure jump."""
+    with timer("solve"):
+        s = problem2_summary(order=1 if args.order is None else args.order)
+    path = os.path.join(args.output_dir, "problem2.txt")
+    with open(path, "w") as fh:
+        fh.write(f"inflow_continuity {s['inflow_continuity']:.12e}\n")
+        fh.write(f"inflow_finite {s['inflow_finite']:.12e}\n")
+        fh.write(f"ratio {s['ratio']:.6f}\n")
+        fh.write(f"jump_low_eta {s['jump_low_eta']:.12e}\n")
+        fh.write(f"jump_high_eta {s['jump_high_eta']:.12e}\n")
+    checks = {"inflow_ratio": s["ratio"], "jump_low_eta": s["jump_low_eta"],
+              "jump_high_eta": s["jump_high_eta"]}
+    return RunOutcome(
+        s["ratio"] > 1.5 and s["jump_low_eta"] > s["jump_high_eta"],
+        f"problem2_finite_eta: ratio {s['ratio']:.3f}, jumps "
+        f"{s['jump_low_eta']:.3f} > {s['jump_high_eta']:.5f}", checks, [path])
+
+
+def run_convergence_sweep(args, timer):
+    """Orders 0 and 1 (or ``--order``) on grids 2, 4, 6: each fitted
+    pressure and flux rate must be within 0.2 of the optimal one."""
+    family = args.family3d or "RT"
+    orders = (0, 1) if args.order is None else (args.order,)
+    with timer("solve"):
+        table = convergence_sweep(orders=orders, levels=(2, 4, 6),
+                                  family3d=family)
+    path = os.path.join(args.output_dir, "convergence.csv")
+    ok, rates, lines = True, {}, []
+    with open(path, "w") as fh:
+        fh.write("order,level,e_p,e_u,e_div,rate_p,rate_u,rate_div,exact\n")
+        for k, row in table.items():
+            r = row["rates"]
+            for n, e in zip(row["levels"], row["errors"]):
+                fh.write(f"{k},{n},{e[0]:.6e},{e[1]:.6e},{e[2]:.6e},"
+                         f"{r[0]:.3f},{r[1]:.3f},{r[2]:.3f},{row['exact'][0]}\n")
+            kg = k if family == "RT" else k - 1   # optimal: p kg + 1, u k + 1
+            for got, want, exact in zip(r, (kg + 1, k + 1), row["exact"]):
+                ok = ok and (exact or abs(got - want) <= 0.2)
+            rates[f"order_{k}"] = {"p": r[0], "u": r[1], "div": r[2]}
+            lines.append(f"order {k}: rates p={r[0]:.3f} u={r[1]:.3f} "
+                         f"div={r[2]:.3f}")
+    return RunOutcome(ok, "\n".join(lines), {"rates": rates}, [path])
+
+
+def run_patch_tests(args, timer):
+    """Every 1D/2D/3D patch test must be exact to 1e-9 relative."""
+    with timer("solve"):
+        res = patch_tests()
+    path = os.path.join(args.output_dir, "patch_tests.csv")
+    with open(path, "w") as fh:
+        fh.write("case,e_p,e_u,e_div\n")
+        for label, v in res.items():
+            fh.write(f"{label},{v[0]:.3e},{v[1]:.3e},{v[2]:.3e}\n")
+    worst = max(max(v) for v in res.values())
+    ok = worst <= 1e-9
+    return RunOutcome(ok, f"patch_tests: {'pass' if ok else 'FAIL'} "
+                          f"({len(res)} cases)",
+                      {"worst_relative_error": worst}, [path])
+
+
+BUILTINS = {
+    "problem1_quartic": run_problem1_quartic,
+    "problem2_finite_eta": run_problem2_finite_eta,
+    "convergence_sweep": run_convergence_sweep,
+    "patch_tests": run_patch_tests,
+}
+
+
+def list_builtins():
+    return list(BUILTINS)

@@ -476,7 +476,8 @@ def write_error_table(norms: dict, path):
 
 
 def write_fields_vtk(sol: DiscreteSolution, path):
-    """Legacy-VTK polygon soup with cell pressures, plus centroid velocities."""
+    """Legacy-VTK polygon soup with cell pressures, plus centroid velocities
+    in the companion ``<path>.velocity.vtk``; returns both paths."""
     dm, md = sol.dofmap, sol.md
     mesh = md.mesh3d
     points, polys, pressures, entity = [], [], [], []
@@ -553,3 +554,4 @@ def write_fields_vtk(sol: DiscreteSolution, path):
         fh.write("VECTORS velocity double\n")
         for v in vectors:
             fh.write(f"{v[0]:.9e} {v[1]:.9e} {v[2]:.9e}\n")
+    return [str(path), vec_path]

@@ -44,8 +44,8 @@ def _faces(geom, tol):
     return out
 
 
-def single_domain_block(geoms, space: ElementSpace, nu=1.0, source=0.0,
-                        quad_order=None) -> DomainBlock:
+def single_domain_block(geoms, space: ElementSpace, nu=1.0,
+                        source=0.0) -> DomainBlock:
     """Number the DOFs of a 1D or 2D mesh and build its local matrices.
 
     ``geoms`` is a list of SegmentGeometry on the x axis (1D) or of
@@ -70,21 +70,20 @@ def single_domain_block(geoms, space: ElementSpace, nu=1.0, source=0.0,
     for ci, cell_faces in enumerate(faces):
         for lf, (key, sign) in enumerate(cell_faces):
             users.setdefault(key, []).append((ci, lf, sign))
-    fill_block(blk, space, geoms, users, set(), quad_order)
+    fill_block(blk, space, geoms, users, set())
     blk.boundary = [(ci, lf, key, None) for ci, cell_faces in enumerate(faces)
                     for lf, (key, _) in enumerate(cell_faces) if len(users[key]) == 1]
     return blk
 
 
 def solve_single_domain(geoms, space: ElementSpace, nu=1.0, source=0.0,
-                        dirichlet=None, quad_order=None) -> DiscreteSolution:
+                        dirichlet=None) -> DiscreteSolution:
     """Solve the mixed problem on a standalone mesh of one dimension.
 
     Every external face gets the Dirichlet pressure datum ``dirichlet``
     (zero if None).  The solution's only domain has the key (dim, 0).
     """
-    blk = single_domain_block(geoms, space, nu=nu, source=source,
-                              quad_order=quad_order)
+    blk = single_domain_block(geoms, space, nu=nu, source=source)
     dm = GlobalDofMap(blocks={(blk.dim, 0): blk}, total=blk.n_dof,
                       order=space.order, family3d="RT", trace_flow=True)
     system = GlobalSystem(matrix=assemble_dimension(dm, blk.dim).matrix(dm.total),

@@ -449,8 +449,8 @@ def _outward_normal(blk, ci, lf):
 def test_fill_block_numbering_policy(build_md, kinds, monkeypatch):
     calls = []
 
-    def recording(blk, space, geoms, face_users, split, quad_order):
-        dofs = fill_block(blk, space, geoms, face_users, split, quad_order)
+    def recording(blk, space, geoms, face_users, split):
+        dofs = fill_block(blk, space, geoms, face_users, split)
         calls.append((blk, face_users, split, dofs))
         return dofs
 

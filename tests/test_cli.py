@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mixedvem import problems
 from mixedvem.cli import main
 from mixedvem.config import parse_config
 from mixedvem.errors import ConfigError
@@ -60,16 +61,83 @@ def test_parse_config_eta_number():
 
 
 def test_parse_config_legacy_solver_keys():
-    # solver.deterministic was a no-op knob; old configs still load
-    cfg = parse_config(CONFIG + "solver: {tolerance: 1.0e-9, deterministic: true}\n")
+    # solver.deterministic and quad_order were knobs that could only waste
+    # work; old configs still load and ignore them
+    cfg = parse_config(CONFIG + "solver: {tolerance: 1.0e-9, deterministic: true}\n"
+                       "quad_order: 10\n")
     assert cfg.solver_tol == 1e-9
     assert not hasattr(cfg, "deterministic")
+    assert not hasattr(cfg, "quad_order")
+
+
+# built-in -> (the files it writes, the checks its manifest lists)
+BUILTIN_RUNS = {
+    "problem1_quartic": (
+        ["errors.csv", "fields.vtk", "fields.vtk.velocity.vtk", "fluxes.txt"],
+        ["worst_relative_error", "max_relative_flux_mismatch", "solve_branch"]),
+    "problem2_finite_eta": (
+        ["problem2.txt"], ["inflow_ratio", "jump_low_eta", "jump_high_eta"]),
+    "convergence_sweep": (["convergence.csv"], ["rates"]),
+    "patch_tests": (["patch_tests.csv"], ["worst_relative_error"]),
+}
+
+
+def run_builtin(tmp_path, name, *flags):
+    """Run a built-in through ``main``; check that its manifest lists every
+    file it wrote and the checks it decided on.  Returns (exit code,
+    manifest)."""
+    code = main(["run", name, "--output-dir", str(tmp_path), *flags])
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    files, checks = BUILTIN_RUNS[name]
+    written = sorted(p.name for p in tmp_path.iterdir() if p.name != "manifest.json")
+    assert written == files
+    assert sorted(Path(p).name for p in manifest["outputs"]) == files
+    assert set(checks) <= set(manifest["checks"])
+    assert manifest["timings"]
+    return code, manifest
 
 
 def test_cli_list_builtins(capsys):
     assert main(["list-builtins"]) == 0
-    out = capsys.readouterr().out.split()
-    assert "problem1_quartic" in out and len(out) == 4
+    assert capsys.readouterr().out.split() == list(BUILTIN_RUNS)
+
+
+@pytest.mark.parametrize("name", ["problem2_finite_eta", "convergence_sweep"])
+def test_cli_run_builtin(tmp_path, name):
+    code, manifest = run_builtin(tmp_path, name)
+    assert code == 0 and manifest["status"] == "ok"
+
+
+def test_cli_run_quartic(tmp_path):
+    code, manifest = run_builtin(tmp_path, "problem1_quartic")
+    assert code == 0 and manifest["status"] == "ok"
+    assert manifest["checks"]["flux_chart_ok"] is True
+    assert manifest["checks"]["worst_relative_error"] <= 1e-8
+    assert set(manifest["timings"]) == {"mesh", "assembly", "solve", "post"}
+    assert manifest["total_dofs"] > 0 and manifest["dof_counts"]["0"]
+
+
+def test_cli_run_quartic_below_order_4(tmp_path):
+    # the quartic is not reproduced, so the errors are only reported
+    code, manifest = run_builtin(tmp_path, "problem1_quartic", "--order", "1")
+    assert code == 0 and "flux_chart_ok" not in manifest["checks"]
+    assert manifest["checks"]["worst_relative_error"] > 1e-3
+
+
+def test_cli_run_quartic_fails_on_wrong_chart(tmp_path, monkeypatch):
+    monkeypatch.setattr(problems, "PROBLEM1_CHART",
+                        dict(problems.PROBLEM1_CHART, bc_3d=769.0))
+    code, manifest = run_builtin(tmp_path, "problem1_quartic")
+    assert code == 1 and manifest["status"] == "failed"
+    assert manifest["checks"]["flux_chart_ok"] is False
+
+
+def test_cli_run_convergence_sweep_one_order(tmp_path):
+    code, manifest = run_builtin(tmp_path, "convergence_sweep", "--order", "0")
+    assert code == 0
+    rows = (tmp_path / "convergence.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[:2] for r in rows] == [["0", "2"], ["0", "4"], ["0", "6"]]
+    assert list(manifest["checks"]["rates"]) == ["order_0"]
 
 
 def test_cli_run_config(tmp_path, capsys):
@@ -82,9 +150,10 @@ def test_cli_run_config(tmp_path, capsys):
     assert manifest["total_dofs"] > 0
     counts = manifest["dof_counts"]
     assert counts["3"]["flux"] > 0 and counts["2"]["pressure"] > 0
-    assert (tmp_path / "fluxes.txt").exists()
-    assert (tmp_path / "fields.vtk").exists()
-    assert (tmp_path / "system.coo").exists()
+    assert sorted(Path(p).name for p in manifest["outputs"]) == [
+        "fields.vtk", "fields.vtk.velocity.vtk", "fluxes.txt", "system.coo"]
+    assert all(Path(p).exists() for p in manifest["outputs"])
+    assert set(manifest["timings"]) == {"mesh", "assembly", "solve", "post"}
     assert manifest["checks"]["max_relative_flux_mismatch"] < 1e-9
     # order 1: the 3 + 3 interior fluxes and 3 higher pressure moments of
     # each of the 8 cells (the fracture lies on a grid plane) are condensed
@@ -104,7 +173,9 @@ def test_cli_run_shipped_barrier_config(tmp_path):
 
 
 def test_cli_run_builtin_patch_tests(tmp_path):
-    assert main(["run", "patch_tests", "--output-dir", str(tmp_path)]) == 0
+    code, manifest = run_builtin(tmp_path, "patch_tests")
+    assert code == 0 and manifest["status"] == "ok"
+    assert manifest["checks"]["worst_relative_error"] <= 1e-9
     body = (tmp_path / "patch_tests.csv").read_text()
     assert body.startswith("case,")
     assert "3D_BDM2" in body
@@ -157,3 +228,17 @@ outputs: [fluxes, manifest]
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert "mesh" in manifest["inputs"]  # mesh file hashed into the manifest
     assert manifest["dof_counts"]["2"]["flux"] > 0
+
+
+def test_cli_run_config_nonconforming_mesh(tmp_path, capsys):
+    mesh = box_mesh([0, 0, 0], [1, 1, 1], (2, 2, 2))
+    mesh.cells[0] = mesh.cells[0][:-1]   # drop one face
+    write_mesh(mesh, tmp_path / "bad.mesh")
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(f"mesh: {{type: file, path: {tmp_path / 'bad.mesh'}}}\n")
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path)]) == 1
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == "failed" and manifest["outputs"] == []
+    assert manifest["checks"]["conformity_faults"] > 0
+    assert "mesh" in manifest["inputs"]
+    assert "conformity: cell 0" in capsys.readouterr().out

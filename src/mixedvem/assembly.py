@@ -42,6 +42,7 @@ import scipy.sparse as sps
 
 from .elements import ElementSpace, local_matrices, local_matrices_1d
 from .errors import ConfigError
+from .geometry import lex_sign
 from .mesh import MixedDimensionalMesh, field_values
 from .polyspace import MonomialBasis, dim_poly
 
@@ -260,10 +261,7 @@ def _build_3d_block(dm, md, offset):
              for fm in md.fractures for ci2, cell in enumerate(fm.cells)}
     for fid, owners in users.items():
         if len(owners) == 2 and fid not in lower:
-            # the face loop's own normal, as seen by its positive owner
-            ci, lf, s = max(owners, key=lambda owner: owner[2])
-            intrinsic = s * geoms[ci].faces[lf].normal
-            canon = 1 if tuple(intrinsic) > tuple(-intrinsic) else -1
+            canon = mesh.face_geometry([fid])[0].lex_sign
             users[fid] = [(ci, lf, s * canon) for ci, lf, s in owners]
 
     dofs = fill_block(blk, dm.space(3), geoms, users, lower)
@@ -294,8 +292,7 @@ def _build_2d_block(dm, md, fm, offset):
             # the outward normal is the traversal tangent turned by -90 deg,
             # so the tangent against its canonical direction gives the sign
             ta = cell.coords2d[(k + 1) % n] - cell.coords2d[k]
-            users.setdefault(key, []).append(
-                (ci, k, 1 if tuple(ta) > tuple(-ta) else -1))
+            users.setdefault(key, []).append((ci, k, lex_sign(ta)))
         cell_edges.append(keys)
     kind = {key: fm.edge_class.get(key, ("interior",))[0] for key in users}
     lower = {tuple(sorted((cell.vid_a, cell.vid_b))):

@@ -22,6 +22,9 @@ from .errors import ConfigError
 from .mesh import (BOX_TAGS, BoundaryCondition, FractureSpec, IntersectionData,
                    NetworkSpec, TraceData, box_mesh, read_mesh)
 
+# The names ``outputs:`` accepts; every run writes manifest.json anyway.
+OUTPUTS = ("fluxes", "fields", "matrix", "manifest")
+
 
 def _parse_eta(value):
     """eta entries accept a positive number or "inf"; stored as 1/eta."""
@@ -151,13 +154,18 @@ def parse_config(text) -> ProblemConfig:
 
     solver = doc.get("solver", {}) or {}
     eps_factor = doc.get("eps_factor")
+    outputs = list(doc.get("outputs", ["fluxes"]))
+    unknown = [name for name in outputs if name not in OUTPUTS]
+    if unknown:
+        raise ConfigError(f"unknown outputs {unknown}; known outputs: "
+                          f"{', '.join(OUTPUTS)}")
     return ProblemConfig(
         order=order, family3d=family3d,
         trace_flow=bool(doc.get("trace_flow", True)),
         mesh_node=doc.get("mesh", {"type": "box"}),
         spec=spec,
         solver_tol=float(solver.get("tolerance", 1e-10)),
-        outputs=list(doc.get("outputs", ["fluxes", "manifest"])),
+        outputs=outputs,
         eps_factor=float(eps_factor) if eps_factor is not None else None,
         raw_text=text)
 

@@ -220,7 +220,7 @@ def _face_moments(geom, qo, k, per):
     d, faces = geom.dim, geom.faces
     coords, pts, w, face_of = geom.face_quadrature(qo)
     scale = np.array([face.diameter for face in faces])
-    normals = np.array([face.normal for face in faces])
+    normals = geom.normals
     Ff = monomials(coords / scale[face_of, None], k)
     Vf = monomials((pts - geom.centroid) / geom.diameter, k + 1)
     n_k = dim_poly(d, k)

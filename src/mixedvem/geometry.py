@@ -6,18 +6,19 @@ simplicial decompositions and are therefore exact for any simple polygon /
 closed polyhedron; quadrature rules are built from positively oriented
 triangulations only, so weights are guaranteed positive.
 
-Geometry is computed once.  A ``PolyhedronGeometry`` fits all its face
-planes in one batch, builds each face view (frame, 2D loop, triangulation)
-once from that fit, and keeps its centroid *cone* (the positively oriented
+Geometry is computed once.  A ``FaceGeometry`` is the orientation-free
+record of one planar face loop (normal, canonical frame, 2D loop, measures,
+triangulation); ``mesh.PolyMesh3D.face_geometry`` keeps one per mesh face,
+shared by the cells it bounds.  A ``PolyhedronGeometry`` holds (record,
+sign) pairs and keeps its centroid *cone* (the positively oriented
 tetrahedra joining the face triangles to the centroid, with their volumes)
 and its *face simplices* (all face triangles, in face and in space
 coordinates); ``PolygonGeometry`` keeps its triangulation and its edges as
-segments, and the face views their triangulations.  No point array is kept
-per order: every ``quadrature(order)`` or ``face_quadrature(order)`` call maps
-the cached reference rule onto all simplices in one batch and returns fresh
-arrays, so callers may modify them.  The objects are immutable once built;
-``mesh.PolyMesh3D.cell_geometry`` hands the same object to every caller until
-the cell's faces or vertices change (see there).
+segments.  No point array is kept per order: every ``quadrature(order)`` or
+``face_quadrature(order)`` call maps the cached reference rule onto all
+simplices in one batch and returns fresh arrays, so callers may modify
+them.  The objects are immutable once built; ``mesh.PolyMesh3D`` hands the
+same face and cell objects to every caller until their loops change.
 """
 
 from __future__ import annotations
@@ -328,13 +329,13 @@ class Plane:
         return self.origin + coords2d[..., :1] * self.t1 + coords2d[..., 1:] * self.t2
 
 
-def fit_plane(coords, eps=None):
+def fit_plane(coords):
     """Best plane through a vertex loop (Newell normal); checks planarity.
 
     The normal follows the loop orientation (right-hand rule).
     """
     loops = _Loops([np.asarray(coords, dtype=float)])
-    normal, mean = loops.plane_normals(eps)
+    normal, mean = loops.plane_normals()
     return Plane.from_normal_point(normal[0], mean[0])
 
 
@@ -358,9 +359,9 @@ class _Loops:
         return (np.maximum.reduceat(coords, self.starts) -
                 np.minimum.reduceat(coords, self.starts)).max(axis=1)
 
-    def plane_normals(self, eps=None):
+    def plane_normals(self):
         """Unit Newell normals and vertex means of planar loops; checks
-        each loop for zero area and for planarity within ``eps``."""
+        each loop for zero area and for planarity."""
         c, nxt = self.coords, self.coords[self.next]
         normal = self.sums((c - nxt)[:, (1, 2, 0)] * (c + nxt)[:, (2, 0, 1)])
         nrm = np.linalg.norm(normal, axis=1)
@@ -373,7 +374,6 @@ class _Loops:
         dist = np.maximum.reduceat(np.abs(_dot_rows(c - mean[self.loop_of],
                                                     normal[self.loop_of])),
                                    self.starts)
-        tol = tol if eps is None else np.full_like(tol, eps)
         bad = np.argmax(dist - tol)
         if dist[bad] > tol[bad]:
             raise DegenerateGeometryError(
@@ -467,6 +467,10 @@ class PolygonGeometry:
             self._faces = [self._edge_view(i) for i in range(len(self.coords))]
         return self._faces
 
+    @property
+    def normals(self):
+        return np.array([face.normal for face in self.faces])
+
     def _edge_view(self, i):
         a = self.coords[i]
         b = self.coords[(i + 1) % len(self.coords)]
@@ -515,7 +519,7 @@ class _EdgeView:
     tangent: np.ndarray
 
     def __post_init__(self):
-        self.frame_tangent = _lex_positive(self.tangent.copy())
+        self.frame_tangent = lex_sign(self.tangent) * self.tangent
 
     @property
     def measure(self):
@@ -539,51 +543,59 @@ class _EdgeView:
         return (rel @ self.frame_tangent)[:, None]
 
 
-def _lex_positive(n):
-    """``n`` itself if lexicographically positive, else ``-n``."""
-    for c in n:
-        if c > 0:
-            return n
-        if c < 0:
-            return -n
-    return n
+def lex_sign(v):
+    """+1 if the first nonzero entry of ``v`` is positive, else -1."""
+    for c in v:
+        if c != 0:
+            return 1 if c > 0 else -1
+    return 1
 
 
-class _FaceView:
-    """Planar face of a PolyhedronGeometry with outward normal and 2D frame.
+class FaceGeometry:
+    """One planar face loop, without an owner cell.
 
-    ``coords3d`` is ordered so the right-hand rule gives the outward unit
-    ``normal``; ``mean`` is the mean of its vertices (both from the
-    polyhedron's plane fit).  The 2D frame (used for face monomials) is
-    anchored at the face centroid and built from the lexicographically
-    positive normal, so the two cells sharing a face see identical face
-    coordinates.  ``coords2d`` is the loop in that frame, counter-clockwise;
-    ``triangulation`` holds its triangles (t, 3, 2) and their areas (t,).
+    ``normal`` is the unit Newell normal of the loop ``coords`` (right-hand
+    rule) and ``mean`` the mean of its vertices; a cell holding the face with
+    sign ``s`` has the outward normal ``s * normal``.  The 2D frame (used for
+    face monomials) is anchored at the face centroid and built from the
+    lexicographically positive normal ``lex_sign * normal``, so all cells
+    sharing the face see the same face coordinates.  ``coords2d`` is the loop
+    in that frame, counter-clockwise; ``triangulation`` holds its triangles
+    (t, 3, 2) and their areas (t,), ``triangles`` the triangles in space.
     """
 
-    def __init__(self, coords3d, normal, mean):
-        self.coords = coords3d
+    def __init__(self, coords, normal, mean):
+        self.coords = coords
         self.normal = normal
-        n = _lex_positive(normal)
+        self.lex_sign = lex_sign(normal)
+        n = self.lex_sign * normal
         t1, t2 = plane_frame(n)
-        rel = self.coords - mean
+        rel = coords - mean
         coords2d = np.column_stack([rel @ t1, rel @ t2])
-        if n is not normal:   # the loop is clockwise in the lex frame
+        if self.lex_sign < 0:   # the loop is clockwise in the lex frame
             coords2d = coords2d[::-1]
         area, c2 = polygon_area_centroid_2d(coords2d)
         self.centroid = mean + c2[0] * t1 + c2[1] * t2
         self.plane = Plane(n, float(n @ self.centroid), self.centroid, t1, t2)
         self.coords2d = coords2d - c2
         self.measure = abs(area)
-        self.diameter = _diameter(self.coords)
+        self.diameter = _diameter(coords)
         self.triangulation = _triangulation(self.coords2d)
+        self.triangles = self.plane.to_3d(self.triangulation[0])
 
     def quadrature(self, order):
-        pts2d, w = _map_rule(*_triangle_ref_rule(order), *self.triangulation)
-        return self.plane.to_3d(pts2d), w
+        return _map_rule(*_triangle_ref_rule(order), self.triangles,
+                         self.triangulation[1])
 
     def to_face_coords(self, points3d):
         return self.plane.to_2d(points3d)
+
+
+def build_faces(loops):
+    """One FaceGeometry per planar (n_i, 3) vertex loop, from one batched
+    plane fit; a zero-area or non-planar loop raises DegenerateGeometryError."""
+    normals, means = _Loops(loops).plane_normals()
+    return [FaceGeometry(*face) for face in zip(loops, normals, means)]
 
 
 class PolyhedronGeometry:
@@ -591,9 +603,12 @@ class PolyhedronGeometry:
 
     ``face_loops`` is a list of (n_i, 3) vertex arrays, each ordered so the
     right-hand rule gives the OUTWARD normal.  The boundary must be closed.
+    ``faces`` are the matching (FaceGeometry, sign) pairs, the sign turning
+    the record's normal outward; by default each loop gets a record of its
+    own with sign +1.  ``normals`` holds the outward unit normals.
     """
 
-    def __init__(self, face_loops):
+    def __init__(self, face_loops, faces=None):
         self._loops = _Loops([np.asarray(f, dtype=float) for f in face_loops])
         self.face_loops = np.split(self._loops.coords, self._loops.starts[1:])
         vol, centroid = self._volume_centroid()
@@ -603,7 +618,12 @@ class PolyhedronGeometry:
         self.measure = float(vol)
         self.centroid = centroid
         self.diameter = scale
-        self._faces = None
+        if faces is None:
+            faces = [(face, 1) for face in build_faces(self.face_loops)]
+        self.faces = [face for face, _ in faces]
+        self.face_signs = np.array([s for _, s in faces], dtype=float)
+        self.normals = self.face_signs[:, None] * np.array(
+            [face.normal for face in self.faces])
         self._cone = None
         self._face_simplices = None
 
@@ -613,26 +633,17 @@ class PolyhedronGeometry:
     def n_faces(self):
         return len(self.face_loops)
 
-    @property
-    def faces(self):
-        if self._faces is None:
-            normals, means = self._loops.plane_normals()
-            self._faces = [_FaceView(*face) for face in
-                           zip(self.face_loops, normals, means)]
-        return self._faces
-
     def face_simplices(self):
         """Triangles of every face: in its face frame (t, 3, 2) and in space
         (t, 3, 3), with areas (t,) and face indices (t,); built once."""
         if self._face_simplices is None:
             faces = self.faces
-            local = [face.triangulation[0] for face in faces]
             self._face_simplices = (
-                np.concatenate(local),
-                np.concatenate([face.plane.to_3d(tri)
-                                for face, tri in zip(faces, local)]),
+                np.concatenate([face.triangulation[0] for face in faces]),
+                np.concatenate([face.triangles for face in faces]),
                 np.concatenate([face.triangulation[1] for face in faces]),
-                np.repeat(np.arange(len(faces)), [len(tri) for tri in local]))
+                np.repeat(np.arange(len(faces)),
+                          [len(face.triangles) for face in faces]))
         return self._face_simplices
 
     def face_quadrature(self, order):
@@ -676,8 +687,7 @@ class PolyhedronGeometry:
         _, tris, _, face_of = self.face_simplices()
         # face 2D loops are CCW in the canonical frame; flip the cone sign
         # when the canonical normal opposes the outward one
-        orient = np.array([1.0 if face.plane.normal @ face.normal > 0 else -1.0
-                           for face in self.faces])
+        orient = self.face_signs * np.array([face.lex_sign for face in self.faces])
         raw = _dot_rows(_cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]),
                         apex - tris[:, 0]) / 6.0
         v = -raw * orient[face_of]
@@ -724,5 +734,5 @@ def quadrature(polytope, exactness_order: int):
 
 def face_frame(polyhedron: PolyhedronGeometry, face_index: int):
     """Outward unit normal and in-plane frame of one face of a polyhedron."""
-    face = polyhedron.faces[face_index]
-    return face.normal, (face.plane.t1, face.plane.t2)
+    plane = polyhedron.faces[face_index].plane
+    return polyhedron.normals[face_index], (plane.t1, plane.t2)

@@ -31,17 +31,8 @@ import numpy as np
 
 from .errors import ConfigError, ConformityError, DegenerateGeometryError, TopologyError
 from .geometry import (EPS_GEO_FACTOR, Plane, PolygonGeometry, PolyhedronGeometry,
-                       SegmentGeometry, fit_plane, polygon_area_centroid_2d)
-
-
-def _lexmax_direction(n):
-    """Flip the unit vector, if needed, so it is lexicographically positive."""
-    for c in n:
-        if c > 0:
-            return n
-        if c < 0:
-            return -n
-    return n
+                       SegmentGeometry, build_faces, fit_plane, lex_sign,
+                       polygon_area_centroid_2d)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +125,7 @@ class FractureSpec:
         if self.inverse_eta2 < 0:
             raise ConfigError("inverse_eta must be >= 0")
         plane = fit_plane(self.vertices)
-        n = _lexmax_direction(plane.normal)
+        n = lex_sign(plane.normal) * plane.normal
         self.plane = Plane.from_normal_point(n, self.vertices.mean(axis=0))
         poly2d = self.plane.to_2d(self.vertices)
         area, _ = polygon_area_centroid_2d(poly2d)
@@ -202,11 +193,12 @@ class PolyMesh3D:
     Cells store (face_id, sign) pairs; sign is +1 when the face's intrinsic
     loop normal (right-hand rule) points out of the cell.
 
-    ``cell_geometry`` keeps one PolyhedronGeometry per cell.  An entry is
-    reused while the cell's (face, sign) tuple and its faces' vertex tuples
-    are unchanged; ``snap_vertex`` is the only edit that moves an existing
-    vertex and drops every entry.  Other vertex coordinates must not be
-    changed in place.
+    ``face_geometry`` keeps one FaceGeometry record per face, reused while
+    the face's vertex tuple is unchanged; ``cell_geometry`` keeps one
+    PolyhedronGeometry per cell on those records, reused while the cell's
+    (face, sign) tuple and its faces' vertex tuples are unchanged.
+    ``snap_vertex`` is the only edit that moves an existing vertex and drops
+    every entry.  Other vertex coordinates must not be changed in place.
     """
 
     def __init__(self, merge_tol=1e-9):
@@ -220,6 +212,7 @@ class PolyMesh3D:
         self.merge_tol = merge_tol
         self._vhash: dict[tuple, list] = {}
         self._geometry: dict[int, tuple] = {}      # cid -> (key, geometry)
+        self._face_geometry: dict[int, tuple] = {}  # fid -> (vertex ids, record)
         self.background_volume = None
 
     # -- vertices ----------------------------------------------------------
@@ -256,6 +249,7 @@ class PolyMesh3D:
         self.verts[vid] = np.asarray(p, dtype=float)
         self._vhash.setdefault(self._hash_key(p), []).append(vid)
         self._geometry.clear()
+        self._face_geometry.clear()
 
     # -- faces and cells ----------------------------------------------------
 
@@ -294,6 +288,17 @@ class PolyMesh3D:
                     out.append(v)
         return out
 
+    def face_geometry(self, fids):
+        """The FaceGeometry of each face in ``fids``; missing or stale records
+        are built in one batch."""
+        stale = [fid for fid in fids
+                 if self._face_geometry.get(fid, (None,))[0] != self.faces[fid]]
+        if stale:
+            built = build_faces([self.face_coords(fid) for fid in stale])
+            for fid, face in zip(stale, built):
+                self._face_geometry[fid] = (self.faces[fid], face)
+        return [self._face_geometry[fid][1] for fid in fids]
+
     def cell_geometry(self, cid) -> PolyhedronGeometry:
         """The cell's geometry, built once while the cell is unchanged."""
         ofs = self.cells[cid]
@@ -301,20 +306,19 @@ class PolyMesh3D:
         cached = self._geometry.get(cid)
         if cached is not None and cached[0] == key:
             return cached[1]
-        loops = []
-        for fid, s in ofs:
-            coords = self.face_coords(fid)
-            loops.append(coords if s > 0 else coords[::-1])
-        geom = PolyhedronGeometry(loops)
+        faces = list(zip(self.face_geometry([fid for fid, _ in ofs]),
+                         (s for _, s in ofs)))
+        loops = [face.coords[::s] for face, s in faces]
+        geom = PolyhedronGeometry(loops, faces)
         self._geometry[cid] = (key, geom)
         return geom
 
     def face_outward_normal(self, fid, cid):
-        """Outward unit normal of face ``fid`` of cell ``cid``, from the plane
-        fit the cell's cached geometry holds."""
-        for lf, (f, _) in enumerate(self.cells[cid]):
+        """Outward unit normal of face ``fid`` of cell ``cid``: the face
+        record's normal turned by the cell's sign for the face."""
+        for f, s in self.cells[cid]:
             if f == fid:
-                return self.cell_geometry(cid).faces[lf].normal
+                return s * self.face_geometry([fid])[0].normal
         raise KeyError(f"face {fid} does not bound cell {cid}")
 
     def domain_diameter(self):
@@ -333,6 +337,7 @@ class PolyMesh3D:
                 del self.faces[fid]
                 self.face_fracture.pop(fid, None)
                 self.boundary_tags.pop(fid, None)
+                self._face_geometry.pop(fid, None)
 
 
 BOX_TAGS = ["xmin", "xmax", "ymin", "ymax", "zmin", "zmax"]
@@ -465,7 +470,6 @@ def read_mesh(path) -> PolyMesh3D:
     for _ in range(nb):
         row = next(it)
         mesh.boundary_tags[fid_of[int(row[0])]] = row[1]
-    mesh.background_volume = mesh.total_volume()
     return mesh
 
 
@@ -1057,31 +1061,24 @@ def extract_lower_meshes(mesh: PolyMesh3D, spec: NetworkSpec, eps=None):
     for l, fspec in enumerate(spec.fractures):
         plane = fspec.plane
         cells = []
-        for fid in sorted(mesh.faces):
-            if mesh.face_fracture.get(fid) != l:
-                continue
+        fids = [fid for fid in sorted(mesh.faces) if mesh.face_fracture.get(fid) == l]
+        for fid, face in zip(fids, mesh.face_geometry(fids)):
             owners = inc.get(fid, ())
             if len(owners) != 2:
                 raise ConformityError(
                     f"fracture {l}: face {fid} has {len(owners)} owner cells")
-            loop = mesh.faces[fid]
-            coords2d = plane.to_2d(mesh.face_coords(fid))
-            vids = loop
-            if polygon_area_centroid_2d(coords2d)[0] < 0:
-                vids = tuple(reversed(loop))
-                coords2d = coords2d[::-1]
-            plus, minus = None, None
-            for cid, _ in owners:
-                outward = mesh.face_outward_normal(fid, cid)
-                if outward @ plane.normal > 0:
-                    plus = cid   # outward co-normal equals the lex-positive normal
-                else:
-                    minus = cid
-            if plus is None or minus is None:
+            # the loop runs counter-clockwise in the fracture frame when its
+            # normal is along the (lex-positive) fracture normal
+            step = 1 if face.normal @ plane.normal > 0 else -1
+            coords2d = plane.to_2d(face.coords[::step])
+            # '+' is the owner whose outward normal is along the fracture normal
+            sides = {s * step: cid for cid, s in owners}
+            if set(sides) != {1, -1}:
                 raise TopologyError(f"fracture face {fid}: sides not resolvable")
             cells.append(FractureCell(
-                face_id=fid, vids=tuple(vids), coords2d=coords2d,
-                geometry=PolygonGeometry(coords2d), cell_plus=plus, cell_minus=minus))
+                face_id=fid, vids=mesh.faces[fid][::step], coords2d=coords2d,
+                geometry=PolygonGeometry(coords2d), cell_plus=sides[1],
+                cell_minus=sides[-1]))
         edge_cells = {}
         for ci, cell in enumerate(cells):
             n = len(cell.vids)
@@ -1093,18 +1090,14 @@ def extract_lower_meshes(mesh: PolyMesh3D, spec: NetworkSpec, eps=None):
                                       edge_class={}))
 
     # --- external-boundary point test --------------------------------------
-    bfaces = [fid for fid, owners in inc.items() if len(owners) == 1]
-    bplanes = []
-    for fid in bfaces:
-        coords = mesh.face_coords(fid)
-        plane = fit_plane(coords)
-        bplanes.append((plane, plane.to_2d(coords)))
+    bfaces = mesh.face_geometry([fid for fid, owners in inc.items()
+                                 if len(owners) == 1])
 
     def on_external_boundary(x):
-        for plane, poly2d in bplanes:
-            if abs(plane.signed_distance(x[None, :])[0]) > eps:
+        for face in bfaces:
+            if abs(face.plane.signed_distance(x[None, :])[0]) > eps:
                 continue
-            if _point_in_poly2d(plane.to_2d(x[None, :])[0], poly2d, eps):
+            if _point_in_poly2d(face.plane.to_2d(x[None, :])[0], face.coords2d, eps):
                 return True
         return False
 
@@ -1310,6 +1303,7 @@ def validate_conformity(md: MixedDimensionalMesh) -> list:
     report = []
     mesh = md.mesh3d
 
+    volumes = []
     for cid in mesh.cells:
         edge_use = {}
         for fid, s in mesh.cells[cid]:
@@ -1323,13 +1317,16 @@ def validate_conformity(md: MixedDimensionalMesh) -> list:
             report.append(f"cell {cid}: {len(bad)} edges not shared by exactly "
                           f"two faces")
         try:
+            geom = mesh.cell_geometry(cid)
+            volumes.append(geom.measure)
             # builds the cell's quadrature cone once, for assembly to reuse
-            mesh.cell_geometry(cid).cone()
+            geom.cone()
         except DegenerateGeometryError as exc:
             report.append(f"cell {cid}: {exc}")
 
-    if mesh.background_volume is not None:
-        vol = mesh.total_volume()
+    # a cell without geometry is reported above and has no volume to add
+    if mesh.background_volume is not None and len(volumes) == len(mesh.cells):
+        vol = sum(volumes)
         if abs(vol - mesh.background_volume) > 1e-10 * mesh.background_volume:
             report.append(f"volume mismatch: cells {vol!r} vs background "
                           f"{mesh.background_volume!r}")

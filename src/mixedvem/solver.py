@@ -181,7 +181,10 @@ def solve(system: GlobalSystem, tol: float = 1e-10) -> "DiscreteSolution":
                 x = np.full(n, np.nan)
     else:
         branch = "iterative"
-        ilu = spla.spilu(A.tocsc(), drop_tol=1e-6)
+        try:
+            ilu = spla.spilu(A.tocsc(), drop_tol=1e-6)
+        except RuntimeError as exc:   # e.g. "Factor is exactly singular"
+            raise SingularSystemError(f"incomplete LU failed: {exc}") from exc
         fill = ilu.nnz
         M = spla.LinearOperator(A.shape, ilu.solve)
         x, info = spla.gmres(A, b, M=M, rtol=tol, maxiter=2000)

@@ -19,7 +19,7 @@ from .assembly import (DomainBlock, GlobalDofMap, GlobalSystem, add_dirichlet_lo
                        assemble_dimension, assemble_rhs, fill_block)
 from .elements import ElementSpace
 from .errors import ConfigError
-from .geometry import Plane, PolygonGeometry, SegmentGeometry
+from .geometry import Plane, PolygonGeometry, SegmentGeometry, lex_sign
 from .mesh import BoundaryCondition
 from .solver import DiscreteSolution, solve
 
@@ -40,7 +40,7 @@ def _faces(geom, tol):
     out = []
     for e in geom.faces:
         key = tuple(sorted((_round_key(e.a, tol), _round_key(e.b, tol))))
-        out.append((key, 1.0 if tuple(e.tangent) > tuple(-e.tangent) else -1.0))
+        out.append((key, lex_sign(e.tangent)))
     return out
 
 

@@ -434,7 +434,7 @@ def _face_kind(md, blk, key, users):
 
 def _outward_normal(blk, ci, lf):
     geom = blk.geoms[ci]
-    return (2 * lf - 1) * geom.tangent if blk.dim == 1 else geom.faces[lf].normal
+    return (2 * lf - 1) * geom.tangent if blk.dim == 1 else geom.normals[lf]
 
 
 @pytest.mark.parametrize("build_md, kinds", [

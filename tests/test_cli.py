@@ -70,6 +70,19 @@ def test_parse_config_legacy_solver_keys():
     assert not hasattr(cfg, "quad_order")
 
 
+def test_config_rejects_unknown_outputs(tmp_path, capsys):
+    outputs = "outputs: [fluxes, fields, matrix, manifest]"
+    assert parse_config(CONFIG.replace(outputs, "")).outputs == ["fluxes"]
+    typo = CONFIG.replace(outputs, "outputs: [fluxes, feilds]")
+    with pytest.raises(ConfigError, match="feilds.*fluxes, fields, matrix, manifest"):
+        parse_config(typo)
+    cfg = tmp_path / "typo.yaml"
+    cfg.write_text(typo)
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path)]) == 2
+    assert "feilds" in capsys.readouterr().err
+    assert not (tmp_path / "fluxes.txt").exists()
+
+
 # built-in -> (the files it writes, the checks its manifest lists)
 BUILTIN_RUNS = {
     "problem1_quartic": (
@@ -192,6 +205,13 @@ def test_cli_validate_mesh(tmp_path, capsys):
     bad = tmp_path / "bad.mesh"
     write_mesh(mesh, bad)
     assert main(["validate-mesh", str(bad)]) == 1
+    # a non-planar face is reported per cell, not raised while reading
+    warped = box_mesh([0, 0, 0], [1, 1, 1], (2, 2, 2))
+    warped.verts[13] = warped.verts[13] + np.array([0.0, 0.0, 0.1])
+    write_mesh(warped, bad)
+    capsys.readouterr()
+    assert main(["validate-mesh", str(bad)]) == 1
+    assert "non-planar" in capsys.readouterr().out
 
 
 def test_cli_error_exit_code(tmp_path, capsys):

@@ -342,7 +342,7 @@ def _oracle_local_matrices(space, geom, nu, quad_order):
         sl = layout.face_slice(i)
         W[:, sl] = moments[:n_p, :]
         B2[:, sl] = moments[1:, :]
-        gface = vec.evaluate(fpts) @ face.normal
+        gface = vec.evaluate(fpts) @ geom.normals[i]
         D[sl, :] = (Ff * fw[:, None]).T @ gface / face.measure
         face_dual.append(dual)
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mixedvem import geometry as geo
 from mixedvem import mesh as msh
 from mixedvem.assembly import assemble_complete
 from mixedvem.errors import (ConformityError, DegenerateGeometryError,
@@ -16,6 +17,7 @@ from mixedvem.mesh import (BoundaryCondition, FractureSpec, NetworkSpec,
                            box_mesh, build_domain_graph, cut_background_mesh,
                            cut_with_fracture, extract_lower_meshes,
                            read_mesh, validate_conformity, write_mesh)
+from mixedvem.problems import poisson3d_case
 from tests.test_geometry import SLIVER_TET, TET_FACES
 
 DIR = BoundaryCondition("dirichlet", 0.0)
@@ -275,6 +277,13 @@ def _fresh_cell_geometry(mesh, cid):
     return msh.PolyhedronGeometry(loops)
 
 
+def _record_arrays(face):
+    plane = face.plane
+    return (face.coords, face.normal, face.lex_sign, plane.normal, plane.offset,
+            plane.origin, plane.t1, plane.t2, face.coords2d, face.measure,
+            face.centroid, face.diameter, *face.triangulation, face.triangles)
+
+
 @pytest.mark.parametrize("fracture", [
     square_fracture(2, 1e-9),   # snaps the z = 0 vertices, splits no cell
     # splits the middle cells; their neighbours gain hanging vertices
@@ -293,15 +302,20 @@ def test_cell_geometry_follows_cut(fracture):
         assert len(cached.face_loops) == len(fresh.face_loops)
         for a, b in zip(cached.face_loops, fresh.face_loops):
             assert np.array_equal(a, b)
+    for fid in mesh.faces:
+        cached = mesh.face_geometry([fid])[0]
+        fresh = geo.build_faces([mesh.face_coords(fid)])[0]
+        for a, b in zip(_record_arrays(cached), _record_arrays(fresh)):
+            assert np.array_equal(a, b), fid
 
 
 def test_one_geometry_per_cell_through_assembly(monkeypatch):
     built = []
     init = msh.PolyhedronGeometry.__init__
 
-    def counting_init(self, face_loops):
+    def counting_init(self, *args):
         built.append(self)
-        init(self, face_loops)
+        init(self, *args)
 
     monkeypatch.setattr(msh.PolyhedronGeometry, "__init__", counting_init)
     mesh = box_mesh([-1, -1, -1], [1, 1, 1], (3, 3, 3))
@@ -312,6 +326,35 @@ def test_one_geometry_per_cell_through_assembly(monkeypatch):
     assert len(built) == len(mesh.cells) > 27
     assert system.dofmap.block(3).geoms == [mesh.cell_geometry(c)
                                             for c in sorted(mesh.cells)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: poisson3d_case(3, 0).md,
+    lambda: cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (3, 3, 3)),
+                                _perfbench_network(9400)),
+], ids=["poisson-box", "network-9400"])
+def test_one_face_record_per_face_through_assembly(monkeypatch, build):
+    built = []
+    init = geo.FaceGeometry.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(geo.FaceGeometry, "__init__", counting_init)
+    md = build()
+    mesh = md.mesh3d
+    assert validate_conformity(md) == []
+    assemble_complete(md, order=1)
+    assert len(built) == len(mesh.faces)
+    interior = 0
+    for fid, owners in mesh.face_cells().items():
+        record = mesh.face_geometry([fid])[0]
+        for cid, _ in owners:
+            lf = [f for f, _ in mesh.cells[cid]].index(fid)
+            assert mesh.cell_geometry(cid).faces[lf] is record
+        interior += len(owners) == 2
+    assert interior > 0 and len(built) == len(mesh.faces)   # no lookup rebuilt one
 
 
 def _perfbench_network(seed):

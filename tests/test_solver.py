@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 
 from mixedvem import problems, solver
 from mixedvem.assembly import apply_boundary_conditions, assemble_complete
-from mixedvem.errors import ConditioningError
+from mixedvem.errors import ConditioningError, SingularSystemError
 from mixedvem.mesh import (BoundaryCondition, FractureSpec, NetworkSpec,
                            box_mesh, cut_background_mesh)
 from mixedvem.solver import (DiscreteSolution, ExactFields, condensed_cells,
@@ -221,6 +221,17 @@ def test_iterative_branch_matches_direct(make, monkeypatch):
     scale = np.abs(direct.x).max()
     assert np.abs(iterative.x - direct.x).max() <= 1e-8 * scale
     assert iterative.residual <= 1e-10 * np.linalg.norm(iterative.system.rhs)
+
+
+def test_iterative_branch_reports_failed_incomplete_lu(monkeypatch):
+    def singular_spilu(*args, **kw):
+        raise RuntimeError("Factor is exactly singular")
+
+    system, _ = linear_case(order=0)
+    monkeypatch.setattr(solver, "DIRECT_SOLVE_LIMIT", 0)
+    monkeypatch.setattr(solver.spla, "spilu", singular_spilu)
+    with pytest.raises(SingularSystemError, match="exactly singular"):
+        solve(system)
 
 
 def _network_system():

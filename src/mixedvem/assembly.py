@@ -26,7 +26,9 @@ skeleton
 where the K blocks are the per-domain [A, -W^T; W, 0] saddle matrices, the
 same-dimension C blocks carry the finite normal-transmissivity terms (they
 vanish when inverse_eta = 0) and the cross-dimension C blocks pair flux
-jumps with lower-dimensional pressures.
+jumps with lower-dimensional pressures.  The matrix is the sum of one dense
+``CellBlock`` per cell (its signed K, the 1/eta masses of its interface
+sides, its +-C rows and columns), which the solver eliminates cell by cell.
 
 With trace flow disabled the 1D/0D equations are replaced by Lagrange
 multipliers enforcing weak flux continuity across traces; the multipliers
@@ -367,35 +369,64 @@ def _build_1d_block(dm, md, tm, offset):
 # ---------------------------------------------------------------------------
 
 
-class _Coo:
-    def __init__(self):
-        self.rows, self.cols, self.vals = [], [], []
+@dataclass
+class CellBlock:
+    """One cell's dense share of the global matrix, on the global ids
+    ``dofs``: its flux DOFs (in the global orientation), its own pressures,
+    then the pressures of the lower cells its interface sides face."""
 
-    def add(self, rows, cols, mat):
-        r, c = np.meshgrid(rows, cols, indexing="ij")
-        self.rows.append(r.ravel())
-        self.cols.append(c.ravel())
-        self.vals.append(np.asarray(mat, dtype=float).ravel())
+    dofs: np.ndarray
+    n_u: int
+    n_p: int
+    matrix: np.ndarray
 
-    def matrix(self, n):
-        if not self.rows:
-            return sps.csr_matrix((n, n))
-        mat = sps.csr_matrix(
-            (np.concatenate(self.vals),
-             (np.concatenate(self.rows), np.concatenate(self.cols))),
-            shape=(n, n))
-        mat.eliminate_zeros()
-        return mat
+
+def scatter(cells, n) -> sps.csr_matrix:
+    """The (n, n) sum of the cell blocks."""
+    dofs = [np.zeros(0, dtype=np.int32)] + [cb.dofs.astype(np.int32) for cb in cells]
+    mat = sps.csr_matrix(
+        (np.concatenate([np.zeros(0)] + [cb.matrix.ravel() for cb in cells]),
+         (np.concatenate([np.repeat(d, len(d)) for d in dofs]),
+          np.concatenate([np.tile(d, len(d)) for d in dofs]))),
+        shape=(n, n))
+    mat.eliminate_zeros()
+    return mat
 
 
 @dataclass
 class GlobalSystem:
-    matrix: sps.csr_matrix
+    """One ``CellBlock`` per cell and the right-hand side.  ``matrix`` is the
+    blocks' sum, built on first use, and ``fix`` is the one way to change the
+    system after assembly, so the blocks the solver eliminates and the matrix
+    it refines with stay one system."""
+
+    cells: list
     rhs: np.ndarray
     dofmap: GlobalDofMap
     md: MixedDimensionalMesh
     bc_applied: bool = False
     constrained: np.ndarray = None
+    fixed: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int), init=False)
+    _matrix: sps.csr_matrix = field(default=None, init=False, repr=False)
+
+    @property
+    def matrix(self) -> sps.csr_matrix:
+        if self._matrix is None:   # nothing is fixed yet: fix sets it
+            self._matrix = scatter(self.cells, len(self.rhs))
+        return self._matrix
+
+    def fix(self, dofs, values):
+        """Hold ``dofs`` at ``values``: their columns move to the right-hand
+        side and their rows and columns become unit rows; the solver drops
+        the ``fixed`` DOFs from the cell blocks."""
+        A = self.matrix
+        self.rhs -= A[:, dofs] @ values
+        self.rhs[dofs] = values
+        self.fixed = np.union1d(self.fixed, dofs)
+        free = np.ones(A.shape[0])
+        free[dofs] = 0.0
+        self._matrix = (sps.diags(free) @ A @ sps.diags(free) + sps.diags(1.0 - free)).tocsr()
+        self._matrix.eliminate_zeros()
 
     def export_coo(self, path):
         coo = self.matrix.tocoo()
@@ -405,24 +436,30 @@ class GlobalSystem:
                 fh.write(f"{r} {c} {v:.17e}\n")
 
 
-def assemble_dimension(dm: GlobalDofMap, dim: int) -> _Coo:
-    """K^{dD}: block-diagonal saddle matrices of all domains of one dimension."""
-    coo = _Coo()
-    for (d, idx), blk in dm.blocks.items():
-        if d != dim:
+def assemble_dimension(dm: GlobalDofMap, dim: int) -> dict:
+    """The cell blocks of all domains of one dimension, keyed by (block key,
+    cell): each cell's K, conjugated by its flux signs, with zero rows and
+    columns for the pressures of its lower cells."""
+    lower = {}
+    for side in dm.interfaces:
+        if side.upper[0] == dim:
+            lower.setdefault((side.upper, side.cell), []).append(
+                dm.blocks[side.lower].cell_p_dofs[side.lower_cell])
+    cells = {}
+    for key, blk in dm.blocks.items():
+        if key[0] != dim:
             continue
-        for ci in range(len(blk.geoms)):
-            loc = blk.locals_[ci]
+        for ci, loc in enumerate(blk.locals_):
             if loc is None:
                 continue
             u, s, p = blk.cell_u_dofs[ci], blk.cell_u_signs[ci], blk.cell_p_dofs[ci]
-            n_u = len(u)
-            K = loc.K
+            dofs = np.concatenate([u, p, *lower.get((key, ci), [])])
+            n = len(u) + len(p)
             S = np.concatenate([s, np.ones(len(p))])
-            Ksc = K * np.outer(S, S)
-            dofs = np.concatenate([u, p])
-            coo.add(dofs, dofs, Ksc)
-    return coo
+            M = np.zeros((len(dofs), len(dofs)))
+            M[:n, :n] = loc.K * np.outer(S, S)
+            cells[(key, ci)] = CellBlock(dofs, len(u), len(p), M)
+    return cells
 
 
 def face_rule(blk, ci, lf, qo):
@@ -449,7 +486,7 @@ def face_mass(blk, ci, lf):
     return blk.geoms[ci].faces[lf].measure * blk.locals_[ci].face_dual[lf]
 
 
-def assemble_coupling_same_dim(dm: GlobalDofMap, coo: _Coo):
+def assemble_coupling_same_dim(dm: GlobalDofMap, cells: dict):
     """(1/eta) face mass terms on the interface sides' flux DOFs.
 
     A finite normal transmissivity penalizes inter-dimensional exchange: the
@@ -459,11 +496,13 @@ def assemble_coupling_same_dim(dm: GlobalDofMap, coo: _Coo):
     """
     for side in dm.interfaces:
         if side.inverse_eta != 0.0:
-            mass = face_mass(dm.blocks[side.upper], side.cell, side.face)
-            coo.add(side.dofs, side.dofs, side.inverse_eta * mass)
+            upper = dm.blocks[side.upper]
+            sl = upper.locals_[side.cell].layout.face_slice(side.face)
+            cells[(side.upper, side.cell)].matrix[sl, sl] += (
+                side.inverse_eta * face_mass(upper, side.cell, side.face))
 
 
-def assemble_coupling_cross_dim(dm: GlobalDofMap, coo: _Coo):
+def assemble_coupling_cross_dim(dm: GlobalDofMap, cells: dict):
     """Pair each interface side's outward flux with the pressures of its
     lower cell: +C and -C^T blocks."""
     qo = 2 * (dm.order + 2)
@@ -474,8 +513,11 @@ def assemble_coupling_cross_dim(dm: GlobalDofMap, coo: _Coo):
         phys = upper.point_map(side.cell, pts)
         mu = lower.bases_p[lc].evaluate(lower.local_coords(lc, phys))
         C = dual.T @ (w[:, None] * mu)
-        coo.add(side.dofs, lower.cell_p_dofs[lc], C)
-        coo.add(lower.cell_p_dofs[lc], side.dofs, -C.T)
+        cb = cells[(side.upper, side.cell)]
+        sl = upper.locals_[side.cell].layout.face_slice(side.face)
+        q = np.flatnonzero(np.isin(cb.dofs, lower.cell_p_dofs[lc]))
+        cb.matrix[sl, q] += C
+        cb.matrix[q, sl] -= C.T
 
 
 def assemble_rhs(dm: GlobalDofMap, md) -> np.ndarray:
@@ -490,14 +532,12 @@ def assemble_rhs(dm: GlobalDofMap, md) -> np.ndarray:
         src = blk.source
         if not callable(src) and float(src) == 0.0:
             continue
-        for ci, geom in enumerate(blk.geoms):
-            loc = blk.locals_[ci]
-            basis = loc.basis_p if loc is not None else None
-            if basis is None:
+        for ci, (geom, loc) in enumerate(zip(blk.geoms, blk.locals_)):
+            if loc is None:
                 continue
             pts, w = geom.quadrature(qo)
             f = field_values(src, blk.point_map(ci, pts))
-            rhs[blk.cell_p_dofs[ci]] += basis.evaluate(pts).T @ (w * f)
+            rhs[blk.cell_p_dofs[ci]] += loc.basis_p.evaluate(pts).T @ (w * f)
     return rhs
 
 
@@ -505,16 +545,13 @@ def assemble_complete(md: MixedDimensionalMesh, order: int, family3d="RT",
                       trace_flow=True) -> GlobalSystem:
     """Assemble the full block system (boundary conditions NOT yet applied)."""
     dm = build_dof_map(md, order, family3d=family3d, trace_flow=trace_flow)
-    coo = _Coo()
+    cells = {}
     for d in (3, 2, 1):
-        part = assemble_dimension(dm, d)
-        coo.rows += part.rows
-        coo.cols += part.cols
-        coo.vals += part.vals
-    assemble_coupling_same_dim(dm, coo)
-    assemble_coupling_cross_dim(dm, coo)
-    rhs = assemble_rhs(dm, md)
-    return GlobalSystem(matrix=coo.matrix(dm.total), rhs=rhs, dofmap=dm, md=md)
+        cells.update(assemble_dimension(dm, d))
+    assemble_coupling_same_dim(dm, cells)
+    assemble_coupling_cross_dim(dm, cells)
+    return GlobalSystem(cells=list(cells.values()), rhs=assemble_rhs(dm, md),
+                        dofmap=dm, md=md)
 
 
 # ---------------------------------------------------------------------------
@@ -526,13 +563,11 @@ def apply_boundary_conditions(system: GlobalSystem) -> GlobalSystem:
     """Dirichlet data into the flux RHS; homogeneous Neumann DOFs eliminated.
 
     No-flow flux DOFs are fixed at zero and Dirichlet intersection pressures
-    at their datum: their known values move to the right-hand side and their
-    rows and columns become unit rows, so the system keeps its size.
+    at their datum (``GlobalSystem.fix``), so the system keeps its size.
     """
     if system.bc_applied:
         raise ValueError("boundary conditions are already applied")
     dm, md = system.dofmap, system.md
-    rhs = system.rhs
     qo = 2 * (dm.order + 2)
     no_flow = []
     for (d, idx), blk in dm.blocks.items():
@@ -550,32 +585,16 @@ def apply_boundary_conditions(system: GlobalSystem) -> GlobalSystem:
                 sl = blk.locals_[ci].layout.face_slice(lf)
                 no_flow.extend(blk.cell_u_dofs[ci][sl])
             else:
-                add_dirichlet_load(rhs, blk, ci, lf, bc, qo)
+                add_dirichlet_load(system.rhs, blk, ci, lf, bc, qo)
 
-    pinned, values = [], []
-    if dm.trace_flow:
-        for ip in md.intersections:
-            bc = md.spec.intersection_data(ip.index).bc
-            if bc is not None and bc.kind == "dirichlet":
-                pinned.append(dm.block(0, ip.index).offset)
-                values.append(bc.datum(ip.coords))
-    cset = np.unique(np.asarray(no_flow, dtype=int))
-    fixed = np.concatenate([np.asarray(pinned, dtype=int), cset])
-    x_fixed = np.concatenate([values, np.zeros(len(cset))])
-
-    A = system.matrix
-    rhs -= A[:, fixed] @ x_fixed
-    free = np.ones(A.shape[0])
-    free[fixed] = 0.0
-    A = sps.diags(free) @ A @ sps.diags(free) + sps.diags(1.0 - free)
-    A = A.tocsr()
-    A.eliminate_zeros()
-    rhs[fixed] = x_fixed
-
-    system.matrix = A
-    system.rhs = rhs
+    fixed = dict.fromkeys(no_flow, 0.0)
+    for ip in md.intersections if dm.trace_flow else []:
+        bc = md.spec.intersection_data(ip.index).bc
+        if bc is not None and bc.kind == "dirichlet":
+            fixed[dm.block(0, ip.index).offset] = bc.datum(ip.coords)
+    system.constrained = np.unique(np.asarray(no_flow, dtype=int))
+    system.fix(np.array(list(fixed), dtype=int), np.array(list(fixed.values())))
     system.bc_applied = True
-    system.constrained = cset
     return system
 
 

@@ -189,8 +189,8 @@ class RunOutcome:
     def write_manifest(self, path, timings):
         """``manifest.json``: input hashes, stage timings, files, status and
         checks; for a single solve also its DOF counts, residual and how the
-        solve ran (branch, DOFs condensed out of the global factorization,
-        the entries its factors store)."""
+        solve ran (factorized DOFs and entries, residual before refinement,
+        worst local pivot ratio)."""
         manifest = {
             "inputs": {name: hashlib.sha256(
                 text.encode() if isinstance(text, str) else text).hexdigest()
@@ -205,9 +205,10 @@ class RunOutcome:
                 for d, (u, p) in sorted(sol.dofmap.counts().items(), reverse=True)}
             manifest["total_dofs"] = sol.dofmap.total
             manifest["residual"] = sol.residual
-            manifest["checks"] = {"solve_branch": sol.branch,
-                                  "condensed_dofs": sol.condensed_dofs,
-                                  "lu_fill": sol.lu_fill} | self.checks
+            manifest["checks"] = {
+                "global_dofs": sol.global_dofs, "lu_fill": sol.lu_fill,
+                "residual_before_refinement": sol.residual_before_refinement,
+                "worst_pivot_ratio": sol.worst_pivot_ratio} | self.checks
         with open(path, "w") as fh:
             json.dump(manifest, fh, indent=2)
 

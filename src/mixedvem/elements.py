@@ -19,7 +19,8 @@ The fixed-size algebra (the complement basis, the Gram matrix, the face
 duals, the ``V`` and ``Pi0_hat`` solves and the stabilized ``K``) then runs on
 ``(m, n, n)`` stacks over the cells, grouped by face count where the number
 of DOFs differs.  Every local SPD solve is equilibrated, checked for its
-pivot ratio and refined once (``_spd_solve``).  The inverse transmissivity
+pivot ratio (``equilibrated_cholesky``, which the global solve's cell
+eliminations share) and refined once (``_spd_solve``).  The inverse transmissivity
 ``nu`` of a block is one positive number, so the weighted Gram matrix is
 ``nu * G`` and the stabilization uses ``nu`` itself as its mean.
 """
@@ -36,7 +37,8 @@ from .polyspace import (MonomialBasis, VectorPolyBasis, dim_poly,
                         gradient_basis, monomials, oplus_coeffs,
                         vector_monomial_mass)
 
-# Pivot-ratio threshold below which a local SPD factorization is rejected.
+# Smallest pivot ratio (``equilibrated_cholesky``) of an accepted local SPD
+# factorization.
 COND_PIVOT_TOL = 1e-13
 
 
@@ -111,27 +113,33 @@ def dof_layout(space: ElementSpace, geom) -> DofLayout:
     return DofLayout(n_faces, space.n_face_dofs(), n_typeii, n_typeiii)
 
 
-def _spd_solve(M, rhs, what):
-    """Solve a stack of SPD systems M x = rhs, rejecting near-singular pivots.
-
-    ``M`` is (m, n, n) and ``rhs`` (m, n, r).  Each system is symmetrically
-    Jacobi-equilibrated first, which recovers several digits on badly shaped
-    elements, and factorized by Cholesky for the pivot-ratio test.  NumPy
-    has no stacked triangular solve, so the equilibrated systems are solved
-    by LU, and the solution is polished with one step of iterative
-    refinement.  One bad matrix fails the whole stack.
-    """
+def equilibrated_cholesky(M, what):
+    """Cholesky factors ``L`` of a stack of SPD matrices after Jacobi
+    equilibration, ``s M s = L L^T`` with ``s = diag(M)^-1/2``, and the
+    smallest pivot ratio over the stack.  The pivots are those of
+    ``L D L^T``, the squared diagonal of ``L``; a failed factorization, or a
+    ratio under ``COND_PIVOT_TOL``, raises ConditioningError for the stack."""
     dg = np.diagonal(M, axis1=1, axis2=2)
-    if np.any(dg <= 0):
+    if not np.all(dg > 0):   # NaN fails too
         raise ConditioningError(f"{what} is not positive definite")
-    s = 1.0 / np.sqrt(dg)[:, :, None]
-    Ms = M * s * s.transpose(0, 2, 1)
+    s = 1.0 / np.sqrt(dg)
     try:
-        piv = np.abs(np.diagonal(np.linalg.cholesky(Ms), axis1=1, axis2=2))
+        L = np.linalg.cholesky(M * s[:, :, None] * s[:, None, :])
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"{what} is not positive definite") from exc
-    if np.any(piv.min(axis=1) < COND_PIVOT_TOL * piv.max(axis=1)):
+    piv = np.diagonal(L, axis1=1, axis2=2) ** 2
+    ratio = float(np.min(piv / piv.max(axis=1, initial=0.0, keepdims=True), initial=1.0))
+    if not ratio >= COND_PIVOT_TOL:
         raise ConditioningError(f"{what} is numerically singular")
+    return L, s, ratio
+
+
+def _spd_solve(M, rhs, what):
+    """Solve a stack of SPD systems M x = rhs, (m, n, n) and (m, n, r), after
+    ``equilibrated_cholesky``'s checks, by LU (NumPy has no stacked triangular
+    solve) of the equilibrated systems and one step of iterative refinement."""
+    s = equilibrated_cholesky(M, what)[1][:, :, None]
+    Ms = M * s * s.transpose(0, 2, 1)
 
     def solve(b):
         return s * np.linalg.solve(Ms, s * b)

@@ -544,11 +544,10 @@ class _EdgeView:
 
 
 def lex_sign(v):
-    """+1 if the first nonzero entry of ``v`` is positive, else -1."""
-    for c in v:
-        if c != 0:
-            return 1 if c > 0 else -1
-    return 1
+    """+1 if the first entry of ``v`` above roundoff (``8 eps |v|``) is
+    positive, else -1: a roundoff-level entry must not pick the frame."""
+    big = v[np.abs(v) > 8 * np.finfo(float).eps * np.linalg.norm(v)]
+    return -1 if len(big) and big[0] < 0 else 1
 
 
 class FaceGeometry:

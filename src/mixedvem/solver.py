@@ -1,18 +1,16 @@
-"""Sparse solve, velocity projection, error norms and flux accounting.
+"""Hybridized direct solve, velocity projection, error norms and flux accounting.
 
-The direct solve condenses the 3D element interiors out of the global
-factorization.  In each 3D cell the interior velocity DOFs (types ii and iii)
-and the pressure moments above the constant couple only with each other and
-with the cell's own face DOFs and constant pressure, so the cell's rows of the
-boundary-conditioned matrix give a dense interior block ``K_ii`` (factorized
-by LU, with the pivot-ratio check of the local matrices) and the Schur term
-``K_bi K_ii^-1 K_ib`` on its retained DOFs.  Those terms and the retained
-block of the matrix make one sparse matrix, factorized once; the interiors
-are recovered cell by cell, so every caller sees the full solution vector.
-This is the static condensation of mixed methods (Arnold & Brezzi, M2AN 19,
-1985).  With no interiors (RT0, systems without a 3D block) the retained
-block is the whole matrix.  The refinement step and the residual check use
-the full matrix.
+The assembled matrix is the sum of one dense block per cell.  With the
+pressure rows negated every block is symmetric, and each is eliminated
+locally: all of the cell's flux DOFs (a flux set shared by two cells becomes
+one private copy per cell, tied by a multiplier with +1 in the first cell and
+-1 in the second; the shared row's right-hand side goes to the first copy),
+and its own pressures when no interface reads them.  Fixed DOFs are dropped.
+Only the multipliers and the 2D/1D/0D pressures stay global; the negated sum
+of the cells' Schur complements is SPD and is factorized once by SuperLU in
+symmetric mode (hybridization: Arnold & Brezzi, M2AN 19, 1985; Cockburn &
+Gopalakrishnan, SIAM J. Numer. Anal. 42, 2004).  Incomplete factorizations
+failed on every fracture network tried, so there is no iterative branch.
 """
 
 from __future__ import annotations
@@ -20,145 +18,127 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from .assembly import GlobalSystem
-from .elements import COND_PIVOT_TOL
-from .errors import ConditioningError, SingularSystemError
+from .elements import equilibrated_cholesky
+from .errors import ConfigError, SingularSystemError
 from .mesh import field_values
 
 DIRECT_SOLVE_LIMIT = 500_000
 
 
-def condensed_cells(system: GlobalSystem) -> list:
-    """(eliminated, retained) global DOF ids of each 3D cell with interiors:
-    the interior fluxes and the pressure moments above the constant, and the
-    face fluxes and the constant pressure."""
-    dm = system.dofmap
-    if dm is None or (3, 0) not in dm.blocks:
-        return []
-    blk = dm.block(3)
-    out = []
-    for ci, loc in enumerate(blk.locals_):
-        nf = loc.layout.n_face_total
-        u, p = blk.cell_u_dofs[ci], blk.cell_p_dofs[ci]
-        if len(u) > nf or len(p) > 1:
-            out.append((np.concatenate([u[nf:], p[1:]]),
-                        np.concatenate([u[:nf], p[:1]])))
-    return out
+def _t(X):
+    return X.transpose(0, 2, 1)
 
 
-class CondensedLU:
-    """Direct solver of ``A`` with the given cells' DOFs condensed out.
+def _local_solve(R, Z, T, f_u, f_p):
+    """Fluxes and eliminated pressures of a stack of cells for the flux and
+    (negated) pressure loads, with ``A^-1 = R^T R``, ``Z = R B^T`` for the
+    pressure rows ``B`` and ``(Z^T Z)^-1 = T^T T``."""
+    a = R @ f_u[:, :, None]
+    x_p = _t(T) @ (T @ (_t(Z) @ a - f_p[:, :, None]))
+    return (_t(R) @ (a - Z @ x_p))[:, :, 0], x_p[:, :, 0]
 
-    ``cells`` lists (eliminated, retained) DOF ids as ``condensed_cells``
-    gives them: a cell's eliminated rows and columns must have nonzeros only
-    in its own eliminated and retained DOFs.  Entries outside them are left
-    out of the condensed operator, which the residual check on ``A`` would
-    then refuse.
-    """
 
-    def __init__(self, A: sps.csr_matrix, cells: list):
-        # _condense's temporaries are freed before the factorization
-        S, self.kept, self.cells = _condense(A, cells)
-        self.lu = spla.splu(S)
-        self.condensed = A.shape[0] - S.shape[0]
-        # the factor entries SuperLU stores; reading lu.L and lu.U instead
-        # would copy both factors for the life of the factorization
-        self.fill = self.lu.nnz
+class Hybridized:
+    """The local eliminations of a boundary-conditioned system's cell blocks,
+    on stacks of equal-size blocks, and the factorized SPD ``matrix`` of its
+    global unknowns: the ``kept`` pressures, then the multipliers."""
+
+    def __init__(self, system: GlobalSystem):
+        n = len(system.rhs)
+        fixed = np.isin(np.arange(n), system.fixed)
+        # every entry of every block, flattened: its DOF, cell and position
+        cells = system.cells
+        size = np.array([len(cb.dofs) for cb in cells], dtype=int)
+        start = np.cumsum(size) - size
+        dofs = np.concatenate([np.zeros(0, dtype=int)] + [cb.dofs for cb in cells])
+        cell = np.repeat(np.arange(len(cells)), size)
+        pos = np.arange(len(dofs)) - start[cell]
+        n_u = np.array([cb.n_u for cb in cells], dtype=int)[cell]
+        n_own = n_u + np.array([cb.n_p for cb in cells], dtype=int)[cell]
+        flux, own = pos < n_u, (pos >= n_u) & (pos < n_own)
+        held = np.bincount(dofs[flux], minlength=n)
+        read = np.bincount(dofs[pos >= n_own], minlength=n) > 0
+        # a cell's own pressures are eliminated when no interface reads them
+        unread = np.bincount(cell[own], read[dofs[own]], minlength=len(cells)) == 0
+        local = held > 0
+        local[dofs[own]] = unread[cell[own]]
+        self.kept = np.flatnonzero(~local & ~fixed)
+        self.fixed = np.flatnonzero(fixed)
+        shared = np.flatnonzero((held == 2) & ~fixed)
+        glob = np.full(n, -1)
+        glob[self.kept] = np.arange(len(self.kept))
+        glob[shared] = len(self.kept) + np.arange(len(shared))
+        self.n_global = len(self.kept) + len(shared)
+        # each entry's role, in elimination order: tied flux, private flux,
+        # eliminated pressure, global unknown, fixed
+        role = np.where(flux, np.where(held[dofs] == 2, 0, 1),
+                        np.where(local[dofs], 2, 3))
+        role[fixed[dofs]] = 4
+        first = np.zeros(len(dofs), dtype=bool)   # a flux's first copy
+        at = np.flatnonzero(flux)
+        first[at[np.unique(dofs[at], return_index=True)[1]]] = True
+        counts = np.bincount(5 * cell + role, minlength=5 * len(cells))
+        keys, group = np.unique(np.column_stack([size, counts.reshape(-1, 5)]),
+                                axis=0, return_inverse=True)
+
+        self.stacks, parts, self.worst_pivot_ratio = [], [], 1.0
+        for j, (N, n_tied, n_free, n_el, n_g, _) in enumerate(keys):
+            members = np.flatnonzero(group.ravel() == j)
+            # the group's entries sorted by role, so its blocks align
+            at = start[members][:, None] + np.arange(N)
+            at = np.take_along_axis(at, np.argsort(role[at], axis=1, kind="stable"), 1)
+            loc = pos[at]
+            M = np.stack([cells[c].matrix for c in members])
+            M = M[np.arange(len(members))[:, None, None], loc[:, :, None], loc[:, None, :]]
+            f = slice(0, n_tied + n_free)
+            e, g = slice(f.stop, f.stop + n_el), slice(f.stop + n_el, f.stop + n_el + n_g)
+            E = np.concatenate([np.zeros((len(members), f.stop, n_tied)), M[:, f, g]], 2)
+            tie = np.arange(n_tied)
+            E[:, tie, tie] = np.where(first[at[:, :n_tied]], 1.0, -1.0)
+            ids = glob[dofs[np.concatenate([at[:, :n_tied], at[:, g]], 1)]]
+            # A^-1 = R^T R and (Z^T Z)^-1 = T^T T; with no eliminated pressures
+            # Z and T are empty
+            L, s, ratio = equilibrated_cholesky(M[:, f, f], "cell flux block")
+            R = np.linalg.inv(L) * s[:, None, :]
+            Y, Z = R @ E, R @ M[:, f, e]
+            L, s, ratio_p = equilibrated_cholesky(_t(Z) @ Z, "cell pressure Schur complement")
+            T = np.linalg.inv(L) * s[:, None, :]
+            Q = T @ (_t(Z) @ Y)
+            self.worst_pivot_ratio = min(self.worst_pivot_ratio, ratio, ratio_p)
+            self.stacks.append((R, Z, T, E, ids, dofs[at[:, f]], first[at[:, f]],
+                                dofs[at[:, e]]))
+            parts.append(((_t(Y) @ Y - _t(Q) @ Q).ravel(),
+                          np.repeat(ids, n_tied + n_g, 1).ravel(),
+                          np.tile(ids, n_tied + n_g).ravel()))
+        # the matrix's own entries among the kept pressures, negated twice
+        kk = system.matrix[self.kept][:, self.kept].tocoo()
+        vals, rows, cols = (np.concatenate(x) for x in
+                            zip(*parts, (kk.data, kk.row, kk.col)))
+        self.matrix = sps.csc_matrix((vals, (rows, cols)),
+                                     shape=(self.n_global, self.n_global))
+        self.lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A",
+                            diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
     def solve(self, b):
-        b_kept = b[self.kept].copy()
-        y = []
-        for elim, r, lu, X, K_bi in self.cells:
-            y.append(lu.solve(b[elim]))
-            b_kept[r] -= K_bi @ y[-1]
+        """The solution of the assembled system for the right-hand side ``b``."""
         x = np.zeros(len(b))
-        x[self.kept] = x_kept = self.lu.solve(b_kept)
-        for (elim, r, _, X, _), y_c in zip(self.cells, y):
-            x[elim] = y_c - X @ x_kept[r]
+        x[self.fixed] = b[self.fixed]
+        rhs = np.zeros(self.n_global)
+        rhs[:len(self.kept)] = b[self.kept]
+        loads = [(np.where(first, b[u], 0.0), -b[p]) for *_, u, first, p in self.stacks]
+        for (R, Z, T, E, g, *_), (f_u, f_p) in zip(self.stacks, loads):
+            x_u = _local_solve(R, Z, T, f_u, f_p)[0]
+            rhs += np.bincount(g.ravel(), (_t(E) @ x_u[:, :, None]).ravel(),
+                               minlength=self.n_global)
+        y = self.lu.solve(rhs)
+        for (R, Z, T, E, g, u, _, p), (f_u, f_p) in zip(self.stacks, loads):
+            x[u], x[p] = _local_solve(R, Z, T, f_u - (E @ y[g][:, :, None])[:, :, 0], f_p)
+        x[self.kept] = y[:len(self.kept)]
         return x
-
-
-def _condense(A, cells):
-    """The condensed matrix on the kept DOFs, the kept DOF ids, and per cell
-    (eliminated ids, their kept neighbours' positions, interior LU,
-    ``K_ii^-1 K_ib``, ``K_bi``)."""
-    n = A.shape[0]
-    keep = np.ones(n, dtype=bool)
-    for elim, _ in cells:
-        keep[elim] = False
-    kept = np.flatnonzero(keep)
-    index = np.full(n, -1, dtype=np.int32)
-    index[kept] = np.arange(len(kept))
-    kk = A[kept][:, kept].tocoo()
-    rows, cols, vals = [kk.row], [kk.col], [kk.data]
-    # the cells' rows of A, and their columns as rows of A^T
-    elim_all = np.concatenate([np.zeros(0, dtype=int)] + [e for e, _ in cells])
-    from_rows, from_cols = A[elim_all], A[:, elim_all].T.tocsr()
-    pos = np.full(n, -1)
-    out = []
-    start = 0
-    for elim, ret in cells:
-        m = len(elim)
-        local = np.concatenate([elim, ret])
-        pos[local] = np.arange(len(local))
-        K_i = _dense_rows(from_rows, start, m, pos, len(local))
-        K_bi = _dense_rows(from_cols, start, m, pos, len(local))[:, m:].T
-        pos[local] = -1
-        start += m
-        lu = _InteriorLU(K_i[:, :m])
-        X = lu.solve(K_i[:, m:])
-        r = index[ret]
-        rows.append(np.repeat(r, len(r)))
-        cols.append(np.tile(r, len(r)))
-        vals.append(-(K_bi @ X).ravel())
-        out.append((elim, r, lu, X, K_bi))
-    S = sps.csc_matrix((np.concatenate(vals),
-                        (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(len(kept), len(kept)))
-    return S, kept, out
-
-
-def _dense_rows(M, start, count, pos, width):
-    """Rows ``start .. start+count`` of the CSR matrix ``M`` as a dense
-    (count, width) array, with column j moved to ``pos[j]``; columns with no
-    position are left out."""
-    ptr = M.indptr[start:start + count + 1]
-    cols = pos[M.indices[ptr[0]:ptr[-1]]]
-    rows = np.repeat(np.arange(count), np.diff(ptr))
-    out = np.zeros((count, width))
-    keep = cols >= 0
-    out[rows[keep], cols[keep]] = M.data[ptr[0]:ptr[-1]][keep]
-    return out
-
-
-class _InteriorLU:
-    """Dense LU of one cell's interior block, rejecting near-singular pivots.
-
-    Rows and then columns are scaled to unit max-norm first, so the pivot
-    ratio measures the block's conditioning and not the scale of its
-    monomials.
-    """
-
-    def __init__(self, K):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.r = 1.0 / np.abs(K).max(axis=1)
-            Kr = self.r[:, None] * K
-            self.c = 1.0 / np.abs(Kr).max(axis=0)
-            self.lu, self.piv, info = sla.lapack.dgetrf(Kr * self.c)
-        pivots = np.abs(np.diag(self.lu))
-        # a zero row or column leaves NaNs, which fail the comparison too
-        if info != 0 or not pivots.min() >= COND_PIVOT_TOL * pivots.max():
-            raise ConditioningError(
-                "element interior block is numerically singular")
-
-    def solve(self, rhs):
-        y = sla.lu_solve((self.lu, self.piv), (self.r * rhs.T).T,
-                         check_finite=False)
-        return (self.c * y.T).T
 
 
 def solve(system: GlobalSystem, tol: float = 1e-10) -> "DiscreteSolution":
@@ -166,30 +146,19 @@ def solve(system: GlobalSystem, tol: float = 1e-10) -> "DiscreteSolution":
     dimension estimate instead of returning garbage."""
     if not system.bc_applied:
         raise ValueError("apply_boundary_conditions before solving")
-    A = system.matrix.tocsr()
-    b = system.rhs
-    n = A.shape[0]
-    branch, condensed, fill = "direct", 0, 0
-    if n <= DIRECT_SOLVE_LIMIT:
-        with np.errstate(all="ignore"):
-            try:
-                lu = CondensedLU(A, condensed_cells(system))
-                x = lu.solve(b)
-                x = x + lu.solve(b - A @ x)  # one refinement step
-                condensed, fill = lu.condensed, lu.fill
-            except RuntimeError:  # singular factorization
-                x = np.full(n, np.nan)
-    else:
-        branch = "iterative"
+    A, b = system.matrix, system.rhs
+    n = len(b)
+    if n > DIRECT_SOLVE_LIMIT:
+        raise ConfigError(f"the system has {n} DOFs, above the direct solve "
+                          f"limit of {DIRECT_SOLVE_LIMIT}")
+    with np.errstate(all="ignore"):
         try:
-            ilu = spla.spilu(A.tocsc(), drop_tol=1e-6)
-        except RuntimeError as exc:   # e.g. "Factor is exactly singular"
-            raise SingularSystemError(f"incomplete LU failed: {exc}") from exc
-        fill = ilu.nnz
-        M = spla.LinearOperator(A.shape, ilu.solve)
-        x, info = spla.gmres(A, b, M=M, rtol=tol, maxiter=2000)
-        if info != 0:
-            raise SingularSystemError(f"iterative solve did not converge ({info})")
+            hyb = Hybridized(system)
+            x = hyb.solve(b)
+            before = np.linalg.norm(A @ x - b)
+            x = x + hyb.solve(b - A @ x)  # one refinement step
+        except RuntimeError:  # singular factorization
+            x = np.full(n, np.nan)
     scale = np.linalg.norm(b) if np.linalg.norm(b) > 0 else 1.0
     res = np.linalg.norm(A @ x - b)
     if not np.all(np.isfinite(x)) or res > tol * scale:
@@ -200,20 +169,24 @@ def solve(system: GlobalSystem, tol: float = 1e-10) -> "DiscreteSolution":
         raise SingularSystemError(
             f"global system singular or solve failed (residual {res:.3e})",
             null_dim=null_dim)
-    return DiscreteSolution(system=system, x=x, residual=res, branch=branch,
-                            condensed_dofs=condensed, lu_fill=fill)
+    return DiscreteSolution(system=system, x=x, residual=res,
+                            residual_before_refinement=before,
+                            global_dofs=hyb.n_global, lu_fill=hyb.lu.nnz,
+                            worst_pivot_ratio=hyb.worst_pivot_ratio)
 
 
 @dataclass
 class DiscreteSolution:
-    """Global DOF vector with per-domain views and projected velocities."""
+    """Global DOF vector with per-domain views and projected velocities, and
+    the solve's health: factorized size and entries, worst local pivot ratio."""
 
     system: GlobalSystem
     x: np.ndarray
     residual: float
-    branch: str = "direct"     # "direct" (condensed LU) or "iterative"
-    condensed_dofs: int = 0    # DOFs eliminated before the global factorization
-    lu_fill: int = 0           # entries stored by the global factorization
+    residual_before_refinement: float = 0.0
+    global_dofs: int = 0
+    lu_fill: int = 0
+    worst_pivot_ratio: float = 1.0
     _proj: dict = field(default_factory=dict)
 
     @property

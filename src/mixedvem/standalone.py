@@ -5,8 +5,8 @@ plane, so their data callbacks take physical (3,) points like every other
 callback.  ``single_domain_block`` numbers the faces and builds one
 ``DomainBlock`` through ``assembly.fill_block``, the routine that numbers
 every 2D/3D block of the mixed-dimensional pipeline (interior faces share one
-flux DOF set); ``solve_single_domain`` then runs the pipeline's scatter,
-source moments, Dirichlet face moments and solve on it, with Dirichlet
+flux DOF set); ``solve_single_domain`` then runs the pipeline's cell
+blocks, source moments, Dirichlet face moments and solve on it, with Dirichlet
 pressure data on the whole external boundary.  Errors come from
 ``solver.error_norms``.
 """
@@ -86,7 +86,7 @@ def solve_single_domain(geoms, space: ElementSpace, nu=1.0, source=0.0,
     blk = single_domain_block(geoms, space, nu=nu, source=source)
     dm = GlobalDofMap(blocks={(blk.dim, 0): blk}, total=blk.n_dof,
                       order=space.order, family3d="RT", trace_flow=True)
-    system = GlobalSystem(matrix=assemble_dimension(dm, blk.dim).matrix(dm.total),
+    system = GlobalSystem(cells=list(assemble_dimension(dm, blk.dim).values()),
                           rhs=assemble_rhs(dm, None), dofmap=dm, md=None)
     bc = BoundaryCondition("dirichlet", 0.0 if dirichlet is None else dirichlet)
     for ci, lf, _, _ in blk.boundary:

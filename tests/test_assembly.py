@@ -7,12 +7,12 @@ import scipy.sparse as sps
 from mixedvem import assembly
 from mixedvem.assembly import (apply_boundary_conditions, assemble_complete,
                                assemble_coupling_same_dim, assemble_dimension,
-                               build_dof_map, fill_block, _Coo)
+                               build_dof_map, fill_block, scatter)
 from mixedvem.errors import ConfigError, SingularSystemError
 from mixedvem.mesh import (BoundaryCondition, FractureSpec, NetworkSpec,
                            box_mesh, cut_background_mesh)
 from mixedvem.problems import problem1_case
-from mixedvem.solver import condensed_cells, solve
+from mixedvem.solver import solve
 from tests.test_mesh import _perfbench_network
 
 TAGS = ["xmin", "xmax", "ymin", "ymax", "zmin", "zmax"]
@@ -66,7 +66,7 @@ def test_dimension_blocks_are_block_diagonal():
                                 [-1, 1, 0.5]]))
     md = cut_background_mesh(mesh, NetworkSpec(fractures=[f1, f2]))
     dm = build_dof_map(md, order=0)
-    K2 = assemble_dimension(dm, 2).matrix(dm.total)
+    K2 = scatter(assemble_dimension(dm, 2).values(), dm.total)
     a, b = dm.block(2, 0), dm.block(2, 1)
     cross = K2[a.offset:a.offset + a.n_dof, b.offset:b.offset + b.n_dof]
     assert cross.nnz == 0
@@ -107,21 +107,25 @@ def test_complete_block_skeleton():
     assert touched == {0, 1, 2}
 
 
+def _same_dim_term(dm):
+    """What assemble_coupling_same_dim adds to the 3D cell blocks."""
+    cells = assemble_dimension(dm, 3)
+    K = scatter(cells.values(), dm.total)
+    assemble_coupling_same_dim(dm, cells)
+    return scatter(cells.values(), dm.total) - K
+
+
 def test_same_dim_coupling_values_and_vanishing():
     spec0 = NetworkSpec(fractures=[fracture_between_cubes(inverse_eta2=0.0)])
     md0 = cut_background_mesh(two_cube_mesh(), spec0)
     dm0 = build_dof_map(md0, order=0)
-    coo = _Coo()
-    assemble_coupling_same_dim(dm0, coo)
-    assert coo.matrix(dm0.total).nnz == 0  # eta -> infinity: no term at all
+    assert _same_dim_term(dm0).nnz == 0  # eta -> infinity: no term at all
 
     eta = 10.0
     spec = NetworkSpec(fractures=[fracture_between_cubes(inverse_eta2=1 / eta)])
     md = cut_background_mesh(two_cube_mesh(), spec)
     dm = build_dof_map(md, order=0)
-    coo = _Coo()
-    assemble_coupling_same_dim(dm, coo)
-    C = coo.matrix(dm.total)
+    C = _same_dim_term(dm)
     # one RT0 DOF per side: diagonal entries (1/eta) * |f| (the face mass of
     # the unit normal trace); the dissipative sign is positive
     vals = C.diagonal()
@@ -185,14 +189,33 @@ def test_all_neumann_singular_reported():
     assert err.value.null_dim is None or err.value.null_dim >= 1
 
 
+def test_matrix_is_the_cell_blocks_with_unit_rows_at_fixed_dofs():
+    # the solver eliminates the cell blocks and refines with the matrix, so
+    # the matrix is derived from the blocks and cannot be replaced
+    bc = {t: BoundaryCondition("neumann" if t in ("xmin", "ymax") else "dirichlet",
+                               0.0 if t in ("xmin", "ymax") else 1.0) for t in TAGS}
+    md = cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (2, 2, 2)),
+                             NetworkSpec(fractures=[], bc3=bc))
+    system = assemble_complete(md, order=1)
+    apply_boundary_conditions(system)
+    assert len(system.fixed) > 0
+    A = scatter(system.cells, len(system.rhs)).toarray()
+    A[system.fixed, :] = A[:, system.fixed] = 0.0
+    A[system.fixed, system.fixed] = 1.0
+    assert np.array_equal(system.matrix.toarray(), A)
+    with pytest.raises(AttributeError):
+        system.matrix = sps.csr_matrix(A)
+
+
 def test_all_neumann_singular_reported_condensed():
-    # the order-1 copy runs the singular system through the condensed solve
+    # the order-1 copy runs the singular system through the local
+    # eliminations of interior fluxes and higher pressure moments
     bc = {t: BoundaryCondition("neumann") for t in TAGS}
     spec = NetworkSpec(fractures=[], bc3=bc, source3=1.0)
     md = cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (2, 2, 2)), spec)
     system = assemble_complete(md, order=1)
     apply_boundary_conditions(system)
-    assert len(condensed_cells(system)) == 8
+    assert [cb.n_p for cb in system.cells] == [4] * 8
     with pytest.raises(SingularSystemError) as err:
         solve(system)
     assert err.value.null_dim is None or err.value.null_dim >= 1
@@ -218,7 +241,7 @@ def test_single_element_domain_matches_local():
     spec = NetworkSpec(fractures=[], bc3=DIRICHLET0)
     md = cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (1, 1, 1)), spec)
     dm = build_dof_map(md, order=1)
-    K = assemble_dimension(dm, 3).matrix(dm.total).toarray()
+    K = scatter(assemble_dimension(dm, 3).values(), dm.total).toarray()
     blk = dm.block(3)
     loc = blk.locals_[0]
     # single cell: the assembled block equals the local matrix up to the
@@ -365,9 +388,9 @@ def test_boundary_substitution_matches_lil_oracle(build_md):
     md = build_md()
     system = assemble_complete(md, order=1)
     A0 = system.matrix.copy()
-    # the loads alone: on a zero matrix the substitution moves nothing
-    loads = GlobalSystem(matrix=sps.csr_matrix(A0.shape), rhs=system.rhs.copy(),
-                         dofmap=system.dofmap, md=md)
+    # the loads alone: on a zero matrix (no cell blocks) the substitution
+    # moves nothing
+    loads = GlobalSystem(cells=[], rhs=system.rhs.copy(), dofmap=system.dofmap, md=md)
     apply_boundary_conditions(loads)
     pinned = [system.dofmap.block(0, ip.index).offset for ip in md.intersections]
     assert pinned

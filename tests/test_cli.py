@@ -87,7 +87,8 @@ def test_config_rejects_unknown_outputs(tmp_path, capsys):
 BUILTIN_RUNS = {
     "problem1_quartic": (
         ["errors.csv", "fields.vtk", "fields.vtk.velocity.vtk", "fluxes.txt"],
-        ["worst_relative_error", "max_relative_flux_mismatch", "solve_branch"]),
+        ["worst_relative_error", "max_relative_flux_mismatch", "global_dofs",
+         "lu_fill", "residual_before_refinement", "worst_pivot_ratio"]),
     "problem2_finite_eta": (
         ["problem2.txt"], ["inflow_ratio", "jump_low_eta", "jump_high_eta"]),
     "convergence_sweep": (["convergence.csv"], ["rates"]),
@@ -168,13 +169,15 @@ def test_cli_run_config(tmp_path, capsys):
     assert all(Path(p).exists() for p in manifest["outputs"])
     assert set(manifest["timings"]) == {"mesh", "assembly", "solve", "post"}
     assert manifest["checks"]["max_relative_flux_mismatch"] < 1e-9
-    # order 1: the 3 + 3 interior fluxes and 3 higher pressure moments of
-    # each of the 8 cells (the fracture lies on a grid plane) are condensed
-    # out of the direct solve
+    # order 1, the fracture on a grid plane: every 3D cell is eliminated, and
+    # the multipliers of the 8 shared non-fracture faces (3 moments each) and
+    # of the 4 interior fracture edges (2 each) and the 4 fracture cells'
+    # pressures (3 each) make the factorized system
     checks = manifest["checks"]
-    assert checks["solve_branch"] == "direct"
-    assert checks["condensed_dofs"] == 9 * 8
-    assert 0 < checks["lu_fill"]
+    assert checks["global_dofs"] == 8 * 3 + 4 * 2 + 4 * 3
+    assert 0 < checks["lu_fill"] <= 44 * 45
+    assert manifest["residual"] <= checks["residual_before_refinement"] < 1e-12
+    assert checks["worst_pivot_ratio"] == pytest.approx(1 / 3)
 
 
 def test_cli_run_shipped_barrier_config(tmp_path):

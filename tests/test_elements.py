@@ -9,7 +9,8 @@ from mixedvem import polyspace as ps
 from mixedvem import problems
 from mixedvem.assembly import build_dof_map
 from mixedvem.elements import (COND_PIVOT_TOL, ElementSpace, _spd_solve,
-                               dof_layout, local_matrices, local_matrices_1d)
+                               dof_layout, equilibrated_cholesky, local_matrices,
+                               local_matrices_1d)
 from mixedvem.errors import ConditioningError, ConfigError
 from tests.test_geometry import unit_cube_faces
 
@@ -278,7 +279,7 @@ def _oracle_spd_solve(M, rhs, what):
         c, low = sla.cho_factor(Ms, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"{what} is not positive definite") from exc
-    piv = np.abs(np.diag(c))
+    piv = np.diag(c) ** 2
     if piv.min() < COND_PIVOT_TOL * piv.max():
         raise ConditioningError(f"{what} is numerically singular")
 
@@ -458,6 +459,22 @@ def test_singular_face_mass_fails_whole_batch():
     # at width 1e-5 the quadratic face monomials are dependent to roundoff
     with pytest.raises(ConditioningError, match="face mass matrix"):
         local_matrices(space, cells[:1] + [_sliver_face_cube(1e-5)] + cells[1:])
+
+
+def test_pivot_ratio_is_on_the_squared_factor_diagonal():
+    # s M s = L D L^T: for [[1, c], [c, 1]] the pivots are 1 and 1 - c^2
+    def M(c):
+        return np.array([[[1.0, c], [c, 1.0]]])
+
+    assert equilibrated_cholesky(M(0.5), "M")[2] == pytest.approx(0.75)
+    c = 1.0 - 1e-15              # factorizes, with a pivot near 2e-15
+    np.linalg.cholesky(M(c))
+    with pytest.raises(ConditioningError, match="M is numerically singular"):
+        equilibrated_cholesky(M(c), "M")
+    # at width 3e-4 the quadratic face mass matrix factorizes, but its
+    # smallest pivot is under COND_PIVOT_TOL of its largest
+    with pytest.raises(ConditioningError, match="face mass matrix is numerically"):
+        local_matrices(ElementSpace(3, 2), [_sliver_face_cube(3e-4)])
 
 
 def test_spd_solve_refinement_lowers_residual():

@@ -236,3 +236,19 @@ def test_face_quadrature_matches_face_by_face_rules(make):
         assert np.allclose(pts[mine], fpts, rtol=0, atol=1e-14)
         assert np.allclose(coords[mine], face.to_face_coords(fpts), rtol=0, atol=1e-14)
         assert np.allclose(w[mine], fw, rtol=1e-14, atol=0)
+
+
+def test_lex_frame_ignores_roundoff_entries():
+    # face 208 of the network-9400 4^3 mesh: its Newell normal is (0, 0, 1)
+    # summed along its loop and (2.2e-16, 0, -1) along the reversed loop
+    from mixedvem.mesh import box_mesh, cut_background_mesh
+    from tests.test_mesh import _perfbench_network
+    md = cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (4, 4, 4)),
+                             _perfbench_network(9400))
+    loop = md.mesh3d.face_coords(208)
+    ahead, back = geo.build_faces([loop, loop[::-1]])
+    assert back.normal[0] != 0.0 and ahead.normal @ back.normal < 0
+    assert ahead.lex_sign == -back.lex_sign
+    for a, b in [(ahead.plane.normal, back.plane.normal),
+                 (ahead.plane.t1, back.plane.t1), (ahead.plane.t2, back.plane.t2)]:
+        assert np.abs(a - b).max() <= 1e-15

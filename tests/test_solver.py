@@ -6,14 +6,16 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from mixedvem import problems, solver
-from mixedvem.assembly import apply_boundary_conditions, assemble_complete
-from mixedvem.errors import ConditioningError, SingularSystemError
+from mixedvem.assembly import apply_boundary_conditions, assemble_complete, scatter
+from mixedvem.elements import COND_PIVOT_TOL
+from mixedvem.errors import ConditioningError, ConfigError, SingularSystemError
 from mixedvem.mesh import (BoundaryCondition, FractureSpec, NetworkSpec,
                            box_mesh, cut_background_mesh)
-from mixedvem.solver import (DiscreteSolution, ExactFields, condensed_cells,
+from mixedvem.solver import (DiscreteSolution, ExactFields, Hybridized,
                              error_norms, flux_report, project_solution,
                              relative_errors, solve, write_error_table,
                              write_fields_vtk)
+from tests.test_interfaces import CASES
 from tests.test_mesh import _perfbench_network
 
 TAGS = ["xmin", "xmax", "ymin", "ymax", "zmin", "zmax"]
@@ -36,8 +38,8 @@ def linear_case(order=1, n=2):
 
 def test_trivial_1x1_system():
     # a single-equation system goes through the same solve path
-    from mixedvem.assembly import GlobalSystem
-    sysm = GlobalSystem(matrix=sps.csr_matrix(np.array([[2.0]])),
+    from mixedvem.assembly import CellBlock, GlobalSystem
+    sysm = GlobalSystem(cells=[CellBlock(np.array([0]), 0, 0, np.array([[2.0]]))],
                         rhs=np.array([4.0]), dofmap=None, md=None,
                         bc_applied=True)
     sol = solve(sysm)
@@ -155,12 +157,7 @@ def test_flux_report_closed_box_zero():
     system = assemble_complete(md, order=0)
     apply_boundary_conditions(system)
     # all-Neumann with zero data: fix the nullspace by pinning one pressure
-    A = system.matrix.tolil()
-    p0 = system.dofmap.block(3).cell_p_dofs[0][0]
-    A[p0, :] = 0.0
-    A[p0, p0] = 1.0
-    system.matrix = A.tocsr()
-    system.rhs[p0] = 0.0
+    system.fix(system.dofmap.block(3).cell_p_dofs[0][:1], np.zeros(1))
     sol = solve(system)
     e = flux_report(sol).entity(3, 0)
     assert abs(e.bc_flux) < 1e-12 and abs(e.divergence) < 1e-12
@@ -204,34 +201,13 @@ def test_exports(tmp_path):
     lambda: problems.problem1_case((2, 2, 2), order=1),
     lambda: problems.poisson3d_case(3, 1),
 ], ids=["problem1-order1", "poisson3d-3-1"])
-def test_iterative_branch_matches_direct(make, monkeypatch):
+def test_direct_solve_limit_raises_config_error(make, monkeypatch):
     case = make()
-    direct = case.solve()
-    calls = []
-    gmres = solver.spla.gmres
-
-    def counting_gmres(*args, **kw):
-        calls.append(1)
-        return gmres(*args, **kw)
-
-    monkeypatch.setattr(solver, "DIRECT_SOLVE_LIMIT", 0)
-    monkeypatch.setattr(solver.spla, "gmres", counting_gmres)
-    iterative = case.solve()     # raises if the residual check fails
-    assert calls == [1] and iterative.branch == "iterative"
-    scale = np.abs(direct.x).max()
-    assert np.abs(iterative.x - direct.x).max() <= 1e-8 * scale
-    assert iterative.residual <= 1e-10 * np.linalg.norm(iterative.system.rhs)
-
-
-def test_iterative_branch_reports_failed_incomplete_lu(monkeypatch):
-    def singular_spilu(*args, **kw):
-        raise RuntimeError("Factor is exactly singular")
-
-    system, _ = linear_case(order=0)
-    monkeypatch.setattr(solver, "DIRECT_SOLVE_LIMIT", 0)
-    monkeypatch.setattr(solver.spla, "spilu", singular_spilu)
-    with pytest.raises(SingularSystemError, match="exactly singular"):
-        solve(system)
+    n = assemble_complete(case.md, case.order).dofmap.total
+    monkeypatch.setattr(solver, "DIRECT_SOLVE_LIMIT", n - 1)
+    with pytest.raises(ConfigError, match=f"{n} DOFs, above the direct solve "
+                                          f"limit of {n - 1}"):
+        case.solve()
 
 
 def _network_system():
@@ -269,44 +245,61 @@ def test_condensed_solve_matches_full_lu(make):
     x = lu.solve(b)
     x = x + lu.solve(b - A @ x)
     assert np.abs(sol.x - x).max() <= 1e-10 * np.abs(x).max()
-    n_elim = sum(len(elim) for elim, _ in condensed_cells(system))
-    assert sol.branch == "direct" and sol.condensed_dofs == n_elim > 0
+    assert 0 < sol.global_dofs < A.shape[0]
     assert 0 < sol.lu_fill < lu.nnz
+    assert sol.residual <= sol.residual_before_refinement
+    assert COND_PIVOT_TOL <= sol.worst_pivot_ratio <= 1.0
 
 
 @CONDENSED_CASES
 def test_condensed_dofs_couple_inside_their_cell(make):
-    # each cell's eliminated rows and columns reach only its own eliminated,
-    # face and constant-pressure DOFs, so the elimination is exact
+    # the cell blocks sum to the assembled matrix on the free DOFs, so the
+    # local eliminations are exact; a flux DOF is held by at most two cells
+    # and a pressure DOF is the own pressure of at most one
     system = make()
-    A = system.matrix.tocsr()
-    blk = system.dofmap.block(3)
-    cells = condensed_cells(system)
-    assert len(cells) == len(blk.geoms)
-    for ci, (elim, ret) in enumerate(cells):
-        nf = blk.locals_[ci].layout.n_face_total
-        assert set(ret) == (set(blk.cell_u_dofs[ci][:nf])
-                            | {blk.cell_p_dofs[ci][0]})
-        own = set(elim) | set(ret)
-        assert set(A[elim].indices) <= own
-        assert set(A[:, elim].tocoo().row) <= own
+    free = np.setdiff1d(np.arange(system.dofmap.total), system.fixed)
+    A = system.matrix[free][:, free]
+    S = scatter(system.cells, system.dofmap.total)[free][:, free]
+    assert abs(A - S).max() <= 1e-14 * abs(A).max()
+    held = np.concatenate([cb.dofs[:cb.n_u] for cb in system.cells])
+    own = np.concatenate([cb.dofs[cb.n_u:cb.n_u + cb.n_p] for cb in system.cells])
+    assert np.bincount(held).max() <= 2
+    assert np.bincount(own).max() == 1
+
+
+INTERFACE_SYSTEMS = pytest.mark.parametrize("make", [
+    *(lambda name=name: CASES[name]().system for name in CASES)],
+    ids=list(CASES))
+
+
+@CONDENSED_CASES
+def test_multiplier_matrix_is_symmetric_positive_definite(make):
+    _check_multiplier_matrix(make())
+
+
+@INTERFACE_SYSTEMS
+def test_interface_multiplier_matrix_is_symmetric_positive_definite(make):
+    _check_multiplier_matrix(make())
+
+
+def _check_multiplier_matrix(system):
+    P = Hybridized(system).matrix.toarray()
+    assert np.abs(P - P.T).max() <= 1e-12 * np.abs(P).max()
+    np.linalg.cholesky(P)    # raises unless positive definite
 
 
 def test_singular_interior_block_rejected():
     system = _case_system(order=1)
-    elim, _ = condensed_cells(system)[0]
-    A = system.matrix.tolil()
-    A[elim[0], :] = 0.0      # one cell's interior block loses a row
-    system.matrix = A.tocsr()
-    with pytest.raises(ConditioningError, match="interior block"):
+    cb = system.cells[0]
+    cb.matrix[0, :cb.n_u] = cb.matrix[:cb.n_u, 0] = 0.0   # a flux loses its row
+    with pytest.raises(ConditioningError, match="cell flux block"):
         solve(system)
 
 
-def test_rt0_solve_is_one_plain_lu():
-    # no interiors: the factorized matrix is the whole system
+def test_rt0_box_factorizes_one_multiplier_per_interior_face():
+    # RT0 with Dirichlet data: every cell is eliminated whole, so the global
+    # unknowns are the 3 * 2 * 2 interior faces of the 2^3 box
     system, _ = linear_case(order=0)
     sol = solve(system)
-    lu = spla.splu(system.matrix.tocsc())
-    assert condensed_cells(system) == []
-    assert sol.condensed_dofs == 0
-    assert sol.lu_fill == lu.nnz
+    assert sol.global_dofs == 12
+    assert sol.lu_fill <= 12 * 13   # at most dense L and U, each with the diagonal

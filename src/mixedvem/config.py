@@ -190,7 +190,8 @@ class RunOutcome:
         """``manifest.json``: input hashes, stage timings, files, status and
         checks; for a single solve also its DOF counts, residual and how the
         solve ran (factorized DOFs and entries, residual before refinement,
-        worst local pivot ratio)."""
+        worst pivot ratio of the solve's cell eliminations and of the element
+        solves)."""
         manifest = {
             "inputs": {name: hashlib.sha256(
                 text.encode() if isinstance(text, str) else text).hexdigest()
@@ -208,7 +209,8 @@ class RunOutcome:
             manifest["checks"] = {
                 "global_dofs": sol.global_dofs, "lu_fill": sol.lu_fill,
                 "residual_before_refinement": sol.residual_before_refinement,
-                "worst_pivot_ratio": sol.worst_pivot_ratio} | self.checks
+                "worst_pivot_ratio": sol.worst_pivot_ratio,
+                "worst_element_pivot_ratio": sol.worst_element_pivot_ratio} | self.checks
         with open(path, "w") as fh:
             json.dump(manifest, fh, indent=2)
 

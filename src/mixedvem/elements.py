@@ -116,7 +116,7 @@ def dof_layout(space: ElementSpace, geom) -> DofLayout:
 def equilibrated_cholesky(M, what):
     """Cholesky factors ``L`` of a stack of SPD matrices after Jacobi
     equilibration, ``s M s = L L^T`` with ``s = diag(M)^-1/2``, and the
-    smallest pivot ratio over the stack.  The pivots are those of
+    smallest pivot ratio of each matrix.  The pivots are those of
     ``L D L^T``, the squared diagonal of ``L``; a failed factorization, or a
     ratio under ``COND_PIVOT_TOL``, raises ConditioningError for the stack."""
     dg = np.diagonal(M, axis1=1, axis2=2)
@@ -128,8 +128,9 @@ def equilibrated_cholesky(M, what):
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(f"{what} is not positive definite") from exc
     piv = np.diagonal(L, axis1=1, axis2=2) ** 2
-    ratio = float(np.min(piv / piv.max(axis=1, initial=0.0, keepdims=True), initial=1.0))
-    if not ratio >= COND_PIVOT_TOL:
+    ratio = np.min(piv / piv.max(axis=1, initial=0.0, keepdims=True), axis=1,
+                   initial=1.0)
+    if not ratio.min(initial=1.0) >= COND_PIVOT_TOL:
         raise ConditioningError(f"{what} is numerically singular")
     return L, s, ratio
 
@@ -137,15 +138,17 @@ def equilibrated_cholesky(M, what):
 def _spd_solve(M, rhs, what):
     """Solve a stack of SPD systems M x = rhs, (m, n, n) and (m, n, r), after
     ``equilibrated_cholesky``'s checks, by LU (NumPy has no stacked triangular
-    solve) of the equilibrated systems and one step of iterative refinement."""
-    s = equilibrated_cholesky(M, what)[1][:, :, None]
+    solve) of the equilibrated systems and one step of iterative refinement.
+    Returns the solutions and the smallest pivot ratio of each system."""
+    _, s, ratio = equilibrated_cholesky(M, what)
+    s = s[:, :, None]
     Ms = M * s * s.transpose(0, 2, 1)
 
     def solve(b):
         return s * np.linalg.solve(Ms, s * b)
 
     x = solve(rhs)
-    return x + solve(rhs - M @ x)  # one refinement step
+    return x + solve(rhs - M @ x), ratio  # one refinement step
 
 
 def _positive_nu(nu):
@@ -180,6 +183,7 @@ class LocalMatrixSet:
     K: np.ndarray
     face_dual: np.ndarray           # (n_faces, per_face, per_face) dual-basis coeffs
     face_scale: np.ndarray          # (n_faces,) face monomial scales
+    pivot_ratio: float = 1.0        # smallest pivot ratio of its local solves
 
     @property
     def W(self):
@@ -279,8 +283,10 @@ def local_matrices(space: ElementSpace, geoms, nu=1.0) -> list:
     measure = np.array([geom.measure for geom in geoms])
 
     # face duals (one stack over all faces of the block)
-    dual = _spd_solve(Y[:, :, :per], face_measure[:, None, None] * np.eye(per),
-                      "face mass matrix")
+    dual, dual_ratio = _spd_solve(Y[:, :, :per],
+                                  face_measure[:, None, None] * np.eye(per),
+                                  "face mass matrix")
+    cell_dual_ratio = np.minimum.reduceat(dual_ratio, first)
     moments = Y[:, :, per:per + n_k1].transpose(0, 2, 1) @ dual   # int_f m_a p_j
     normal_moments = Y[:, :, per + n_k1:]
 
@@ -309,7 +315,7 @@ def local_matrices(space: ElementSpace, geoms, nu=1.0) -> list:
         W[:, :, :nft] = mom[:, :n_p]
         a = np.arange(1, n_p)
         W[:, a, nft + a - 1] = -meas
-        V = _spd_solve(H[cells], W, "pressure mass matrix H")
+        V, V_ratio = _spd_solve(H[cells], W, "pressure mass matrix H")
 
         B = np.zeros((mg, d * n_k, n_dof))
         B[:, :n_grad] = -H_hash[cells] @ V
@@ -323,7 +329,8 @@ def local_matrices(space: ElementSpace, geoms, nu=1.0) -> list:
         D[:, layout.typeii_slice] = Gc[:, :n_p - 1] / meas[:, :, None]
         D[:, layout.typeiii_slice] = Gc[:, n_grad:] / meas[:, :, None]
 
-        Pi0_hat = _spd_solve(Gc, B, "projector Gram matrix G")
+        Pi0_hat, Pi0_ratio = _spd_solve(Gc, B, "projector Gram matrix G")
+        ratio = np.minimum(np.minimum(cell_dual_ratio[cells], V_ratio), Pi0_ratio)
         Pi0_t = Pi0_hat.transpose(0, 2, 1)
         K_a = Pi0_t @ (nu * Gc) @ Pi0_hat
         R = np.eye(n_dof) - D @ Pi0_hat
@@ -342,7 +349,8 @@ def local_matrices(space: ElementSpace, geoms, nu=1.0) -> list:
                                           C[i].reshape(-1, d, n_k)),
                 nu=nu, measure=geom.measure, G=G[c], H=H[c], H_hash=H_hash[c],
                 V=V[i], B=B[i], D=D[i], Pi0_hat=Pi0_hat[i], K=K[i],
-                face_dual=dual[first[c]:first[c] + nf], face_scale=scales[c])
+                face_dual=dual[first[c]:first[c] + nf], face_scale=scales[c],
+                pivot_ratio=float(ratio[i]))
     return out
 
 
@@ -366,6 +374,7 @@ class Local1D:
     K_a: np.ndarray
     K: np.ndarray
     measure: float
+    pivot_ratio: float = 1.0        # pivot ratio of the pressure mass solve
 
     @property
     def K_s(self):
@@ -413,7 +422,7 @@ def local_matrices_1d(space: ElementSpace, geom, nu=1.0) -> Local1D:
     Du = basis_u.derivative_coeffs(0)      # u' coefficients in the degree-kg basis
     dphi = Du @ phi
     W = vals_p.T @ (w[:, None] * (vals_p @ dphi))
-    V = _spd_solve(H[None], W[None], "1D pressure mass matrix")[0]
+    V, ratio = _spd_solve(H[None], W[None], "1D pressure mass matrix")
 
     n_dof = n_u
     K = np.zeros((n_dof + basis_p.size, n_dof + basis_p.size))
@@ -422,7 +431,8 @@ def local_matrices_1d(space: ElementSpace, geom, nu=1.0) -> Local1D:
     K[n_dof:, :n_dof] = W
 
     return Local1D(space=space, layout=layout, basis_p=basis_p, basis_u=basis_u,
-                   phi_coeffs=phi, H=H, W=W, V=V, K_a=K_a, K=K, measure=L)
+                   phi_coeffs=phi, H=H, W=W, V=V[0], K_a=K_a, K=K, measure=L,
+                   pivot_ratio=float(ratio[0]))
 
 
 def dump_local_matrices(local: LocalMatrixSet, stream):

@@ -9,15 +9,23 @@ triangulations only, so weights are guaranteed positive.
 Geometry is computed once.  A ``FaceGeometry`` is the orientation-free
 record of one planar face loop (normal, canonical frame, 2D loop, measures,
 triangulation); ``mesh.PolyMesh3D.face_geometry`` keeps one per mesh face,
-shared by the cells it bounds.  A ``PolyhedronGeometry`` holds (record,
-sign) pairs and keeps its centroid *cone* (the positively oriented
-tetrahedra joining the face triangles to the centroid, with their volumes)
-and its *face simplices* (all face triangles, in face and in space
-coordinates); ``PolygonGeometry`` keeps its triangulation and its edges as
-segments.  No point array is kept per order: every ``quadrature(order)`` or
-``face_quadrature(order)`` call maps the cached reference rule onto all
-simplices in one batch and returns fresh arrays, so callers may modify
-them.  The objects are immutable once built; ``mesh.PolyMesh3D`` hands the
+shared by the cells it bounds, and builds all missing ones in one
+``build_faces`` call.  ``build_faces`` works on the concatenated loops
+(``_Loops``) with array operations: plane fit, lex frame, shoelace, diameter
+and centroid fan for every loop at once; only loops that are not star-shaped
+about their centroid are ear clipped, one by one, and a degenerate loop gets
+a DegenerateGeometryError in place of its record.  ``triangulate_polygon_2d``
+and ``PolygonGeometry`` use the same triangulation on one loop.
+
+A ``PolyhedronGeometry`` holds (record, sign) pairs and keeps its centroid
+*cone* (the positively oriented tetrahedra joining the face triangles to the
+centroid, with their volumes) and its *face simplices* (all face triangles,
+in face and in space coordinates); ``PolygonGeometry`` keeps its
+triangulation and its edges as segments.  No point array is kept per order:
+every ``quadrature(order)`` or ``face_quadrature(order)`` call maps the
+cached reference rule onto all simplices in one batch and returns fresh
+arrays, so callers may modify them.  The objects are immutable once built
+(records hold views of their batch's arrays); ``mesh.PolyMesh3D`` hands the
 same face and cell objects to every caller until their loops change.
 """
 
@@ -181,7 +189,9 @@ def _face_quadrature(simplices, ref_rule):
 
 
 def polygon_area_centroid_2d(coords):
-    """Signed area and centroid of a simple 2D polygon (shoelace)."""
+    """Signed area and centroid of a simple 2D polygon (shoelace); the cut
+    calls it on single polygons, where ``_Loops.area_centroids`` would cost
+    more to set up than to compute."""
     coords = np.asarray(coords, dtype=float)
     x, y = coords[:, 0], coords[:, 1]
     xn, yn = _next(x), _next(y)
@@ -194,28 +204,73 @@ def polygon_area_centroid_2d(coords):
     return area, np.array([cx, cy])
 
 
-def triangulate_polygon_2d(coords, eps=1e-12):
+def triangulate_polygon_2d(coords):
     """Triangulate a simple CCW polygon into positively oriented triangles.
 
-    Uses a centroid fan when the polygon is star-shaped with respect to its
-    centroid, ear clipping otherwise.  Returns a (t, 3, 2) array.  Collinear
-    (hanging) vertices are tolerated.
+    The triangulation of one loop by ``_triangulate``: a centroid fan when the
+    polygon is star-shaped with respect to its centroid, ear clipping
+    otherwise.  Returns a (t, 3, 2) array.  Collinear (hanging) vertices are
+    tolerated.
     """
-    coords = np.asarray(coords, dtype=float)
+    return _polygon_triangles(np.asarray(coords, dtype=float))[0]
+
+
+def _polygon_triangles(coords):
+    """Triangles (t, 3, 2) and areas (t,) of a simple CCW polygon."""
     area, centroid = polygon_area_centroid_2d(coords)
     if area < 0:
         raise ValueError("polygon must be counter-clockwise")
-    scale = (coords.max(axis=0) - coords.min(axis=0)).max()
-    if area <= (geo_eps(scale)) * scale:
-        raise DegenerateGeometryError("polygon area is zero within tolerance")
-    a = coords - centroid
-    b = _next(coords) - centroid
+    tris, areas, _, errors = _triangulate(_Loops([coords]), coords, np.array([area]),
+                                          centroid[None], [None])
+    if errors[0]:
+        raise DegenerateGeometryError(errors[0])
+    return tris, areas
+
+
+def _triangulate(loops, xy, area, centroid, errors):
+    """Triangles of counter-clockwise 2D loops, all at once.
+
+    ``xy`` holds the loops' vertices laid out as ``loops``, ``area`` and
+    ``centroid`` their shoelace areas and centroids, ``errors`` per loop None
+    or why it is already known to be degenerate.  A loop star-shaped with
+    respect to its centroid gets the centroid fan, without the triangles of
+    hanging vertices (fan area at most 1e-12 scale**2); the others are ear
+    clipped, one by one.  Returns the triangles (t, 3, 2), loop by loop, their
+    areas (t,), the first triangle of each loop and one past the last
+    (L + 1,), and the errors, now also naming every loop with a zero area or
+    no triangle.
+    """
+    errors = list(errors)
+    scale = loops.extents(xy)
+    for k in np.flatnonzero(area <= EPS_GEO_FACTOR * np.maximum(scale, 1.0) * scale):
+        errors[k] = errors[k] or "polygon area is zero within tolerance"
+    ok = np.array([e is None for e in errors])
+    i = loops.loop_of
+    a = xy - centroid[i]
+    b = a[loops.next]
     fan = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    if np.all(fan > 0.0):   # star-shaped w.r.t. the centroid
-        keep = fan > eps * scale * scale
-        return np.stack([np.broadcast_to(centroid, a.shape)[keep],
-                         coords[keep], _next(coords)[keep]], axis=1)
-    return np.array(_ear_clip(coords, scale)).reshape(-1, 3, 2)
+    star = np.logical_and.reduceat(fan > 0.0, loops.starts)
+    keep = (star & ok)[i] & (fan > 1e-12 * scale[i] ** 2)
+    tris = [np.stack([centroid[i[keep]], xy[keep], xy[loops.next[keep]]], axis=1)]
+    owner = [i[keep]]
+    for k in np.flatnonzero(~star & ok):
+        start = loops.starts[k]
+        try:
+            ears = _ear_clip(xy[start:start + loops.sizes[k]], scale[k])
+        except DegenerateGeometryError as exc:
+            errors[k] = str(exc)
+            continue
+        tris.append(np.array(ears).reshape(-1, 3, 2))
+        owner.append(np.full(len(ears), k))
+    owner = np.concatenate(owner)
+    tris = np.concatenate(tris)[np.argsort(owner, kind="stable")]
+    counts = np.bincount(owner, minlength=len(area))
+    for k in np.flatnonzero(counts == 0):
+        errors[k] = errors[k] or "polygon has no positively oriented triangle"
+    u = tris[:, 1] - tris[:, 0]
+    v = tris[:, 2] - tris[:, 0]
+    areas = 0.5 * np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+    return tris, areas, np.concatenate([[0], np.cumsum(counts)]), errors
 
 
 def _ear_clip(coords, scale):
@@ -275,27 +330,18 @@ def _point_in_triangle(p, a, b, c, tol):
     return d1 > tol and d2 > tol and d3 > tol
 
 
-def _triangulation(coords):
-    """Triangles (t, 3, 2) and areas (t,) of a simple CCW polygon."""
-    tris = triangulate_polygon_2d(coords)
-    if not len(tris):
-        raise DegenerateGeometryError("polygon has no positively oriented triangle")
-    u = tris[:, 1] - tris[:, 0]
-    v = tris[:, 2] - tris[:, 0]
-    return tris, 0.5 * np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
-
-
 def plane_frame(normal):
-    """Deterministic orthonormal in-plane axes (t1, t2) with t1 x t2 = n."""
+    """Deterministic orthonormal in-plane axes (t1, t2) with t1 x t2 = n, for
+    one normal (3,) or for each of a stack of normals (m, 3)."""
     n = np.asarray(normal, dtype=float)
-    n = n / np.linalg.norm(n)
-    if abs(n[0]) > 0.9:
-        t1 = np.array([n[2], 0.0, -n[0]])    # e_y x n
-    else:
-        t1 = np.array([0.0, -n[2], n[1]])    # e_x x n
-    t1 /= np.linalg.norm(t1)
-    t2 = _cross(n, t1)
-    return t1, t2
+    n = n / np.linalg.norm(n, axis=-1, keepdims=True)
+    n0, n1, n2 = n[..., 0], n[..., 1], n[..., 2]
+    zero = np.zeros_like(n0)
+    t1 = np.where((np.abs(n0) > 0.9)[..., None],
+                  np.stack([n2, zero, -n0], axis=-1),    # e_y x n
+                  np.stack([zero, -n2, n1], axis=-1))    # e_x x n
+    t1 = t1 / np.linalg.norm(t1, axis=-1, keepdims=True)
+    return t1, _cross(n, t1)
 
 
 @dataclass(frozen=True)
@@ -334,13 +380,14 @@ def fit_plane(coords):
 
     The normal follows the loop orientation (right-hand rule).
     """
-    loops = _Loops([np.asarray(coords, dtype=float)])
-    normal, mean = loops.plane_normals()
+    normal, mean, errors = _Loops([np.asarray(coords, dtype=float)]).plane_normals()
+    if errors[0]:
+        raise DegenerateGeometryError(errors[0])
     return Plane.from_normal_point(normal[0], mean[0])
 
 
 class _Loops:
-    """Vertex loops stored as one (N, 3) array, for work on all at once."""
+    """Vertex loops stored as one (N, d) array, for work on all at once."""
 
     def __init__(self, loops):
         self.coords = np.vstack(loops)
@@ -359,27 +406,52 @@ class _Loops:
         return (np.maximum.reduceat(coords, self.starts) -
                 np.minimum.reduceat(coords, self.starts)).max(axis=1)
 
+    def diameters(self):
+        """Largest distance between two vertices of each loop, over all pairs."""
+        per = self.sizes[self.loop_of]     # the pairs (a, b) of each vertex a
+        pair0 = np.cumsum(per) - per
+        a = np.repeat(np.arange(len(per)), per)
+        b = np.arange(len(a)) - np.repeat(pair0 - self.starts[self.loop_of], per)
+        d2 = np.sum((self.coords[a] - self.coords[b]) ** 2, axis=1)
+        return np.sqrt(np.maximum.reduceat(d2, pair0[self.starts]))
+
+    def area_centroids(self, xy):
+        """Signed shoelace areas and centroids of 2D loops laid out as these;
+        a loop of no area gets the mean of its vertices."""
+        x, y = xy[:, 0], xy[:, 1]
+        xn, yn = x[self.next], y[self.next]
+        cross = x * yn - xn * y
+        area = 0.5 * self.sums(cross)
+        flat = np.abs(area) < 1e-300
+        centroid = (np.column_stack([self.sums((x + xn) * cross),
+                                     self.sums((y + yn) * cross)])
+                    / (6.0 * np.where(flat, 1.0, area))[:, None])
+        centroid[flat] = (self.sums(xy) / self.sizes[:, None])[flat]
+        return area, centroid
+
     def plane_normals(self):
-        """Unit Newell normals and vertex means of planar loops; checks
-        each loop for zero area and for planarity."""
+        """Unit Newell normals and vertex means of 3D loops, and per loop None
+        or why it is degenerate: zero area or non-planar.  A zero-area loop
+        gets the normal e_x, so that work on the batch stays finite."""
         c, nxt = self.coords, self.coords[self.next]
         normal = self.sums((c - nxt)[:, (1, 2, 0)] * (c + nxt)[:, (2, 0, 1)])
         nrm = np.linalg.norm(normal, axis=1)
         scale = np.maximum(self.extents(c), 1e-300)
         tol = EPS_GEO_FACTOR * np.maximum(scale, 1.0)
-        if np.any(nrm <= tol * scale):
-            raise DegenerateGeometryError("degenerate vertex loop (zero area)")
-        normal = normal / nrm[:, None]
+        flat = nrm <= tol * scale
+        normal[flat] = (1.0, 0.0, 0.0)
+        normal = normal / np.where(flat, 1.0, nrm)[:, None]
         mean = self.sums(c) / self.sizes[:, None]
         dist = np.maximum.reduceat(np.abs(_dot_rows(c - mean[self.loop_of],
                                                     normal[self.loop_of])),
                                    self.starts)
-        bad = np.argmax(dist - tol)
-        if dist[bad] > tol[bad]:
-            raise DegenerateGeometryError(
-                f"vertex loop non-planar: max deviation {dist[bad]:.3e} > "
-                f"{tol[bad]:.3e}")
-        return normal, mean
+        errors = [None] * len(nrm)
+        for k in np.flatnonzero(dist > tol):
+            errors[k] = (f"vertex loop non-planar: max deviation {dist[k]:.3e} > "
+                         f"{tol[k]:.3e}")
+        for k in np.flatnonzero(flat):
+            errors[k] = "degenerate vertex loop (zero area)"
+        return normal, mean, errors
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +460,8 @@ class _Loops:
 
 
 def _diameter(coords):
+    """Largest distance between two points of one cloud (``_Loops.diameters``
+    does it for a batch of loops)."""
     coords = np.asarray(coords, dtype=float)
     d2 = np.sum((coords[:, None, :] - coords[None, :, :]) ** 2, axis=2)
     return float(np.sqrt(d2.max()))
@@ -484,7 +558,7 @@ class PolygonGeometry:
 
     def quadrature(self, order):
         if self._triangulation is None:
-            self._triangulation = _triangulation(self.coords)
+            self._triangulation = _polygon_triangles(self.coords)
         return _map_rule(*_triangle_ref_rule(order), *self._triangulation)
 
     def face_simplices(self):
@@ -545,42 +619,39 @@ class _EdgeView:
 
 def lex_sign(v):
     """+1 if the first entry of ``v`` above roundoff (``8 eps |v|``) is
-    positive, else -1: a roundoff-level entry must not pick the frame."""
-    big = v[np.abs(v) > 8 * np.finfo(float).eps * np.linalg.norm(v)]
-    return -1 if len(big) and big[0] < 0 else 1
+    positive, else -1: a roundoff-level entry must not pick the frame.  For a
+    stack of vectors (m, d), one sign per vector."""
+    v = np.asarray(v, dtype=float)
+    big = np.abs(v) > 8 * np.finfo(float).eps * np.linalg.norm(v, axis=-1, keepdims=True)
+    lead = np.take_along_axis(v, np.argmax(big, axis=-1)[..., None], axis=-1)[..., 0]
+    sign = np.where(big.any(axis=-1) & (lead < 0), -1, 1)
+    return int(sign) if sign.ndim == 0 else sign
 
 
+@dataclass(eq=False)
 class FaceGeometry:
-    """One planar face loop, without an owner cell.
+    """One planar face loop, without an owner cell; ``build_faces`` fills it.
 
     ``normal`` is the unit Newell normal of the loop ``coords`` (right-hand
-    rule) and ``mean`` the mean of its vertices; a cell holding the face with
-    sign ``s`` has the outward normal ``s * normal``.  The 2D frame (used for
-    face monomials) is anchored at the face centroid and built from the
-    lexicographically positive normal ``lex_sign * normal``, so all cells
-    sharing the face see the same face coordinates.  ``coords2d`` is the loop
-    in that frame, counter-clockwise; ``triangulation`` holds its triangles
-    (t, 3, 2) and their areas (t,), ``triangles`` the triangles in space.
+    rule); a cell holding the face with sign ``s`` has the outward normal
+    ``s * normal``.  The 2D frame ``plane`` (used for face monomials) is
+    anchored at the face centroid and built from the lexicographically
+    positive normal ``lex_sign * normal``, so all cells sharing the face see
+    the same face coordinates.  ``coords2d`` is the loop in that frame,
+    counter-clockwise; ``triangulation`` holds its triangles (t, 3, 2) and
+    their areas (t,), ``triangles`` the triangles in space.
     """
 
-    def __init__(self, coords, normal, mean):
-        self.coords = coords
-        self.normal = normal
-        self.lex_sign = lex_sign(normal)
-        n = self.lex_sign * normal
-        t1, t2 = plane_frame(n)
-        rel = coords - mean
-        coords2d = np.column_stack([rel @ t1, rel @ t2])
-        if self.lex_sign < 0:   # the loop is clockwise in the lex frame
-            coords2d = coords2d[::-1]
-        area, c2 = polygon_area_centroid_2d(coords2d)
-        self.centroid = mean + c2[0] * t1 + c2[1] * t2
-        self.plane = Plane(n, float(n @ self.centroid), self.centroid, t1, t2)
-        self.coords2d = coords2d - c2
-        self.measure = abs(area)
-        self.diameter = _diameter(coords)
-        self.triangulation = _triangulation(self.coords2d)
-        self.triangles = self.plane.to_3d(self.triangulation[0])
+    coords: np.ndarray
+    normal: np.ndarray
+    lex_sign: int
+    plane: Plane
+    coords2d: np.ndarray
+    measure: float
+    centroid: np.ndarray
+    diameter: float
+    triangulation: tuple
+    triangles: np.ndarray
 
     def quadrature(self, order):
         return _map_rule(*_triangle_ref_rule(order), self.triangles,
@@ -591,10 +662,46 @@ class FaceGeometry:
 
 
 def build_faces(loops):
-    """One FaceGeometry per planar (n_i, 3) vertex loop, from one batched
-    plane fit; a zero-area or non-planar loop raises DegenerateGeometryError."""
-    normals, means = _Loops(loops).plane_normals()
-    return [FaceGeometry(*face) for face in zip(loops, normals, means)]
+    """One FaceGeometry per planar (n_i, 3) vertex loop, all made by array
+    operations on the concatenated loops; only the loops that are not
+    star-shaped about their centroid are ear clipped, one by one.
+
+    A zero-area, non-planar or untriangulable loop gets a (not raised)
+    DegenerateGeometryError in place of its record, so one bad loop spoils no
+    other.
+    """
+    lp = _Loops(loops)
+    normal, mean, errors = lp.plane_normals()
+    i, at = lp.loop_of, np.arange(len(lp.loop_of))
+    sign = lex_sign(normal)
+    n = sign[:, None] * normal
+    t1, t2 = plane_frame(n)
+    rel = lp.coords - mean[i]
+    xy = np.column_stack([_dot_rows(rel, t1[i]), _dot_rows(rel, t2[i])])
+    # a loop with sign -1 is clockwise in its lex frame: reverse it there
+    xy = xy[np.where(sign[i] < 0, 2 * lp.starts[i] + lp.sizes[i] - 1 - at, at)]
+    area, c2 = lp.area_centroids(xy)
+    centroid = mean + c2[:, :1] * t1 + c2[:, 1:] * t2
+    xy -= c2[i]
+    tris, tri_areas, first, errors = _triangulate(lp, xy, area, np.zeros_like(c2),
+                                                  errors)
+    tri_of = np.repeat(np.arange(len(area)), np.diff(first))[:, None]
+    space = centroid[tri_of] + tris[..., :1] * t1[tri_of] + tris[..., 1:] * t2[tri_of]
+    offset, measure = _dot_rows(n, centroid).tolist(), np.abs(area).tolist()
+    diameter, starts, first = lp.diameters().tolist(), lp.starts.tolist(), first.tolist()
+    records = []
+    for k, (loop, error) in enumerate(zip(loops, errors)):
+        if error:
+            records.append(DegenerateGeometryError(error))
+            continue
+        verts = slice(starts[k], starts[k] + len(loop))
+        tri = slice(first[k], first[k + 1])
+        records.append(FaceGeometry(
+            loop, normal[k], int(sign[k]),
+            Plane(n[k], offset[k], centroid[k], t1[k], t2[k]), xy[verts],
+            measure[k], centroid[k], diameter[k], (tris[tri], tri_areas[tri]),
+            space[tri]))
+    return records
 
 
 class PolyhedronGeometry:
@@ -619,6 +726,9 @@ class PolyhedronGeometry:
         self.diameter = scale
         if faces is None:
             faces = [(face, 1) for face in build_faces(self.face_loops)]
+            for face, _ in faces:
+                if isinstance(face, DegenerateGeometryError):
+                    raise face
         self.faces = [face for face, _ in faces]
         self.face_signs = np.array([s for _, s in faces], dtype=float)
         self.normals = self.face_signs[:, None] * np.array(

@@ -194,9 +194,10 @@ class PolyMesh3D:
     loop normal (right-hand rule) points out of the cell.
 
     ``face_geometry`` keeps one FaceGeometry record per face, reused while
-    the face's vertex tuple is unchanged; ``cell_geometry`` keeps one
-    PolyhedronGeometry per cell on those records, reused while the cell's
-    (face, sign) tuple and its faces' vertex tuples are unchanged.
+    the face's vertex tuple is unchanged and built for all faces at once;
+    ``cell_geometry`` keeps one PolyhedronGeometry per cell on those records,
+    reused while the cell's (face, sign) tuple and its faces' vertex tuples
+    are unchanged.
     ``snap_vertex`` is the only edit that moves an existing vertex and drops
     every entry.  Other vertex coordinates must not be changed in place.
     """
@@ -289,15 +290,22 @@ class PolyMesh3D:
         return out
 
     def face_geometry(self, fids):
-        """The FaceGeometry of each face in ``fids``; missing or stale records
-        are built in one batch."""
-        stale = [fid for fid in fids
-                 if self._face_geometry.get(fid, (None,))[0] != self.faces[fid]]
-        if stale:
-            built = build_faces([self.face_coords(fid) for fid in stale])
-            for fid, face in zip(stale, built):
-                self._face_geometry[fid] = (self.faces[fid], face)
-        return [self._face_geometry[fid][1] for fid in fids]
+        """The FaceGeometry of each face in ``fids``.  When one of them is
+        missing or stale, every missing or stale record of the mesh is built,
+        in one batch.  A requested face whose loop is degenerate raises
+        DegenerateGeometryError; a degenerate face not requested does not."""
+        cache, faces = self._face_geometry, self.faces
+        if any(cache.get(fid, (None,))[0] != faces[fid] for fid in fids):
+            stale = [fid for fid, vids in faces.items()
+                     if cache.get(fid, (None,))[0] != vids]
+            for fid, face in zip(stale, build_faces([self.face_coords(fid)
+                                                     for fid in stale])):
+                cache[fid] = (faces[fid], face)
+        records = [cache[fid][1] for fid in fids]
+        for face in records:
+            if isinstance(face, DegenerateGeometryError):
+                raise DegenerateGeometryError(*face.args)
+        return records
 
     def cell_geometry(self, cid) -> PolyhedronGeometry:
         """The cell's geometry, built once while the cell is unchanged."""

@@ -108,7 +108,8 @@ class Hybridized:
             L, s, ratio_p = equilibrated_cholesky(_t(Z) @ Z, "cell pressure Schur complement")
             T = np.linalg.inv(L) * s[:, None, :]
             Q = T @ (_t(Z) @ Y)
-            self.worst_pivot_ratio = min(self.worst_pivot_ratio, ratio, ratio_p)
+            self.worst_pivot_ratio = min(self.worst_pivot_ratio, float(ratio.min()),
+                                         float(ratio_p.min()))
             self.stacks.append((R, Z, T, E, ids, dofs[at[:, f]], first[at[:, f]],
                                 dofs[at[:, e]]))
             parts.append(((_t(Y) @ Y - _t(Q) @ Q).ravel(),
@@ -178,7 +179,8 @@ def solve(system: GlobalSystem, tol: float = 1e-10) -> "DiscreteSolution":
 @dataclass
 class DiscreteSolution:
     """Global DOF vector with per-domain views and projected velocities, and
-    the solve's health: factorized size and entries, worst local pivot ratio."""
+    the solve's health: factorized size and entries, worst local pivot ratio
+    of the cell eliminations and of the element solves."""
 
     system: GlobalSystem
     x: np.ndarray
@@ -192,6 +194,13 @@ class DiscreteSolution:
     @property
     def dofmap(self):
         return self.system.dofmap
+
+    @property
+    def worst_element_pivot_ratio(self):
+        """Smallest pivot ratio of the local solves that built the elements
+        (``local_matrices``)."""
+        return min((loc.pivot_ratio for blk in self.dofmap.blocks.values()
+                    for loc in blk.locals_ if loc is not None), default=1.0)
 
     @property
     def md(self):

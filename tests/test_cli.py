@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from mixedvem import problems
+from mixedvem.assembly import assemble_complete
 from mixedvem.cli import main
 from mixedvem.config import parse_config
 from mixedvem.errors import ConfigError
-from mixedvem.mesh import box_mesh, write_mesh
+from mixedvem.mesh import box_mesh, cut_background_mesh, write_mesh
 
 CONFIG = """
 order: 1
@@ -88,7 +89,8 @@ BUILTIN_RUNS = {
     "problem1_quartic": (
         ["errors.csv", "fields.vtk", "fields.vtk.velocity.vtk", "fluxes.txt"],
         ["worst_relative_error", "max_relative_flux_mismatch", "global_dofs",
-         "lu_fill", "residual_before_refinement", "worst_pivot_ratio"]),
+         "lu_fill", "residual_before_refinement", "worst_pivot_ratio",
+         "worst_element_pivot_ratio"]),
     "problem2_finite_eta": (
         ["problem2.txt"], ["inflow_ratio", "jump_low_eta", "jump_high_eta"]),
     "convergence_sweep": (["convergence.csv"], ["rates"]),
@@ -178,6 +180,43 @@ def test_cli_run_config(tmp_path, capsys):
     assert 0 < checks["lu_fill"] <= 44 * 45
     assert manifest["residual"] <= checks["residual_before_refinement"] < 1e-12
     assert checks["worst_pivot_ratio"] == pytest.approx(1 / 3)
+
+
+def _pivot_ratio(M):
+    """Smallest over largest pivot of the Jacobi-equilibrated SPD matrix M."""
+    s = 1.0 / np.sqrt(np.diag(M))
+    piv = np.diag(np.linalg.cholesky(M * np.outer(s, s))) ** 2
+    return piv.min() / piv.max()
+
+
+def test_cli_run_reports_worst_element_pivot_ratio(tmp_path):
+    # a tilted fracture cuts the cubes into prisms, whose matrices are not
+    # diagonal after equilibration
+    config = CONFIG.replace("[[0, -1, -1], [0, 1, -1], [0, 1, 1], [0, -1, 1]]",
+                            "[[-0.2, -1, -1], [0.3, 1, -1], [0.3, 1, 1], [-0.2, -1, 1]]")
+    (tmp_path / "problem.yaml").write_text(config)
+    assert main(["run", str(tmp_path / "problem.yaml"), "--output-dir", str(tmp_path)]) == 0
+    reported = json.loads((tmp_path / "manifest.json").read_text())["checks"][
+        "worst_element_pivot_ratio"]
+    # the same elements, their solved matrices refactorized one by one: the
+    # pressure mass matrix H, the Gram matrix G and each face mass matrix,
+    # which is the face measure times the inverse of the face's dual
+    cfg = parse_config(config)
+    system = assemble_complete(cut_background_mesh(cfg.build_mesh(), cfg.spec),
+                               cfg.order, family3d=cfg.family3d,
+                               trace_flow=cfg.trace_flow)
+    ratios = []
+    for blk in system.dofmap.blocks.values():
+        for geom, loc in zip(blk.geoms, blk.locals_):
+            if loc is None:
+                continue
+            ratios.append(_pivot_ratio(loc.H))
+            if blk.dim > 1:
+                ratios.append(_pivot_ratio(loc.G))
+                ratios += [_pivot_ratio(face.measure * np.linalg.inv(dual))
+                           for face, dual in zip(geom.faces, loc.face_dual)]
+    assert 0 < min(ratios) < 0.9
+    assert reported == pytest.approx(min(ratios), rel=1e-10)
 
 
 def test_cli_run_shipped_barrier_config(tmp_path):

@@ -334,19 +334,26 @@ def test_one_geometry_per_cell_through_assembly(monkeypatch):
                                 _perfbench_network(9400)),
 ], ids=["poisson-box", "network-9400"])
 def test_one_face_record_per_face_through_assembly(monkeypatch, build):
-    built = []
+    built, batches = [], []
     init = geo.FaceGeometry.__init__
 
     def counting_init(self, *args):
         built.append(self)
         init(self, *args)
 
+    def counting_build_faces(loops):
+        batches.append(len(loops))
+        return geo.build_faces(loops)
+
     monkeypatch.setattr(geo.FaceGeometry, "__init__", counting_init)
+    monkeypatch.setattr(msh, "build_faces", counting_build_faces)
     md = build()
     mesh = md.mesh3d
     assert validate_conformity(md) == []
     assemble_complete(md, order=1)
     assert len(built) == len(mesh.faces)
+    # every record comes from one batch over the whole mesh
+    assert batches == [len(mesh.faces)]
     interior = 0
     for fid, owners in mesh.face_cells().items():
         record = mesh.face_geometry([fid])[0]
@@ -355,6 +362,25 @@ def test_one_face_record_per_face_through_assembly(monkeypatch, build):
             assert mesh.cell_geometry(cid).faces[lf] is record
         interior += len(owners) == 2
     assert interior > 0 and len(built) == len(mesh.faces)   # no lookup rebuilt one
+
+
+def test_degenerate_face_is_reported_for_its_owners_only():
+    # one interior face folded onto itself (zero area) spoils the geometry
+    # of its two owner cells and of no other, though its record is built in
+    # the same batch as every other face of the mesh
+    mesh = box_mesh([0, 0, 0], [1, 1, 1], (3, 3, 3))
+    inc = mesh.face_cells()
+    fid = next(f for f, owners in sorted(inc.items()) if len(owners) == 2)
+    a, b, c, _ = mesh.faces[fid]
+    mesh.faces[fid] = (a, b, c, b)
+    md = cut_background_mesh(mesh, NetworkSpec(fractures=[]))
+    report = validate_conformity(md)
+    assert {int(line.split(":")[0].split()[1]) for line in report} == \
+        {cid for cid, _ in inc[fid]}
+    assert any("zero area" in line for line in report)
+    with pytest.raises(DegenerateGeometryError, match="zero area"):
+        mesh.face_geometry([fid])
+    assert mesh.face_geometry([fid + 1])[0].measure == pytest.approx(1 / 9)
 
 
 def _perfbench_network(seed):

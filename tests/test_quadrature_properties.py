@@ -1,5 +1,6 @@
 """Property tests: the batched cone and triangle rules against per-simplex
-oracles on random convex polyhedra and polygons."""
+oracles on random convex polyhedra and polygons, and the batched face records
+against a per-loop oracle on random planar loops."""
 
 import itertools
 
@@ -141,3 +142,95 @@ def test_face_rules_match_per_triangle_oracle(cell, order):
         oracle = (np.vstack([p for p, _ in rules]),
                   np.concatenate([w for _, w in rules]))
         _check_rule(face, face.quadrature(order), oracle, order)
+
+
+# Face records agree with the per-loop oracle to this share of their scale.
+FACE_RTOL = 1e-13
+
+
+@st.composite
+def planar_loops(draw):
+    """A planar vertex loop in space: convex (points on an ellipse) or a U
+    (not star-shaped about its centroid, so it is ear clipped), in either
+    orientation, with collinear hanging vertices on some edges, on a plane
+    whose normal is random or has its leading entry at roundoff."""
+    a, b = draw(st.floats(0.2, 3)), draw(st.floats(0.2, 3))
+    if draw(st.booleans()):
+        ang = np.sort(draw(st.lists(st.floats(0, 2 * np.pi, exclude_max=True),
+                                    min_size=3, max_size=9, unique=True)))
+        xy = np.column_stack([a * np.cos(ang), b * np.sin(ang)])
+        assume(np.linalg.norm(xy - np.roll(xy, -1, axis=0), axis=1).min()
+               > MIN_EDGE * max(a, b))
+        assume(geo.polygon_area_centroid_2d(xy)[0] > MIN_EDGE * max(a, b) ** 2)
+    else:
+        arm, foot = draw(st.floats(0.1, 0.4)) * a, draw(st.floats(0.05, 0.3)) * b
+        xy = np.array([[0, 0], [a, 0], [a, b], [a - arm, b], [a - arm, foot],
+                       [arm, foot], [arm, b], [0, b]])
+    hanging = draw(st.lists(st.floats(0.2, 0.8) | st.none(),
+                            min_size=len(xy), max_size=len(xy)))
+    xy = np.vstack([row for k, t in enumerate(hanging) for row in
+                    ([xy[k]] if t is None else
+                     [xy[k], xy[k] + t * (xy[(k + 1) % len(xy)] - xy[k])])])
+    if draw(st.booleans()):
+        xy = xy[::-1]
+    if draw(st.booleans()):
+        phi = draw(st.floats(0, 2 * np.pi))
+        n = np.array([draw(st.sampled_from([0.0, 1e-17, -1e-17])),
+                      np.cos(phi), np.sin(phi)])
+    else:
+        n = np.array(draw(st.lists(st.floats(-1, 1), min_size=3, max_size=3)))
+        assume(np.linalg.norm(n) > 0.1)
+    n = n / np.linalg.norm(n)
+    e1 = np.cross(n, [1.0, 0.0, 0.0] if abs(n[0]) < 0.5 else [0.0, 1.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    origin = np.array(draw(st.lists(st.floats(-1, 1), min_size=3, max_size=3)))
+    return origin + xy[:, :1] * e1 + xy[:, 1:] * np.cross(n, e1)
+
+
+def _face_oracle(coords):
+    """A face record's fields, loop by loop: Newell normal, lex sign and
+    frame, the loop in that frame (counter-clockwise, about its centroid),
+    shoelace measure and centroid, and the diameter over all vertex pairs."""
+    nxt = np.roll(coords, -1, axis=0)
+    # summed by reduceat, as the plane fit sums: the roundoff of a normal
+    # entry that is zero in exact arithmetic can exceed the lex sign's
+    # 8 eps threshold, and then the summation order picks the sign
+    normal = np.add.reduceat((coords - nxt)[:, (1, 2, 0)] * (coords + nxt)[:, (2, 0, 1)],
+                             [0])[0]
+    normal = normal / np.linalg.norm(normal)
+    big = normal[np.abs(normal) > 8 * np.finfo(float).eps]
+    sign = -1 if len(big) and big[0] < 0 else 1
+    n = sign * normal
+    t1 = np.array([n[2], 0.0, -n[0]]) if abs(n[0]) > 0.9 else np.array([0.0, -n[2], n[1]])
+    t1 /= np.linalg.norm(t1)
+    t2 = np.cross(n, t1)
+    mean = coords.mean(axis=0)
+    xy = np.column_stack([(coords - mean) @ t1, (coords - mean) @ t2])[::sign]
+    x, y = xy[:, 0], xy[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    area = 0.5 * cross.sum()
+    c2 = np.array([((x + xn) * cross).sum(), ((y + yn) * cross).sum()]) / (6 * area)
+    return {"normal": normal, "lex_sign": sign, "t1": t1, "t2": t2,
+            "coords2d": xy - c2, "measure": abs(area),
+            "centroid": mean + c2[0] * t1 + c2[1] * t2,
+            "diameter": max(np.linalg.norm(p - q) for p in coords for q in coords)}
+
+
+@SETTINGS
+@given(st.lists(planar_loops(), min_size=1, max_size=5))
+def test_batched_face_records_match_per_loop_oracle(loops):
+    for face, coords in zip(geo.build_faces(loops), loops):
+        want = _face_oracle(coords)
+        d = want["diameter"]
+        assert face.lex_sign == want["lex_sign"]
+        for got, key, scale in [
+                (face.normal, "normal", 1.0), (face.plane.t1, "t1", 1.0),
+                (face.plane.t2, "t2", 1.0), (face.coords2d, "coords2d", d),
+                (face.centroid, "centroid", d + np.abs(want["centroid"]).max())]:
+            assert np.abs(got - want[key]).max() <= FACE_RTOL * scale, key
+        for key in ("measure", "diameter"):
+            assert abs(getattr(face, key) - want[key]) <= FACE_RTOL * want[key], key
+        areas = face.triangulation[1]
+        assert np.all(areas > 0)
+        assert abs(areas.sum() - face.measure) <= FACE_RTOL * face.measure

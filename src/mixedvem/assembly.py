@@ -44,7 +44,6 @@ import scipy.sparse as sps
 
 from .elements import ElementSpace, local_matrices, local_matrices_1d
 from .errors import ConfigError
-from .geometry import lex_sign
 from .mesh import MixedDimensionalMesh, field_values
 from .polyspace import MonomialBasis, dim_poly
 
@@ -290,11 +289,8 @@ def _build_2d_block(dm, md, fm, offset):
     for ci, cell in enumerate(fm.cells):
         n = len(cell.vids)
         keys = [tuple(sorted((cell.vids[k], cell.vids[(k + 1) % n]))) for k in range(n)]
-        for k, key in enumerate(keys):
-            # the outward normal is the traversal tangent turned by -90 deg,
-            # so the tangent against its canonical direction gives the sign
-            ta = cell.coords2d[(k + 1) % n] - cell.coords2d[k]
-            users.setdefault(key, []).append((ci, k, lex_sign(ta)))
+        for k, (key, edge) in enumerate(zip(keys, cell.geometry.faces)):
+            users.setdefault(key, []).append((ci, k, edge.lex_sign))
         cell_edges.append(keys)
     kind = {key: fm.edge_class.get(key, ("interior",))[0] for key in users}
     lower = {tuple(sorted((cell.vid_a, cell.vid_b))):
@@ -464,14 +460,11 @@ def assemble_dimension(dm: GlobalDofMap, dim: int) -> dict:
 
 def face_rule(blk, ci, lf, qo):
     """Points (in cell ``ci``'s coordinates), weights and face-DOF dual values
-    of a degree-``qo`` rule on face ``lf``; a 1D cell's face is its endpoint,
-    with unit weight and dual value."""
-    loc = blk.locals_[ci]
-    if blk.dim == 1:
-        return np.array([[(lf - 0.5) * loc.measure]]), np.ones(1), np.ones((1, 1))
+    of a degree-``qo`` rule on face ``lf``.  A segment's face is its end: the
+    one point, with weight 1 and dual value 1."""
     face = blk.geoms[ci].faces[lf]
     pts, w = face.quadrature(qo)
-    return pts, w, loc.face_dual_values(lf, face.to_face_coords(pts))
+    return pts, w, blk.locals_[ci].face_dual_values(lf, face.to_face_coords(pts))
 
 
 def face_mass(blk, ci, lf):
@@ -479,10 +472,8 @@ def face_mass(blk, ci, lf):
 
     The duals solve ``M x = |f| I`` against the face mass ``M`` of the face
     monomials, so their own mass is ``|f|`` times the stored dual
-    coefficients; a 1D cell's endpoint has the unit mass.
+    coefficients; a segment's end, of unit measure and dual, has mass 1.
     """
-    if blk.dim == 1:
-        return np.ones((1, 1))
     return blk.geoms[ci].faces[lf].measure * blk.locals_[ci].face_dual[lf]
 
 

@@ -65,13 +65,10 @@ def cmd_list_builtins():
 
 
 def cmd_validate_mesh(args):
-    from .mesh import (MixedDimensionalMesh, NetworkSpec, build_domain_graph,
-                       read_mesh, validate_conformity)
+    from .mesh import MixedDimensionalMesh, NetworkSpec, read_mesh, validate_conformity
     mesh = read_mesh(args.mesh)
     md = MixedDimensionalMesh(mesh3d=mesh, spec=NetworkSpec(fractures=[]),
-                              fractures=[], traces=[], intersections=[],
-                              graph=build_domain_graph([], [], []),
-                              eps=1e-9 * mesh.domain_diameter())
+                              fractures=[], traces=[], intersections=[])
     report = validate_conformity(md)
     if report:
         for line in report:

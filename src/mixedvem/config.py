@@ -26,6 +26,17 @@ from .mesh import (BOX_TAGS, BoundaryCondition, FractureSpec, IntersectionData,
 OUTPUTS = ("fluxes", "fields", "matrix", "manifest")
 
 
+@contextmanager
+def _reading(what, node):
+    """Turn the errors that a malformed config ``node`` raises while it is read
+    (a value of the wrong type or form, a missing key) into a ConfigError
+    naming it."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what} {node!r} ({type(exc).__name__}: {exc})") from exc
+
+
 def _parse_eta(value):
     """eta entries accept a positive number or "inf"; stored as 1/eta."""
     if value is None:
@@ -65,15 +76,16 @@ class ProblemConfig:
 
     def build_mesh(self):
         node = self.mesh_node
-        kind = node.get("type", "box")
-        if kind == "box":
-            lo = node.get("lo", [0.0, 0.0, 0.0])
-            hi = node.get("hi", [1.0, 1.0, 1.0])
-            sub = node.get("subdivisions", [1, 1, 1])
-            return box_mesh(lo, hi, tuple(int(n) for n in sub))
-        if kind == "file":
-            self.mesh_path = node["path"]
-            return read_mesh(node["path"])
+        with _reading("mesh", node):
+            kind = node.get("type", "box")
+            if kind == "box":
+                lo = node.get("lo", [0.0, 0.0, 0.0])
+                hi = node.get("hi", [1.0, 1.0, 1.0])
+                sub = node.get("subdivisions", [1, 1, 1])
+                return box_mesh(lo, hi, tuple(int(n) for n in sub))
+            if kind == "file":
+                self.mesh_path = node["path"]
+                return read_mesh(node["path"])
         raise ConfigError(f"unknown mesh type {kind!r}")
 
 
@@ -91,7 +103,8 @@ def parse_config(text) -> ProblemConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping")
 
-    order = int(doc.get("order", 0))
+    with _reading("order", doc.get("order")):
+        order = int(doc.get("order", 0))
     family3d = str(doc.get("family3d", "RT")).upper()
     if family3d not in ("RT", "BDM"):
         raise ConfigError("family3d must be RT or BDM (3D block only)")
@@ -99,23 +112,24 @@ def parse_config(text) -> ProblemConfig:
         raise ConfigError("orders above 4 are not supported")
 
     bc3_node = doc.get("bc3", {}) or {}
-    default_bc = _parse_bc(bc3_node.get("default")) if "default" in bc3_node \
-        else None
     bc3 = {}
-    for tag in set(list(bc3_node.keys()) + BOX_TAGS) - {"default"}:
-        if tag in bc3_node:
-            bc3[tag] = _parse_bc(bc3_node[tag])
-        elif default_bc is not None:
-            bc3[tag] = default_bc
+    with _reading("bc3", bc3_node):
+        default_bc = _parse_bc(bc3_node.get("default")) if "default" in bc3_node \
+            else None
+        for tag in set(list(bc3_node.keys()) + BOX_TAGS) - {"default"}:
+            if tag in bc3_node:
+                bc3[tag] = _parse_bc(bc3_node[tag])
+            elif default_bc is not None:
+                bc3[tag] = default_bc
 
-    fractures = []
-    for fnode in doc.get("fractures", []) or []:
-        fractures.append(FractureSpec(
+    fnodes = doc.get("fractures", []) or []
+    with _reading("fractures", fnodes):
+        fractures = [FractureSpec(
             vertices=np.asarray(fnode["vertices"], dtype=float),
             a2=float(fnode.get("a2", 1.0)),
             inverse_eta2=_parse_eta(fnode.get("eta2", "inf")),
             bc=_parse_bc(fnode.get("bc")),
-            source=float(fnode.get("source", 0.0))))
+            source=float(fnode.get("source", 0.0))) for fnode in fnodes]
 
     tnode = doc.get("traces", {}) or {}
 
@@ -125,9 +139,10 @@ def parse_config(text) -> ProblemConfig:
                          bc=_parse_bc(node.get("bc")),
                          source=float(node.get("source", 0.0)))
 
-    trace_defaults = parse_trace(tnode.get("default", {}) or {})
-    trace_overrides = {int(k): parse_trace(v)
-                       for k, v in (tnode.get("overrides", {}) or {}).items()}
+    with _reading("traces", tnode):
+        trace_defaults = parse_trace(tnode.get("default", {}) or {})
+        trace_overrides = {int(k): parse_trace(v)
+                           for k, v in (tnode.get("overrides", {}) or {}).items()}
 
     inode = doc.get("intersections", {}) or {}
 
@@ -138,14 +153,17 @@ def parse_config(text) -> ProblemConfig:
         return IntersectionData(inverse_eta0=_parse_eta(node.get("eta0", "inf")),
                                 bc=bc, source=float(node.get("source", 0.0)))
 
-    inter_defaults = parse_inter(inode.get("default", {}) or {})
-    inter_overrides = {int(k): parse_inter(v)
-                       for k, v in (inode.get("overrides", {}) or {}).items()}
+    with _reading("intersections", inode):
+        inter_defaults = parse_inter(inode.get("default", {}) or {})
+        inter_overrides = {int(k): parse_inter(v)
+                           for k, v in (inode.get("overrides", {}) or {}).items()}
 
+    with _reading("a3", doc.get("a3")):
+        a3 = float(doc.get("a3", 1.0))
+    with _reading("source3", doc.get("source3")):
+        source3 = float(doc.get("source3", 0.0))
     spec = NetworkSpec(
-        fractures=fractures,
-        a3=float(doc.get("a3", 1.0)),
-        source3=float(doc.get("source3", 0.0)),
+        fractures=fractures, a3=a3, source3=source3,
         bc3=bc3,
         trace_defaults=trace_defaults,
         trace_overrides=trace_overrides,
@@ -153,8 +171,13 @@ def parse_config(text) -> ProblemConfig:
         intersection_overrides=inter_overrides)
 
     solver = doc.get("solver", {}) or {}
+    with _reading("solver", solver):
+        solver_tol = float(solver.get("tolerance", 1e-10))
     eps_factor = doc.get("eps_factor")
-    outputs = list(doc.get("outputs", ["fluxes"]))
+    with _reading("eps_factor", eps_factor):
+        eps_factor = float(eps_factor) if eps_factor is not None else None
+    with _reading("outputs", doc.get("outputs")):
+        outputs = list(doc.get("outputs", ["fluxes"]))
     unknown = [name for name in outputs if name not in OUTPUTS]
     if unknown:
         raise ConfigError(f"unknown outputs {unknown}; known outputs: "
@@ -164,9 +187,9 @@ def parse_config(text) -> ProblemConfig:
         trace_flow=bool(doc.get("trace_flow", True)),
         mesh_node=doc.get("mesh", {"type": "box"}),
         spec=spec,
-        solver_tol=float(solver.get("tolerance", 1e-10)),
+        solver_tol=solver_tol,
         outputs=outputs,
-        eps_factor=float(eps_factor) if eps_factor is not None else None,
+        eps_factor=eps_factor,
         raw_text=text)
 
 

@@ -9,8 +9,12 @@ space is known only through its degrees of freedom:
   type iii interior moments against the orthogonal complement basis.
 
 All auxiliary matrices, the polynomial projector and the stabilized local
-stiffness block are computed from these data.  1D elements are plain
-polynomials and get exact matrices with no projector.
+stiffness block are computed from these data.  A segment's velocities are
+plain polynomials: ``local_matrices_1d`` builds its exact matrices, with no
+projection error and no stabilization, into the same ``LocalMatrixSet``.  Its
+``vec_basis`` is the velocity monomials themselves, ``Pi0_hat`` the canonical
+basis in them and ``D`` the DOFs of the monomials, so ``D @ Pi0_hat = I``; its
+faces are its two ends, each with the one dual value 1.
 
 ``local_matrices`` builds a whole block of cells in one call.  The
 integrals are made cell by cell: the volume mass matrix from the cell's rule,
@@ -109,8 +113,7 @@ def dof_layout(space: ElementSpace, geom) -> DofLayout:
     d, k = space.dim, space.order
     n_typeii = dim_poly(d, space.grad_order) - 1
     n_typeiii = d * dim_poly(d, k) - (dim_poly(d, k + 1) - 1)
-    n_faces = 2 if d == 1 else geom.n_faces
-    return DofLayout(n_faces, space.n_face_dofs(), n_typeii, n_typeiii)
+    return DofLayout(geom.n_faces, space.n_face_dofs(), n_typeii, n_typeiii)
 
 
 def equilibrated_cholesky(M, what):
@@ -161,7 +164,7 @@ def _positive_nu(nu):
 
 @dataclass
 class LocalMatrixSet:
-    """The matrices of one polygon/polyhedron element.
+    """The matrices of one segment, polygon or polyhedron element.
 
     What assembly and post-processing read is stored; ``W``, ``G_nu``,
     ``Pi0``, ``K_a`` and ``K_s`` are derived from it on demand.
@@ -354,66 +357,39 @@ def local_matrices(space: ElementSpace, geoms, nu=1.0) -> list:
     return out
 
 
-@dataclass
-class Local1D:
-    """Exact local matrices of a 1D mixed element on a segment.
+def local_matrices_1d(space: ElementSpace, geom, nu=1.0) -> LocalMatrixSet:
+    """Exact local matrices of the 1D mixed element on a SegmentGeometry.
 
     The velocity is a polynomial of degree grad_order + 1 in the arc-length
     coordinate; endpoint DOFs are outward fluxes and interior DOFs are the
     usual gradient moments.  No projector or stabilization is involved.
     """
-
-    space: ElementSpace
-    layout: DofLayout
-    basis_p: MonomialBasis       # pressure monomials on the segment
-    basis_u: MonomialBasis       # velocity monomials, degree grad_order + 1
-    phi_coeffs: np.ndarray       # (n_u, n_dof) canonical basis in basis_u
-    H: np.ndarray
-    W: np.ndarray
-    V: np.ndarray
-    K_a: np.ndarray
-    K: np.ndarray
-    measure: float
-    pivot_ratio: float = 1.0        # pivot ratio of the pressure mass solve
-
-    @property
-    def K_s(self):
-        return np.zeros_like(self.K_a)
-
-    def velocity_values(self, dof_values, s):
-        """Velocity (tangential component) at arc-length coordinates s."""
-        coeffs = self.phi_coeffs @ np.asarray(dof_values, dtype=float)
-        return self.basis_u.evaluate(np.atleast_2d(s).T.reshape(-1, 1)) @ coeffs
-
-
-def local_matrices_1d(space: ElementSpace, geom, nu=1.0) -> Local1D:
-    """Local matrices of the 1D element on a SegmentGeometry."""
     if space.dim != 1:
         raise ValueError("local_matrices_1d requires a 1D space")
     nu = _positive_nu(nu)
     kg = space.grad_order
-    layout = DofLayout(n_faces=2, per_face=1, n_typeii=kg, n_typeiii=0)
+    layout = dof_layout(space, geom)
     L = geom.measure
 
     basis_u = MonomialBasis(1, kg + 1, np.zeros(1), L)
     basis_p = MonomialBasis(1, kg, np.zeros(1), L)
     n_u = basis_u.size
 
-    # DOF matrix rows: outward flux at both endpoints, then gradient moments
+    # DOF matrix rows: outward flux at both ends, then gradient moments
     pts, w = geom.quadrature(2 * (kg + 2))   # exact for the velocity mass
     vals_u = basis_u.evaluate(pts)
     vals_p = basis_p.evaluate(pts)
-    Vnd = np.zeros((n_u, n_u))
-    Vnd[0, :] = -basis_u.evaluate(np.array([[-L / 2]]))[0]
-    Vnd[1, :] = basis_u.evaluate(np.array([[L / 2]]))[0]
+    D = np.zeros((n_u, n_u))
+    for i, end in enumerate(geom.faces):
+        D[i] = end.lex_sign * basis_u.evaluate(end.quadrature(0)[0])[0]
     if kg >= 1:
         # gradient moments (1/|E|) int u * m_a' for the non-constant monomials
         Dp = basis_p.derivative_coeffs(0)  # m' coefficients, degree kg-1 basis
         vals_lo = MonomialBasis(1, kg - 1, np.zeros(1), L).evaluate(pts)
         for a in range(1, kg + 1):
             mprime = vals_lo @ Dp[:, a]
-            Vnd[2 + (a - 1), :] = (w * mprime) @ vals_u / L
-    phi = np.linalg.solve(Vnd, np.eye(n_u))
+            D[2 + (a - 1), :] = (w * mprime) @ vals_u / L
+    phi = np.linalg.solve(D, np.eye(n_u))
 
     mass_u = vals_u.T @ (w[:, None] * vals_u)
     K_a = phi.T @ (nu * mass_u) @ phi
@@ -430,9 +406,13 @@ def local_matrices_1d(space: ElementSpace, geom, nu=1.0) -> Local1D:
     K[:n_dof, n_dof:] = -W.T
     K[n_dof:, :n_dof] = W
 
-    return Local1D(space=space, layout=layout, basis_p=basis_p, basis_u=basis_u,
-                   phi_coeffs=phi, H=H, W=W, V=V[0], K_a=K_a, K=K, measure=L,
-                   pivot_ratio=float(ratio[0]))
+    return LocalMatrixSet(
+        space=space, layout=layout, basis_p=basis_p,
+        vec_basis=VectorPolyBasis(basis_u, np.eye(n_u)[:, None, :]),
+        nu=nu, measure=L, G=mass_u, H=H, H_hash=np.zeros((0, basis_p.size)),
+        V=V[0], B=mass_u @ phi, D=D, Pi0_hat=phi, K=K,
+        face_dual=np.ones((layout.n_faces, 1, 1)),
+        face_scale=np.ones(layout.n_faces), pivot_ratio=float(ratio[0]))
 
 
 def dump_local_matrices(local: LocalMatrixSet, stream):

@@ -21,12 +21,17 @@ A ``PolyhedronGeometry`` holds (record, sign) pairs and keeps its centroid
 *cone* (the positively oriented tetrahedra joining the face triangles to the
 centroid, with their volumes) and its *face simplices* (all face triangles,
 in face and in space coordinates); ``PolygonGeometry`` keeps its
-triangulation and its edges as segments.  No point array is kept per order:
-every ``quadrature(order)`` or ``face_quadrature(order)`` call maps the
-cached reference rule onto all simplices in one batch and returns fresh
-arrays, so callers may modify them.  The objects are immutable once built
-(records hold views of their batch's arrays); ``mesh.PolyMesh3D`` hands the
-same face and cell objects to every caller until their loops change.
+triangulation and its edges as segments.  A ``SegmentGeometry``'s faces are
+its two ends: unit measure, a one-point rule of weight 1 and face coordinates
+with no entries.  So segments, polygons and polyhedra offer one face
+interface (``n_faces``, ``faces`` with ``measure``, ``quadrature`` and
+``to_face_coords``) to the element and assembly code.  No point array is
+kept per order: every ``quadrature(order)`` or ``face_quadrature(order)``
+call maps the cached reference rule onto all simplices in one batch and
+returns fresh arrays, so callers may modify them.  The objects are immutable
+once built (records hold views of their batch's arrays); ``mesh.PolyMesh3D``
+hands the same face and cell objects to every caller until their loops
+change.
 """
 
 from __future__ import annotations
@@ -469,7 +474,9 @@ def _diameter(coords):
 
 @dataclass
 class SegmentGeometry:
-    """1D element: a straight segment parameterized by arc length."""
+    """1D element: a straight segment parameterized by arc length.
+
+    Its ``faces`` are its two ends, ``a`` then ``b`` (``_EndView``)."""
 
     a: np.ndarray
     b: np.ndarray
@@ -479,10 +486,11 @@ class SegmentGeometry:
         self.b = np.asarray(self.b, dtype=float)
         if np.linalg.norm(self.b - self.a) <= geo_eps(1.0):
             raise DegenerateGeometryError("zero-length segment")
+        half = self.measure / 2
+        self.faces = [_EndView((self.a,), -half, -1), _EndView((self.b,), half, 1)]
 
-    @property
-    def dim(self):
-        return 1
+    dim = 1
+    n_faces = 2
 
     @property
     def measure(self):
@@ -506,6 +514,27 @@ class SegmentGeometry:
         x, w = _gauss01(max(1, (order + 2) // 2))
         L = self.measure
         return ((x - 0.5) * L)[:, None], w * L
+
+
+@dataclass(frozen=True, eq=False)
+class _EndView:
+    """End of a SegmentGeometry, acting as a 0-face: the point ``vertices[0]``
+    at arc length ``s`` from the midpoint, outward along ``lex_sign`` times
+    the segment tangent.  It has unit measure and diameter: its rule is the
+    one point with weight 1, and its face coordinates have no entries, so the
+    one face monomial is the constant."""
+
+    vertices: tuple
+    s: float
+    lex_sign: int
+    measure = 1.0
+    diameter = 1.0
+
+    def quadrature(self, order):
+        return np.array([[self.s]]), np.ones(1)
+
+    def to_face_coords(self, points):
+        return np.zeros((len(points), 0))
 
 
 class PolygonGeometry:
@@ -584,7 +613,8 @@ class _EdgeView:
     """Edge of a PolygonGeometry, acting as a (d-1)-face.
 
     Edge monomials use the lexicographically positive tangent so neighbouring
-    cells agree on the edge coordinate.
+    cells agree on the edge coordinate; ``lex_sign`` is the sign of the
+    traversal tangent (and of the outward normal) against it.
     """
 
     a: np.ndarray
@@ -593,7 +623,12 @@ class _EdgeView:
     tangent: np.ndarray
 
     def __post_init__(self):
-        self.frame_tangent = lex_sign(self.tangent) * self.tangent
+        self.lex_sign = lex_sign(self.tangent)
+        self.frame_tangent = self.lex_sign * self.tangent
+
+    @property
+    def vertices(self):
+        return self.a, self.b
 
     @property
     def measure(self):

@@ -882,7 +882,7 @@ def _replace_faces(mesh, children):
 
 
 # ---------------------------------------------------------------------------
-# Lower-dimensional meshes and the domain graph
+# Lower-dimensional meshes
 # ---------------------------------------------------------------------------
 
 
@@ -936,7 +936,6 @@ class TraceMesh:
     tangent: np.ndarray
     length: float
     cells: list
-    vertex_params: dict    # vid -> arc-length parameter
     endpoint_class: dict = field(default_factory=dict)  # extreme vid -> kind
 
 
@@ -956,37 +955,12 @@ class IntersectionPoint:
 
 
 @dataclass
-class DomainGraph:
-    """Index sets between dimensions; interface sides live on the meshes."""
-
-    n_fractures: int
-    n_traces: int
-    n_intersections: int
-    fractures_of_trace: dict   # t -> (i, j)
-    traces_of_fracture: dict   # l -> sorted trace ids
-    intersections_of_trace: dict
-    traces_of_intersection: dict
-
-    def check_reciprocal(self):
-        for t, (i, j) in self.fractures_of_trace.items():
-            for l in (i, j):
-                if t not in self.traces_of_fracture.get(l, ()):
-                    raise TopologyError(f"trace {t} missing from fracture {l} down-set")
-        for x, ts in self.traces_of_intersection.items():
-            for t in ts:
-                if x not in self.intersections_of_trace.get(t, ()):
-                    raise TopologyError(f"intersection {x} missing on trace {t}")
-
-
-@dataclass
 class MixedDimensionalMesh:
     mesh3d: PolyMesh3D
     spec: NetworkSpec
     fractures: list
     traces: list
     intersections: list
-    graph: DomainGraph
-    eps: float
 
 
 def _segment_of_pair(fa: FractureSpec, fb: FractureSpec, eps):
@@ -1144,12 +1118,7 @@ def extract_lower_meshes(mesh: PolyMesh3D, spec: NetworkSpec, eps=None):
                 fm.edge_class[key] = ("trace", t)
                 srecs = []
                 for ci, k in fm.edge_cells[key]:
-                    cell = fm.cells[ci]
-                    a2 = cell.coords2d[k]
-                    b2 = cell.coords2d[(k + 1) % len(cell.vids)]
-                    e = b2 - a2
-                    e = e / np.linalg.norm(e)
-                    nrm2 = np.array([e[1], -e[0]])  # outward of CCW cell
+                    nrm2 = fm.cells[ci].geometry.faces[k].normal   # outward
                     srecs.append(TraceSide(
                         conormal=nrm2[0] * fm.plane.t1 + nrm2[1] * fm.plane.t2))
                 if len(srecs) not in (1, 2):
@@ -1169,8 +1138,7 @@ def extract_lower_meshes(mesh: PolyMesh3D, spec: NetworkSpec, eps=None):
             raise ConformityError(
                 f"trace {t}: 1D cells cover {total:.3e} of length {L:.3e}")
         tm = TraceMesh(index=t, fractures=(i, j), p0=p0, p1=p1,
-                       tangent=tangent, length=L, cells=cells,
-                       vertex_params=params)
+                       tangent=tangent, length=L, cells=cells)
         for vid in (cells[0].vid_a, cells[-1].vid_b):
             kind = "external" if on_external_boundary(mesh.verts[vid]) else "tip"
             tm.endpoint_class[vid] = kind
@@ -1256,33 +1224,9 @@ def _segment_intersection(ta: TraceMesh, tb: TraceMesh, eps):
     return 0.5 * (x1 + x2)
 
 
-def build_domain_graph(fractures, traces, intersections) -> DomainGraph:
-    fr_of_tr = {t.index: t.fractures for t in traces}
-    tr_of_fr = {fm.index: [] for fm in fractures}
-    for t in traces:
-        for l in t.fractures:
-            tr_of_fr[l].append(t.index)
-    in_of_tr = {t.index: [] for t in traces}
-    tr_of_in = {}
-    for x in intersections:
-        ts = sorted({s.trace for s in x.sides})
-        tr_of_in[x.index] = ts
-        for t in ts:
-            in_of_tr[t].append(x.index)
-    graph = DomainGraph(
-        n_fractures=len(fractures), n_traces=len(traces),
-        n_intersections=len(intersections),
-        fractures_of_trace=fr_of_tr,
-        traces_of_fracture={k: sorted(v) for k, v in tr_of_fr.items()},
-        intersections_of_trace={k: sorted(v) for k, v in in_of_tr.items()},
-        traces_of_intersection=tr_of_in)
-    graph.check_reciprocal()
-    return graph
-
-
 def cut_background_mesh(mesh: PolyMesh3D, spec: NetworkSpec,
                         eps=None) -> MixedDimensionalMesh:
-    """Full pipeline: cut all fractures, extract lower meshes, build the graph."""
+    """Full pipeline: cut all fractures, extract the lower meshes."""
     if eps is None:
         eps = EPS_GEO_FACTOR * mesh.domain_diameter()
     if mesh.background_volume is None:
@@ -1295,10 +1239,8 @@ def cut_background_mesh(mesh: PolyMesh3D, spec: NetworkSpec,
                               f"box; fractures must lie inside the domain")
         cut_with_fracture(mesh, frac, l, eps=eps)
     fractures, traces, intersections = extract_lower_meshes(mesh, spec, eps=eps)
-    graph = build_domain_graph(fractures, traces, intersections)
     return MixedDimensionalMesh(mesh3d=mesh, spec=spec, fractures=fractures,
-                                traces=traces, intersections=intersections,
-                                graph=graph, eps=eps)
+                                traces=traces, intersections=intersections)
 
 
 # ---------------------------------------------------------------------------

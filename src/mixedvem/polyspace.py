@@ -40,8 +40,8 @@ def monomial_exponents(d: int, k: int) -> tuple:
 
 
 def _fixed_degree_lex(d, deg):
-    if d == 1:
-        return [(deg,)]
+    if d == 0:   # the constant is the one monomial in no variables
+        return [()] if deg == 0 else []
     out = []
     for first in range(deg, -1, -1):
         out.extend((first,) + rest for rest in _fixed_degree_lex(d - 1, deg - first))
@@ -50,14 +50,15 @@ def _fixed_degree_lex(d, deg):
 
 @lru_cache(maxsize=None)
 def _exponent_array(d: int, k: int) -> np.ndarray:
-    return np.array(monomial_exponents(d, k)).reshape(-1, d)
+    return np.array(monomial_exponents(d, k), dtype=int).reshape(dim_poly(d, k), d)
 
 
 def monomials(xi, order: int) -> np.ndarray:
     """Values of all monomials of degree <= order at scaled coordinates.
 
     ``xi`` holds one point per row, already centered and scaled; the result
-    has shape (npts, dim_poly(d, order)) in graded-lex order.
+    has shape (npts, dim_poly(d, order)) in graded-lex order.  Points with no
+    coordinates, (npts, 0), have the constant as their one monomial.
     """
     n, d = xi.shape
     exps = _exponent_array(d, order)
@@ -68,7 +69,7 @@ def monomials(xi, order: int) -> np.ndarray:
         powers[:, 1] = xi.T
     for p in range(2, order + 1):
         powers[:, p] = powers[:, p - 1] * xi.T
-    vals = powers[0, exps[:, 0]]
+    vals = powers[0, exps[:, 0]] if d else np.ones((1, n))
     for i in range(1, d):
         vals = vals * powers[i, exps[:, i]]
     return np.ascontiguousarray(vals.T)

@@ -214,16 +214,11 @@ class DiscreteSolution:
         return self.x[blk.cell_p_dofs[ci]]
 
     def projected_velocity(self, blk, ci):
-        """Coefficients of the element velocity in the local degree-k basis
-        (polynomial coefficients directly for 1D elements)."""
+        """Coefficients of the element velocity in the cell's ``vec_basis``
+        (exact on a segment)."""
         key = (blk.dim, blk.index, ci)
         if key not in self._proj:
-            loc = blk.locals_[ci]
-            dofs = self.local_flux_dofs(blk, ci)
-            if blk.dim == 1:
-                self._proj[key] = loc.phi_coeffs @ dofs
-            else:
-                self._proj[key] = loc.Pi0_hat @ dofs
+            self._proj[key] = blk.locals_[ci].Pi0_hat @ self.local_flux_dofs(blk, ci)
         return self._proj[key]
 
 
@@ -281,14 +276,10 @@ def error_norms(sol: DiscreteSolution, exact: dict):
             u_ex = field_values(ex.velocity, phys)
             if blk.frame is not None:
                 u_ex = u_ex @ blk.frame.T
-            coeffs = sol.projected_velocity(blk, ci)
-            if blk.dim == 1:
-                u_h = (loc.basis_u.evaluate(pts) @ coeffs)[:, None]
-            else:
-                # contract the coefficients first: (n_k, d) monomial rows
-                vb = loc.vec_basis
-                u_h = vb.scalar.evaluate(pts) @ np.einsum("b,bij->ji", coeffs,
-                                                          vb.coeffs)
+            # contract the coefficients first: (n_k, d) monomial rows
+            vb = loc.vec_basis
+            u_h = vb.scalar.evaluate(pts) @ np.einsum(
+                "b,bij->ji", sol.projected_velocity(blk, ci), vb.coeffs)
             acc[1] += np.sum(w * np.sum((u_ex - u_h) ** 2, axis=1))
             acc[4] += np.sum(w * np.sum(u_ex ** 2, axis=1))
             # divergence
@@ -386,11 +377,11 @@ def _entity_name(key):
 
 def face_flux(sol: DiscreteSolution, blk, ci, lf) -> float:
     """Outward flux through face ``lf`` of cell ``ci``: the lowest face moment
-    times its sign times the face measure (an endpoint of a 1D cell has unit
+    times its sign times the face measure (a segment's end has unit
     measure)."""
     j = blk.locals_[ci].layout.face_slice(lf).start
-    measure = blk.geoms[ci].faces[lf].measure if blk.dim > 1 else 1.0
-    return float(blk.cell_u_signs[ci][j] * sol.x[blk.cell_u_dofs[ci][j]]) * measure
+    return (float(blk.cell_u_signs[ci][j] * sol.x[blk.cell_u_dofs[ci][j]])
+            * blk.geoms[ci].faces[lf].measure)
 
 
 def boundary_face_fluxes(sol: DiscreteSolution, blk) -> list:
@@ -513,17 +504,12 @@ def write_fields_vtk(sol: DiscreteSolution, path):
     for key, blk in dm.blocks.items():
         if blk.dim == 0 or blk.locals_[0] is None:
             continue
-        for ci, geom in enumerate(blk.geoms):
-            loc = blk.locals_[ci]
-            coeffs = sol.projected_velocity(blk, ci)
-            if blk.dim == 1:
-                c_local = np.zeros((1, 1))   # arc length from the midpoint
-                vec = loc.basis_u.evaluate(c_local)[0] @ coeffs * blk.frame[0]
-            else:
-                c_local = np.asarray(geom.centroid)[None, :]
-                vec = np.einsum("b,pbi->pi", coeffs, loc.vec_basis.evaluate(c_local))[0]
-                if blk.frame is not None:
-                    vec = vec @ blk.frame
+        for ci, loc in enumerate(blk.locals_):
+            c_local = loc.vec_basis.scalar.center[None, :]   # in cell coordinates
+            vec = np.einsum("b,pbi->pi", sol.projected_velocity(blk, ci),
+                            loc.vec_basis.evaluate(c_local))[0]
+            if blk.frame is not None:
+                vec = vec @ blk.frame
             centers.append(blk.point_map(ci, c_local)[0])
             vectors.append(vec)
     with open(vec_path, "w") as fh:

@@ -19,7 +19,7 @@ from .assembly import (DomainBlock, GlobalDofMap, GlobalSystem, add_dirichlet_lo
                        assemble_dimension, assemble_rhs, fill_block)
 from .elements import ElementSpace
 from .errors import ConfigError
-from .geometry import Plane, PolygonGeometry, SegmentGeometry, lex_sign
+from .geometry import Plane, PolygonGeometry, SegmentGeometry
 from .mesh import BoundaryCondition
 from .solver import DiscreteSolution, solve
 
@@ -35,13 +35,8 @@ def _round_key(p, tol):
 def _faces(geom, tol):
     """(rounded key, sign of the cell's outward normal against the
     canonical one) of each face of a 1D or 2D cell."""
-    if geom.dim == 1:
-        return [((_round_key(geom.a, tol),), -1.0), ((_round_key(geom.b, tol),), 1.0)]
-    out = []
-    for e in geom.faces:
-        key = tuple(sorted((_round_key(e.a, tol), _round_key(e.b, tol))))
-        out.append((key, lex_sign(e.tangent)))
-    return out
+    return [(tuple(sorted(_round_key(v, tol) for v in face.vertices)), face.lex_sign)
+            for face in geom.faces]
 
 
 def single_domain_block(geoms, space: ElementSpace, nu=1.0,

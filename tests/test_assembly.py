@@ -7,7 +7,9 @@ import scipy.sparse as sps
 from mixedvem import assembly
 from mixedvem.assembly import (apply_boundary_conditions, assemble_complete,
                                assemble_coupling_same_dim, assemble_dimension,
-                               build_dof_map, fill_block, scatter)
+                               build_dof_map, face_mass, face_rule, fill_block,
+                               scatter)
+from mixedvem.elements import LocalMatrixSet, local_matrices_1d
 from mixedvem.errors import ConfigError, SingularSystemError
 from mixedvem.mesh import (BoundaryCondition, FractureSpec, NetworkSpec,
                            box_mesh, cut_background_mesh)
@@ -56,6 +58,24 @@ def test_trace_edge_four_dof_sets():
     dm = build_dof_map(md, order=0)
     sets = [s for s in dm.interfaces if (s.lower, s.lower_cell) == ((1, 0), 0)]
     assert len(sets) == 4  # (2 fractures) x (2 sides)
+
+
+def test_trace_cells_share_the_element_record_and_face_interface():
+    dm = build_dof_map(problem1_case(order=2).md, 2)
+    traces = [blk for (d, _), blk in dm.blocks.items() if d == 1]
+    assert len(traces) == 3
+    for blk in traces:
+        for ci, (geom, loc) in enumerate(zip(blk.geoms, blk.locals_)):
+            again = local_matrices_1d(dm.space(1), geom, nu=blk.nu)
+            assert isinstance(again, LocalMatrixSet)
+            assert np.array_equal(again.K, loc.K)
+            assert np.abs(loc.D @ loc.Pi0_hat - np.eye(loc.layout.n_dof)).max() <= 1e-13
+            # each end: its one point, weight 1, dual value 1, dual mass 1
+            for lf, end in enumerate((geom.a, geom.b)):
+                pts, w, dual = face_rule(blk, ci, lf, 8)
+                assert np.allclose(blk.point_map(ci, pts), end[None], atol=1e-14)
+                assert np.array_equal(w, [1.0]) and np.array_equal(dual, [[1.0]])
+                assert np.array_equal(face_mass(blk, ci, lf), [[1.0]])
 
 
 def test_dimension_blocks_are_block_diagonal():

@@ -71,6 +71,28 @@ def test_parse_config_legacy_solver_keys():
     assert not hasattr(cfg, "quad_order")
 
 
+@pytest.mark.parametrize("text, value", [
+    ("order: two", "two"),
+    ("bc3: {xmin: dirichlet}", "dirichlet"),
+    ("fractures:\n  - {a2: 2.0}", "vertices"),
+    ("traces: {overrides: {x: {a1: 2.0}}}", "'x'"),
+    ("solver: {tolerance: abc}", "abc"),
+    ("fractures: {a: 1}", "{'a': 1}"),
+    ("fractures:\n  - vertices: [[0, 0, 0], [1, 0], [1, 1, 0]]", "[1, 0]"),
+    ("mesh: {type: box, subdivisions: [a, 1, 1]}", "['a', 1, 1]"),
+    ("a3: abc", "abc"),
+    ("source3: [1]", "[1]"),
+    ("eps_factor: abc", "abc"),
+    ("outputs: 5", "5"),
+], ids=["order", "bc3-entry", "no-vertices", "trace-index", "tolerance",
+        "fractures-mapping", "ragged-vertices", "subdivisions", "a3", "source3",
+        "eps-factor", "outputs"])
+def test_malformed_config_raises_config_error_naming_value(text, value):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text).build_mesh()
+    assert value in str(info.value)
+
+
 def test_config_rejects_unknown_outputs(tmp_path, capsys):
     outputs = "outputs: [fluxes, fields, matrix, manifest]"
     assert parse_config(CONFIG.replace(outputs, "")).outputs == ["fluxes"]

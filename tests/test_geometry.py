@@ -52,6 +52,15 @@ def test_segment_centroid():
     c, diam = geo.centroid_diameter(seg)
     assert np.allclose(c, [1, 0, 0])
     assert diam == pytest.approx(2.0)
+    # its faces are its ends, a then b: unit measure, one point at -L/2 and
+    # +L/2 (arc length from the midpoint) with weight 1, no face coordinates
+    assert seg.n_faces == len(seg.faces) == 2
+    for face, s, end in zip(seg.faces, (-1.0, 1.0), (seg.a, seg.b)):
+        assert face.measure == face.diameter == 1.0
+        pts, w = face.quadrature(6)
+        assert np.array_equal(pts, [[s]]) and np.array_equal(w, [1.0])
+        assert face.to_face_coords(pts).shape == (1, 0)
+        assert face.lex_sign == s and np.array_equal(face.vertices[0], end)
 
 
 def test_l_shape_measure_matches_triangulation_oracle():

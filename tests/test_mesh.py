@@ -1,4 +1,4 @@
-"""Mesh cutting, lower-dimensional extraction, domain graph, conformity."""
+"""Mesh cutting, lower-dimensional extraction and its incidence, conformity."""
 
 import copy
 import importlib.util
@@ -14,7 +14,7 @@ from mixedvem.assembly import assemble_complete
 from mixedvem.errors import (ConformityError, DegenerateGeometryError,
                              TopologyError)
 from mixedvem.mesh import (BoundaryCondition, FractureSpec, NetworkSpec,
-                           box_mesh, build_domain_graph, cut_background_mesh,
+                           box_mesh, cut_background_mesh,
                            cut_with_fracture, extract_lower_meshes,
                            read_mesh, validate_conformity, write_mesh)
 from mixedvem.problems import poisson3d_case
@@ -108,12 +108,12 @@ def test_problem1_eight_cube_coplanar_detection():
 def test_problem1_domain_graph():
     mesh = box_mesh([-1, -1, -1], [1, 1, 1], (2, 2, 2))
     md = cut_background_mesh(mesh, problem1_spec())
-    g = md.graph
-    assert g.n_fractures == 3 and g.n_traces == 3 and g.n_intersections == 1
+    assert len(md.fractures) == 3 and len(md.traces) == 3
+    assert len(md.intersections) == 1
     # each fracture carries exactly two traces
     for l in range(3):
-        assert len(g.traces_of_fracture[l]) == 2
-    assert g.traces_of_intersection[0] == [0, 1, 2]
+        assert sum(l in tm.fractures for tm in md.traces) == 2
+    assert sorted({s.trace for s in md.intersections[0].sides}) == [0, 1, 2]
     # all trace sides are two-sided inside each fracture
     for tm in md.traces:
         for cell in tm.cells:

@@ -30,6 +30,11 @@ def test_eval_at_center_and_1d_scaling():
     b1 = ps.MonomialBasis(1, 1, np.array([0.0]), 2.0)
     assert np.allclose(b1.evaluate([[1.0]])[0], [1.0, 0.5])
 
+    # points with no coordinates (a segment's end): the constant only
+    assert ps.monomial_exponents(0, 3) == ((),)
+    for k in (0, 3):
+        assert np.array_equal(ps.monomials(np.zeros((4, 0)), k), np.ones((4, 1)))
+
 
 def test_eval_matches_power_product_oracle():
     basis = ps.MonomialBasis(2, 3, np.array([0.1, 0.4]), 1.7)

@@ -29,6 +29,10 @@ vanish when inverse_eta = 0) and the cross-dimension C blocks pair flux
 jumps with lower-dimensional pressures.  The matrix is the sum of one dense
 ``CellBlock`` per cell (its signed K, the 1/eta masses of its interface
 sides, its +-C rows and columns), which the solver eliminates cell by cell.
+The blocks are its only copy: ``GlobalSystem.matrix`` applies them block by
+block, the boundary conditions move their fixed columns to the right-hand
+side, and only ``tocsr`` (exports, diagnostics) scatters them into a CSR
+matrix.
 
 With trace flow disabled the 1D/0D equations are replaced by Lagrange
 multipliers enforcing weak flux continuity across traces; the multipliers
@@ -41,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 
 from .elements import ElementSpace, local_matrices, local_matrices_1d
 from .errors import ConfigError
@@ -389,12 +394,45 @@ def scatter(cells, n) -> sps.csr_matrix:
     return mat
 
 
+class BlockOperator(spla.LinearOperator):
+    """A system's matrix, applied block by block: the sum of its cell blocks
+    with unit rows and columns at its fixed DOFs.  ``tocsr`` scatters it on
+    each call, and so do ``nnz`` and ``tocsc``, which only the traced
+    benchmark run reads (it measures no peak memory)."""
+
+    def __init__(self, system):
+        super().__init__(np.float64, (len(system.rhs),) * 2)
+        self.system = system
+
+    def _matvec(self, x):
+        cells, fixed = self.system.cells, self.system.fixed
+        free = np.where(np.isin(np.arange(self.shape[0]), fixed), 0.0, np.ravel(x))
+        y = np.bincount(
+            np.concatenate([np.zeros(0, dtype=int)] + [cb.dofs for cb in cells]),
+            np.concatenate([np.zeros(0)] + [cb.matrix @ free[cb.dofs] for cb in cells]),
+            minlength=self.shape[0])
+        y[fixed] = np.ravel(x)[fixed]
+        return y
+
+    def tocsr(self) -> sps.csr_matrix:
+        free = np.isin(np.arange(self.shape[0]), self.system.fixed, invert=True) * 1.0
+        A = (sps.diags(free) @ scatter(self.system.cells, self.shape[0])
+             @ sps.diags(free) + sps.diags(1.0 - free)).tocsr()
+        A.eliminate_zeros()
+        return A
+
+    nnz = property(lambda self: self.tocsr().nnz)
+
+    def tocsc(self):
+        return self.tocsr().tocsc()
+
+
 @dataclass
 class GlobalSystem:
-    """One ``CellBlock`` per cell and the right-hand side.  ``matrix`` is the
-    blocks' sum, built on first use, and ``fix`` is the one way to change the
-    system after assembly, so the blocks the solver eliminates and the matrix
-    it refines with stay one system."""
+    """One ``CellBlock`` per cell, the only copy of the matrix, and the
+    right-hand side.  ``matrix`` applies the blocks, and ``fix`` is the one
+    way to change the system after assembly, so the blocks the solver
+    eliminates and the operator it refines with stay one system."""
 
     cells: list
     rhs: np.ndarray
@@ -403,29 +441,21 @@ class GlobalSystem:
     bc_applied: bool = False
     constrained: np.ndarray = None
     fixed: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int), init=False)
-    _matrix: sps.csr_matrix = field(default=None, init=False, repr=False)
 
     @property
-    def matrix(self) -> sps.csr_matrix:
-        if self._matrix is None:   # nothing is fixed yet: fix sets it
-            self._matrix = scatter(self.cells, len(self.rhs))
-        return self._matrix
+    def matrix(self) -> BlockOperator:
+        return BlockOperator(self)
 
     def fix(self, dofs, values):
         """Hold ``dofs`` at ``values``: their columns move to the right-hand
         side and their rows and columns become unit rows; the solver drops
         the ``fixed`` DOFs from the cell blocks."""
-        A = self.matrix
-        self.rhs -= A[:, dofs] @ values
+        self.rhs -= self.matrix @ np.bincount(dofs, values, len(self.rhs))
         self.rhs[dofs] = values
         self.fixed = np.union1d(self.fixed, dofs)
-        free = np.ones(A.shape[0])
-        free[dofs] = 0.0
-        self._matrix = (sps.diags(free) @ A @ sps.diags(free) + sps.diags(1.0 - free)).tocsr()
-        self._matrix.eliminate_zeros()
 
     def export_coo(self, path):
-        coo = self.matrix.tocoo()
+        coo = self.matrix.tocsr().tocoo()
         with open(path, "w") as fh:
             fh.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
             for r, c, v in zip(coo.row, coo.col, coo.data):

@@ -24,6 +24,18 @@ from .mesh import (BOX_TAGS, BoundaryCondition, FractureSpec, IntersectionData,
 
 # The names ``outputs:`` accepts; every run writes manifest.json anyway.
 OUTPUTS = ("fluxes", "fields", "matrix", "manifest")
+# The top-level keys a config may hold; ``quad_order`` is a retired knob that
+# old configs still carry and that is ignored.
+KEYS = ("order", "family3d", "trace_flow", "mesh", "a3", "source3", "bc3",
+        "fractures", "traces", "intersections", "solver", "outputs",
+        "eps_factor", "quad_order")
+
+
+def _reject_unknown(what, names, known):
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise ConfigError(f"unknown {what} {unknown}; known {what}: "
+                          f"{', '.join(map(str, known))}")
 
 
 @contextmanager
@@ -102,6 +114,8 @@ def parse_config(text) -> ProblemConfig:
         raise ConfigError(f"config parse error: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a mapping")
+    _reject_unknown("keys", doc, KEYS)
+    mesh_node = doc.get("mesh", {"type": "box"})
 
     with _reading("order", doc.get("order")):
         order = int(doc.get("order", 0))
@@ -114,6 +128,9 @@ def parse_config(text) -> ProblemConfig:
     bc3_node = doc.get("bc3", {}) or {}
     bc3 = {}
     with _reading("bc3", bc3_node):
+        if isinstance(mesh_node, dict) and mesh_node.get("type", "box") == "box":
+            # a mesh file names its own tags
+            _reject_unknown("bc3 tags", bc3_node, ["default"] + BOX_TAGS)
         default_bc = _parse_bc(bc3_node.get("default")) if "default" in bc3_node \
             else None
         for tag in set(list(bc3_node.keys()) + BOX_TAGS) - {"default"}:
@@ -178,14 +195,11 @@ def parse_config(text) -> ProblemConfig:
         eps_factor = float(eps_factor) if eps_factor is not None else None
     with _reading("outputs", doc.get("outputs")):
         outputs = list(doc.get("outputs", ["fluxes"]))
-    unknown = [name for name in outputs if name not in OUTPUTS]
-    if unknown:
-        raise ConfigError(f"unknown outputs {unknown}; known outputs: "
-                          f"{', '.join(OUTPUTS)}")
+    _reject_unknown("outputs", outputs, OUTPUTS)
     return ProblemConfig(
         order=order, family3d=family3d,
         trace_flow=bool(doc.get("trace_flow", True)),
-        mesh_node=doc.get("mesh", {"type": "box"}),
+        mesh_node=mesh_node,
         spec=spec,
         solver_tol=solver_tol,
         outputs=outputs,

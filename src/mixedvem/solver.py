@@ -1,6 +1,7 @@
 """Hybridized direct solve, velocity projection, error norms and flux accounting.
 
-The assembled matrix is the sum of one dense block per cell.  With the
+The system's matrix is the sum of one dense block per cell and is never
+assembled: the refinement step and the residual apply the blocks.  With the
 pressure rows negated every block is symmetric, and each is eliminated
 locally: all of the cell's flux DOFs (a flux set shared by two cells becomes
 one private copy per cell, tied by a multiplier with +1 in the first cell and
@@ -112,20 +113,18 @@ class Hybridized:
                                          float(ratio_p.min()))
             self.stacks.append((R, Z, T, E, ids, dofs[at[:, f]], first[at[:, f]],
                                 dofs[at[:, e]]))
-            parts.append(((_t(Y) @ Y - _t(Q) @ Q).ravel(),
-                          np.repeat(ids, n_tied + n_g, 1).ravel(),
+            S = _t(Y) @ Y - _t(Q) @ Q
+            S[:, n_tied:, n_tied:] += M[:, g, g]   # the blocks' own kept entries
+            parts.append((S.ravel(), np.repeat(ids, n_tied + n_g, 1).ravel(),
                           np.tile(ids, n_tied + n_g).ravel()))
-        # the matrix's own entries among the kept pressures, negated twice
-        kk = system.matrix[self.kept][:, self.kept].tocoo()
-        vals, rows, cols = (np.concatenate(x) for x in
-                            zip(*parts, (kk.data, kk.row, kk.col)))
+        vals, rows, cols = (np.concatenate(x) for x in zip(*parts))
         self.matrix = sps.csc_matrix((vals, (rows, cols)),
                                      shape=(self.n_global, self.n_global))
         self.lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A",
                             diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
     def solve(self, b):
-        """The solution of the assembled system for the right-hand side ``b``."""
+        """The solution of the system for the right-hand side ``b``."""
         x = np.zeros(len(b))
         x[self.fixed] = b[self.fixed]
         rhs = np.zeros(self.n_global)
@@ -165,7 +164,7 @@ def solve(system: GlobalSystem, tol: float = 1e-10) -> "DiscreteSolution":
     if not np.all(np.isfinite(x)) or res > tol * scale:
         null_dim = None
         if n <= 2000:
-            sv = np.linalg.svd(A.toarray(), compute_uv=False)
+            sv = np.linalg.svd(A.tocsr().toarray(), compute_uv=False)
             null_dim = int(np.sum(sv <= 1e-10 * sv.max()))
         raise SingularSystemError(
             f"global system singular or solve failed (residual {res:.3e})",
@@ -266,7 +265,11 @@ def error_norms(sol: DiscreteSolution, exact: dict):
             loc = blk.locals_[ci]
             pts, w = geom.quadrature(qo)
             phys = blk.point_map(ci, pts)
-            mono_p = loc.basis_p.evaluate(pts)   # pressure and divergence
+            # the pressure (and divergence) monomials lead the velocity ones:
+            # same centre and scale, graded-lex order, lower degree
+            vb = loc.vec_basis
+            mono = vb.scalar.evaluate(pts)
+            mono_p = mono[:, :loc.basis_p.size]
             # pressure
             p_h = mono_p @ sol.pressure_coeffs(blk, ci)
             p_ex = field_values(ex.pressure, phys)
@@ -277,8 +280,7 @@ def error_norms(sol: DiscreteSolution, exact: dict):
             if blk.frame is not None:
                 u_ex = u_ex @ blk.frame.T
             # contract the coefficients first: (n_k, d) monomial rows
-            vb = loc.vec_basis
-            u_h = vb.scalar.evaluate(pts) @ np.einsum(
+            u_h = mono @ np.einsum(
                 "b,bij->ji", sol.projected_velocity(blk, ci), vb.coeffs)
             acc[1] += np.sum(w * np.sum((u_ex - u_h) ** 2, axis=1))
             acc[4] += np.sum(w * np.sum(u_ex ** 2, axis=1))

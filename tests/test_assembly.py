@@ -98,7 +98,7 @@ def test_complete_block_skeleton():
     mesh = box_mesh([-1, -1, -1], [1, 1, 1], (2, 2, 2))
     md = cut_background_mesh(mesh, problem1_spec())
     system = assemble_complete(md, order=0)
-    A = system.matrix
+    A = system.matrix.tocsr()
     dm = system.dofmap
     blk3 = dm.block(3)
     s3 = np.arange(blk3.offset, blk3.offset + blk3.n_dof)
@@ -167,14 +167,14 @@ def test_cross_dim_coupling_rt0_values():
                 if (s.lower, s.lower_cell) == ((2, 0), 0)}
     rows = []
     for cid in (cell.cell_plus, cell.cell_minus):
-        rows.append(system.matrix[side_dof[cid], p2[0]])
+        rows.append(system.matrix.tocsr()[side_dof[cid], p2[0]])
     # RT0/constant pressure: entry = face area for each side
     assert np.allclose(rows, 1.0)
     # equal-and-opposite outward side fluxes produce a zero jump row
     u = np.zeros(dm.total)
     d_plus, d_minus = side_dof[cell.cell_plus], side_dof[cell.cell_minus]
     u[d_plus], u[d_minus] = 1.0, -1.0
-    jump_row = system.matrix[p2[0], :] @ u
+    jump_row = system.matrix.tocsr()[p2[0], :] @ u
     assert abs(jump_row) < 1e-14
 
 
@@ -222,7 +222,7 @@ def test_matrix_is_the_cell_blocks_with_unit_rows_at_fixed_dofs():
     A = scatter(system.cells, len(system.rhs)).toarray()
     A[system.fixed, :] = A[:, system.fixed] = 0.0
     A[system.fixed, system.fixed] = 1.0
-    assert np.array_equal(system.matrix.toarray(), A)
+    assert np.array_equal(system.matrix.tocsr().toarray(), A)
     with pytest.raises(AttributeError):
         system.matrix = sps.csr_matrix(A)
 
@@ -248,7 +248,7 @@ def test_no_fracture_system_is_pure_3d_block():
     dm = system.dofmap
     assert set(dm.blocks) == {(3, 0)}
     blk = dm.block(3)
-    A = system.matrix
+    A = system.matrix.tocsr()
     # saddle structure: pressure-pressure block is zero
     pp = A[blk.slice_p, blk.slice_p]
     assert pp.nnz == 0
@@ -328,7 +328,7 @@ def test_flux_continuity_mode():
     assert blk1.n_u == 0 and blk1.n_p == len(md.traces[0].cells)
     assert (0, 0) not in dm.blocks  # no 0D block in this mode
     # constraint row: equal coefficients on the four duplicated edge DOFs
-    row = system.matrix[blk1.cell_p_dofs[0][0], :].toarray().ravel()
+    row = system.matrix.tocsr()[blk1.cell_p_dofs[0][0], :].toarray().ravel()
     nz = np.nonzero(row)[0]
     assert len(nz) == 4
     assert np.allclose(row[nz], row[nz][0])
@@ -361,7 +361,7 @@ def test_determinism():
         apply_boundary_conditions(system)
         sol = solve(system)
         results.append((system.dofmap.total,
-                        system.matrix.copy(), sol.x.copy()))
+                        system.matrix.tocsr(), sol.x.copy()))
     assert results[0][0] == results[1][0]
     assert (results[0][1] != results[1][1]).nnz == 0
     assert np.array_equal(results[0][2], results[1][2])
@@ -407,7 +407,7 @@ def test_boundary_substitution_matches_lil_oracle(build_md):
     from mixedvem.assembly import GlobalSystem
     md = build_md()
     system = assemble_complete(md, order=1)
-    A0 = system.matrix.copy()
+    A0 = system.matrix.tocsr()
     # the loads alone: on a zero matrix (no cell blocks) the substitution
     # moves nothing
     loads = GlobalSystem(cells=[], rhs=system.rhs.copy(), dofmap=system.dofmap, md=md)
@@ -418,8 +418,8 @@ def test_boundary_substitution_matches_lil_oracle(build_md):
     assert np.array_equal(system.constrained, loads.constrained)
     A_ref, rhs_ref = _lil_boundary_oracle(A0, loads.rhs, pinned,
                                           loads.rhs[pinned], system.constrained)
-    assert system.matrix.nnz == A_ref.nnz
-    assert (system.matrix != A_ref).nnz == 0
+    assert system.matrix.tocsr().nnz == A_ref.nnz
+    assert (system.matrix.tocsr() != A_ref).nnz == 0
     assert np.abs(system.rhs - rhs_ref).max() <= 1e-14 * np.abs(rhs_ref).max()
     assert np.all(system.rhs[pinned] == md.spec.intersection_defaults.bc.value)
     if build_md is _pinned_network_md:
@@ -433,11 +433,11 @@ def test_second_boundary_condition_call_raises():
     case = problem1_case(order=1)
     system = assemble_complete(case.md, case.order)
     apply_boundary_conditions(system)
-    A, rhs = system.matrix.copy(), system.rhs.copy()
+    A, rhs = system.matrix.tocsr(), system.rhs.copy()
     with pytest.raises(ValueError):
         apply_boundary_conditions(system)
     assert np.array_equal(system.rhs, rhs)
-    assert (system.matrix != A).nnz == 0
+    assert (system.matrix.tocsr() != A).nnz == 0
 
 
 def test_flux_continuity_conflicts_with_finite_eta1():

@@ -93,6 +93,20 @@ def test_malformed_config_raises_config_error_naming_value(text, value):
     assert value in str(info.value)
 
 
+@pytest.mark.parametrize("text, unknown, known", [
+    (CONFIG.replace("fractures:", "fractuers:"), "fractuers", "fractures"),
+    (CONFIG + "sovler: {tolerance: 1.0e-9}\n", "sovler", "solver"),
+    (CONFIG.replace("  default: {type: neumann}\nfractures",
+                    "  default: {type: dirichlet}\n  xmni: {type: neumann}\nfractures"),
+     "xmni", "default, xmin, xmax"),
+], ids=["fractures-typo", "solver-typo", "bc3-tag-typo"])
+def test_config_rejects_unknown_keys(text, unknown, known):
+    # a typo must not parse to a different problem
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert unknown in str(info.value) and known in str(info.value)
+
+
 def test_config_rejects_unknown_outputs(tmp_path, capsys):
     outputs = "outputs: [fluxes, fields, matrix, manifest]"
     assert parse_config(CONFIG.replace(outputs, "")).outputs == ["fluxes"]

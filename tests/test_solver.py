@@ -5,8 +5,9 @@ import pytest
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from mixedvem import problems, solver
-from mixedvem.assembly import apply_boundary_conditions, assemble_complete, scatter
+from mixedvem import assembly, problems, solver
+from mixedvem.assembly import (CellBlock, GlobalSystem, apply_boundary_conditions,
+                               assemble_complete, scatter)
 from mixedvem.elements import COND_PIVOT_TOL
 from mixedvem.errors import ConditioningError, ConfigError, SingularSystemError
 from mixedvem.mesh import (BoundaryCondition, FractureSpec, NetworkSpec,
@@ -38,7 +39,6 @@ def linear_case(order=1, n=2):
 
 def test_trivial_1x1_system():
     # a single-equation system goes through the same solve path
-    from mixedvem.assembly import CellBlock, GlobalSystem
     sysm = GlobalSystem(cells=[CellBlock(np.array([0]), 0, 0, np.array([[2.0]]))],
                         rhs=np.array([4.0]), dofmap=None, md=None,
                         bc_applied=True)
@@ -49,7 +49,7 @@ def test_trivial_1x1_system():
 def test_solve_matches_dense_oracle():
     system, exact = linear_case(order=0, n=2)
     sol = solve(system)
-    dense = np.linalg.solve(system.matrix.toarray(), system.rhs)
+    dense = np.linalg.solve(system.matrix.tocsr().toarray(), system.rhs)
     assert len(sol.x) <= 200
     assert np.allclose(sol.x, dense, atol=1e-11)
 
@@ -258,7 +258,7 @@ def test_condensed_dofs_couple_inside_their_cell(make):
     # and a pressure DOF is the own pressure of at most one
     system = make()
     free = np.setdiff1d(np.arange(system.dofmap.total), system.fixed)
-    A = system.matrix[free][:, free]
+    A = system.matrix.tocsr()[free][:, free]
     S = scatter(system.cells, system.dofmap.total)[free][:, free]
     assert abs(A - S).max() <= 1e-14 * abs(A).max()
     held = np.concatenate([cb.dofs[:cb.n_u] for cb in system.cells])
@@ -294,6 +294,49 @@ def test_singular_interior_block_rejected():
     cb.matrix[0, :cb.n_u] = cb.matrix[:cb.n_u, 0] = 0.0   # a flux loses its row
     with pytest.raises(ConditioningError, match="cell flux block"):
         solve(system)
+
+
+@CONDENSED_CASES
+def test_operator_matches_scattered_matrix(make):
+    # before the boundary conditions (the same blocks, nothing fixed) and after
+    system = make()
+    raw = GlobalSystem(cells=system.cells, rhs=system.rhs, dofmap=system.dofmap,
+                       md=system.md)
+    assert len(system.fixed) > 0 and len(raw.fixed) == 0
+    x = np.random.default_rng(5).normal(size=len(system.rhs))
+    for s in (raw, system):
+        y, ref = s.matrix @ x, s.matrix.tocsr() @ x
+        assert np.abs(y - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _case_system(order=2, artificial_cuts=1),
+    _network_system,
+], ids=["problem1-order2-cut1", "network-9400-3x3x3"])
+def test_solve_path_never_scatters(make, monkeypatch):
+    # the cell blocks are the only copy of the matrix from assembly to the
+    # flux report
+    def no_scatter(cells, n):
+        raise AssertionError("the global matrix was scattered")
+
+    monkeypatch.setattr(assembly, "scatter", no_scatter)
+    sol = solve(make())
+    assert flux_report(sol).max_relative_mismatch() <= 1e-10
+    with pytest.raises(AssertionError, match="scattered"):
+        sol.system.matrix.tocsr()
+
+
+def test_kept_pressure_entry_split_over_two_blocks():
+    # a pressure that two cells read and neither owns stays global; its
+    # diagonal entry is the sum of the two blocks' shares
+    cells = [CellBlock(np.array([0, 2]), 1, 0, np.array([[2.0, 1.0], [-1.0, 0.5]])),
+             CellBlock(np.array([1, 2]), 1, 0, np.array([[3.0, 1.0], [-1.0, 0.25]]))]
+    system = GlobalSystem(cells=cells, rhs=np.array([1.0, 2.0, 3.0]), dofmap=None,
+                          md=None, bc_applied=True)
+    sol = solve(system)
+    dense = np.linalg.solve(system.matrix.tocsr().toarray(), system.rhs)
+    assert sol.global_dofs == 1
+    assert np.allclose(sol.x, dense, rtol=1e-14, atol=0)
 
 
 def test_rt0_box_factorizes_one_multiplier_per_interior_face():

@@ -47,7 +47,7 @@ import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from .elements import ElementSpace, local_matrices, local_matrices_1d
+from .elements import ElementSpace, local_matrices, local_matrices_1d, stiffness
 from .errors import ConfigError
 from .mesh import MixedDimensionalMesh, field_values
 from .polyspace import MonomialBasis, dim_poly
@@ -465,7 +465,8 @@ class GlobalSystem:
 def assemble_dimension(dm: GlobalDofMap, dim: int) -> dict:
     """The cell blocks of all domains of one dimension, keyed by (block key,
     cell): each cell's K, conjugated by its flux signs, with zero rows and
-    columns for the pressures of its lower cells."""
+    columns for the pressures of its lower cells.  K is made here, one stack
+    per layout, and written straight into the blocks."""
     lower = {}
     for side in dm.interfaces:
         if side.upper[0] == dim:
@@ -475,16 +476,19 @@ def assemble_dimension(dm: GlobalDofMap, dim: int) -> dict:
     for key, blk in dm.blocks.items():
         if key[0] != dim:
             continue
+        layouts = {}
         for ci, loc in enumerate(blk.locals_):
             if loc is None:
                 continue
-            u, s, p = blk.cell_u_dofs[ci], blk.cell_u_signs[ci], blk.cell_p_dofs[ci]
+            u, p = blk.cell_u_dofs[ci], blk.cell_p_dofs[ci]
             dofs = np.concatenate([u, p, *lower.get((key, ci), [])])
-            n = len(u) + len(p)
-            S = np.concatenate([s, np.ones(len(p))])
-            M = np.zeros((len(dofs), len(dofs)))
-            M[:n, :n] = loc.K * np.outer(S, S)
-            cells[(key, ci)] = CellBlock(dofs, len(u), len(p), M)
+            cells[(key, ci)] = CellBlock(dofs, len(u), len(p), np.zeros((len(dofs),) * 2))
+            layouts.setdefault(loc.layout, []).append(ci)
+        for group in layouts.values():
+            for ci, K in zip(group, stiffness([blk.locals_[ci] for ci in group])):
+                s = blk.cell_u_signs[ci]
+                S = np.concatenate([s, np.ones(len(K) - len(s))])
+                cells[(key, ci)].matrix[:len(K), :len(K)] = K * np.outer(S, S)
     return cells
 
 

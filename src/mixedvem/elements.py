@@ -8,25 +8,28 @@ space is known only through its degrees of freedom:
            monomials (one per non-constant monomial),
   type iii interior moments against the orthogonal complement basis.
 
-All auxiliary matrices, the polynomial projector and the stabilized local
-stiffness block are computed from these data.  A segment's velocities are
-plain polynomials: ``local_matrices_1d`` builds its exact matrices, with no
-projection error and no stabilization, into the same ``LocalMatrixSet``.  Its
-``vec_basis`` is the velocity monomials themselves, ``Pi0_hat`` the canonical
-basis in them and ``D`` the DOFs of the monomials, so ``D @ Pi0_hat = I``; its
-faces are its two ends, each with the one dual value 1.
+All auxiliary matrices and the polynomial projector are computed from these
+data and stored in a ``LocalMatrixSet``, with the small divergence block
+``W``.  The stabilized stiffness ``K`` is derived (``stiffness``): assembly
+makes it once per group of cells, straight into the cell blocks, and no
+record keeps a copy.  A segment's velocities are plain polynomials:
+``local_matrices_1d`` builds its exact matrices, with no projection error and
+no stabilization, into the same ``LocalMatrixSet``.  Its ``vec_basis`` is the
+velocity monomials themselves, ``Pi0_hat`` the canonical basis in them and
+``D`` the DOFs of the monomials, so ``D @ Pi0_hat = I``; its faces are its
+two ends, each with the one dual value 1.
 
 ``local_matrices`` builds a whole block of cells in one call.  The
 integrals are made cell by cell: the volume mass matrix from the cell's rule,
 and every face's moments from one product over the concatenated face rules.
 The fixed-size algebra (the complement basis, the Gram matrix, the face
-duals, the ``V`` and ``Pi0_hat`` solves and the stabilized ``K``) then runs on
-``(m, n, n)`` stacks over the cells, grouped by face count where the number
-of DOFs differs.  Every local SPD solve is equilibrated, checked for its
-pivot ratio (``equilibrated_cholesky``, which the global solve's cell
-eliminations share) and refined once (``_spd_solve``).  The inverse transmissivity
-``nu`` of a block is one positive number, so the weighted Gram matrix is
-``nu * G`` and the stabilization uses ``nu`` itself as its mean.
+duals and the ``V`` and ``Pi0_hat`` solves) then runs on ``(m, n, n)`` stacks
+over the cells, grouped by face count where the number of DOFs differs.
+Every local SPD solve is equilibrated, checked for its pivot ratio
+(``equilibrated_cholesky``, which the global solve's cell eliminations share)
+and refined once (``_spd_solve``).  The inverse transmissivity ``nu`` of a
+block is one positive number, so the weighted Gram matrix is ``nu * G`` and
+the stabilization uses ``nu`` itself as its mean.
 """
 
 from __future__ import annotations
@@ -166,8 +169,8 @@ def _positive_nu(nu):
 class LocalMatrixSet:
     """The matrices of one segment, polygon or polyhedron element.
 
-    What assembly and post-processing read is stored; ``W``, ``G_nu``,
-    ``Pi0``, ``K_a`` and ``K_s`` are derived from it on demand.
+    What assembly and post-processing read is stored; ``G_nu``, ``Pi0``,
+    ``K_a``, ``K_s`` and the stiffness ``K`` are derived from it on demand.
     """
 
     space: ElementSpace
@@ -179,19 +182,14 @@ class LocalMatrixSet:
     G: np.ndarray
     H: np.ndarray
     H_hash: np.ndarray
+    W: np.ndarray                   # (n_p, n_dof) divergence moments
     V: np.ndarray
     B: np.ndarray
     D: np.ndarray
     Pi0_hat: np.ndarray
-    K: np.ndarray
     face_dual: np.ndarray           # (n_faces, per_face, per_face) dual-basis coeffs
     face_scale: np.ndarray          # (n_faces,) face monomial scales
     pivot_ratio: float = 1.0        # smallest pivot ratio of its local solves
-
-    @property
-    def W(self):
-        n = self.layout.n_dof
-        return self.K[n:, :n]
 
     @property
     def G_nu(self):
@@ -211,6 +209,10 @@ class LocalMatrixSet:
         R = np.eye(self.layout.n_dof) - self.Pi0
         return self.nu * self.measure * (R.T @ R)
 
+    @property
+    def K(self):
+        return stiffness([self])[0]
+
     def face_dual_values(self, i, face_points):
         """Values of the face-DOF normal-trace polynomials at face points.
 
@@ -220,6 +222,22 @@ class LocalMatrixSet:
         """
         xi = np.atleast_2d(np.asarray(face_points, dtype=float)) / self.face_scale[i]
         return monomials(xi, self.space.order) @ self.face_dual[i]
+
+
+def stiffness(locs):
+    """The stacked stiffness blocks ``[[A, -W^T], [W, 0]]`` of cells with one
+    layout, ``A = K_a + K_s``.  A segment's velocities are exact, so its ``A``
+    is ``Pi0_hat^T G_nu Pi0_hat`` itself, with no ``K_s``."""
+    G, D, Pi0_hat, W = (np.stack([getattr(loc, name) for loc in locs])
+                        for name in ("G", "D", "Pi0_hat", "W"))
+    nu = np.array([loc.nu for loc in locs])[:, None, None]
+    n_p, n_dof = W.shape[1:]
+    A = Pi0_hat.transpose(0, 2, 1) @ (nu * G) @ Pi0_hat
+    if locs[0].space.dim > 1:
+        R = np.eye(n_dof) - D @ Pi0_hat
+        meas = np.array([loc.measure for loc in locs])[:, None, None]
+        A = 0.5 * (A + A.transpose(0, 2, 1)) + (nu * meas) * (R.transpose(0, 2, 1) @ R)
+    return np.block([[A, -W.transpose(0, 2, 1)], [W, np.zeros((len(locs), n_p, n_p))]])
 
 
 def _face_moments(geom, qo, k, per):
@@ -334,14 +352,6 @@ def local_matrices(space: ElementSpace, geoms, nu=1.0) -> list:
 
         Pi0_hat, Pi0_ratio = _spd_solve(Gc, B, "projector Gram matrix G")
         ratio = np.minimum(np.minimum(cell_dual_ratio[cells], V_ratio), Pi0_ratio)
-        Pi0_t = Pi0_hat.transpose(0, 2, 1)
-        K_a = Pi0_t @ (nu * Gc) @ Pi0_hat
-        R = np.eye(n_dof) - D @ Pi0_hat
-        K = np.zeros((mg, n_dof + n_p, n_dof + n_p))
-        K[:, :n_dof, :n_dof] = 0.5 * (K_a + K_a.transpose(0, 2, 1)) + \
-            (nu * meas)[:, :, None] * (R.transpose(0, 2, 1) @ R)
-        K[:, :n_dof, n_dof:] = -W.transpose(0, 2, 1)
-        K[:, n_dof:, :n_dof] = W
 
         for i, c in enumerate(cells):
             geom = geoms[c]
@@ -351,7 +361,7 @@ def local_matrices(space: ElementSpace, geoms, nu=1.0) -> list:
                 vec_basis=VectorPolyBasis(MonomialBasis(d, k, xE, hE),
                                           C[i].reshape(-1, d, n_k)),
                 nu=nu, measure=geom.measure, G=G[c], H=H[c], H_hash=H_hash[c],
-                V=V[i], B=B[i], D=D[i], Pi0_hat=Pi0_hat[i], K=K[i],
+                W=W[i], V=V[i], B=B[i], D=D[i], Pi0_hat=Pi0_hat[i],
                 face_dual=dual[first[c]:first[c] + nf], face_scale=scales[c],
                 pivot_ratio=float(ratio[i]))
     return out
@@ -392,25 +402,16 @@ def local_matrices_1d(space: ElementSpace, geom, nu=1.0) -> LocalMatrixSet:
     phi = np.linalg.solve(D, np.eye(n_u))
 
     mass_u = vals_u.T @ (w[:, None] * vals_u)
-    K_a = phi.T @ (nu * mass_u) @ phi
-
     H = vals_p.T @ (w[:, None] * vals_p)
     Du = basis_u.derivative_coeffs(0)      # u' coefficients in the degree-kg basis
     dphi = Du @ phi
     W = vals_p.T @ (w[:, None] * (vals_p @ dphi))
     V, ratio = _spd_solve(H[None], W[None], "1D pressure mass matrix")
-
-    n_dof = n_u
-    K = np.zeros((n_dof + basis_p.size, n_dof + basis_p.size))
-    K[:n_dof, :n_dof] = K_a
-    K[:n_dof, n_dof:] = -W.T
-    K[n_dof:, :n_dof] = W
-
     return LocalMatrixSet(
         space=space, layout=layout, basis_p=basis_p,
         vec_basis=VectorPolyBasis(basis_u, np.eye(n_u)[:, None, :]),
         nu=nu, measure=L, G=mass_u, H=H, H_hash=np.zeros((0, basis_p.size)),
-        V=V[0], B=mass_u @ phi, D=D, Pi0_hat=phi, K=K,
+        W=W, V=V[0], B=mass_u @ phi, D=D, Pi0_hat=phi,
         face_dual=np.ones((layout.n_faces, 1, 1)),
         face_scale=np.ones(layout.n_faces), pivot_ratio=float(ratio[0]))
 

@@ -385,7 +385,7 @@ def fit_plane(coords):
 
     The normal follows the loop orientation (right-hand rule).
     """
-    normal, mean, errors = _Loops([np.asarray(coords, dtype=float)]).plane_normals()
+    normal, mean, errors, _ = _Loops([np.asarray(coords, dtype=float)]).plane_normals()
     if errors[0]:
         raise DegenerateGeometryError(errors[0])
     return Plane.from_normal_point(normal[0], mean[0])
@@ -435,9 +435,10 @@ class _Loops:
         return area, centroid
 
     def plane_normals(self):
-        """Unit Newell normals and vertex means of 3D loops, and per loop None
-        or why it is degenerate: zero area or non-planar.  A zero-area loop
-        gets the normal e_x, so that work on the batch stays finite."""
+        """Unit Newell normals and vertex means of 3D loops, per loop None or
+        why it is degenerate (zero area or non-planar), and the normals'
+        roundoff over eps (squared coordinate magnitude over area).  A
+        zero-area loop gets the normal e_x, so work on the batch stays finite."""
         c, nxt = self.coords, self.coords[self.next]
         normal = self.sums((c - nxt)[:, (1, 2, 0)] * (c + nxt)[:, (2, 0, 1)])
         nrm = np.linalg.norm(normal, axis=1)
@@ -445,6 +446,8 @@ class _Loops:
         tol = EPS_GEO_FACTOR * np.maximum(scale, 1.0)
         flat = nrm <= tol * scale
         normal[flat] = (1.0, 0.0, 0.0)
+        area = np.where(flat, 1.0, 0.5 * nrm)
+        noise = np.maximum.reduceat(_dot_rows(c, c), self.starts) / area
         normal = normal / np.where(flat, 1.0, nrm)[:, None]
         mean = self.sums(c) / self.sizes[:, None]
         dist = np.maximum.reduceat(np.abs(_dot_rows(c - mean[self.loop_of],
@@ -456,7 +459,7 @@ class _Loops:
                          f"{tol[k]:.3e}")
         for k in np.flatnonzero(flat):
             errors[k] = "degenerate vertex loop (zero area)"
-        return normal, mean, errors
+        return normal, mean, errors, noise
 
 
 # ---------------------------------------------------------------------------
@@ -652,12 +655,14 @@ class _EdgeView:
         return (rel @ self.frame_tangent)[:, None]
 
 
-def lex_sign(v):
-    """+1 if the first entry of ``v`` above roundoff (``8 eps |v|``) is
+def lex_sign(v, noise=1.0):
+    """+1 if the first entry of ``v`` above roundoff (``8 eps |v|``, times a
+    larger ``noise``, as ``plane_normals`` gives for Newell normals) is
     positive, else -1: a roundoff-level entry must not pick the frame.  For a
-    stack of vectors (m, d), one sign per vector."""
+    stack of vectors (m, d), one sign per vector and noise."""
     v = np.asarray(v, dtype=float)
-    big = np.abs(v) > 8 * np.finfo(float).eps * np.linalg.norm(v, axis=-1, keepdims=True)
+    tol = 8 * np.finfo(float).eps * np.maximum(noise, 1.0)[..., None]
+    big = np.abs(v) > tol * np.linalg.norm(v, axis=-1, keepdims=True)
     lead = np.take_along_axis(v, np.argmax(big, axis=-1)[..., None], axis=-1)[..., 0]
     sign = np.where(big.any(axis=-1) & (lead < 0), -1, 1)
     return int(sign) if sign.ndim == 0 else sign
@@ -706,9 +711,9 @@ def build_faces(loops):
     other.
     """
     lp = _Loops(loops)
-    normal, mean, errors = lp.plane_normals()
+    normal, mean, errors, noise = lp.plane_normals()
     i, at = lp.loop_of, np.arange(len(lp.loop_of))
-    sign = lex_sign(normal)
+    sign = lex_sign(normal, noise)
     n = sign[:, None] * normal
     t1, t2 = plane_frame(n)
     rel = lp.coords - mean[i]

@@ -71,7 +71,7 @@ def monomials(xi, order: int) -> np.ndarray:
         powers[:, p] = powers[:, p - 1] * xi.T
     vals = powers[0, exps[:, 0]] if d else np.ones((1, n))
     for i in range(1, d):
-        vals = vals * powers[i, exps[:, i]]
+        vals *= powers[i, exps[:, i]]
     return np.ascontiguousarray(vals.T)
 
 

@@ -70,7 +70,7 @@ class Hybridized:
         self.kept = np.flatnonzero(~local & ~fixed)
         self.fixed = np.flatnonzero(fixed)
         shared = np.flatnonzero((held == 2) & ~fixed)
-        glob = np.full(n, -1)
+        glob = np.full(n, -1, dtype=np.int32)   # int32 COO triplets below
         glob[self.kept] = np.arange(len(self.kept))
         glob[shared] = len(self.kept) + np.arange(len(shared))
         self.n_global = len(self.kept) + len(shared)
@@ -118,8 +118,10 @@ class Hybridized:
             parts.append((S.ravel(), np.repeat(ids, n_tied + n_g, 1).ravel(),
                           np.tile(ids, n_tied + n_g).ravel()))
         vals, rows, cols = (np.concatenate(x) for x in zip(*parts))
+        del parts
         self.matrix = sps.csc_matrix((vals, (rows, cols)),
                                      shape=(self.n_global, self.n_global))
+        del vals, rows, cols   # freed before the factorization
         self.lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A",
                             diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 

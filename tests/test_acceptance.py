@@ -137,34 +137,36 @@ def _perturbed_hex(rng):
     return geo.PolyhedronGeometry(flat)
 
 
+def _identity_gaps(d, k, worst):
+    """Fold into ``worst`` the identity gaps of one batch of 100 random cells
+    of dimension ``d`` and order ``k``; returns the number of cells."""
+    rng = np.random.default_rng(7_000 + 10 * d + k)
+    cells = [_random_polygon(rng) if d == 2 else _random_polyhedron(rng)
+             for _ in range(100)]
+    locs = local_matrices(ElementSpace(d, k), cells, nu=1.3)
+    for loc in locs:
+        gscale = np.abs(loc.G).max()
+        worst["BD"] = max(worst["BD"],
+                          np.abs(loc.B @ loc.D - loc.G).max() / gscale)
+        worst["PiD"] = max(worst["PiD"],
+                           np.abs(loc.Pi0_hat @ loc.D
+                                  - np.eye(loc.G.shape[0])).max())
+        ks = np.abs(loc.K_s).max()
+        worst["KsD"] = max(worst["KsD"],
+                           np.abs(loc.K_s @ loc.D).max() / max(ks, 1e-300))
+        div = loc.vec_basis.divergence_coeffs()
+        pad = np.zeros((div.shape[0], loc.basis_p.size))
+        pad[:, :div.shape[1]] = div
+        dscale = max(np.abs(pad).max(), 1.0)
+        worst["VD"] = max(worst["VD"],
+                          np.abs(loc.V @ loc.D - pad.T).max() / dscale)
+    return len(locs)
+
+
 def test_criterion_4_identity_suite():
     t0 = time.perf_counter()
-    n_per_case = 100
     worst = {"BD": 0.0, "PiD": 0.0, "KsD": 0.0, "VD": 0.0}
-    count = 0
-    for d in (2, 3):
-        for k in range(4):
-            rng = np.random.default_rng(7_000 + 10 * d + k)
-            cells = [_random_polygon(rng) if d == 2 else _random_polyhedron(rng)
-                     for _ in range(n_per_case)]
-            # one batch per (d, k)
-            for loc in local_matrices(ElementSpace(d, k), cells, nu=1.3):
-                count += 1
-                gscale = np.abs(loc.G).max()
-                worst["BD"] = max(worst["BD"],
-                                  np.abs(loc.B @ loc.D - loc.G).max() / gscale)
-                worst["PiD"] = max(worst["PiD"],
-                                   np.abs(loc.Pi0_hat @ loc.D
-                                          - np.eye(loc.G.shape[0])).max())
-                ks = np.abs(loc.K_s).max()
-                worst["KsD"] = max(worst["KsD"],
-                                   np.abs(loc.K_s @ loc.D).max() / max(ks, 1e-300))
-                div = loc.vec_basis.divergence_coeffs()
-                pad = np.zeros((div.shape[0], loc.basis_p.size))
-                pad[:, :div.shape[1]] = div
-                dscale = max(np.abs(pad).max(), 1.0)
-                worst["VD"] = max(worst["VD"],
-                                  np.abs(loc.V @ loc.D - pad.T).max() / dscale)
+    count = sum(_identity_gaps(d, k, worst) for d in (2, 3) for k in range(4))
     elapsed = time.perf_counter() - t0
     ok = (worst["BD"] <= 1e-10 and worst["PiD"] <= 1e-10
           and worst["KsD"] <= 1e-10 and worst["VD"] <= 1e-10
@@ -172,6 +174,19 @@ def test_criterion_4_identity_suite():
     _report(4, ok, f"{count} elements, worst: BD={worst['BD']:.1e} "
                    f"PiD={worst['PiD']:.1e} KsD={worst['KsD']:.1e} "
                    f"VD={worst['VD']:.1e}, {elapsed:.0f}s")
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_criterion_4_identity_suite_order_4(d):
+    # the quartic benchmark's order: Pi0_hat D = I holds only to 3.4e-9 here
+    # (measured in 2D and 3D), so it is held to 1e-8, and the other
+    # identities to criterion 4's 1e-10
+    worst = {"BD": 0.0, "PiD": 0.0, "KsD": 0.0, "VD": 0.0}
+    _identity_gaps(d, 4, worst)
+    print(f"criterion 4, d={d}, k=4: " +
+          " ".join(f"{name}={gap:.1e}" for name, gap in worst.items()))
+    assert worst["PiD"] <= 1e-8, worst
+    assert max(worst["BD"], worst["KsD"], worst["VD"]) <= 1e-10, worst
 
 
 # -- 5. patch tests on single-dimension domains -------------------------------

@@ -60,6 +60,27 @@ def test_trace_edge_four_dof_sets():
     assert len(sets) == 4  # (2 fractures) x (2 sides)
 
 
+def test_element_records_hold_no_stiffness():
+    # the cell blocks are the one stored copy of K: the records keep W and
+    # derive K on demand, and a segment's K has no stabilization term, which
+    # its D Pi0_hat = I (exact only to roundoff) would make nonzero
+    dm = build_dof_map(problem1_case(order=2).md, 2)
+    rounded = 0
+    for (d, _), blk in dm.blocks.items():
+        for loc in blk.locals_:
+            if loc is None:
+                continue
+            assert "K" not in vars(loc) and "W" in vars(loc)
+            if d != 1:
+                continue
+            n_p, n = loc.W.shape
+            rounded += np.any(loc.D @ loc.Pi0_hat != np.eye(n))
+            exact = np.block([[loc.Pi0_hat.T @ loc.G_nu @ loc.Pi0_hat, -loc.W.T],
+                              [loc.W, np.zeros((n_p, n_p))]])
+            assert np.array_equal(loc.K, exact)
+    assert rounded > 0
+
+
 def test_trace_cells_share_the_element_record_and_face_interface():
     dm = build_dof_map(problem1_case(order=2).md, 2)
     traces = [blk for (d, _), blk in dm.blocks.items() if d == 1]

@@ -247,6 +247,26 @@ def test_face_quadrature_matches_face_by_face_rules(make):
         assert np.allclose(w[mine], fw, rtol=1e-14, atol=0)
 
 
+def test_lex_frame_ignores_newell_summation_order():
+    # a loop on the plane with normal (0, 0.54, 0.84), coordinates up to 1.9
+    # and area 0.10: the x entry of its unit Newell normal is roundoff, -1.7e-15
+    # summed by np.add.reduceat and -2.2e-15 by ndarray.sum or Python's sum,
+    # on both sides of 8 eps; its lex frame must not depend on that order
+    loop = np.array([[1.8277850736864933, -0.7145133049336465, 1.6408932280259185],
+                     [1.534917253031792, -0.6762139067810585, 1.6162721863563976],
+                     [1.65311454551939, -1.0721291387278353, 1.8707891211793255],
+                     [1.8519649500326865, -1.0106706046298872, 1.8312800635449304]])
+    nxt = np.roll(loop, -1, axis=0)
+    terms = (loop - nxt)[:, (1, 2, 0)] * (loop + nxt)[:, (2, 0, 1)]
+    normals = [n / np.linalg.norm(n) for n in
+               (np.add.reduceat(terms, [0])[0], terms.sum(axis=0), sum(terms))]
+    assert len({abs(n[0]) > 8 * np.finfo(float).eps for n in normals}) == 2
+    face = geo.build_faces([loop])[0]
+    assert np.allclose(face.normal, [0.0, 0.54, 0.84], atol=0.01)
+    noise = np.max(np.sum(loop ** 2, axis=1)) / face.measure
+    assert {geo.lex_sign(n, noise) for n in normals} == {face.lex_sign}
+
+
 def test_lex_frame_ignores_roundoff_entries():
     # face 208 of the network-9400 4^3 mesh: its Newell normal is (0, 0, 1)
     # summed along its loop and (2.2e-16, 0, -1) along the reversed loop

@@ -192,13 +192,13 @@ def _face_oracle(coords):
     frame, the loop in that frame (counter-clockwise, about its centroid),
     shoelace measure and centroid, and the diameter over all vertex pairs."""
     nxt = np.roll(coords, -1, axis=0)
-    # summed by reduceat, as the plane fit sums: the roundoff of a normal
-    # entry that is zero in exact arithmetic can exceed the lex sign's
-    # 8 eps threshold, and then the summation order picks the sign
-    normal = np.add.reduceat((coords - nxt)[:, (1, 2, 0)] * (coords + nxt)[:, (2, 0, 1)],
-                             [0])[0]
-    normal = normal / np.linalg.norm(normal)
-    big = normal[np.abs(normal) > 8 * np.finfo(float).eps]
+    normal = np.sum((coords - nxt)[:, (1, 2, 0)] * (coords + nxt)[:, (2, 0, 1)], axis=0)
+    loop_area = 0.5 * np.linalg.norm(normal)
+    normal = normal / (2 * loop_area)
+    # an entry under the Newell sum's roundoff, eps times the squared
+    # coordinate magnitude over the area, does not pick the sign
+    noise = max(1.0, np.max(np.sum(coords ** 2, axis=1)) / loop_area)
+    big = normal[np.abs(normal) > 8 * np.finfo(float).eps * noise]
     sign = -1 if len(big) and big[0] < 0 else 1
     n = sign * normal
     t1 = np.array([n[2], 0.0, -n[0]]) if abs(n[0]) > 0.9 else np.array([0.0, -n[2], n[1]])

@@ -6,10 +6,12 @@ plane, so cuts are prolonged to the cell boundary; the part of the cut
 cross-section inside the fracture polygon becomes fracture faces, the rest
 becomes co-planar hanging faces, and neighbours of cut cells acquire hanging
 faces through the shared-face splitting.  Fracture geometry is never altered.
+Each new vertex goes into every face loop with the mesh edge it splits.
 
 After cutting, the 2D fracture meshes are the patchworks of marked faces,
 the 1D trace meshes are the shared edge partitions along fracture-fracture
 intersection segments, and 0D points are collected where traces meet.
+External fracture edges and trace ends are those in a boundary face's loop.
 
 Data callbacks (boundary data, sources, exact fields) are evaluated on all
 quadrature points of a cell at once through ``field_values``.  A callable
@@ -436,48 +438,58 @@ def write_mesh(mesh: PolyMesh3D, path):
 
 
 def read_mesh(path) -> PolyMesh3D:
+    """Read a mesh written by ``write_mesh``.  File ids are mapped to the ids
+    the mesh gives, so coincident vertices merge into one.  An unknown id, a
+    malformed row or a section that ends early raises ConfigError naming
+    the line."""
     with open(path) as fh:
-        toks = [ln.split() for ln in fh
+        rows = [(n, ln.split()) for n, ln in enumerate(fh, 1)
                 if ln.strip() and not ln.lstrip().startswith("#")]
-    it = iter(toks)
+    pos, line = 0, 0        # the next row to read; the line of the last one
 
-    def expect(word):
-        row = next(it)
-        if row[0] != word:
-            raise ConfigError(f"mesh file: expected {word!r}, got {row[0]!r}")
-        return int(row[1])
+    def section(word):
+        """The (line, tokens) rows of the section headed ``word``."""
+        nonlocal pos, line
+        line, head = rows[pos] if pos < len(rows) else (line, [])
+        if head[:1] != [word] or len(head) != 2:
+            raise ValueError(f"expected a {word!r} section header")
+        count = int(head[1])
+        body, pos = rows[pos + 1:pos + 1 + count], pos + 1 + count
+        if len(body) < count:
+            line = rows[-1][0]
+            raise ValueError(f"the {word!r} section ends after {len(body)} of "
+                             f"{count} rows")
+        return body
 
-    nv = expect("vertices")
-    coords = np.zeros((nv, 3))
-    for _ in range(nv):
-        row = next(it)
-        coords[int(row[0])] = [float(row[1]), float(row[2]), float(row[3])]
-    mesh = PolyMesh3D(merge_tol=EPS_GEO_FACTOR *
-                      float(np.linalg.norm(coords.max(0) - coords.min(0))))
-    for p in coords:
-        mesh.add_vertex(p)
-    nf = expect("faces")
-    fid_of = {}
-    for _ in range(nf):
-        row = next(it)
-        n = int(row[1])
-        fid_of[int(row[0])] = mesh.add_face([int(v) for v in row[2:2 + n]])
-    nc = expect("cells")
-    for _ in range(nc):
-        row = next(it)
-        n = int(row[1])
-        ofs = []
-        for tok in row[2:2 + n]:
-            signed = int(tok)
-            ofs.append((fid_of[abs(signed) - 1], 1 if signed > 0 else -1))
-        mesh.add_cell(ofs)
     try:
-        nb = expect("boundary")
-    except (StopIteration, ConfigError):
-        nb = 0
-    for _ in range(nb):
-        row = next(it)
-        mesh.boundary_tags[fid_of[int(row[0])]] = row[1]
+        coords = {}
+        for line, row in section("vertices"):
+            i, x, y, z = row
+            coords[int(i)] = [float(x), float(y), float(z)]
+        pts = np.array(list(coords.values()))
+        mesh = PolyMesh3D(merge_tol=EPS_GEO_FACTOR *
+                          float(np.linalg.norm(pts.max(0) - pts.min(0))))
+        vid_of = {i: mesh.add_vertex(p) for i, p in coords.items()}
+        fid_of = {}
+        for line, row in section("faces"):
+            i, n, *vids = row
+            if len(vids) != int(n):
+                raise ValueError(f"{len(vids)} vertex ids where the row counts {n}")
+            fid_of[int(i)] = mesh.add_face([vid_of[int(v)] for v in vids])
+        for line, row in section("cells"):
+            _, n, *faces = row
+            if len(faces) != int(n):
+                raise ValueError(f"{len(faces)} face ids where the row counts {n}")
+            mesh.add_cell([(fid_of[abs(int(f)) - 1], 1 if int(f) > 0 else -1)
+                           for f in faces])
+        if pos < len(rows):     # the boundary section is optional
+            for line, row in section("boundary"):
+                fid, tag = row
+                mesh.boundary_tags[fid_of[int(fid)]] = tag
+    except KeyError as exc:
+        raise ConfigError(f"mesh file {path} line {line}: unknown id {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"mesh file {path} line {line}: {exc}") from None
     return mesh
 
 
@@ -645,75 +657,60 @@ def _cross_section(mesh, cid, signs, cut_vid_existing):
     return on_plane_edges
 
 
-# (face, new vertex) pairs per batched bounding-box comparison
-_BOX_TEST_PAIRS = 1 << 16
-
-
-def _insert_hanging_vertices(mesh, new_vids, eps):
-    """Insert new vertices into the loops of all faces whose edges they lie on.
-
-    Keeps the mesh vertex-conforming: every vertex on a face boundary is a
-    member of that face's loop (as a collinear, hanging vertex).
-
-    Every face's bounding box, grown by ``eps``, is compared with all new
-    vertices at once, a chunk of faces at a time.  A face with candidates
-    (boxed new vertices not already in its loop) tests all its edges against
-    all of them at once: a candidate lies on an edge of length ``L > eps``
-    when its projection ``t`` along the edge is in ``(eps, L - eps)`` and its
-    distance from the edge is ``<= eps``.  The hits on one edge follow the
-    edge's start vertex in increasing ``t``.
-    """
-    new = np.fromiter(new_vids, dtype=np.intp)
-    if new.size == 0:
+def _record_on_edges(mesh, outline, pieces, eps, on_edge):
+    """Record in ``on_edge`` (sorted vertex pair -> vertex ids) each vertex of
+    the in-plane ``pieces`` (vertex loops) inside an edge of their ``outline``
+    loop or of a sibling piece, which meet in T-junctions at polygon corners.
+    A vertex is inside an edge of length ``L > eps`` when its projection
+    ``t`` along it is in ``(eps, L - eps)`` and it is within ``eps`` of it."""
+    vids = list(dict.fromkeys(v for loop in pieces for v in loop))
+    if not vids:
         return
-    verts = np.asarray(mesh.verts)
-    pts = verts[new]
-    fids = list(mesh.faces)
-    loops = [mesh.faces[fid] for fid in fids]
-    sizes = np.fromiter(map(len, loops), dtype=np.intp, count=len(loops))
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    coords = verts[np.concatenate(loops)]
-    lo = np.minimum.reduceat(coords, starts) - eps
-    hi = np.maximum.reduceat(coords, starts) + eps
-    step = max(1, _BOX_TEST_PAIRS // new.size)
-    for s in range(0, len(fids), step):
-        boxed = ((pts >= lo[s:s + step, None]) &
-                 (pts <= hi[s:s + step, None])).all(axis=2)
-        for i in np.flatnonzero(boxed.any(axis=1)):
-            loop = loops[s + i]
-            cands = [v for v in new[boxed[i]].tolist() if v not in loop]
-            if cands:
-                out = _loop_with_hanging(verts, loop, cands, eps)
-                if len(out) > len(loop):
-                    mesh.faces[fids[s + i]] = out
-
-
-def _loop_with_hanging(verts, loop, cands, eps):
-    """``loop`` with each candidate vertex that lies on one of its edges
-    inserted after that edge's start vertex."""
-    pa = verts[list(loop)]                          # (n, 3) edge starts
-    d = np.roll(pa, -1, axis=0) - pa
+    loops = [outline] + pieces
+    starts = [a for loop in loops for a in loop]
+    ends = [loop[(i + 1) % len(loop)] for loop in loops for i in range(len(loop))]
+    pa = np.array([mesh.verts[a] for a in starts])
+    d = np.array([mesh.verts[b] for b in ends]) - pa
     L = np.linalg.norm(d, axis=1)
-    edge = L > eps
-    dn = d / np.where(edge, L, 1.0)[:, None]
-    p = verts[cands][None]                          # (1, c, 3)
+    dn = d / np.where(L > eps, L, 1.0)[:, None]
+    p = np.array([mesh.verts[v] for v in vids])[None]       # (1, c, 3)
     t = np.einsum("ecj,ej->ec", p - pa[:, None], dn)
     foot = pa[:, None] + t[..., None] * dn[:, None]
     dist = np.linalg.norm(p - foot, axis=2)
-    hit = (edge[:, None] & (t > eps) & (t < (L - eps)[:, None]) & (dist <= eps))
-    out = []
-    for e, a in enumerate(loop):
-        out.append(a)
-        js = np.flatnonzero(hit[e])
-        if js.size:
-            out.extend(v for _, v in sorted(zip(t[e, js].tolist(),
-                                                (cands[j] for j in js))))
-    return tuple(out)
+    hit = ((L > eps)[:, None] & (t > eps) & (t < (L - eps)[:, None]) & (dist <= eps))
+    for e, j in zip(*np.nonzero(hit)):
+        a, b = starts[e], ends[e]
+        on_edge.setdefault((a, b) if a < b else (b, a), set()).add(vids[j])
+
+
+def _insert_on_edges(mesh, on_edge):
+    """Insert each recorded vertex into every face loop that has its edge,
+    after the edge's start vertex and in order along the edge."""
+    verts = mesh.verts
+    edge_ends = {v for key in on_edge for v in key}
+    for fid, loop in mesh.faces.items():
+        if edge_ends.isdisjoint(loop):
+            continue
+        out = []
+        for a, b in zip(loop, loop[1:] + loop[:1]):
+            out.append(a)
+            inside = on_edge.get((a, b) if a < b else (b, a))
+            if inside:
+                d = verts[b] - verts[a]
+                out.extend(sorted(inside, key=lambda v: (verts[v] - verts[a]) @ d))
+        if len(out) > len(loop):
+            mesh.faces[fid] = tuple(out)
 
 
 def cut_with_fracture(mesh: PolyMesh3D, frac: FractureSpec, fracture_index: int,
                       eps=None, physical: bool = True):
     """Cut every cell crossed by the fracture polygon; mark fracture faces.
+
+    Edge rule: each new vertex is recorded against the mesh edge it splits,
+    and one pass over the face loops inserts it into every loop with that
+    edge.  The new vertices are the cut vertices of the faces that are split
+    and the vertices of cross-section pieces and coplanar faces' children
+    that lie inside an edge of their outline or of a sibling.
 
     With ``physical=False`` the cut is applied as pure mesh refinement: no
     face is marked, so no 2D domain appears (useful to roughen a mesh with
@@ -723,10 +720,10 @@ def cut_with_fracture(mesh: PolyMesh3D, frac: FractureSpec, fracture_index: int,
         eps = EPS_GEO_FACTOR * mesh.domain_diameter()
     plane = frac.plane
     qpoly = frac.polygon2d
-    first_new_vid = len(mesh.verts)
     signs = _snap_vertices(mesh, plane, eps)
 
     cut_cache: dict[tuple, int] = {}
+    on_edge: dict[tuple, set] = {}     # mesh edge -> new vertices inside it
 
     def cut_vid(a, b):
         key = (a, b) if a < b else (b, a)
@@ -739,8 +736,14 @@ def cut_with_fracture(mesh: PolyMesh3D, frac: FractureSpec, fracture_index: int,
         cut_cache[key] = vid
         return vid
 
+    def split_vid(a, b):
+        vid = cut_vid(a, b)
+        on_edge.setdefault((a, b) if a < b else (b, a), set()).add(vid)
+        return vid
+
     # candidate cells: strict vertices on both sides and overlap with qpoly;
-    # each keeps the pieces of its cross-section for the split below
+    # each keeps its cross-section loop and the loop's pieces for the split
+    # below (a probed cell that is not cut leaves its cut vertices unused)
     candidates = []
     for cid in sorted(mesh.cells):
         ss = {signs[v] for v in mesh.cell_vertices(cid)}
@@ -755,7 +758,8 @@ def cut_with_fracture(mesh: PolyMesh3D, frac: FractureSpec, fracture_index: int,
             loop2d = loop2d[::-1]
         ins, outs = split_by_convex_polygon(loop2d, qpoly, eps)
         if ins:
-            candidates.append((cid, [(p, True) for p in ins] + [(p, False) for p in outs]))
+            candidates.append((cid, loops[0],
+                               [(p, True) for p in ins] + [(p, False) for p in outs]))
 
     # the signs of the cut vertices created while probing; splitting the
     # faces below reuses those vertices and makes no new ones
@@ -763,7 +767,7 @@ def cut_with_fracture(mesh: PolyMesh3D, frac: FractureSpec, fracture_index: int,
 
     # split the crossing faces of the cells to be cut (shared faces split once)
     split_children: dict[int, tuple] = {}
-    for cid, _ in candidates:
+    for cid, _, _ in candidates:
         for fid, _ in mesh.cells[cid]:
             if fid in split_children:
                 continue
@@ -774,7 +778,7 @@ def cut_with_fracture(mesh: PolyMesh3D, frac: FractureSpec, fracture_index: int,
             frac_mark = mesh.face_fracture.get(fid)
             tag = mesh.boundary_tags.get(fid)
             children = []
-            for sub in _split_loop(loop, signs, cut_vid):
+            for sub in _split_loop(loop, signs, split_vid):
                 nf = mesh.add_face(sub, fracture=frac_mark)
                 if tag is not None:
                     mesh.boundary_tags[nf] = tag
@@ -784,7 +788,7 @@ def cut_with_fracture(mesh: PolyMesh3D, frac: FractureSpec, fracture_index: int,
 
     # now split each candidate cell into its two sides + cross-section faces
     pieces_made = set()
-    for cid, pieces in candidates:
+    for cid, section, pieces in candidates:
         plus_faces, minus_faces = [], []
         for fid, s in mesh.cells[cid]:
             fsigns = {int(signs[v]) for v in mesh.faces[fid]}
@@ -797,12 +801,14 @@ def cut_with_fracture(mesh: PolyMesh3D, frac: FractureSpec, fracture_index: int,
             else:
                 raise ConformityError("face lies entirely in the cutting plane "
                                       "of a crossed cell")
-        piece_faces = []
+        piece_faces, piece_loops = [], []
         for p2d, inside in pieces:
             vids = _piece_vids(mesh, plane, p2d)
             if vids:
                 mark = fracture_index if (inside and physical) else None
                 piece_faces.append(mesh.add_face(vids, fracture=mark))
+                piece_loops.append(vids)
+        _record_on_edges(mesh, section, piece_loops, eps, on_edge)
         pieces_made.update(piece_faces)
         # piece loops are CCW w.r.t. the fracture normal: that normal points
         # out of the minus-side cell
@@ -814,12 +820,13 @@ def cut_with_fracture(mesh: PolyMesh3D, frac: FractureSpec, fracture_index: int,
 
     if physical:
         _split_and_mark_coplanar(mesh, plane, qpoly, fracture_index, eps,
-                                 pieces_made)
-    _insert_hanging_vertices(mesh, range(first_new_vid, len(mesh.verts)), eps)
+                                 pieces_made, on_edge)
     mesh.prune_unused_faces()
+    _insert_on_edges(mesh, on_edge)
 
 
-def _split_and_mark_coplanar(mesh, plane, qpoly, fracture_index, eps, pieces):
+def _split_and_mark_coplanar(mesh, plane, qpoly, fracture_index, eps, pieces,
+                             on_edge):
     """Mark interior on-plane faces inside the polygon; split partial overlaps.
 
     The cut's own ``pieces`` are already classified and marked, and skipped.
@@ -848,7 +855,7 @@ def _split_and_mark_coplanar(mesh, plane, qpoly, fracture_index, eps, pieces):
             mesh.face_fracture[fid] = fracture_index
             continue
         # partial overlap: split the face in-plane along the polygon boundary
-        children = []
+        children, child_loops = [], []
         for p2d, inside in [(p, True) for p in ins] + [(p, False) for p in outs]:
             vids = _piece_vids(mesh, plane, p2d)
             if not vids:
@@ -860,6 +867,8 @@ def _split_and_mark_coplanar(mesh, plane, qpoly, fracture_index, eps, pieces):
             if fid in mesh.boundary_tags:
                 mesh.boundary_tags[nf] = mesh.boundary_tags[fid]
             children.append(nf)
+            child_loops.append(vids)
+        _record_on_edges(mesh, loop, child_loops, eps, on_edge)
         split_children[fid] = tuple(children)
     _replace_faces(mesh, split_children)
 
@@ -1071,17 +1080,11 @@ def extract_lower_meshes(mesh: PolyMesh3D, spec: NetworkSpec, eps=None):
                                       cells=cells, edge_cells=edge_cells,
                                       edge_class={}))
 
-    # --- external-boundary point test --------------------------------------
-    bfaces = mesh.face_geometry([fid for fid, owners in inc.items()
-                                 if len(owners) == 1])
-
-    def on_external_boundary(x):
-        for face in bfaces:
-            if abs(face.plane.signed_distance(x[None, :])[0]) > eps:
-                continue
-            if _point_in_poly2d(face.plane.to_2d(x[None, :])[0], face.coords2d, eps):
-                return True
-        return False
+    # --- the external boundary: vertices and edges of one-owner face loops ---
+    bloops = [mesh.faces[fid] for fid, owners in inc.items() if len(owners) == 1]
+    boundary_vids = {v for loop in bloops for v in loop}
+    boundary_edges = {tuple(sorted(e)) for loop in bloops
+                      for e in zip(loop, loop[1:] + loop[:1])}
 
     # --- trace meshes -----------------------------------------------------
     traces = []
@@ -1140,8 +1143,7 @@ def extract_lower_meshes(mesh: PolyMesh3D, spec: NetworkSpec, eps=None):
         tm = TraceMesh(index=t, fractures=(i, j), p0=p0, p1=p1,
                        tangent=tangent, length=L, cells=cells)
         for vid in (cells[0].vid_a, cells[-1].vid_b):
-            kind = "external" if on_external_boundary(mesh.verts[vid]) else "tip"
-            tm.endpoint_class[vid] = kind
+            tm.endpoint_class[vid] = "external" if vid in boundary_vids else "tip"
         traces.append(tm)
 
     # classify the remaining fracture edges
@@ -1151,15 +1153,10 @@ def extract_lower_meshes(mesh: PolyMesh3D, spec: NetworkSpec, eps=None):
                 continue
             if len(users) == 2:
                 fm.edge_class[key] = ("interior",)
+            elif key in boundary_edges:
+                fm.edge_class[key] = ("external",)
             else:
-                a, b = key
-                mid = 0.5 * (mesh.verts[a] + mesh.verts[b])
-                if (on_external_boundary(mesh.verts[a]) and
-                        on_external_boundary(mesh.verts[b]) and
-                        on_external_boundary(mid)):
-                    fm.edge_class[key] = ("external",)
-                else:
-                    fm.edge_class[key] = ("tip",)
+                fm.edge_class[key] = ("tip",)
 
     # --- intersection points ------------------------------------------------
     points = []
@@ -1195,16 +1192,6 @@ def extract_lower_meshes(mesh: PolyMesh3D, spec: NetworkSpec, eps=None):
         intersections.append(IntersectionPoint(index=idx, coords=x, vid=vid,
                                                sides=sides))
     return fractures, traces, intersections
-
-
-def _point_in_poly2d(p, poly, eps):
-    n = len(poly)
-    for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
-        d = b - a
-        if (p[0] - a[0]) * d[1] - (p[1] - a[1]) * d[0] > eps * max(np.linalg.norm(d), 1):
-            return False
-    return True
 
 
 def _segment_intersection(ta: TraceMesh, tb: TraceMesh, eps):

@@ -268,13 +268,17 @@ def test_lex_frame_ignores_newell_summation_order():
 
 
 def test_lex_frame_ignores_roundoff_entries():
-    # face 208 of the network-9400 4^3 mesh: its Newell normal is (0, 0, 1)
-    # summed along its loop and (2.2e-16, 0, -1) along the reversed loop
-    from mixedvem.mesh import box_mesh, cut_background_mesh
-    from tests.test_mesh import _perfbench_network
-    md = cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (4, 4, 4)),
-                             _perfbench_network(9400))
-    loop = md.mesh3d.face_coords(208)
+    # a square on z = 0.75 with four collinear vertices on its edges (once
+    # face 208 of the network-9400 4^3 mesh): its Newell normal is (0, 0, 1)
+    # summed along the loop and (2.2e-16, 0, -1) along the reversed loop
+    loop = np.array([[0.0, 0.0, 0.75],
+                     [0.06521049539231791, 0.0, 0.75],
+                     [0.1481527629488651, 0.0, 0.75],
+                     [0.25, 0.0, 0.75],
+                     [0.25, 0.23471738162909495, 0.75],
+                     [0.25, 0.25, 0.75],
+                     [0.0, 0.25, 0.75],
+                     [0.0, 0.19521332276710507, 0.75]])
     ahead, back = geo.build_faces([loop, loop[::-1]])
     assert back.normal[0] != 0.0 and ahead.normal @ back.normal < 0
     assert ahead.lex_sign == -back.lex_sign

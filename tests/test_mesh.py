@@ -11,13 +11,13 @@ import pytest
 from mixedvem import geometry as geo
 from mixedvem import mesh as msh
 from mixedvem.assembly import assemble_complete
-from mixedvem.errors import (ConformityError, DegenerateGeometryError,
-                             TopologyError)
+from mixedvem.errors import (ConfigError, ConformityError,
+                             DegenerateGeometryError, TopologyError)
 from mixedvem.mesh import (BoundaryCondition, FractureSpec, NetworkSpec,
                            box_mesh, cut_background_mesh,
                            cut_with_fracture, extract_lower_meshes,
                            read_mesh, validate_conformity, write_mesh)
-from mixedvem.problems import poisson3d_case
+from mixedvem.problems import poisson3d_case, problem1_case, problem2_case
 from tests.test_geometry import SLIVER_TET, TET_FACES
 
 DIR = BoundaryCondition("dirichlet", 0.0)
@@ -150,16 +150,16 @@ def test_oblique_fracture_cut():
     assert report == []
 
 
-def test_partial_coplanar_face_split():
-    # fracture on an existing face plane but covering only part of it
+def _partial_coplanar_mesh():
+    # a fracture on the interior face plane x = 1, covering part of the face
     mesh = box_mesh([0, 0, 0], [2, 1, 1], (2, 1, 1))
     frac = FractureSpec(np.array([
-        [0.5, 0.0, 0.0], [1.5, 0.0, 0.0], [1.5, 1.0, 0.0], [0.5, 1.0, 0.0]]) +
-        np.array([0.0, 0.0, 0.0]))
-    # shift fracture onto the interior plane x=1 instead
-    frac = FractureSpec(np.array([
         [1.0, 0.2, 0.2], [1.0, 0.8, 0.2], [1.0, 0.8, 0.8], [1.0, 0.2, 0.8]]))
-    md = cut_background_mesh(mesh, NetworkSpec(fractures=[frac]))
+    return cut_background_mesh(mesh, NetworkSpec(fractures=[frac]))
+
+
+def test_partial_coplanar_face_split():
+    md = _partial_coplanar_mesh()
     assert md.fractures[0].area() == pytest.approx(0.36, rel=1e-12)
     assert md.mesh3d.total_volume() == pytest.approx(2.0, rel=1e-12)
     assert validate_conformity(md) == []
@@ -453,19 +453,20 @@ def test_cached_face_normals_keep_signs_and_sides(make):
         mesh.face_outward_normal(stranger, cid)
 
 
-# -- the batched hanging-vertex search against the scalar search it replaced --
+# -- hanging vertices: the cut's edge rule against a scalar geometric search --
 
 def _scalar_insert_hanging_vertices(mesh, new_vids, eps):
     """Oracle: one face, one edge and one new vertex at a time."""
     pts = {v: mesh.verts[v] for v in new_vids}
     if not pts:
         return
+    vids, coords_of = list(pts), np.array(list(pts.values()))
     for fid in list(mesh.faces):
         loop = mesh.faces[fid]
         coords = mesh.face_coords(fid)
         lo, hi = coords.min(axis=0) - eps, coords.max(axis=0) + eps
-        cands = [v for v, p in pts.items()
-                 if v not in loop and np.all(p >= lo) and np.all(p <= hi)]
+        boxed = np.all((coords_of >= lo) & (coords_of <= hi), axis=1)
+        cands = [v for v, inside in zip(vids, boxed) if inside and v not in loop]
         if not cands:
             continue
         out = []
@@ -499,37 +500,53 @@ def _assert_same_mesh(a, b):
     assert np.array_equal(np.asarray(a.verts), np.asarray(b.verts))
 
 
-@pytest.mark.parametrize("network", [
-    lambda: _perfbench_network(9400),
-    lambda: _perfbench_network(181),
-    lambda: _acceptance_network(43012),
-    lambda: _acceptance_network(42007),
+def _cut_box(network, n=4):
+    return cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (n, n, n)), network())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _cut_box(lambda: _perfbench_network(9400)),
+    lambda: _cut_box(lambda: _perfbench_network(181)),
+    lambda: _cut_box(lambda: _acceptance_network(43012)),
+    lambda: _cut_box(lambda: _acceptance_network(42007)),
+    lambda: problem1_case(artificial_cuts=3).md,
+    _partial_coplanar_mesh,
 ], ids=["fracture-net-9400", "fracture-net-181", "acceptance-43012",
-        "acceptance-42007"])
-def test_hanging_vertex_search_matches_scalar_oracle(network, monkeypatch):
-    spec = network()
-    batched = cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (4, 4, 4)),
-                                  spec).mesh3d
-    monkeypatch.setattr(msh, "_insert_hanging_vertices",
-                        _scalar_insert_hanging_vertices)
-    scalar = cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (4, 4, 4)),
-                                 spec).mesh3d
-    _assert_same_mesh(batched, scalar)
-    # the networks do leave hanging vertices: some face has more than 4
-    assert max(len(loop) for loop in batched.faces.values()) > 4
+        "acceptance-42007", "problem1-cuts-3", "partial-coplanar"])
+def test_hanging_vertex_search_matches_scalar_oracle(make):
+    # the cut inserts each new vertex by the edge it splits; a geometric
+    # search of every used vertex against every face edge finds no vertex
+    # that a loop lacks
+    mesh = make().mesh3d
+    used = {v for loop in mesh.faces.values() for v in loop}
+    oracle = copy.deepcopy(mesh)
+    _scalar_insert_hanging_vertices(oracle, sorted(used),
+                                    geo.EPS_GEO_FACTOR * mesh.domain_diameter())
+    _assert_same_mesh(mesh, oracle)
+    # the cuts do leave hanging vertices: some face has more than 4
+    assert max(len(loop) for loop in mesh.faces.values()) > 4
 
 
 def test_hanging_vertex_search_hand_built():
     eps = 1e-3
     mesh = box_mesh([0, 0, 0], [1, 1, 1], (1, 1, 1))
+    origin, x_end = mesh.find_vertex([0, 0, 0]), mesh.find_vertex([1, 0, 0])
+    corner = mesh.find_vertex([1, 1, 0])
+    zmin = next(loop for fid, loop in mesh.faces.items()
+                if mesh.boundary_tags.get(fid) == "zmin")
     first = len(mesh.verts)
-    off_edges = mesh.add_vertex([0.5, 0.5, 0.0])     # zmin's box, no edge
-    near_end = mesh.add_vertex([5e-4, 0.0, 0.0])     # t <= eps: not inserted
+    off_edges = mesh.add_vertex([0.5, 0.5, 0.0])     # in zmin, on no edge
+    near_end = mesh.add_vertex([5e-4, 0.0, 0.0])     # t <= eps: not recorded
     far = mesh.add_vertex([0.7, 0.0, 0.0])           # two on one edge, added
     near = mesh.add_vertex([0.3, 0.0, 0.0])          # against t order
     beside = mesh.add_vertex([1.0, 0.5, 5e-4])       # eps/2 off an edge
     oracle = copy.deepcopy(mesh)
-    msh._insert_hanging_vertices(mesh, range(first, len(mesh.verts)), eps)
+    on_edge = {}
+    # one-vertex pieces: their only edges have zero length
+    msh._record_on_edges(mesh, zmin, [[v] for v in range(first, len(mesh.verts))],
+                         eps, on_edge)
+    assert on_edge == {(origin, x_end): {far, near}, (x_end, corner): {beside}}
+    msh._insert_on_edges(mesh, on_edge)
     _scalar_insert_hanging_vertices(oracle, range(first, len(oracle.verts)), eps)
     _assert_same_mesh(mesh, oracle)
 
@@ -537,17 +554,168 @@ def test_hanging_vertex_search_hand_built():
         return [loop for loop in mesh.faces.values() if v in loop]
     assert users(off_edges) == [] and users(near_end) == []
     assert len(users(beside)) == 2
-    origin = mesh.find_vertex([0, 0, 0])
-    x_end = mesh.find_vertex([1, 0, 0])
+    # both faces that share the edge get both vertices, in order along it
     loops = users(near)
     assert len(loops) == 2 and loops == users(far)
     for loop in loops:
-        i = loop.index(near)
-        j = loop.index(far)
-        if loop[i - 1] == origin:        # edge runs from x = 0 to x = 1
-            assert j == (i + 1) % len(loop)
-        else:
-            assert loop[j - 1] == x_end and i == (j + 1) % len(loop)
+        n, i = len(loop), loop.index(origin)
+        ahead = [loop[(i + k) % n] for k in (1, 2, 3)]
+        behind = [loop[(i - k) % n] for k in (1, 2, 3)]
+        assert [near, far, x_end] in (ahead, behind)
+
+
+def test_cut_pieces_meet_at_polygon_corners():
+    # Sutherland-Hodgman pieces meet in T-junctions: a polygon corner inside
+    # a cell is a vertex of the fracture face and of the outside piece
+    # clipped last, and lies inside an edge of the piece clipped before it
+    # (network rng 1005, every corner of its three fractures)
+    spec = _acceptance_network(1005)
+    md = _cut_box(lambda: spec)
+    mesh = md.mesh3d
+    for l, frac in enumerate(spec.fractures):
+        for corner in frac.vertices:
+            vid = mesh.find_vertex(corner)
+            users = [fid for fid, loop in mesh.faces.items() if vid in loop]
+            assert sorted(mesh.face_fracture.get(f, -1) for f in users) == [-1, -1, l]
+            straight = []
+            for fid in users:
+                loop = mesh.faces[fid]
+                i = loop.index(vid)
+                a, b = (mesh.verts[loop[(i + k) % len(loop)]] - corner for k in (-1, 1))
+                straight.append(np.linalg.norm(np.cross(a, b)) < 1e-12)
+            assert sum(straight) == 1
+    assert validate_conformity(md) == []
+
+
+# -- external boundary: the cut's face loops against a geometric point test --
+
+def _on_boundary_face(mesh, eps):
+    """Oracle: whether a point lies within ``eps`` of a boundary face's plane
+    and inside its polygon."""
+    bfaces = mesh.face_geometry([fid for fid, owners in mesh.face_cells().items()
+                                 if len(owners) == 1])
+
+    def inside(x):
+        for face in bfaces:
+            if abs(face.plane.signed_distance(x[None, :])[0]) > eps:
+                continue
+            p, poly = face.plane.to_2d(x[None, :])[0], face.coords2d
+            d = np.roll(poly, -1, axis=0) - poly
+            cross = (p[0] - poly[:, 0]) * d[:, 1] - (p[1] - poly[:, 1]) * d[:, 0]
+            if np.all(cross <= eps * np.maximum(np.linalg.norm(d, axis=1), 1)):
+                return True
+        return False
+    return inside
+
+
+def _spanning_fractures():
+    # two oblique planes across the unit box, each polygon the plane's
+    # section of the box: every polygon edge and both trace ends lie on the
+    # boundary
+    return NetworkSpec(fractures=[
+        FractureSpec(np.array([[0.5, 0, 0], [0.5, 1, 0], [0.2, 1, 1], [0.2, 0, 1]])),
+        FractureSpec(np.array([[0, 0.55, 0], [1, 0.35, 0], [1, 0.35, 1],
+                               [0, 0.55, 1]]))])
+
+
+def _barrier_network():
+    from mixedvem.config import load_config
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" /
+                      "barrier_network.yaml")
+    return cut_background_mesh(cfg.build_mesh(), cfg.spec)
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda k=k: problem1_case(artificial_cuts=k).md for k in range(4)),
+    lambda: problem2_case().md,
+    _barrier_network,
+    lambda: _cut_box(_spanning_fractures, n=3),
+], ids=["problem1-cuts-0", "problem1-cuts-1", "problem1-cuts-2",
+        "problem1-cuts-3", "problem2", "barrier-network", "spanning"])
+def test_boundary_classes_match_geometric_oracle(make):
+    # a fracture edge or trace end is external when it is in a boundary
+    # face loop; the oracle tests its points against the boundary faces'
+    # planes and polygons
+    md = make()
+    mesh = md.mesh3d
+    on_boundary = _on_boundary_face(mesh, geo.EPS_GEO_FACTOR * mesh.domain_diameter())
+    kinds = []
+    for fm in md.fractures:
+        for key, (kind, *_) in fm.edge_class.items():
+            if kind in ("external", "tip"):
+                a, b = (mesh.verts[v] for v in key)
+                want = all(on_boundary(x) for x in (a, b, 0.5 * (a + b)))
+                assert (kind == "external") == want, (fm.index, key)
+                kinds.append(kind)
+    for tm in md.traces:
+        for vid, kind in tm.endpoint_class.items():
+            if kind != "intersection":
+                assert (kind == "external") == on_boundary(mesh.verts[vid])
+                kinds.append(kind)
+    assert "external" in kinds
+
+
+MESH_FILE = """# unit cube; the origin is listed twice (ids 0 and 1)
+vertices 9
+0 0 0 0
+1 0 0 0
+2 1 0 0
+3 1 1 0
+4 0 1 0
+5 0 0 1
+6 1 0 1
+7 1 1 1
+8 0 1 1
+faces 6
+0 4 1 4 3 2
+1 4 5 6 7 8
+2 4 0 5 8 4
+3 4 2 3 7 6
+4 4 0 2 6 5
+5 4 4 8 7 3
+cells 1
+0 6 1 2 3 4 5 6
+boundary 2
+0 zmin
+1 zmax
+"""
+
+
+def test_mesh_file_merges_coincident_vertices(tmp_path):
+    path = tmp_path / "cube.mesh"
+    path.write_text(MESH_FILE)
+    mesh = read_mesh(path)
+    assert len(mesh.verts) == 8
+    assert mesh.total_volume() == pytest.approx(1.0, rel=1e-14)
+    assert sorted(mesh.boundary_tags.values()) == ["zmax", "zmin"]
+
+
+def _replace(old, new):
+    return lambda text: text.replace(old, new)
+
+
+def _first_lines(n):
+    return lambda text: "\n".join(text.splitlines()[:n]) + "\n"
+
+
+@pytest.mark.parametrize("edit, line, match", [
+    (_replace("5 4 4 8 7 3", "5 4 4 8 7 9"), 18, "unknown id 9"),
+    (_replace("0 6 1 2 3 4 5 6", "0 6 1 2 3 4 5 -7"), 20, "unknown id 6"),
+    (_replace("1 zmax", "6 zmax"), 23, "unknown id 6"),
+    (_replace("5 4 4 8 7 3", "5 4 4 8 7"), 18, "3 vertex ids where the row counts 4"),
+    (_replace("8 0 1 1\n", ""), 11, "not enough values to unpack"),
+    (_first_lines(17), 17, "'faces' section ends after 5 of 6 rows"),
+    (_first_lines(19), 19, "'cells' section ends after 0 of 1 rows"),
+    (_replace("vertices 9", "vertex 9"), 2, "expected a 'vertices' section header"),
+], ids=["vertex-id", "face-id", "boundary-face-id", "short-row",
+        "vertex-section-short", "faces-truncated", "cells-truncated", "header"])
+def test_malformed_mesh_file_names_the_line(tmp_path, edit, line, match):
+    text = edit(MESH_FILE)
+    assert text != MESH_FILE
+    path = tmp_path / "bad.mesh"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"line {line}: .*{match}"):
+        read_mesh(path)
 
 
 def test_trace_shared_by_three_fractures_rejected():
@@ -570,10 +738,12 @@ def test_trace_shared_by_three_fractures_rejected():
 
 
 @pytest.mark.parametrize("network, sizes", [
-    (lambda: _perfbench_network(9400), (139, 604, 435, 105)),
-    (lambda: _perfbench_network(181), (130, 574, 427, 95)),
-    (lambda: _acceptance_network(43012), (148, 632, 426, 111)),
-    (lambda: _acceptance_network(42007), (136, 596, 441, 94)),
+    (lambda: _perfbench_network(9400), (139, 604, 435, 105, 266)),
+    (lambda: _perfbench_network(181), (130, 574, 427, 95, 245)),
+    (lambda: _acceptance_network(43012), (148, 632, 426, 111, 276)),
+    # 248 fracture edges when the cut vertices of probed cells that the
+    # polygon misses went into faces that no cut uses
+    (lambda: _acceptance_network(42007), (136, 596, 441, 94, 244)),
 ], ids=["fracture-net-9400", "fracture-net-181", "acceptance-43012",
         "acceptance-42007"])
 def test_cut_splits_each_crossed_cell_once(network, sizes, monkeypatch):
@@ -598,10 +768,12 @@ def test_cut_splits_each_crossed_cell_once(network, sizes, monkeypatch):
 
     monkeypatch.setattr(msh, "_cross_section", probing)
     monkeypatch.setattr(msh, "split_by_convex_polygon", splitting)
-    mesh = cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (4, 4, 4)),
-                               network()).mesh3d
+    md = _cut_box(network)
+    mesh = md.mesh3d
     assert calls["split"] == calls["probe"] > 0
     assert calls["coplanar"] == 0
-    # (cells, faces, vertices, fracture faces) of the cut mesh
+    # (cells, faces, vertices, fracture faces, fracture edges) of the cut mesh
     n_fracture = sum(1 for mark in mesh.face_fracture.values() if mark is not None)
-    assert (len(mesh.cells), len(mesh.faces), len(mesh.verts), n_fracture) == sizes
+    n_edges = sum(len(fm.edge_cells) for fm in md.fractures)
+    assert (len(mesh.cells), len(mesh.faces), len(mesh.verts), n_fracture,
+            n_edges) == sizes

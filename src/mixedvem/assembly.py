@@ -49,7 +49,7 @@ import scipy.sparse.linalg as spla
 
 from .elements import ElementSpace, local_matrices, local_matrices_1d, stiffness
 from .errors import ConfigError
-from .mesh import MixedDimensionalMesh, field_values
+from .mesh import MixedDimensionalMesh, field_values_stacked
 from .polyspace import MonomialBasis, dim_poly
 
 # an intersection's one pressure: the constant, in physical coordinates
@@ -545,6 +545,18 @@ def assemble_coupling_cross_dim(dm: GlobalDofMap, cells: dict):
         cb.matrix[q, sl] -= C.T
 
 
+def source_rules(blk, cells, qo):
+    """Yields (cell, points, weights, source values) of the degree-``qo``
+    rule on each of ``cells``; the source is evaluated on stacked runs of
+    cells (``field_values_stacked``)."""
+    def rules():
+        for ci in cells:
+            pts, w = blk.geoms[ci].quadrature(qo)
+            yield blk.point_map(ci, pts), (ci, pts, w)
+    for (ci, pts, w), f in field_values_stacked(blk.source, rules()):
+        yield ci, pts, w, f
+
+
 def assemble_rhs(dm: GlobalDofMap, md) -> np.ndarray:
     """Source moments on the pressure rows (physical convention)."""
     rhs = np.zeros(dm.total)
@@ -554,15 +566,11 @@ def assemble_rhs(dm: GlobalDofMap, md) -> np.ndarray:
             src = blk.source
             rhs[blk.offset] = src if not callable(src) else src(md.intersections[idx].coords)
             continue
-        src = blk.source
-        if not callable(src) and float(src) == 0.0:
+        if not callable(blk.source) and float(blk.source) == 0.0:
             continue
-        for ci, (geom, loc) in enumerate(zip(blk.geoms, blk.locals_)):
-            if loc is None:
-                continue
-            pts, w = geom.quadrature(qo)
-            f = field_values(src, blk.point_map(ci, pts))
-            rhs[blk.cell_p_dofs[ci]] += loc.basis_p.evaluate(pts).T @ (w * f)
+        cells = [ci for ci, loc in enumerate(blk.locals_) if loc is not None]
+        for ci, pts, w, f in source_rules(blk, cells, qo):
+            rhs[blk.cell_p_dofs[ci]] += blk.locals_[ci].basis_p.evaluate(pts).T @ (w * f)
     return rhs
 
 
@@ -597,6 +605,7 @@ def apply_boundary_conditions(system: GlobalSystem) -> GlobalSystem:
     no_flow = []
     for (d, idx), blk in dm.blocks.items():
         no_flow.extend(blk.constrained)
+        dirichlet = {}   # id(bc) -> (bc, [(cell, local face), ...])
         for ci, lf, where, tag in blk.boundary:
             if d == 3:
                 bc = md.spec.bc3.get(tag)
@@ -610,7 +619,9 @@ def apply_boundary_conditions(system: GlobalSystem) -> GlobalSystem:
                 sl = blk.locals_[ci].layout.face_slice(lf)
                 no_flow.extend(blk.cell_u_dofs[ci][sl])
             else:
-                add_dirichlet_load(system.rhs, blk, ci, lf, bc, qo)
+                dirichlet.setdefault(id(bc), (bc, []))[1].append((ci, lf))
+        for bc, faces in dirichlet.values():
+            add_dirichlet_loads(system.rhs, blk, faces, bc, qo)
 
     fixed = dict.fromkeys(no_flow, 0.0)
     for ip in md.intersections if dm.trace_flow else []:
@@ -623,10 +634,14 @@ def apply_boundary_conditions(system: GlobalSystem) -> GlobalSystem:
     return system
 
 
-def add_dirichlet_load(rhs, blk, ci, lf, bc, quad_order):
-    """Add the pressure datum's moments on external face ``lf`` of cell ``ci``
-    to the flux rows of ``rhs``."""
-    sl = blk.locals_[ci].layout.face_slice(lf)
-    pts, w, dual = face_rule(blk, ci, lf, quad_order)
-    g = bc.datum(blk.point_map(ci, pts))
-    rhs[blk.cell_u_dofs[ci][sl]] -= blk.cell_u_signs[ci][sl] * (dual.T @ (w * g))
+def add_dirichlet_loads(rhs, blk, faces, bc, quad_order):
+    """Add the pressure datum's moments on the external faces ``faces``
+    ((cell, local face) pairs) to the flux rows of ``rhs``; the datum is
+    evaluated on stacked runs of faces (``field_values_stacked``)."""
+    def rules():
+        for ci, lf in faces:
+            pts, w, dual = face_rule(blk, ci, lf, quad_order)
+            yield blk.point_map(ci, pts), (ci, lf, w, dual)
+    for (ci, lf, w, dual), g in field_values_stacked(bc.value, rules()):
+        sl = blk.locals_[ci].layout.face_slice(lf)
+        rhs[blk.cell_u_dofs[ci][sl]] -= blk.cell_u_signs[ci][sl] * (dual.T @ (w * g))

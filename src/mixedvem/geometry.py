@@ -20,10 +20,19 @@ and ``PolygonGeometry`` use the same triangulation on one loop.
 A ``PolyhedronGeometry`` holds (record, sign) pairs and keeps its centroid
 *cone* (the positively oriented tetrahedra joining the face triangles to the
 centroid, with their volumes) and its *face simplices* (all face triangles,
-in face and in space coordinates); ``PolygonGeometry`` keeps its
-triangulation and its edges as segments.  A ``SegmentGeometry``'s faces are
-its two ends: unit measure, a one-point rule of weight 1 and face coordinates
-with no entries.  So segments, polygons and polyhedra offer one face
+in face and in space coordinates).  ``build_cells`` makes the cells of a
+batch of (record, sign) lists together, by array passes over their
+concatenated oriented loops and face triangles: volume and centroid,
+diameter, and every cone with its star and sliver tests;
+``mesh.PolyMesh3D.cell_geometry`` builds all missing cells of a mesh in one
+call, and ``PolyhedronGeometry(loops)`` is a batch of one cell.  A cell with
+a degenerate face or no positive volume gets a DegenerateGeometryError in
+place of its record; a sliver or non-star-shaped cell gets a record whose
+``cone`` raises.
+
+``PolygonGeometry`` keeps its triangulation and its edges as segments.  A
+``SegmentGeometry``'s faces are its two ends: unit measure, a one-point rule
+of weight 1 and face coordinates with no entries.  So segments, polygons and polyhedra offer one face
 interface (``n_faces``, ``faces`` with ``measure``, ``quadrature`` and
 ``to_face_coords``) to the element and assembly code.  No point array is
 kept per order: every ``quadrature(order)`` or ``face_quadrature(order)``
@@ -380,15 +389,31 @@ class Plane:
         return self.origin + coords2d[..., :1] * self.t1 + coords2d[..., 1:] * self.t2
 
 
-def fit_plane(coords):
+def fit_plane(coords, lex=False):
     """Best plane through a vertex loop (Newell normal); checks planarity.
 
-    The normal follows the loop orientation (right-hand rule).
+    The normal follows the loop orientation (right-hand rule), or with
+    ``lex`` is the lexicographically positive one, chosen as ``build_faces``
+    chooses a face record's frame.
     """
-    normal, mean, errors, _ = _Loops([np.asarray(coords, dtype=float)]).plane_normals()
+    normal, mean, errors, noise = _Loops([np.asarray(coords, dtype=float)]).plane_normals()
     if errors[0]:
         raise DegenerateGeometryError(errors[0])
-    return Plane.from_normal_point(normal[0], mean[0])
+    sign = lex_sign(normal[0], noise[0]) if lex else 1
+    return Plane.from_normal_point(sign * normal[0], mean[0])
+
+
+def _diameters(coords, sizes):
+    """Largest distance between two rows of each run of ``sizes`` consecutive
+    rows of ``coords``, over all pairs of the run."""
+    starts = np.cumsum(sizes) - sizes
+    run = np.repeat(np.arange(len(sizes)), sizes)
+    per = sizes[run]     # the pairs (a, b) of each row a
+    pair0 = np.cumsum(per) - per
+    a = np.repeat(np.arange(len(per)), per)
+    b = np.arange(len(a)) - np.repeat(pair0 - starts[run], per)
+    d2 = np.sum((coords[a] - coords[b]) ** 2, axis=1)
+    return np.sqrt(np.maximum.reduceat(d2, pair0[starts]))
 
 
 class _Loops:
@@ -410,15 +435,6 @@ class _Loops:
         """Largest coordinate extent of each loop."""
         return (np.maximum.reduceat(coords, self.starts) -
                 np.minimum.reduceat(coords, self.starts)).max(axis=1)
-
-    def diameters(self):
-        """Largest distance between two vertices of each loop, over all pairs."""
-        per = self.sizes[self.loop_of]     # the pairs (a, b) of each vertex a
-        pair0 = np.cumsum(per) - per
-        a = np.repeat(np.arange(len(per)), per)
-        b = np.arange(len(a)) - np.repeat(pair0 - self.starts[self.loop_of], per)
-        d2 = np.sum((self.coords[a] - self.coords[b]) ** 2, axis=1)
-        return np.sqrt(np.maximum.reduceat(d2, pair0[self.starts]))
 
     def area_centroids(self, xy):
         """Signed shoelace areas and centroids of 2D loops laid out as these;
@@ -465,14 +481,6 @@ class _Loops:
 # ---------------------------------------------------------------------------
 # Element geometry views used by the local VEM machinery
 # ---------------------------------------------------------------------------
-
-
-def _diameter(coords):
-    """Largest distance between two points of one cloud (``_Loops.diameters``
-    does it for a batch of loops)."""
-    coords = np.asarray(coords, dtype=float)
-    d2 = np.sum((coords[:, None, :] - coords[None, :, :]) ** 2, axis=2)
-    return float(np.sqrt(d2.max()))
 
 
 @dataclass
@@ -551,7 +559,7 @@ class PolygonGeometry:
     def __init__(self, coords2d):
         self.coords = np.asarray(coords2d, dtype=float)
         area, centroid = polygon_area_centroid_2d(self.coords)
-        scale = _diameter(self.coords)
+        scale = float(_diameters(self.coords, np.array([len(self.coords)]))[0])
         if area <= geo_eps(scale) * scale:
             raise DegenerateGeometryError("polygon area not positive")
         self.measure = float(area)
@@ -728,7 +736,8 @@ def build_faces(loops):
     tri_of = np.repeat(np.arange(len(area)), np.diff(first))[:, None]
     space = centroid[tri_of] + tris[..., :1] * t1[tri_of] + tris[..., 1:] * t2[tri_of]
     offset, measure = _dot_rows(n, centroid).tolist(), np.abs(area).tolist()
-    diameter, starts, first = lp.diameters().tolist(), lp.starts.tolist(), first.tolist()
+    diameter = _diameters(lp.coords, lp.sizes).tolist()
+    starts, first = lp.starts.tolist(), first.tolist()
     records = []
     for k, (loop, error) in enumerate(zip(loops, errors)):
         if error:
@@ -744,116 +753,159 @@ def build_faces(loops):
     return records
 
 
+def build_cells(cells):
+    """One PolyhedronGeometry per cell, each given as its list of
+    (FaceGeometry, sign) pairs, all made by array passes over the
+    concatenated oriented loops (``_cell_batch``).
+
+    A cell with a degenerate face gets that face's DegenerateGeometryError
+    in place of its record, and so does a cell with no positive volume; a
+    sliver cell, or one not star-shaped about its centroid, gets a record
+    whose ``cone`` and ``quadrature`` raise.  So one bad cell spoils no other.
+    """
+    return [values if isinstance(values, DegenerateGeometryError)
+            else PolyhedronGeometry(None, faces, values)
+            for faces, values in zip(cells, _cell_batch(cells))]
+
+
+def _cell_batch(cells):
+    """Per cell of (FaceGeometry, sign) pairs, its DegenerateGeometryError or
+    its (face signs, outward normals, measure, centroid, diameter, face
+    simplices, cone), the cone being (tetrahedra, volumes) or why the cell
+    has no positive rule.
+
+    Volume and centroid come from the signed tetrahedra (cell vertex mean,
+    face vertex mean, loop edge), exact for any closed polyhedron; the
+    diameter from all pairs of each cell's distinct vertices.  The centroid
+    cone joins every face triangle to the centroid: a tetrahedron of negative
+    volume beyond the tolerance ``geo_eps(d) * d**2`` means the cell is not
+    star-shaped about its centroid, and one whose tetrahedra above the
+    tolerance fall short of its volume by more than CONE_VOLUME_RTOL of it is
+    a sliver.  Only degenerate tetrahedra (CONE_DROP_ULPS) are left out.
+    """
+    out = [next((face for face, _ in faces if isinstance(face, DegenerateGeometryError)),
+                None) for faces in cells]
+    good = [k for k, error in enumerate(out) if error is None]
+    if not good:
+        return out
+    pairs = [pair for k in good for pair in cells[k]]
+    faces = [face for face, _ in pairs]
+    sign = np.array([s for _, s in pairs], dtype=float)
+    n_faces = np.array([len(cells[k]) for k in good])
+    f0 = np.cumsum(n_faces) - n_faces                 # each cell's first face
+    cell_face = np.repeat(np.arange(len(good)), n_faces)
+    lp = _Loops([face.coords[::int(s)] for face, s in pairs])
+    c, d = lp.coords, lp.coords[lp.next]
+    cell_of, first = cell_face[lp.loop_of], lp.starts[f0]
+    apex = np.add.reduceat(c, first) / np.add.reduceat(lp.sizes, f0)[:, None]
+    a = apex[cell_of]
+    bases = (lp.sums(c) / lp.sizes[:, None])[lp.loop_of]
+    v = _dot_rows(_cross(bases - a, c - a), d - a) / 6.0
+    vol = np.add.reduceat(v, first)
+    mom = np.add.reduceat(v[:, None] * ((a + bases + c + d) / 4.0), first)
+    flat = np.abs(vol) < 1e-300
+    centroid = np.where(flat[:, None], apex, mom / np.where(flat, 1.0, vol)[:, None])
+    vol = np.where(flat, 0.0, np.abs(vol))
+    # diameter over each cell's distinct vertices, sorted by cell then x, y, z
+    at = np.lexsort((c[:, 2], c[:, 1], c[:, 0], cell_of))
+    new = np.ones(len(at), dtype=bool)
+    new[1:] = (np.diff(cell_of[at]) != 0) | np.any(np.diff(c[at], axis=0) != 0, axis=1)
+    diam = _diameters(c[at[new]], np.bincount(cell_of[at[new]], minlength=len(good)))
+    tol = EPS_GEO_FACTOR * np.maximum(diam, 1.0) * diam ** 2
+
+    # the centroid cone over every face triangle; face 2D loops are CCW in
+    # the lex frame, so the sign flips where that frame opposes the outward one
+    face_of = np.repeat(np.arange(len(faces)), [len(face.triangles) for face in faces])
+    cell_tri = cell_face[face_of]
+    tri_count = np.bincount(cell_tri, minlength=len(good))
+    t0 = np.append(np.cumsum(tri_count) - tri_count, len(face_of))
+    tris = np.concatenate([face.triangles for face in faces])
+    centre = centroid[cell_tri]
+    orient = sign * np.array([face.lex_sign for face in faces])
+    edge1, edge2 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+    tv = -orient[face_of] * _dot_rows(_cross(edge1, edge2), centre - tris[:, 0]) / 6.0
+    inverted = np.logical_or.reduceat(tv < -tol[cell_tri], t0[:-1])
+    resolved = np.add.reduceat(np.where(tv > tol[cell_tri], tv, 0.0), t0[:-1])
+    keep = tv > CONE_DROP_ULPS * np.finfo(float).eps * diam[cell_tri] ** 3
+    tets = np.concatenate([tris[keep], centre[keep][:, None]], axis=1)
+    vols = tv[keep]
+    k0 = np.concatenate([[0], np.cumsum(np.bincount(cell_tri[keep], minlength=len(good)))])
+    local = np.concatenate([face.triangulation[0] for face in faces])
+    areas = np.concatenate([face.triangulation[1] for face in faces])
+    normals = sign[:, None] * np.array([face.normal for face in faces])
+    f0 = np.append(f0, len(faces))
+    for j, k in enumerate(good):
+        if vol[j] <= tol[j]:
+            out[k] = DegenerateGeometryError("polyhedron volume not positive")
+            continue
+        if inverted[j]:
+            cone = ("cell not star-shaped w.r.t. centroid; cannot build a "
+                    "positive quadrature rule")
+        elif abs(resolved[j] - vol[j]) > CONE_VOLUME_RTOL * vol[j]:
+            cone = (f"centroid cone resolves volume {resolved[j]:.3e} of "
+                    f"{vol[j]:.3e}: sliver cell, no positive quadrature rule")
+        else:
+            cone = tets[k0[j]:k0[j + 1]], vols[k0[j]:k0[j + 1]]
+        fs, ts = slice(f0[j], f0[j + 1]), slice(t0[j], t0[j + 1])
+        out[k] = (sign[fs], normals[fs], float(vol[j]), centroid[j], float(diam[j]),
+                  (local[ts], tris[ts], areas[ts], face_of[ts] - f0[j]), cone)
+    return out
+
+
 class PolyhedronGeometry:
     """3D element defined by oriented planar faces.
 
     ``face_loops`` is a list of (n_i, 3) vertex arrays, each ordered so the
     right-hand rule gives the OUTWARD normal.  The boundary must be closed.
     ``faces`` are the matching (FaceGeometry, sign) pairs, the sign turning
-    the record's normal outward; by default each loop gets a record of its
-    own with sign +1.  ``normals`` holds the outward unit normals.
+    the record's normal outward (loop i is ``faces[i][0].coords[::sign]``);
+    by default each loop gets a record of its own with sign +1.  ``values``
+    are the cell's numbers from a ``build_cells`` batch; without them the
+    cell is a batch of its own, through the same code, and a degenerate cell
+    raises DegenerateGeometryError.  ``normals`` holds the outward unit
+    normals.
     """
 
-    def __init__(self, face_loops, faces=None):
-        self._loops = _Loops([np.asarray(f, dtype=float) for f in face_loops])
-        self.face_loops = np.split(self._loops.coords, self._loops.starts[1:])
-        vol, centroid = self._volume_centroid()
-        scale = _diameter(self._loops.coords)
-        if vol <= geo_eps(scale) * scale ** 2:
-            raise DegenerateGeometryError("polyhedron volume not positive")
-        self.measure = float(vol)
-        self.centroid = centroid
-        self.diameter = scale
+    def __init__(self, face_loops, faces=None, values=None):
         if faces is None:
-            faces = [(face, 1) for face in build_faces(self.face_loops)]
-            for face, _ in faces:
-                if isinstance(face, DegenerateGeometryError):
-                    raise face
+            faces = [(face, 1) for face in build_faces([np.asarray(f, dtype=float)
+                                                        for f in face_loops])]
+        if values is None:
+            values = _cell_batch([faces])[0]
+            if isinstance(values, DegenerateGeometryError):
+                raise values
         self.faces = [face for face, _ in faces]
-        self.face_signs = np.array([s for _, s in faces], dtype=float)
-        self.normals = self.face_signs[:, None] * np.array(
-            [face.normal for face in self.faces])
-        self._cone = None
-        self._face_simplices = None
+        self.face_loops = [face.coords[::int(s)] for face, s in faces]
+        (self.face_signs, self.normals, self.measure, self.centroid, self.diameter,
+         self._face_simplices, self._cone) = values
 
     dim = 3
 
     @property
     def n_faces(self):
-        return len(self.face_loops)
+        return len(self.faces)
 
     def face_simplices(self):
         """Triangles of every face: in its face frame (t, 3, 2) and in space
-        (t, 3, 3), with areas (t,) and face indices (t,); built once."""
-        if self._face_simplices is None:
-            faces = self.faces
-            self._face_simplices = (
-                np.concatenate([face.triangulation[0] for face in faces]),
-                np.concatenate([face.triangles for face in faces]),
-                np.concatenate([face.triangulation[1] for face in faces]),
-                np.repeat(np.arange(len(faces)),
-                          [len(face.triangles) for face in faces]))
+        (t, 3, 3), with areas (t,) and face indices (t,)."""
         return self._face_simplices
 
     def face_quadrature(self, order):
         """Rules on all faces at once; see ``_face_quadrature``."""
         return _face_quadrature(self.face_simplices(), _triangle_ref_rule(order))
 
-    def _volume_centroid(self):
-        """Volume and centroid from signed tetrahedra (apex, face fan
-        triangles); exact for any closed polyhedron."""
-        loops = self._loops
-        c = loops.coords
-        apex = c.mean(axis=0)
-        bases = (loops.sums(c) / loops.sizes[:, None])[loops.loop_of]
-        d = c[loops.next]
-        v = _dot_rows(_cross(bases - apex, c - apex), d - apex) / 6.0
-        vol = v.sum()
-        if abs(vol) < 1e-300:
-            return 0.0, apex
-        mom = v @ ((apex + bases + c + d) / 4.0)
-        return abs(vol), mom / vol
-
     def cone(self):
         """Centroid cone over the face triangles: tetrahedra (m, 4, 3) and
-        their volumes (m,), built on first use and kept.
+        their volumes (m,), from the cell's batch (see ``_cell_batch``).
 
         Requires the element to be star-shaped with respect to its centroid
-        (always true for the convex cells produced by plane cutting).  Only
-        degenerate cone tetrahedra (CONE_DROP_ULPS) are dropped.  If the
-        tetrahedra above the volume tolerance fall short of ``measure`` by
-        more than CONE_VOLUME_RTOL of it (a sliver cell), the cell has no
-        usable rule and DegenerateGeometryError is raised.
+        (always true for the convex cells produced by plane cutting); a cell
+        that is not, or a sliver cell, has no usable rule and
+        DegenerateGeometryError is raised.
         """
-        if self._cone is None:
-            self._cone = self._build_cone()
+        if isinstance(self._cone, str):
+            raise DegenerateGeometryError(self._cone)
         return self._cone
-
-    def _build_cone(self):
-        apex = self.centroid
-        d = self.diameter
-        tol = geo_eps(d) * d ** 2
-        _, tris, _, face_of = self.face_simplices()
-        # face 2D loops are CCW in the canonical frame; flip the cone sign
-        # when the canonical normal opposes the outward one
-        orient = self.face_signs * np.array([face.lex_sign for face in self.faces])
-        raw = _dot_rows(_cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]),
-                        apex - tris[:, 0]) / 6.0
-        v = -raw * orient[face_of]
-        if np.any(v < -tol):
-            raise DegenerateGeometryError(
-                "cell not star-shaped w.r.t. centroid; cannot build a "
-                "positive quadrature rule")
-        resolved = v[v > tol].sum()
-        if abs(resolved - self.measure) > CONE_VOLUME_RTOL * self.measure:
-            raise DegenerateGeometryError(
-                f"centroid cone resolves volume {resolved:.3e} of "
-                f"{self.measure:.3e}: sliver cell, no positive quadrature rule")
-        keep = v > CONE_DROP_ULPS * np.finfo(float).eps * d ** 3
-        vols = v[keep]
-        tets = np.concatenate(
-            [tris[keep], np.broadcast_to(apex, (len(vols), 1, 3))], axis=1)
-        return tets, vols
 
     def quadrature(self, order):
         """Positive-weight rule from the centroid cone (see ``cone``)."""

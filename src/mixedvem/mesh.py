@@ -13,19 +13,23 @@ the 1D trace meshes are the shared edge partitions along fracture-fracture
 intersection segments, and 0D points are collected where traces meet.
 External fracture edges and trace ends are those in a boundary face's loop.
 
-Data callbacks (boundary data, sources, exact fields) are evaluated on all
-quadrature points of a cell at once through ``field_values``.  A callable
-receives the coordinate rows ``x = points.T``, so ``x[0]``, ``x[1]`` and
-``x[2]`` are arrays, and returns an (n,) array for a scalar field or a
-(3, n) array (components as rows) for a vector field; a scalar or (3,)
-result is broadcast.  Written with ``x[i]`` and NumPy ufuncs, the same
-function also serves a single (3,) point.  The batched values are checked
-against per-point calls on a few probe points; a callable that raises on
-rows or disagrees there is evaluated point by point instead.
+Data callbacks (boundary data, sources, exact fields) are evaluated on many
+points at once through ``field_values``: sources and Dirichlet data on the
+stacked quadrature points of runs of a block's cells or faces
+(``field_values_stacked``), exact fields on those of one cell.  A callable receives the coordinate rows
+``x = points.T``, so ``x[0]``, ``x[1]`` and ``x[2]`` are arrays, and returns
+an (n,) array for a scalar field or a (3, n) array (components as rows) for
+a vector field; a scalar or (3,) result is broadcast.  Written with
+``x[i]`` and NumPy ufuncs, the same function also serves a single (3,)
+point.  The batched values are checked against per-point calls on a few
+probe points; a callable that raises on rows or disagrees there is evaluated
+point by point instead.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -33,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, ConformityError, DegenerateGeometryError, TopologyError
 from .geometry import (EPS_GEO_FACTOR, Plane, PolygonGeometry, PolyhedronGeometry,
-                       SegmentGeometry, build_faces, fit_plane, lex_sign,
+                       SegmentGeometry, build_cells, build_faces, fit_plane,
                        polygon_area_centroid_2d)
 
 
@@ -96,6 +100,33 @@ def field_values(f, points):
     return np.array([f(x) for x in points], dtype=float)
 
 
+# Points per stacked evaluation of a data field: a run of small cells shares
+# one call, while the stack stays small beside the solver's working memory.
+STACK_POINTS = 1 << 13
+
+
+def field_values_stacked(f, rules):
+    """``field_values`` of ``f`` for an iterable of ((n_i, 3) points, item)
+    pairs: yields (item, (n_i,) or (n_i, 3) values) in order.  Consecutive
+    point arrays are stacked until they hold STACK_POINTS points, and each
+    stack is one evaluation, so only one run of ``rules`` is held at once."""
+    run, size = [], 0
+    for points, item in rules:
+        run.append((points, item))
+        size += len(points)
+        if size >= STACK_POINTS:
+            yield from _evaluate_run(f, run)
+            run, size = [], 0
+    yield from _evaluate_run(f, run)
+
+
+def _evaluate_run(f, run):
+    if run:
+        values = field_values(f, np.concatenate([points for points, _ in run]))
+        ends = np.cumsum([len(points) for points, _ in run])
+        yield from zip((item for _, item in run), np.split(values, ends[:-1]))
+
+
 def _rows_result(values, shape, n):
     """A batched callback result as (n,) + shape, or None if it has neither
     the per-point shape (a constant) nor the rows layout shape + (n,)."""
@@ -126,8 +157,7 @@ class FractureSpec:
             raise ConfigError("fracture polygon needs at least 3 vertices")
         if self.inverse_eta2 < 0:
             raise ConfigError("inverse_eta must be >= 0")
-        plane = fit_plane(self.vertices)
-        n = lex_sign(plane.normal) * plane.normal
+        n = fit_plane(self.vertices, lex=True).normal
         self.plane = Plane.from_normal_point(n, self.vertices.mean(axis=0))
         poly2d = self.plane.to_2d(self.vertices)
         area, _ = polygon_area_centroid_2d(poly2d)
@@ -199,7 +229,8 @@ class PolyMesh3D:
     the face's vertex tuple is unchanged and built for all faces at once;
     ``cell_geometry`` keeps one PolyhedronGeometry per cell on those records,
     reused while the cell's (face, sign) tuple and its faces' vertex tuples
-    are unchanged.
+    are unchanged, and builds every missing or stale cell in one
+    ``build_cells`` batch, so validation and assembly share one batch.
     ``snap_vertex`` is the only edit that moves an existing vertex and drops
     every entry.  Other vertex coordinates must not be changed in place.
     """
@@ -222,18 +253,21 @@ class PolyMesh3D:
 
     def _hash_key(self, p):
         g = 4.0 * self.merge_tol
-        return tuple(int(np.floor(c / g)) for c in p)
+        return tuple(math.floor(c / g) for c in p)
 
     def find_vertex(self, p):
+        """The first vertex within ``merge_tol`` of ``p``, searching only the
+        hash cells that the tolerance ball about ``p`` meets (at most 8), in
+        x, then y, then z order; None if there is none."""
         p = np.asarray(p, dtype=float)
-        base = self._hash_key(p)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    key = (base[0] + dx, base[1] + dy, base[2] + dz)
-                    for vid in self._vhash.get(key, ()):
-                        if np.linalg.norm(self.verts[vid] - p) <= self.merge_tol:
-                            return vid
+        tol, g = self.merge_tol, 4.0 * self.merge_tol
+        spans = (range(math.floor((c - tol) / g), math.floor((c + tol) / g) + 1)
+                 for c in p.tolist())
+        for key in itertools.product(*spans):
+            for vid in self._vhash.get(key, ()):
+                d = self.verts[vid] - p
+                if d @ d <= tol * tol:
+                    return vid
         return None
 
     def add_vertex(self, p):
@@ -296,6 +330,15 @@ class PolyMesh3D:
         missing or stale, every missing or stale record of the mesh is built,
         in one batch.  A requested face whose loop is degenerate raises
         DegenerateGeometryError; a degenerate face not requested does not."""
+        records = self._face_records(fids)
+        for face in records:
+            if isinstance(face, DegenerateGeometryError):
+                raise DegenerateGeometryError(*face.args)
+        return records
+
+    def _face_records(self, fids):
+        """``face_geometry`` with a degenerate face's error in place of its
+        record."""
         cache, faces = self._face_geometry, self.faces
         if any(cache.get(fid, (None,))[0] != faces[fid] for fid in fids):
             stale = [fid for fid, vids in faces.items()
@@ -303,24 +346,29 @@ class PolyMesh3D:
             for fid, face in zip(stale, build_faces([self.face_coords(fid)
                                                      for fid in stale])):
                 cache[fid] = (faces[fid], face)
-        records = [cache[fid][1] for fid in fids]
-        for face in records:
-            if isinstance(face, DegenerateGeometryError):
-                raise DegenerateGeometryError(*face.args)
-        return records
+        return [cache[fid][1] for fid in fids]
+
+    def _cell_key(self, cid):
+        ofs = self.cells[cid]
+        return ofs, tuple(self.faces[fid] for fid, _ in ofs)
 
     def cell_geometry(self, cid) -> PolyhedronGeometry:
-        """The cell's geometry, built once while the cell is unchanged."""
-        ofs = self.cells[cid]
-        key = (ofs, tuple(self.faces[fid] for fid, _ in ofs))
-        cached = self._geometry.get(cid)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        faces = list(zip(self.face_geometry([fid for fid, _ in ofs]),
-                         (s for _, s in ofs)))
-        loops = [face.coords[::s] for face, s in faces]
-        geom = PolyhedronGeometry(loops, faces)
-        self._geometry[cid] = (key, geom)
+        """The cell's geometry, kept while the cell is unchanged.  When it is
+        missing or stale, every missing or stale cell of the mesh is built,
+        in one ``build_cells`` batch.  A degenerate cell (a degenerate face,
+        no positive volume) raises DegenerateGeometryError."""
+        cache = self._geometry
+        if cache.get(cid, (None,))[0] != self._cell_key(cid):
+            keys = {c: self._cell_key(c) for c in self.cells}
+            stale = [c for c, key in keys.items() if cache.get(c, (None,))[0] != key]
+            fids = list({fid for c in stale for fid, _ in self.cells[c]})
+            records = dict(zip(fids, self._face_records(fids)))
+            for c, geom in zip(stale, build_cells([[(records[fid], s) for fid, s in
+                                                    self.cells[c]] for c in stale])):
+                cache[c] = (keys[c], geom)
+        geom = cache[cid][1]
+        if isinstance(geom, DegenerateGeometryError):
+            raise DegenerateGeometryError(*geom.args)
         return geom
 
     def face_outward_normal(self, fid, cid):
@@ -1256,8 +1304,7 @@ def validate_conformity(md: MixedDimensionalMesh) -> list:
         try:
             geom = mesh.cell_geometry(cid)
             volumes.append(geom.measure)
-            # builds the cell's quadrature cone once, for assembly to reuse
-            geom.cone()
+            geom.cone()   # raises for a sliver or non-star-shaped cell
         except DegenerateGeometryError as exc:
             report.append(f"cell {cid}: {exc}")
 

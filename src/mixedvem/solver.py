@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dtrtri
 
-from .assembly import GlobalSystem
+from .assembly import GlobalSystem, source_rules
 from .elements import equilibrated_cholesky
-from .errors import ConfigError, SingularSystemError
+from .errors import ConditioningError, ConfigError, SingularSystemError
 from .mesh import field_values
 
 DIRECT_SOLVE_LIMIT = 500_000
@@ -32,6 +33,18 @@ DIRECT_SOLVE_LIMIT = 500_000
 
 def _t(X):
     return X.transpose(0, 2, 1)
+
+
+def _lower_inverse(L, what):
+    """Inverses of a stack of lower-triangular factors (LAPACK ``trtri``)."""
+    out = np.empty_like(L)
+    if L.shape[1] == 0:   # trtri rejects an empty matrix
+        return out
+    for i, factor in enumerate(L):
+        out[i], info = dtrtri(factor, lower=1)
+        if info != 0:
+            raise ConditioningError(f"{what} has a singular Cholesky factor")
+    return out
 
 
 def _local_solve(R, Z, T, f_u, f_p):
@@ -104,10 +117,11 @@ class Hybridized:
             # A^-1 = R^T R and (Z^T Z)^-1 = T^T T; with no eliminated pressures
             # Z and T are empty
             L, s, ratio = equilibrated_cholesky(M[:, f, f], "cell flux block")
-            R = np.linalg.inv(L) * s[:, None, :]
+            R = _lower_inverse(L, "cell flux block") * s[:, None, :]
             Y, Z = R @ E, R @ M[:, f, e]
-            L, s, ratio_p = equilibrated_cholesky(_t(Z) @ Z, "cell pressure Schur complement")
-            T = np.linalg.inv(L) * s[:, None, :]
+            what = "cell pressure Schur complement"
+            L, s, ratio_p = equilibrated_cholesky(_t(Z) @ Z, what)
+            T = _lower_inverse(L, what) * s[:, None, :]
             Q = T @ (_t(Z) @ Y)
             self.worst_pivot_ratio = min(self.worst_pivot_ratio, float(ratio.min()),
                                          float(ratio_p.min()))
@@ -415,12 +429,9 @@ def flux_report(sol: DiscreteSolution) -> FluxReport:
         for flux in boundary_face_fluxes(sol, blk):
             e.bc_flux += flux
         # constrained (no-flux) parts contribute zero by construction
-        src = blk.source
-        if callable(src) or float(src) != 0.0:
-            qo = 2 * (dm.order + 2)
-            for ci, geom in enumerate(blk.geoms):
-                pts, w = geom.quadrature(qo)
-                e.source += float(np.sum(w * field_values(src, blk.point_map(ci, pts))))
+        if callable(blk.source) or float(blk.source) != 0.0:
+            for _, _, w, f in source_rules(blk, range(len(blk.geoms)), 2 * (dm.order + 2)):
+                e.source += float(np.sum(w * f))
 
     # interface exchanges: the outward flux of every interface side
     for side in dm.interfaces:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assembly import (DomainBlock, GlobalDofMap, GlobalSystem, add_dirichlet_load,
+from .assembly import (DomainBlock, GlobalDofMap, GlobalSystem, add_dirichlet_loads,
                        assemble_dimension, assemble_rhs, fill_block)
 from .elements import ElementSpace
 from .errors import ConfigError
@@ -84,8 +84,8 @@ def solve_single_domain(geoms, space: ElementSpace, nu=1.0, source=0.0,
     system = GlobalSystem(cells=list(assemble_dimension(dm, blk.dim).values()),
                           rhs=assemble_rhs(dm, None), dofmap=dm, md=None)
     bc = BoundaryCondition("dirichlet", 0.0 if dirichlet is None else dirichlet)
-    for ci, lf, _, _ in blk.boundary:
-        add_dirichlet_load(system.rhs, blk, ci, lf, bc, 2 * (dm.order + 2))
+    add_dirichlet_loads(system.rhs, blk, [(ci, lf) for ci, lf, _, _ in blk.boundary],
+                        bc, 2 * (dm.order + 2))
     system.bc_applied = True
     return solve(system)
 

@@ -364,6 +364,100 @@ def test_one_face_record_per_face_through_assembly(monkeypatch, build):
     assert interior > 0 and len(built) == len(mesh.faces)   # no lookup rebuilt one
 
 
+@pytest.mark.parametrize("build", [
+    lambda: poisson3d_case(3, 0).md,
+    lambda: cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (3, 3, 3)),
+                                _perfbench_network(9400)),
+], ids=["poisson-box", "network-9400"])
+def test_one_cell_batch_per_mesh_through_assembly(monkeypatch, build):
+    built, batches = [], []
+    init = geo.PolyhedronGeometry.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def counting_build_cells(cells):
+        batches.append(len(cells))
+        return geo.build_cells(cells)
+
+    monkeypatch.setattr(geo.PolyhedronGeometry, "__init__", counting_init)
+    monkeypatch.setattr(msh, "build_cells", counting_build_cells)
+    md = build()
+    mesh = md.mesh3d
+    assert validate_conformity(md) == []
+    system = assemble_complete(md, order=1)
+    # every cell's record comes from one batch over the whole mesh
+    assert batches == [len(mesh.cells)] and len(built) == len(mesh.cells)
+    assert system.dofmap.block(3).geoms == [mesh.cell_geometry(c)
+                                            for c in sorted(mesh.cells)]
+    assert len(built) == len(mesh.cells)   # no lookup rebuilt one
+
+
+def _cell_arrays(geom):
+    return (geom.measure, geom.centroid, geom.diameter, geom.face_signs,
+            geom.normals, *geom.face_loops, *geom.face_simplices(), *geom.cone())
+
+
+def test_one_cell_batch_matches_the_mesh_batch():
+    md = cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (3, 3, 3)),
+                             _perfbench_network(9400))
+    mesh = md.mesh3d
+    for cid, ofs in mesh.cells.items():
+        faces = list(zip(mesh.face_geometry([fid for fid, _ in ofs]),
+                         (s for _, s in ofs)))
+        alone = geo.build_cells([faces])[0]
+        constructed = geo.PolyhedronGeometry(None, faces)
+        for geom in (alone, constructed):
+            assert geom.faces == mesh.cell_geometry(cid).faces
+            for a, b in zip(_cell_arrays(geom), _cell_arrays(mesh.cell_geometry(cid)),
+                            strict=True):
+                assert np.array_equal(a, b), cid
+
+
+def test_sliver_cell_fails_only_itself_in_a_mesh_batch(monkeypatch):
+    tet = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], float)
+    mesh = msh.PolyMesh3D()
+    for shift, verts in enumerate([tet, SLIVER_TET, tet]):
+        base = len(mesh.verts)
+        for p in verts:
+            mesh.add_vertex(p + [2.0 * shift, 0, 0])
+        mesh.add_cell([(mesh.add_face([base + v for v in f]), 1) for f in TET_FACES])
+    for fid in mesh.faces:
+        mesh.boundary_tags[fid] = "wall"
+    batches = []
+
+    def counting_build_cells(cells):
+        batches.append(len(cells))
+        return geo.build_cells(cells)
+
+    monkeypatch.setattr(msh, "build_cells", counting_build_cells)
+    md = cut_background_mesh(mesh, NetworkSpec(fractures=[]))
+    report = validate_conformity(md)
+    assert batches == [3]
+    assert len(report) == 1 and report[0].startswith("cell 1:") and "sliver" in report[0]
+    with pytest.raises(DegenerateGeometryError, match="sliver"):
+        mesh.cell_geometry(1).cone()
+    for cid in (0, 2):
+        _, vols = mesh.cell_geometry(cid).cone()
+        assert vols.sum() == pytest.approx(1 / 6, rel=1e-14)
+
+
+def test_fracture_plane_takes_its_face_records_lex_frame():
+    # a pentagon far from the origin on a plane through the x direction: the
+    # x entry of its Newell normal is roundoff (-5e-15), above 8 eps but not
+    # above the roundoff of the Newell sum, so it must not pick the frame
+    th, ph = 1.0, 0.9
+    e1, e2 = np.array([1.0, 0, 0]), np.array([0, np.cos(th), -np.sin(th)])
+    t1, t2 = np.cos(ph) * e1 + np.sin(ph) * e2, -np.sin(ph) * e1 + np.cos(ph) * e2
+    a = 2 * np.pi * np.arange(5) / 5
+    verts = -20.0 + 0.5 * (np.outer(np.cos(a), t1) + np.outer(np.sin(a), t2))
+    frac = FractureSpec(verts)
+    face = geo.build_faces([frac.vertices])[0]
+    assert 0 < -face.normal[0] < 1e-14
+    assert np.allclose(frac.plane.normal, face.lex_sign * face.normal, rtol=0, atol=1e-15)
+
+
 def test_degenerate_face_is_reported_for_its_owners_only():
     # one interior face folded onto itself (zero area) spoils the geometry
     # of its two owner cells and of no other, though its record is built in

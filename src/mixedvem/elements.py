@@ -25,11 +25,12 @@ and every face's moments from one product over the concatenated face rules.
 The fixed-size algebra (the complement basis, the Gram matrix, the face
 duals and the ``V`` and ``Pi0_hat`` solves) then runs on ``(m, n, n)`` stacks
 over the cells, grouped by face count where the number of DOFs differs.
-Every local SPD solve is equilibrated, checked for its pivot ratio
-(``equilibrated_cholesky``, which the global solve's cell eliminations share)
-and refined once (``_spd_solve``).  The inverse transmissivity ``nu`` of a
-block is one positive number, so the weighted Gram matrix is ``nu * G`` and
-the stabilization uses ``nu`` itself as its mean.
+Every local SPD solve (``polyspace.spd_solve``) runs on the Jacobi
+equilibrated Cholesky factor, checked for its pivot ratio and inverted by
+``trtri`` as in the global solve's cell eliminations, and is refined once.
+The inverse transmissivity ``nu`` of a block is one positive number, so the
+weighted Gram matrix is ``nu * G`` and the stabilization uses ``nu`` itself
+as its mean.
 """
 
 from __future__ import annotations
@@ -39,14 +40,10 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import ConditioningError, ConfigError
+from .errors import ConfigError
 from .polyspace import (MonomialBasis, VectorPolyBasis, dim_poly,
-                        gradient_basis, monomials, oplus_coeffs,
+                        gradient_basis, monomials, oplus_coeffs, spd_solve,
                         vector_monomial_mass)
-
-# Smallest pivot ratio (``equilibrated_cholesky``) of an accepted local SPD
-# factorization.
-COND_PIVOT_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -117,44 +114,6 @@ def dof_layout(space: ElementSpace, geom) -> DofLayout:
     n_typeii = dim_poly(d, space.grad_order) - 1
     n_typeiii = d * dim_poly(d, k) - (dim_poly(d, k + 1) - 1)
     return DofLayout(geom.n_faces, space.n_face_dofs(), n_typeii, n_typeiii)
-
-
-def equilibrated_cholesky(M, what):
-    """Cholesky factors ``L`` of a stack of SPD matrices after Jacobi
-    equilibration, ``s M s = L L^T`` with ``s = diag(M)^-1/2``, and the
-    smallest pivot ratio of each matrix.  The pivots are those of
-    ``L D L^T``, the squared diagonal of ``L``; a failed factorization, or a
-    ratio under ``COND_PIVOT_TOL``, raises ConditioningError for the stack."""
-    dg = np.diagonal(M, axis1=1, axis2=2)
-    if not np.all(dg > 0):   # NaN fails too
-        raise ConditioningError(f"{what} is not positive definite")
-    s = 1.0 / np.sqrt(dg)
-    try:
-        L = np.linalg.cholesky(M * s[:, :, None] * s[:, None, :])
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError(f"{what} is not positive definite") from exc
-    piv = np.diagonal(L, axis1=1, axis2=2) ** 2
-    ratio = np.min(piv / piv.max(axis=1, initial=0.0, keepdims=True), axis=1,
-                   initial=1.0)
-    if not ratio.min(initial=1.0) >= COND_PIVOT_TOL:
-        raise ConditioningError(f"{what} is numerically singular")
-    return L, s, ratio
-
-
-def _spd_solve(M, rhs, what):
-    """Solve a stack of SPD systems M x = rhs, (m, n, n) and (m, n, r), after
-    ``equilibrated_cholesky``'s checks, by LU (NumPy has no stacked triangular
-    solve) of the equilibrated systems and one step of iterative refinement.
-    Returns the solutions and the smallest pivot ratio of each system."""
-    _, s, ratio = equilibrated_cholesky(M, what)
-    s = s[:, :, None]
-    Ms = M * s * s.transpose(0, 2, 1)
-
-    def solve(b):
-        return s * np.linalg.solve(Ms, s * b)
-
-    x = solve(rhs)
-    return x + solve(rhs - M @ x), ratio  # one refinement step
 
 
 def _positive_nu(nu):
@@ -304,9 +263,9 @@ def local_matrices(space: ElementSpace, geoms, nu=1.0) -> list:
     measure = np.array([geom.measure for geom in geoms])
 
     # face duals (one stack over all faces of the block)
-    dual, dual_ratio = _spd_solve(Y[:, :, :per],
-                                  face_measure[:, None, None] * np.eye(per),
-                                  "face mass matrix")
+    dual, dual_ratio = spd_solve(Y[:, :, :per],
+                                 face_measure[:, None, None] * np.eye(per),
+                                 "face mass matrix")
     cell_dual_ratio = np.minimum.reduceat(dual_ratio, first)
     moments = Y[:, :, per:per + n_k1].transpose(0, 2, 1) @ dual   # int_f m_a p_j
     normal_moments = Y[:, :, per + n_k1:]
@@ -336,7 +295,7 @@ def local_matrices(space: ElementSpace, geoms, nu=1.0) -> list:
         W[:, :, :nft] = mom[:, :n_p]
         a = np.arange(1, n_p)
         W[:, a, nft + a - 1] = -meas
-        V, V_ratio = _spd_solve(H[cells], W, "pressure mass matrix H")
+        V, V_ratio = spd_solve(H[cells], W, "pressure mass matrix H")
 
         B = np.zeros((mg, d * n_k, n_dof))
         B[:, :n_grad] = -H_hash[cells] @ V
@@ -350,7 +309,7 @@ def local_matrices(space: ElementSpace, geoms, nu=1.0) -> list:
         D[:, layout.typeii_slice] = Gc[:, :n_p - 1] / meas[:, :, None]
         D[:, layout.typeiii_slice] = Gc[:, n_grad:] / meas[:, :, None]
 
-        Pi0_hat, Pi0_ratio = _spd_solve(Gc, B, "projector Gram matrix G")
+        Pi0_hat, Pi0_ratio = spd_solve(Gc, B, "projector Gram matrix G")
         ratio = np.minimum(np.minimum(cell_dual_ratio[cells], V_ratio), Pi0_ratio)
 
         for i, c in enumerate(cells):
@@ -406,7 +365,7 @@ def local_matrices_1d(space: ElementSpace, geom, nu=1.0) -> LocalMatrixSet:
     Du = basis_u.derivative_coeffs(0)      # u' coefficients in the degree-kg basis
     dphi = Du @ phi
     W = vals_p.T @ (w[:, None] * (vals_p @ dphi))
-    V, ratio = _spd_solve(H[None], W[None], "1D pressure mass matrix")
+    V, ratio = spd_solve(H[None], W[None], "1D pressure mass matrix")
     return LocalMatrixSet(
         space=space, layout=layout, basis_p=basis_p,
         vec_basis=VectorPolyBasis(basis_u, np.eye(n_u)[:, None, :]),

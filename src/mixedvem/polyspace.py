@@ -10,6 +10,15 @@ j-th scalar monomial times the i-th unit vector.
 The space of degree-k vector polynomials splits as gradients of degree-(k+1)
 scalars plus an element-dependent L2-orthogonal complement; both parts are
 represented by coefficient matrices over the canonical vector monomials.
+
+``monomials`` makes each entry of degree q >= 1 with one multiply: a
+degree-(q-1) entry times one coordinate.  The complement (``oplus_coeffs``)
+starts from canonical vector monomials fixed per (d, k), so it is a
+continuous function of the element's mass matrix.  Its SPD algebra is the
+one the element layer and the global solve's cell eliminations use: a Jacobi
+equilibrated Cholesky factor with a pivot-ratio check
+(``equilibrated_cholesky``), its inverse by LAPACK ``trtri``
+(``inverse_factor``) and a solve refined once on it (``spd_solve``).
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from functools import lru_cache
 from math import comb
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri
 
 from .errors import ConditioningError
 
@@ -49,30 +59,41 @@ def _fixed_degree_lex(d, deg):
 
 
 @lru_cache(maxsize=None)
-def _exponent_array(d: int, k: int) -> np.ndarray:
-    return np.array(monomial_exponents(d, k), dtype=int).reshape(dim_poly(d, k), d)
+def _monomial_runs(d: int, k: int) -> tuple:
+    """The parent/variable table of ``monomials``, in runs.
+
+    For each degree q = 1..k and variable i, the degree-q monomials whose
+    first nonzero exponent is that of x_i are x_i times the degree-(q-1)
+    monomials in x_i..x_{d-1}: a contiguous run at the end of the degree-(q-1)
+    block, in the same order.  Each entry is (i, first monomial, first
+    parent, run length).
+    """
+    runs = []
+    for q in range(1, k + 1):
+        dst = end = dim_poly(d, q - 1)
+        for i in range(d):
+            count = comb(q - 1 + d - 1 - i, d - 1 - i)
+            runs.append((i, dst, end - count, count))
+            dst += count
+    return tuple(runs)
 
 
 def monomials(xi, order: int) -> np.ndarray:
     """Values of all monomials of degree <= order at scaled coordinates.
 
     ``xi`` holds one point per row, already centered and scaled; the result
-    has shape (npts, dim_poly(d, order)) in graded-lex order.  Points with no
-    coordinates, (npts, 0), have the constant as their one monomial.
+    has shape (npts, dim_poly(d, order)) in graded-lex order (a transposed,
+    monomial-major array).  Each entry of degree q >= 1 is one product of a
+    degree-(q-1) entry and one coordinate.  Points with no coordinates,
+    (npts, 0), have the constant as their one monomial.
     """
     n, d = xi.shape
-    exps = _exponent_array(d, order)
-    # powers[i, p] = xi[:, i] ** p, by repeated multiplication
-    powers = np.empty((d, order + 1, n))
-    powers[:, 0] = 1.0
-    if order > 0:
-        powers[:, 1] = xi.T
-    for p in range(2, order + 1):
-        powers[:, p] = powers[:, p - 1] * xi.T
-    vals = powers[0, exps[:, 0]] if d else np.ones((1, n))
-    for i in range(1, d):
-        vals *= powers[i, exps[:, i]]
-    return np.ascontiguousarray(vals.T)
+    vals = np.empty((dim_poly(d, order), n))
+    vals[0] = 1.0
+    coords = np.ascontiguousarray(xi.T)
+    for i, dst, src, count in _monomial_runs(d, order):
+        np.multiply(vals[src:src + count], coords[i], out=vals[dst:dst + count])
+    return vals.T
 
 
 @lru_cache(maxsize=None)
@@ -185,31 +206,113 @@ def vector_monomial_mass(scalar_mass: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def oplus_coeffs(grad: np.ndarray, scalar_mass: np.ndarray,
-                 rel_tol: float = 1e-13) -> np.ndarray:
+# Smallest pivot ratio (``equilibrated_cholesky``) of an accepted local SPD
+# factorization.
+COND_PIVOT_TOL = 1e-13
+
+
+def equilibrated_cholesky(M, what):
+    """Cholesky factors ``L`` of a stack of SPD matrices after Jacobi
+    equilibration, ``s M s = L L^T`` with ``s = diag(M)^-1/2``, and the
+    smallest pivot ratio of each matrix.  The pivots are those of
+    ``L D L^T``, the squared diagonal of ``L``; a failed factorization, or a
+    ratio under ``COND_PIVOT_TOL``, raises ConditioningError for the stack."""
+    dg = np.diagonal(M, axis1=1, axis2=2)
+    if not np.all(dg > 0):   # NaN fails too
+        raise ConditioningError(f"{what} is not positive definite")
+    s = 1.0 / np.sqrt(dg)
+    try:
+        L = np.linalg.cholesky(M * s[:, :, None] * s[:, None, :])
+    except np.linalg.LinAlgError as exc:
+        raise ConditioningError(f"{what} is not positive definite") from exc
+    piv = np.diagonal(L, axis1=1, axis2=2) ** 2
+    ratio = np.min(piv / piv.max(axis=1, initial=0.0, keepdims=True), axis=1,
+                   initial=1.0)
+    if not ratio.min(initial=1.0) >= COND_PIVOT_TOL:
+        raise ConditioningError(f"{what} is numerically singular")
+    return L, s, ratio
+
+
+def inverse_factor(M, what):
+    """``R`` with ``M^-1 = R^T R`` for a stack of SPD matrices: ``R = L^-1 s``
+    on the factor of ``equilibrated_cholesky`` (whose checks it makes),
+    inverted by LAPACK ``trtri``.  Returns ``R`` and the smallest pivot ratio
+    of each matrix."""
+    L, s, ratio = equilibrated_cholesky(M, what)
+    R = np.empty_like(L)
+    if L.shape[1] == 0:   # trtri rejects an empty matrix
+        return R, ratio
+    for i, factor in enumerate(L):
+        R[i], info = dtrtri(factor, lower=1)
+        if info != 0:
+            raise ConditioningError(f"{what} has a singular Cholesky factor")
+    return R * s[:, None, :], ratio
+
+
+def spd_solve(M, rhs, what):
+    """Solve a stack of SPD systems M x = rhs, (m, n, n) and (m, n, r), with
+    the inverse factor of ``inverse_factor``, and refine once.  Returns the
+    solutions and the smallest pivot ratio of each system."""
+    R, ratio = inverse_factor(M, what)
+    Rt = R.transpose(0, 2, 1)
+    x = Rt @ (R @ rhs)
+    return x + Rt @ (R @ (rhs - M @ x)), ratio
+
+
+@lru_cache(maxsize=None)
+def _complement_monomials(d: int, k: int) -> np.ndarray:
+    """The canonical vector monomials that start the complement basis.
+
+    A greedy rank test on the exact gradients of the unit-scale degree-(k+1)
+    monomials: the candidates, by degree with the highest first (then
+    component-major), are kept when independent of the gradients and of the
+    candidates kept before.  Returns their indices in canonical order.
+    """
+    unit = gradient_basis(MonomialBasis(d, k, np.zeros(d), 1.0)).flat_coeffs()
+    n_full = unit.shape[1]
+    degree = np.tile(np.sum(monomial_exponents(d, k), axis=1), d)
+    span = np.linalg.qr(unit.T)[0]   # orthonormal columns
+    picks = []
+    for c in np.argsort(-degree, kind="stable"):
+        r = np.eye(n_full)[c]
+        for _ in range(2):   # twice, for an orthogonal residual
+            r = r - span @ (span.T @ r)
+        if np.linalg.norm(r) > 1e-8:   # the rows are small integers
+            span = np.column_stack([span, r / np.linalg.norm(r)])
+            picks.append(c)
+    picks = np.sort(picks)
+    picks.flags.writeable = False   # shared by every caller
+    return picks
+
+
+def oplus_coeffs(grad: np.ndarray, scalar_mass: np.ndarray) -> np.ndarray:
     """L2(E)-orthogonal complement of the gradient part inside degree-k vectors.
 
     For a stack of m elements, ``grad`` (m, n_grad, d*n_k) holds each
     element's gradient rows over the canonical vector monomials and
     ``scalar_mass`` (m, n_k, n_k) the mass matrix of its degree-k scaled
-    monomials.  Working in the metric of that mass matrix, the complement is
-    the span of the trailing right singular vectors of the gradient block, so
-    its dimension is fixed a priori and the returned rows (m, n_oplus,
-    d*n_k) are M-orthonormal and M-orthogonal to every gradient row to
-    machine precision even on badly shaped elements.
+    monomials.  The complement starts from a fixed set of canonical vector
+    monomials (``_complement_monomials``), projects them M-orthogonally off
+    the gradient rows with one SPD solve on the gradients' Gram matrix, and
+    M-orthonormalizes them by the Cholesky factor of their Gram matrix, twice.
+    Every step is a continuous function of the mass matrix, so a rounding
+    change of it moves the returned rows (m, n_oplus, d*n_k) by a rounding
+    amount.
     """
     m, n_grad, n_full = grad.shape
     if n_full == n_grad:
         return np.zeros((m, 0, n_full))
-    M = vector_monomial_mass(scalar_mass, n_full // scalar_mass.shape[-1])
-    evals, evecs = np.linalg.eigh(0.5 * (M + M.transpose(0, 2, 1)))
-    if np.any(evals[:, -1] <= 0):
-        raise ConditioningError("monomial mass matrix not positive definite")
-    evals = np.maximum(evals, 1e-300)
-    L = evecs * np.sqrt(evals)[:, None, :]          # M = L L^T
-    _, sv, Vt = np.linalg.svd(grad @ L)
-    if np.any(sv[:, n_grad - 1] <= rel_tol * sv[:, 0]):
-        raise ConditioningError("orthogonal-complement construction rank deficient")
-    # rows in original coefficients: w = w_tilde L^{-1}
-    Wt = Vt[:, n_grad:, :]
-    return np.linalg.solve(L.transpose(0, 2, 1), Wt.transpose(0, 2, 1)).transpose(0, 2, 1)
+    n_k = scalar_mass.shape[-1]
+    d = n_full // n_k
+    k = next(k for k in range(n_k) if dim_poly(d, k) == n_k)
+    picks = _complement_monomials(d, k)
+    M = vector_monomial_mass(scalar_mass, d)
+    MG = M @ grad.transpose(0, 2, 1)
+    X, _ = spd_solve(grad @ MG, MG[:, picks].transpose(0, 2, 1),
+                     "gradient Gram matrix")
+    W = -X.transpose(0, 2, 1) @ grad
+    W[:, np.arange(len(picks)), picks] += 1.0
+    for _ in range(2):   # the second pass removes the first's rounding
+        R, _ = inverse_factor(W @ M @ W.transpose(0, 2, 1), "complement Gram matrix")
+        W = R @ W
+    return W

@@ -568,12 +568,13 @@ def run_problem2_finite_eta(args, timer):
 
 
 def run_convergence_sweep(args, timer):
-    """Orders 0 and 1 (or ``--order``) on grids 2, 4, 6: each fitted
-    pressure and flux rate must be within 0.2 of the optimal one."""
+    """Orders 0 and 1 (or ``--order``) on grids 4, 6, 8: each fitted
+    pressure and flux rate must be within 0.2 of the optimal one.  Grid 2 is
+    left out: with it the BDM1 flux rate is still pre-asymptotic (1.80)."""
     family = args.family3d or "RT"
     orders = (0, 1) if args.order is None else (args.order,)
     with timer("solve"):
-        table = convergence_sweep(orders=orders, levels=(2, 4, 6),
+        table = convergence_sweep(orders=orders, levels=(4, 6, 8),
                                   family3d=family)
     path = os.path.join(args.output_dir, "convergence.csv")
     ok, rates, lines = True, {}, []

@@ -21,30 +21,17 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dtrtri
 
 from .assembly import GlobalSystem, source_rules
-from .elements import equilibrated_cholesky
-from .errors import ConditioningError, ConfigError, SingularSystemError
+from .errors import ConfigError, SingularSystemError
 from .mesh import field_values
+from .polyspace import inverse_factor
 
 DIRECT_SOLVE_LIMIT = 500_000
 
 
 def _t(X):
     return X.transpose(0, 2, 1)
-
-
-def _lower_inverse(L, what):
-    """Inverses of a stack of lower-triangular factors (LAPACK ``trtri``)."""
-    out = np.empty_like(L)
-    if L.shape[1] == 0:   # trtri rejects an empty matrix
-        return out
-    for i, factor in enumerate(L):
-        out[i], info = dtrtri(factor, lower=1)
-        if info != 0:
-            raise ConditioningError(f"{what} has a singular Cholesky factor")
-    return out
 
 
 def _local_solve(R, Z, T, f_u, f_p):
@@ -116,12 +103,9 @@ class Hybridized:
             ids = glob[dofs[np.concatenate([at[:, :n_tied], at[:, g]], 1)]]
             # A^-1 = R^T R and (Z^T Z)^-1 = T^T T; with no eliminated pressures
             # Z and T are empty
-            L, s, ratio = equilibrated_cholesky(M[:, f, f], "cell flux block")
-            R = _lower_inverse(L, "cell flux block") * s[:, None, :]
+            R, ratio = inverse_factor(M[:, f, f], "cell flux block")
             Y, Z = R @ E, R @ M[:, f, e]
-            what = "cell pressure Schur complement"
-            L, s, ratio_p = equilibrated_cholesky(_t(Z) @ Z, what)
-            T = _lower_inverse(L, what) * s[:, None, :]
+            T, ratio_p = inverse_factor(_t(Z) @ Z, "cell pressure Schur complement")
             Q = T @ (_t(Z) @ Y)
             self.worst_pivot_ratio = min(self.worst_pivot_ratio, float(ratio.min()),
                                          float(ratio_p.min()))
@@ -466,52 +450,55 @@ def write_error_table(norms: dict, path):
         fh.write(f"aggregate,-,-,{e[0]:.6e},{e[1]:.6e},{e[2]:.6e}\n")
 
 
+def _lines(fmt, rows):
+    """One string of lines, each an entry (or row) of ``rows`` formatted by
+    ``fmt``."""
+    rows = np.asarray(rows)
+    return ((fmt + "\n") * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def write_fields_vtk(sol: DiscreteSolution, path):
     """Legacy-VTK polygon soup with cell pressures, plus centroid velocities
     in the companion ``<path>.velocity.vtk``; returns both paths."""
     dm, md = sol.dofmap, sol.md
     mesh = md.mesh3d
-    points, polys, pressures, entity = [], [], [], []
+    polys, pressures, entity = [], [], []
 
-    def emit_poly(coords, p_val, ent):
-        base = len(points)
-        points.extend(coords.tolist())
-        polys.append([len(coords)] + [base + i for i in range(len(coords))])
-        pressures.append(p_val)
-        entity.append(ent)
+    def centroid_pressure(blk, ci, centroid):
+        return float(blk.locals_[ci].basis_p.evaluate(centroid[None, :])[0]
+                     @ sol.pressure_coeffs(blk, ci))
 
     blk3 = dm.block(3)
     for ci, cid in enumerate(blk3.cell_ids):
-        loc = blk3.locals_[ci]
-        p_c = float(loc.basis_p.evaluate(blk3.geoms[ci].centroid[None, :])[0]
-                    @ sol.pressure_coeffs(blk3, ci))
-        for fid, s in mesh.cells[cid]:
-            emit_poly(mesh.face_coords(fid), p_c, 3)
+        p_c = centroid_pressure(blk3, ci, blk3.geoms[ci].centroid)
+        for fid, _ in mesh.cells[cid]:
+            polys.append(mesh.face_coords(fid))
+            pressures.append(p_c)
+            entity.append(3)
     for fm in md.fractures:
         blk2 = dm.block(2, fm.index)
         for ci, cell in enumerate(fm.cells):
-            loc = blk2.locals_[ci]
-            p_c = float(loc.basis_p.evaluate(cell.geometry.centroid[None, :])[0]
-                        @ sol.pressure_coeffs(blk2, ci))
-            emit_poly(np.asarray([mesh.verts[v] for v in cell.vids]), p_c, 2)
+            polys.append(np.array([mesh.verts[v] for v in cell.vids]))
+            pressures.append(centroid_pressure(blk2, ci, cell.geometry.centroid))
+            entity.append(2)
+    sizes = np.array([len(p) for p in polys], dtype=int)
+    points = np.concatenate(polys)
+    # each polygon's line: its size, then its points' consecutive ids
+    ids = np.insert(np.arange(len(points)), np.cumsum(sizes) - sizes, sizes)
+    poly_fmt = "".join(" ".join(["%d"] * (n + 1)) + "\n" for n in sizes)
 
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\nmixedvem fields\nASCII\n")
         fh.write("DATASET POLYDATA\n")
         fh.write(f"POINTS {len(points)} double\n")
-        for p in points:
-            fh.write(f"{p[0]:.9e} {p[1]:.9e} {p[2]:.9e}\n")
-        size = sum(len(p) for p in polys)
-        fh.write(f"POLYGONS {len(polys)} {size}\n")
-        for p in polys:
-            fh.write(" ".join(map(str, p)) + "\n")
+        fh.write(_lines("%.9e %.9e %.9e", points))
+        fh.write(f"POLYGONS {len(polys)} {len(ids)}\n")
+        fh.write(poly_fmt % tuple(ids.tolist()))
         fh.write(f"CELL_DATA {len(polys)}\n")
         fh.write("SCALARS pressure double 1\nLOOKUP_TABLE default\n")
-        for v in pressures:
-            fh.write(f"{v:.9e}\n")
+        fh.write(_lines("%.9e", pressures))
         fh.write("SCALARS entity_dim int 1\nLOOKUP_TABLE default\n")
-        for v in entity:
-            fh.write(f"{v}\n")
+        fh.write(_lines("%d", entity))
 
     # companion file: cell-centroid velocity vectors
     vec_path = str(path) + ".velocity.vtk"
@@ -527,17 +514,15 @@ def write_fields_vtk(sol: DiscreteSolution, path):
                 vec = vec @ blk.frame
             centers.append(blk.point_map(ci, c_local)[0])
             vectors.append(vec)
+    n = len(centers)
     with open(vec_path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\nmixedvem velocities\nASCII\n")
         fh.write("DATASET POLYDATA\n")
-        fh.write(f"POINTS {len(centers)} double\n")
-        for p in centers:
-            fh.write(f"{p[0]:.9e} {p[1]:.9e} {p[2]:.9e}\n")
-        fh.write(f"VERTICES {len(centers)} {2 * len(centers)}\n")
-        for i in range(len(centers)):
-            fh.write(f"1 {i}\n")
-        fh.write(f"POINT_DATA {len(centers)}\n")
+        fh.write(f"POINTS {n} double\n")
+        fh.write(_lines("%.9e %.9e %.9e", centers))
+        fh.write(f"VERTICES {n} {2 * n}\n")
+        fh.write(_lines("1 %d", np.arange(n)))
+        fh.write(f"POINT_DATA {n}\n")
         fh.write("VECTORS velocity double\n")
-        for v in vectors:
-            fh.write(f"{v[0]:.9e} {v[1]:.9e} {v[2]:.9e}\n")
+        fh.write(_lines("%.9e %.9e %.9e", vectors))
     return [str(path), vec_path]

@@ -188,7 +188,7 @@ def test_cli_run_convergence_sweep_one_order(tmp_path):
     code, manifest = run_builtin(tmp_path, "convergence_sweep", "--order", "0")
     assert code == 0
     rows = (tmp_path / "convergence.csv").read_text().splitlines()[1:]
-    assert [r.split(",")[:2] for r in rows] == [["0", "2"], ["0", "4"], ["0", "6"]]
+    assert [r.split(",")[:2] for r in rows] == [["0", "4"], ["0", "6"], ["0", "8"]]
     assert list(manifest["checks"]["rates"]) == ["order_0"]
 
 

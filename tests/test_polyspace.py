@@ -37,13 +37,14 @@ def test_eval_at_center_and_1d_scaling():
 
 
 def test_eval_matches_power_product_oracle():
-    basis = ps.MonomialBasis(2, 3, np.array([0.1, 0.4]), 1.7)
-    pts = RNG.uniform(-1, 1, (10, 2))
-    vals = basis.evaluate(pts)
-    for j, alpha in enumerate(basis.exponents):
+    for center, k in (([0.1, 0.4], 3), ([0.1, 0.4, -0.3], 5)):
+        basis = ps.MonomialBasis(len(center), k, np.array(center), 1.7)
+        pts = RNG.uniform(-1, 1, (10, len(center)))
+        vals = basis.evaluate(pts)
         xi = (pts - basis.center) / basis.scale
-        want = xi[:, 0] ** alpha[0] * xi[:, 1] ** alpha[1]
-        assert np.allclose(vals[:, j], want, rtol=1e-14, atol=1e-14)
+        for j, alpha in enumerate(basis.exponents):
+            want = np.prod(xi ** np.array(alpha), axis=1)
+            assert np.allclose(vals[:, j], want, rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("d,k,count", [(3, 1, 9), (2, 0, 2), (3, 0, 3)])

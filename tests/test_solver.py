@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from mixedvem import assembly, problems, solver
 from mixedvem.assembly import (CellBlock, GlobalSystem, apply_boundary_conditions,
                                assemble_complete, scatter)
-from mixedvem.elements import COND_PIVOT_TOL
+from mixedvem.polyspace import COND_PIVOT_TOL
 from mixedvem.errors import ConditioningError, ConfigError, SingularSystemError
 from mixedvem.mesh import (BoundaryCondition, FractureSpec, NetworkSpec,
                            box_mesh, cut_background_mesh)

@@ -545,16 +545,16 @@ def assemble_coupling_cross_dim(dm: GlobalDofMap, cells: dict):
         cb.matrix[q, sl] -= C.T
 
 
-def source_rules(blk, cells, qo):
-    """Yields (cell, points, weights, source values) of the degree-``qo``
-    rule on each of ``cells``; the source is evaluated on stacked runs of
-    cells (``field_values_stacked``)."""
+def cell_fields(blk, cells, qo, fields):
+    """Yields (cell, points, weights, values of each of the tuple ``fields``)
+    of the degree-``qo`` rule on each of ``cells``; the fields are evaluated
+    on stacked runs of cells (``field_values_stacked``)."""
     def rules():
         for ci in cells:
             pts, w = blk.geoms[ci].quadrature(qo)
             yield blk.point_map(ci, pts), (ci, pts, w)
-    for (ci, pts, w), f in field_values_stacked(blk.source, rules()):
-        yield ci, pts, w, f
+    for (ci, pts, w), values in field_values_stacked(fields, rules()):
+        yield ci, pts, w, values
 
 
 def assemble_rhs(dm: GlobalDofMap, md) -> np.ndarray:
@@ -569,7 +569,7 @@ def assemble_rhs(dm: GlobalDofMap, md) -> np.ndarray:
         if not callable(blk.source) and float(blk.source) == 0.0:
             continue
         cells = [ci for ci, loc in enumerate(blk.locals_) if loc is not None]
-        for ci, pts, w, f in source_rules(blk, cells, qo):
+        for ci, pts, w, (f,) in cell_fields(blk, cells, qo, (blk.source,)):
             rhs[blk.cell_p_dofs[ci]] += blk.locals_[ci].basis_p.evaluate(pts).T @ (w * f)
     return rhs
 
@@ -642,6 +642,6 @@ def add_dirichlet_loads(rhs, blk, faces, bc, quad_order):
         for ci, lf in faces:
             pts, w, dual = face_rule(blk, ci, lf, quad_order)
             yield blk.point_map(ci, pts), (ci, lf, w, dual)
-    for (ci, lf, w, dual), g in field_values_stacked(bc.value, rules()):
+    for (ci, lf, w, dual), (g,) in field_values_stacked((bc.value,), rules()):
         sl = blk.locals_[ci].layout.face_slice(lf)
         rhs[blk.cell_u_dofs[ci][sl]] -= blk.cell_u_signs[ci][sl] * (dual.T @ (w * g))

@@ -14,20 +14,20 @@ intersection segments, and 0D points are collected where traces meet.
 External fracture edges and trace ends are those in a boundary face's loop.
 
 Data callbacks (boundary data, sources, exact fields) are evaluated on many
-points at once through ``field_values``: sources and Dirichlet data on the
-stacked quadrature points of runs of a block's cells or faces
-(``field_values_stacked``), exact fields on those of one cell.  A callable receives the coordinate rows
-``x = points.T``, so ``x[0]``, ``x[1]`` and ``x[2]`` are arrays, and returns
-an (n,) array for a scalar field or a (3, n) array (components as rows) for
-a vector field; a scalar or (3,) result is broadcast.  Written with
-``x[i]`` and NumPy ufuncs, the same function also serves a single (3,)
-point.  The batched values are checked against per-point calls on a few
-probe points; a callable that raises on rows or disagrees there is evaluated
-point by point instead.
+points at once through ``field_values``, on the stacked quadrature points of
+runs of a block's cells or faces (``field_values_stacked``).  A callable
+receives the coordinate rows ``x = points.T``, so ``x[0]``, ``x[1]`` and
+``x[2]`` are arrays, and returns an (n,) array for a scalar field or a
+(3, n) array (components as rows) for a vector field; a scalar or (3,)
+result is broadcast.  Written with ``x[i]`` and NumPy ufuncs, the same
+function also serves a single (3,) point.  The batched values are checked
+against per-point calls on a few probe points; a callable that raises on
+rows or disagrees there is evaluated point by point instead.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -105,26 +105,28 @@ def field_values(f, points):
 STACK_POINTS = 1 << 13
 
 
-def field_values_stacked(f, rules):
-    """``field_values`` of ``f`` for an iterable of ((n_i, 3) points, item)
-    pairs: yields (item, (n_i,) or (n_i, 3) values) in order.  Consecutive
-    point arrays are stacked until they hold STACK_POINTS points, and each
-    stack is one evaluation, so only one run of ``rules`` is held at once."""
+def field_values_stacked(fields, rules):
+    """``field_values`` of each of the tuple ``fields`` for an iterable of
+    ((n_i, 3) points, item) pairs: yields (item, tuple of (n_i,) or (n_i, 3)
+    values) in order.  Consecutive point arrays are stacked until they hold
+    STACK_POINTS points, and each stack is one evaluation of each field, so
+    only one run of ``rules`` is held at once."""
     run, size = [], 0
     for points, item in rules:
         run.append((points, item))
         size += len(points)
         if size >= STACK_POINTS:
-            yield from _evaluate_run(f, run)
+            yield from _evaluate_run(fields, run)
             run, size = [], 0
-    yield from _evaluate_run(f, run)
+    yield from _evaluate_run(fields, run)
 
 
-def _evaluate_run(f, run):
+def _evaluate_run(fields, run):
     if run:
-        values = field_values(f, np.concatenate([points for points, _ in run]))
-        ends = np.cumsum([len(points) for points, _ in run])
-        yield from zip((item for _, item in run), np.split(values, ends[:-1]))
+        points = np.concatenate([points for points, _ in run])
+        ends = np.cumsum([len(points) for points, _ in run])[:-1]
+        values = [np.split(field_values(f, points), ends) for f in fields]
+        yield from zip((item for _, item in run), zip(*values))
 
 
 def _rows_result(values, shape, n):
@@ -233,6 +235,9 @@ class PolyMesh3D:
     ``build_cells`` batch, so validation and assembly share one batch.
     ``snap_vertex`` is the only edit that moves an existing vertex and drops
     every entry.  Other vertex coordinates must not be changed in place.
+
+    ``face_cells`` is the face-to-cell map, kept current by ``add_face`` and
+    ``set_cell``; cells are added, changed and deleted only through them.
     """
 
     def __init__(self, merge_tol=1e-9):
@@ -240,6 +245,7 @@ class PolyMesh3D:
         self.faces: dict[int, tuple] = {}          # fid -> vertex id tuple
         self.face_fracture: dict[int, int] = {}    # fid -> fracture index
         self.cells: dict[int, tuple] = {}          # cid -> ((fid, sign), ...)
+        self._face_cells: dict[int, list] = {}     # fid -> [(cid, sign), ...]
         self.boundary_tags: dict[int, str] = {}
         self._next_face = 0
         self._next_cell = 0
@@ -294,6 +300,7 @@ class PolyMesh3D:
         fid = self._next_face
         self._next_face += 1
         self.faces[fid] = tuple(int(v) for v in vids)
+        self._face_cells[fid] = []
         if fracture is not None:
             self.face_fracture[fid] = fracture
         return fid
@@ -301,29 +308,29 @@ class PolyMesh3D:
     def add_cell(self, oriented_faces):
         cid = self._next_cell
         self._next_cell += 1
-        self.cells[cid] = tuple((int(f), int(s)) for f, s in oriented_faces)
+        self.set_cell(cid, oriented_faces)
         return cid
+
+    def set_cell(self, cid, oriented_faces):
+        """Give cell ``cid`` the (face, sign) pairs ``oriented_faces``, or
+        delete it and its geometry with None; update the face-to-cell map."""
+        for fid, s in self.cells.get(cid, ()):
+            self._face_cells[fid].remove((cid, s))
+        if oriented_faces is None:
+            del self.cells[cid]
+            self._geometry.pop(cid, None)
+            return
+        self.cells[cid] = tuple((int(f), int(s)) for f, s in oriented_faces)
+        for fid, s in self.cells[cid]:
+            bisect.insort(self._face_cells[fid], (cid, s))
 
     def face_coords(self, fid):
         return np.array([self.verts[v] for v in self.faces[fid]])
 
     def face_cells(self):
-        """fid -> list of (cell id, sign)."""
-        inc = {fid: [] for fid in self.faces}
-        for cid, ofs in self.cells.items():
-            for fid, s in ofs:
-                inc[fid].append((cid, s))
-        return inc
-
-    def cell_vertices(self, cid):
-        out = []
-        seen = set()
-        for fid, _ in self.cells[cid]:
-            for v in self.faces[fid]:
-                if v not in seen:
-                    seen.add(v)
-                    out.append(v)
-        return out
+        """fid -> list of (cell id, sign), in cell id order, which is the
+        order of ``cells``.  The mesh's own map: read it, do not change it."""
+        return self._face_cells
 
     def face_geometry(self, fids):
         """The FaceGeometry of each face in ``fids``.  When one of them is
@@ -387,15 +394,11 @@ class PolyMesh3D:
         return sum(self.cell_geometry(c).measure for c in self.cells)
 
     def prune_unused_faces(self):
-        for cid in [c for c in self._geometry if c not in self.cells]:
-            del self._geometry[cid]   # geometry of a cell that was split
-        used = {fid for ofs in self.cells.values() for fid, _ in ofs}
-        for fid in list(self.faces):
-            if fid not in used:
-                del self.faces[fid]
-                self.face_fracture.pop(fid, None)
-                self.boundary_tags.pop(fid, None)
-                self._face_geometry.pop(fid, None)
+        for fid in [f for f, owners in self._face_cells.items() if not owners]:
+            del self.faces[fid], self._face_cells[fid]
+            self.face_fracture.pop(fid, None)
+            self.boundary_tags.pop(fid, None)
+            self._face_geometry.pop(fid, None)
 
 
 BOX_TAGS = ["xmin", "xmax", "ymin", "ymax", "zmin", "zmax"]
@@ -546,17 +549,28 @@ def read_mesh(path) -> PolyMesh3D:
 # ---------------------------------------------------------------------------
 
 
-def _vertex_signs(mesh, plane, eps):
+def _snap_vertices(mesh, plane, eps):
+    """Each vertex's side of the plane: +1, -1, or 0 within ``eps`` of it.
+    The vertices within ``eps`` are moved onto the plane, which keeps their
+    sign 0."""
     dists = plane.signed_distance(np.asarray(mesh.verts))
     signs = np.where(dists > eps, 1, np.where(dists < -eps, -1, 0))
-    return signs, dists
-
-
-def _snap_vertices(mesh, plane, eps):
-    signs, dists = _vertex_signs(mesh, plane, eps)
     for vid in np.nonzero((signs == 0) & (np.abs(dists) > 0))[0]:
         mesh.snap_vertex(int(vid), mesh.verts[vid] - dists[vid] * plane.normal)
-    return _vertex_signs(mesh, plane, eps)[0]
+    return signs
+
+
+def _face_sign_ranges(mesh, signs):
+    """The face ids, and the lowest and highest sign of each face's
+    vertices, from one pass over the concatenated loops."""
+    loops = list(mesh.faces.values())
+    sizes = np.fromiter(map(len, loops), int, len(loops))
+    face_signs = signs[np.fromiter(itertools.chain.from_iterable(loops), int,
+                                   int(sizes.sum()))]
+    starts = np.cumsum(sizes) - sizes
+    return (np.fromiter(mesh.faces, int, len(loops)),
+            np.minimum.reduceat(face_signs, starts),
+            np.maximum.reduceat(face_signs, starts))
 
 
 def _split_loop(loop, signs, cut_vid):
@@ -645,13 +659,6 @@ def _clean_loop(pts, eps):
     return clean if len(clean) >= 3 else []
 
 
-def _poly_area(pts):
-    if len(pts) < 3:
-        return 0.0
-    arr = np.asarray(pts)
-    return polygon_area_centroid_2d(arr)[0]
-
-
 def _piece_ok(piece, eps):
     """Keep pieces of positive width; zero-width ribbons collapse under the
     vertex merge tolerance and are dropped here (tiny 2D pieces are kept:
@@ -660,12 +667,18 @@ def _piece_ok(piece, eps):
         return False
     arr = np.asarray(piece)
     diam = max(np.ptp(arr[:, 0]), np.ptp(arr[:, 1]))
-    return abs(_poly_area(piece)) > eps * max(diam, eps)
+    return abs(polygon_area_centroid_2d(arr)[0]) > eps * max(diam, eps)
 
 
-def split_by_convex_polygon(poly, qpoly, eps):
-    """Split a convex polygon into parts inside / outside a convex polygon q."""
-    inside = [np.asarray(p, dtype=float) for p in poly]
+def _split_in_plane(plane, coords, qpoly, eps):
+    """Split a convex polygon, given by its 3D points ``coords`` on the
+    plane, by the convex polygon ``qpoly`` in the plane's frame.  Returns
+    (piece, inside) pairs of counter-clockwise 2D loops, the piece inside
+    ``qpoly`` first, or none when no piece is inside; and whether the
+    polygon runs clockwise (``flip``)."""
+    inside = [plane.to_2d(p[None, :])[0] for p in coords]
+    flip = polygon_area_centroid_2d(np.asarray(inside))[0] < 0
+    inside = inside[::-1] if flip else inside
     outs = []
     nq = len(qpoly)
     for i in range(nq):
@@ -674,16 +687,16 @@ def split_by_convex_polygon(poly, qpoly, eps):
         d = d / np.linalg.norm(d)
         out_part = _clip_halfplane(inside, a, d, keep_left=False, eps=eps)
         if _piece_ok(out_part, eps):
-            outs.append(out_part)
+            outs.append((out_part, False))
         inside = _clip_halfplane(inside, a, d, keep_left=True, eps=eps)
         if not inside:
             break
-    ins = [inside] if _piece_ok(inside, eps) else []
-    return ins, outs
+    return ([(inside, True)] + outs if _piece_ok(inside, eps) else []), flip
 
 
-def _cross_section(mesh, cid, signs, cut_vid_existing):
-    """Cut chords of a cell as 3D vertex-pair edges lying on the plane."""
+def _cross_section(mesh, cid, signs):
+    """Cut chords of a cell as edges between cross-section keys: (v, v) for
+    a vertex v on the plane, the sorted pair (a, b) for a crossed edge."""
     on_plane_edges = set()
     for fid, _ in mesh.cells[cid]:
         loop = mesh.faces[fid]
@@ -692,12 +705,11 @@ def _cross_section(mesh, cid, signs, cut_vid_existing):
         for i in range(n):
             a, b = loop[i], loop[(i + 1) % n]
             if signs[a] == 0 and signs[b] == 0:
-                on_plane_edges.add(tuple(sorted((a, b))))
+                on_plane_edges.add(((a, a), (b, b)) if a < b else ((b, b), (a, a)))
             if signs[a] * signs[b] < 0:
-                chord.append(cut_vid_existing(a, b))
+                chord.append((a, b) if a < b else (b, a))
             elif signs[a] == 0 and signs[loop[i - 1]] * signs[b] < 0:
-                chord.append(a)
-        chord = list(dict.fromkeys(chord))
+                chord.append((a, a))
         if len(chord) == 2:
             on_plane_edges.add(tuple(sorted(chord)))
         elif len(chord) > 2:
@@ -754,6 +766,13 @@ def cut_with_fracture(mesh: PolyMesh3D, frac: FractureSpec, fracture_index: int,
                       eps=None, physical: bool = True):
     """Cut every cell crossed by the fracture polygon; mark fracture faces.
 
+    One pass over the faces' vertex signs finds the crossed cells (those
+    with vertices on both sides of the plane) and the interior faces that
+    lie in the plane.  Each crossed cell's cross-section is probed without
+    adding a vertex: only the cells that the polygon cuts add theirs, so
+    every vertex the cut adds is in some face loop.  The face-to-cell map
+    is kept current through the cut.
+
     Edge rule: each new vertex is recorded against the mesh edge it splits,
     and one pass over the face loops inserts it into every loop with that
     edge.  The new vertices are the cut vertices of the faces that are split
@@ -769,173 +788,142 @@ def cut_with_fracture(mesh: PolyMesh3D, frac: FractureSpec, fracture_index: int,
     plane = frac.plane
     qpoly = frac.polygon2d
     signs = _snap_vertices(mesh, plane, eps)
+    fids, lowest, highest = _face_sign_ranges(mesh, signs)
+    inc = mesh.face_cells()
 
-    cut_cache: dict[tuple, int] = {}
-    on_edge: dict[tuple, set] = {}     # mesh edge -> new vertices inside it
+    def owners(faces):
+        return {cid for fid in faces.tolist() for cid, _ in inc[fid]}
+
+    points: dict[tuple, np.ndarray] = {}   # cross-section key -> point
+    cut_cache: dict[tuple, int] = {}       # cross-section key -> vertex
+    on_edge: dict[tuple, set] = {}         # mesh edge -> new vertices inside it
+
+    def cut_point(a, b):
+        """The point of cross-section key (a, b), which adds no vertex."""
+        if (a, b) not in points:
+            p = mesh.verts[a]
+            if a != b:
+                da = plane.signed_distance(p[None, :])[0]
+                db = plane.signed_distance(mesh.verts[b][None, :])[0]
+                p = p + da / (da - db) * (mesh.verts[b] - p)
+            points[a, b] = p
+        return points[a, b]
 
     def cut_vid(a, b):
-        key = (a, b) if a < b else (b, a)
-        if key in cut_cache:
-            return cut_cache[key]
-        da = plane.signed_distance(mesh.verts[a][None, :])[0]
-        db = plane.signed_distance(mesh.verts[b][None, :])[0]
-        t = da / (da - db)
-        vid = mesh.add_vertex(mesh.verts[a] + t * (mesh.verts[b] - mesh.verts[a]))
-        cut_cache[key] = vid
-        return vid
+        """The vertex of cross-section key (a, b), added on first use."""
+        if (a, b) not in cut_cache:
+            cut_cache[a, b] = a if a == b else mesh.add_vertex(cut_point(a, b))
+        return cut_cache[a, b]
 
     def split_vid(a, b):
-        vid = cut_vid(a, b)
-        on_edge.setdefault((a, b) if a < b else (b, a), set()).add(vid)
+        key = (a, b) if a < b else (b, a)
+        vid = cut_vid(*key)
+        on_edge.setdefault(key, set()).add(vid)
         return vid
 
-    # candidate cells: strict vertices on both sides and overlap with qpoly;
-    # each keeps its cross-section loop and the loop's pieces for the split
-    # below (a probed cell that is not cut leaves its cut vertices unused)
+    # the crossed cells that the polygon cuts, each with its cross-section
+    # loop of keys and the loop's pieces
     candidates = []
-    for cid in sorted(mesh.cells):
-        ss = {signs[v] for v in mesh.cell_vertices(cid)}
-        if not (1 in ss and -1 in ss):
-            continue
-        loops = _chain_loops(list(_cross_section(mesh, cid, signs, cut_vid)))
+    for cid in sorted(owners(fids[highest > 0]) & owners(fids[lowest < 0])):
+        loops = _chain_loops(list(_cross_section(mesh, cid, signs)))
         if len(loops) != 1:
             raise ConformityError(
                 f"cell {cid}: cross-section is not a single loop (non-convex cell?)")
-        loop2d = [plane.to_2d(mesh.verts[v][None, :])[0] for v in loops[0]]
-        if _poly_area(loop2d) < 0:
-            loop2d = loop2d[::-1]
-        ins, outs = split_by_convex_polygon(loop2d, qpoly, eps)
-        if ins:
-            candidates.append((cid, loops[0],
-                               [(p, True) for p in ins] + [(p, False) for p in outs]))
-
-    # the signs of the cut vertices created while probing; splitting the
-    # faces below reuses those vertices and makes no new ones
-    signs = _vertex_signs(mesh, plane, eps)[0]
+        pieces, _ = _split_in_plane(plane, [cut_point(*key) for key in loops[0]],
+                                    qpoly, eps)
+        if pieces:
+            candidates.append((cid, loops[0], pieces))
 
     # split the crossing faces of the cells to be cut (shared faces split once)
+    crossing = set(fids[(lowest < 0) & (highest > 0)].tolist())
     split_children: dict[int, tuple] = {}
     for cid, _, _ in candidates:
         for fid, _ in mesh.cells[cid]:
-            if fid in split_children:
-                continue
-            loop = mesh.faces[fid]
-            fs = {int(signs[v]) for v in loop}
-            if not (1 in fs and -1 in fs):
-                continue
-            frac_mark = mesh.face_fracture.get(fid)
-            tag = mesh.boundary_tags.get(fid)
-            children = []
-            for sub in _split_loop(loop, signs, split_vid):
-                nf = mesh.add_face(sub, fracture=frac_mark)
-                if tag is not None:
-                    mesh.boundary_tags[nf] = tag
-                children.append(nf)
-            split_children[fid] = tuple(children)
+            if fid in crossing and fid not in split_children:
+                mark = mesh.face_fracture.get(fid)
+                split_children[fid] = tuple(
+                    _child_face(mesh, sub, fid, mark)
+                    for sub in _split_loop(mesh.faces[fid], signs, split_vid))
     _replace_faces(mesh, split_children)
+    # every vertex added so far is a cut vertex, on the plane
+    signs = np.concatenate([signs, np.zeros(len(mesh.verts) - len(signs), int)])
 
     # now split each candidate cell into its two sides + cross-section faces
-    pieces_made = set()
     for cid, section, pieces in candidates:
         plus_faces, minus_faces = [], []
         for fid, s in mesh.cells[cid]:
             fsigns = {int(signs[v]) for v in mesh.faces[fid]}
-            if 1 in fsigns and -1 in fsigns:
-                raise ConformityError("crossing face survived the splitting pass")
-            if 1 in fsigns:
-                plus_faces.append((fid, s))
-            elif -1 in fsigns:
-                minus_faces.append((fid, s))
-            else:
+            if fsigns == {0}:
                 raise ConformityError("face lies entirely in the cutting plane "
                                       "of a crossed cell")
-        piece_faces, piece_loops = [], []
-        for p2d, inside in pieces:
-            vids = _piece_vids(mesh, plane, p2d)
-            if vids:
-                mark = fracture_index if (inside and physical) else None
-                piece_faces.append(mesh.add_face(vids, fracture=mark))
-                piece_loops.append(vids)
-        _record_on_edges(mesh, section, piece_loops, eps, on_edge)
-        pieces_made.update(piece_faces)
+            (plus_faces if 1 in fsigns else minus_faces).append((fid, s))
+        outline = [cut_vid(*key) for key in section]
+        piece_faces = _piece_faces(mesh, plane, pieces, outline,
+                                   fracture_index if physical else None, eps, on_edge)
         # piece loops are CCW w.r.t. the fracture normal: that normal points
         # out of the minus-side cell
-        plus_cell = plus_faces + [(f, -1) for f in piece_faces]
-        minus_cell = minus_faces + [(f, +1) for f in piece_faces]
-        del mesh.cells[cid]
-        mesh.add_cell(plus_cell)
-        mesh.add_cell(minus_cell)
+        mesh.set_cell(cid, None)
+        mesh.add_cell(plus_faces + [(f, -1) for f in piece_faces])
+        mesh.add_cell(minus_faces + [(f, +1) for f in piece_faces])
 
-    if physical:
-        _split_and_mark_coplanar(mesh, plane, qpoly, fracture_index, eps,
-                                 pieces_made, on_edge)
-    mesh.prune_unused_faces()
-    _insert_on_edges(mesh, on_edge)
-
-
-def _split_and_mark_coplanar(mesh, plane, qpoly, fracture_index, eps, pieces,
-                             on_edge):
-    """Mark interior on-plane faces inside the polygon; split partial overlaps.
-
-    The cut's own ``pieces`` are already classified and marked, and skipped.
-    """
-    signs = _vertex_signs(mesh, plane, eps)[0]
-    inc = mesh.face_cells()
-    split_children = {}
-    for fid in sorted(mesh.faces):
-        if fid in pieces or len(inc.get(fid, ())) != 2:
+    # mark the interior faces in the plane inside the polygon, and split
+    # the faces that it partly overlaps
+    coplanar = fids[(lowest == 0) & (highest == 0)].tolist() if physical else []
+    coplanar_children = {}
+    for fid in coplanar:
+        if len(inc[fid]) != 2:
             continue
         loop = mesh.faces[fid]
-        if any(signs[v] != 0 for v in loop):
-            continue
-        loop2d = [plane.to_2d(mesh.verts[v][None, :])[0] for v in loop]
-        reversed_loop = False
-        if _poly_area(loop2d) < 0:
-            loop2d = loop2d[::-1]
-            reversed_loop = True
-        ins, outs = split_by_convex_polygon(loop2d, qpoly, eps)
-        if not ins:
-            continue
-        if not outs:
+        pieces, flip = _split_in_plane(plane, [mesh.verts[v] for v in loop], qpoly, eps)
+        if len(pieces) == 1:
             # the face lies entirely inside the fracture polygon
             if mesh.face_fracture.get(fid, fracture_index) != fracture_index:
                 raise ConformityError("face belongs to two distinct fractures")
             mesh.face_fracture[fid] = fracture_index
+        elif pieces:
+            coplanar_children[fid] = tuple(_piece_faces(
+                mesh, plane, pieces, loop, fracture_index, eps, on_edge, fid, flip))
+    _replace_faces(mesh, coplanar_children)
+    mesh.prune_unused_faces()
+    _insert_on_edges(mesh, on_edge)
+
+
+def _child_face(mesh, vids, parent, mark):
+    """Add a face cut from face ``parent`` (None for a cross-section piece)
+    with fracture mark ``mark``; it keeps the parent's boundary tag."""
+    fid = mesh.add_face(vids, fracture=mark)
+    if parent in mesh.boundary_tags:
+        mesh.boundary_tags[fid] = mesh.boundary_tags[parent]
+    return fid
+
+
+def _piece_faces(mesh, plane, pieces, outline, inside_mark, eps, on_edge,
+                 parent=None, flip=False):
+    """The new faces of the in-plane ``pieces`` that keep three vertices
+    under the vertex merge, reversed with ``flip``: marked ``inside_mark``
+    inside the polygon and as face ``parent`` outside it.  Their vertices
+    inside an edge of the ``outline`` loop or of a sibling go to ``on_edge``."""
+    faces, loops = [], []
+    outside_mark = mesh.face_fracture.get(parent)
+    for p2d, inside in pieces:
+        vids = list(dict.fromkeys(mesh.add_vertex(plane.to_3d(np.asarray(pt))[0])
+                                  for pt in p2d))
+        if len(vids) < 3:
             continue
-        # partial overlap: split the face in-plane along the polygon boundary
-        children, child_loops = [], []
-        for p2d, inside in [(p, True) for p in ins] + [(p, False) for p in outs]:
-            vids = _piece_vids(mesh, plane, p2d)
-            if not vids:
-                continue
-            if reversed_loop:
-                vids = vids[::-1]
-            nf = mesh.add_face(vids, fracture=fracture_index if inside else
-                               mesh.face_fracture.get(fid))
-            if fid in mesh.boundary_tags:
-                mesh.boundary_tags[nf] = mesh.boundary_tags[fid]
-            children.append(nf)
-            child_loops.append(vids)
-        _record_on_edges(mesh, loop, child_loops, eps, on_edge)
-        split_children[fid] = tuple(children)
-    _replace_faces(mesh, split_children)
-
-
-def _piece_vids(mesh, plane, p2d):
-    """Vertex loop of an in-plane piece given in plane coordinates, or None
-    when it collapses below three vertices under the vertex merge."""
-    vids = [mesh.add_vertex(plane.to_3d(np.asarray(pt))[0]) for pt in p2d]
-    vids = list(dict.fromkeys(vids))
-    return vids if len(vids) >= 3 else None
+        vids = vids[::-1] if flip else vids
+        faces.append(_child_face(mesh, vids, parent,
+                                 inside_mark if inside else outside_mark))
+        loops.append(vids)
+    _record_on_edges(mesh, outline, loops, eps, on_edge)
+    return faces
 
 
 def _replace_faces(mesh, children):
     """Put each split face's children in its place in every cell that uses it."""
-    if not children:
-        return
-    for cid, ofs in mesh.cells.items():
-        if any(f in children for f, _ in ofs):
-            mesh.cells[cid] = tuple((c, s) for f, s in ofs for c in children.get(f, (f,)))
+    inc = mesh.face_cells()
+    for cid in {cid for fid in children for cid, _ in inc[fid]}:
+        mesh.set_cell(cid, [(c, s) for f, s in mesh.cells[cid]
+                            for c in children.get(f, (f,))])
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,8 @@ import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from .assembly import GlobalSystem, source_rules
+from .assembly import GlobalSystem, cell_fields
 from .errors import ConfigError, SingularSystemError
-from .mesh import field_values
 from .polyspace import inverse_factor
 
 DIRECT_SOLVE_LIMIT = 500_000
@@ -261,10 +260,10 @@ def error_norms(sol: DiscreteSolution, exact: dict):
             continue
         ex = exact[key]
         acc = np.zeros(6)
-        for ci, geom in enumerate(blk.geoms):
+        fields = (ex.pressure, ex.velocity, ex.divergence)
+        for ci, pts, w, (p_ex, u_ex, div_ex) in cell_fields(
+                blk, range(len(blk.geoms)), qo, fields):
             loc = blk.locals_[ci]
-            pts, w = geom.quadrature(qo)
-            phys = blk.point_map(ci, pts)
             # the pressure (and divergence) monomials lead the velocity ones:
             # same centre and scale, graded-lex order, lower degree
             vb = loc.vec_basis
@@ -272,11 +271,9 @@ def error_norms(sol: DiscreteSolution, exact: dict):
             mono_p = mono[:, :loc.basis_p.size]
             # pressure
             p_h = mono_p @ sol.pressure_coeffs(blk, ci)
-            p_ex = field_values(ex.pressure, phys)
             acc[0] += np.sum(w * (p_ex - p_h) ** 2)
             acc[3] += np.sum(w * p_ex ** 2)
             # velocity
-            u_ex = field_values(ex.velocity, phys)
             if blk.frame is not None:
                 u_ex = u_ex @ blk.frame.T
             # contract the coefficients first: (n_k, d) monomial rows
@@ -286,7 +283,6 @@ def error_norms(sol: DiscreteSolution, exact: dict):
             acc[4] += np.sum(w * np.sum(u_ex ** 2, axis=1))
             # divergence
             div_h = mono_p @ (loc.V @ sol.local_flux_dofs(blk, ci))
-            div_ex = field_values(ex.divergence, phys)
             acc[2] += np.sum(w * (div_ex - div_h) ** 2)
             acc[5] += np.sum(w * div_ex ** 2)
         out[key] = tuple(np.sqrt(acc))
@@ -414,7 +410,8 @@ def flux_report(sol: DiscreteSolution) -> FluxReport:
             e.bc_flux += flux
         # constrained (no-flux) parts contribute zero by construction
         if callable(blk.source) or float(blk.source) != 0.0:
-            for _, _, w, f in source_rules(blk, range(len(blk.geoms)), 2 * (dm.order + 2)):
+            for _, _, w, (f,) in cell_fields(blk, range(len(blk.geoms)),
+                                             2 * (dm.order + 2), (blk.source,)):
                 e.source += float(np.sum(w * f))
 
     # interface exchanges: the outward flux of every interface side

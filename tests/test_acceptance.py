@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from mixedvem import geometry as geo
+from mixedvem import mesh as mesh_module
 from mixedvem.elements import ElementSpace, local_matrices
 from mixedvem.mesh import (NetworkSpec, box_mesh, cut_background_mesh,
                            validate_conformity)
@@ -232,10 +233,20 @@ def test_criterion_7_convergence_rates():
 
 # -- 8. mesh-cutting validators on random networks ----------------------------
 
-def test_criterion_8_random_network_validation():
+def test_criterion_8_random_network_validation(monkeypatch):
     from tests.test_mesh import random_network
     t0 = time.perf_counter()
-    worst_vol, worst_area, bad_reports = 0.0, 0.0, 0
+    worst_vol, worst_area, bad_reports, unused = 0.0, 0.0, 0, 0
+    cut = mesh_module.cut_with_fracture
+
+    def counted(mesh, *args, **kwargs):
+        # a cut adds only vertices that some face loop uses
+        nonlocal unused
+        cut(mesh, *args, **kwargs)
+        unused += len(mesh.verts) - len({v for loop in mesh.faces.values()
+                                         for v in loop})
+
+    monkeypatch.setattr(mesh_module, "cut_with_fracture", counted)
     for seed in range(50):
         rng = np.random.default_rng(42_000 + seed)
         mesh = box_mesh([0, 0, 0], [1, 1, 1], (4, 4, 4))
@@ -248,7 +259,9 @@ def test_criterion_8_random_network_validation():
         if validate_conformity(md):
             bad_reports += 1
     elapsed = time.perf_counter() - t0
-    ok = worst_vol <= 1e-10 and worst_area <= 1e-10 and bad_reports == 0
+    ok = (worst_vol <= 1e-10 and worst_area <= 1e-10 and bad_reports == 0
+          and unused == 0)
     _report(8, ok, f"50 networks: worst volume defect {worst_vol:.1e}, worst "
                    f"area defect {worst_area:.1e}, {bad_reports} non-empty "
-                   f"reports, {elapsed:.0f}s")
+                   f"reports, {unused} unused vertices summed over the cuts, "
+                   f"{elapsed:.0f}s")

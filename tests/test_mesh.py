@@ -832,42 +832,84 @@ def test_trace_shared_by_three_fractures_rejected():
 
 
 @pytest.mark.parametrize("network, sizes", [
-    (lambda: _perfbench_network(9400), (139, 604, 435, 105, 266)),
-    (lambda: _perfbench_network(181), (130, 574, 427, 95, 245)),
-    (lambda: _acceptance_network(43012), (148, 632, 426, 111, 276)),
+    (lambda: _perfbench_network(9400), (139, 604, 359, 105, 266)),
+    (lambda: _perfbench_network(181), (130, 574, 347, 95, 245)),
+    (lambda: _acceptance_network(43012), (148, 632, 369, 111, 276)),
     # 248 fracture edges when the cut vertices of probed cells that the
     # polygon misses went into faces that no cut uses
-    (lambda: _acceptance_network(42007), (136, 596, 441, 94, 244)),
+    (lambda: _acceptance_network(42007), (136, 596, 356, 94, 244)),
 ], ids=["fracture-net-9400", "fracture-net-181", "acceptance-43012",
         "acceptance-42007"])
 def test_cut_splits_each_crossed_cell_once(network, sizes, monkeypatch):
     # each crossed cell's cross-section is probed once and split by the
     # fracture polygon once; the pieces are reused when the cell is cut, and
-    # the coplanar pass does not split them again (no grid face lies in the
-    # plane of these oblique fractures, so it splits nothing)
-    calls = {"probe": 0, "split": 0, "coplanar": 0}
-    cross_section, split = msh._cross_section, msh.split_by_convex_polygon
+    # the coplanar pass splits nothing (no grid face lies in the plane of
+    # these oblique fractures).  A probe adds no vertex, so every vertex of
+    # the cut mesh is in some face loop.
+    calls = {"probe": 0, "split": 0}
+    cross_section, split = msh._cross_section, msh._split_in_plane
 
     def probing(*args):
         calls["probe"] += 1
         return cross_section(*args)
 
     def splitting(*args):
-        caller = sys._getframe(1).f_code.co_name
-        if caller == "cut_with_fracture":
-            calls["split"] += 1
-        elif caller == "_split_and_mark_coplanar":
-            calls["coplanar"] += 1
+        # a cross-section's split, or a coplanar face's
+        calls["split"] += 1
         return split(*args)
 
     monkeypatch.setattr(msh, "_cross_section", probing)
-    monkeypatch.setattr(msh, "split_by_convex_polygon", splitting)
+    monkeypatch.setattr(msh, "_split_in_plane", splitting)
     md = _cut_box(network)
     mesh = md.mesh3d
     assert calls["split"] == calls["probe"] > 0
-    assert calls["coplanar"] == 0
     # (cells, faces, vertices, fracture faces, fracture edges) of the cut mesh
     n_fracture = sum(1 for mark in mesh.face_fracture.values() if mark is not None)
     n_edges = sum(len(fm.edge_cells) for fm in md.fractures)
     assert (len(mesh.cells), len(mesh.faces), len(mesh.verts), n_fracture,
             n_edges) == sizes
+
+
+def _rebuilt_face_cells(mesh):
+    """Oracle: the face-to-cell map rebuilt from every cell."""
+    inc = {fid: [] for fid in mesh.faces}
+    for cid, ofs in mesh.cells.items():
+        for fid, s in ofs:
+            inc[fid].append((cid, s))
+    return inc
+
+
+def _read_mesh_cut(tmp_path):
+    # a cut mesh written and read back (new face and cell ids), cut again
+    md = _cut_box(lambda: _acceptance_network(42007))
+    write_mesh(md.mesh3d, tmp_path / "cut.mesh")
+    return cut_background_mesh(read_mesh(tmp_path / "cut.mesh"),
+                               _perfbench_network(9400))
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp_path: _cut_box(lambda: _perfbench_network(9400)),
+    lambda tmp_path: _cut_box(lambda: _perfbench_network(181)),
+    lambda tmp_path: _cut_box(lambda: _acceptance_network(43012)),
+    lambda tmp_path: _cut_box(lambda: _acceptance_network(42007)),
+    lambda tmp_path: problem1_case(artificial_cuts=2).md,
+    lambda tmp_path: _partial_coplanar_mesh(),
+    _read_mesh_cut,
+], ids=["fracture-net-9400", "fracture-net-181", "acceptance-43012",
+        "acceptance-42007", "problem1-cuts-2", "partial-coplanar", "read-mesh"])
+def test_each_cut_keeps_the_face_map_and_uses_every_vertex(make, tmp_path,
+                                                            monkeypatch):
+    # after every cut the mesh's own face-to-cell map equals one rebuilt
+    # from every cell, and every vertex is in some face loop
+    cut, cuts = msh.cut_with_fracture, []
+
+    def checked(mesh, *args, **kwargs):
+        cut(mesh, *args, **kwargs)
+        assert mesh.face_cells() == _rebuilt_face_cells(mesh)
+        assert {v for loop in mesh.faces.values() for v in loop} == \
+            set(range(len(mesh.verts)))
+        cuts.append(len(mesh.cells))
+
+    monkeypatch.setattr(msh, "cut_with_fracture", checked)
+    make(tmp_path)
+    assert cuts

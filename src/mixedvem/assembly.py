@@ -31,8 +31,9 @@ jumps with lower-dimensional pressures.  The matrix is the sum of one dense
 sides, its +-C rows and columns), which the solver eliminates cell by cell.
 The blocks are its only copy: ``GlobalSystem.matrix`` applies them block by
 block, the boundary conditions move their fixed columns to the right-hand
-side, and only ``tocsr`` (exports, diagnostics) scatters them into a CSR
-matrix.
+side, and only the export and the singular-system diagnosis sum them
+(``summed_entries``, numpy only); ``tocsr`` (tests, the traced benchmark)
+puts the sum in a scipy CSR matrix.
 
 With trace flow disabled the 1D/0D equations are replaced by Lagrange
 multipliers enforcing weak flux continuity across traces; the multipliers
@@ -44,8 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sps
-import scipy.sparse.linalg as spla
 
 from .elements import ElementSpace, local_matrices, local_matrices_1d, stiffness
 from .errors import ConfigError
@@ -374,57 +373,72 @@ def _build_1d_block(dm, md, tm, offset):
 class CellBlock:
     """One cell's dense share of the global matrix, on the global ids
     ``dofs``: its flux DOFs (in the global orientation), its own pressures,
-    then the pressures of the lower cells its interface sides face."""
+    then the pressures of the lower cells its interface sides face.  The
+    cell's physical ``centroid`` places its unknowns for the solver's
+    ordering."""
 
     dofs: np.ndarray
     n_u: int
     n_p: int
     matrix: np.ndarray
+    centroid: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
 
-def scatter(cells, n) -> sps.csr_matrix:
-    """The (n, n) sum of the cell blocks."""
-    dofs = [np.zeros(0, dtype=np.int32)] + [cb.dofs.astype(np.int32) for cb in cells]
-    mat = sps.csr_matrix(
-        (np.concatenate([np.zeros(0)] + [cb.matrix.ravel() for cb in cells]),
-         (np.concatenate([np.repeat(d, len(d)) for d in dofs]),
-          np.concatenate([np.tile(d, len(d)) for d in dofs]))),
-        shape=(n, n))
-    mat.eliminate_zeros()
-    return mat
+def summed_entries(cells, n, fixed=()):
+    """Rows, columns and values of the nonzero entries of the (n, n) sum of
+    the cell blocks, row-major, with unit rows and columns at ``fixed``.  A
+    repeated entry is summed in block order."""
+    free = np.ones(n, dtype=bool)
+    free[np.asarray(fixed, dtype=int)] = False
+    dofs = [np.zeros(0, dtype=np.int64)] + [cb.dofs.astype(np.int64) for cb in cells]
+    rows = np.concatenate([np.repeat(d, len(d)) for d in dofs])
+    cols = np.concatenate([np.tile(d, len(d)) for d in dofs])
+    at = free[rows] & free[cols]
+    key, slot = np.unique(rows[at] * n + cols[at], return_inverse=True)
+    vals = np.bincount(slot, np.concatenate(
+        [np.zeros(0)] + [cb.matrix.ravel() for cb in cells])[at], len(key))
+    key = np.concatenate([key, np.flatnonzero(~free) * (n + 1)])
+    vals = np.concatenate([vals, np.ones(len(key) - len(vals))])
+    order = np.argsort(key, kind="stable")
+    key, vals = key[order], vals[order]
+    nonzero = vals != 0
+    return key[nonzero] // n, key[nonzero] % n, vals[nonzero]
 
 
-class BlockOperator(spla.LinearOperator):
+def scatter(cells, n, fixed=()):
+    """The ``summed_entries`` as a scipy CSR matrix."""
+    import scipy.sparse as sps
+    rows, cols, vals = summed_entries(cells, n, fixed)
+    return sps.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+class BlockOperator:
     """A system's matrix, applied block by block: the sum of its cell blocks
-    with unit rows and columns at its fixed DOFs.  ``tocsr`` scatters it on
-    each call, and so do ``nnz`` and ``tocsc``, which only the traced
-    benchmark run reads (it measures no peak memory)."""
+    with unit rows and columns at its fixed DOFs.  ``tocsr``, ``tocsc`` and
+    ``nnz`` sum the blocks on each call (tests and the traced benchmark read
+    them)."""
 
     def __init__(self, system):
-        super().__init__(np.float64, (len(system.rhs),) * 2)
         self.system = system
+        self.shape = (len(system.rhs),) * 2
 
-    def _matvec(self, x):
+    def __matmul__(self, x):
         cells, fixed = self.system.cells, self.system.fixed
-        free = np.where(np.isin(np.arange(self.shape[0]), fixed), 0.0, np.ravel(x))
+        free = np.where(np.isin(np.arange(self.shape[0]), fixed), 0.0, x)
         y = np.bincount(
             np.concatenate([np.zeros(0, dtype=int)] + [cb.dofs for cb in cells]),
             np.concatenate([np.zeros(0)] + [cb.matrix @ free[cb.dofs] for cb in cells]),
             minlength=self.shape[0])
-        y[fixed] = np.ravel(x)[fixed]
+        y[fixed] = x[fixed]
         return y
 
-    def tocsr(self) -> sps.csr_matrix:
-        free = np.isin(np.arange(self.shape[0]), self.system.fixed, invert=True) * 1.0
-        A = (sps.diags(free) @ scatter(self.system.cells, self.shape[0])
-             @ sps.diags(free) + sps.diags(1.0 - free)).tocsr()
-        A.eliminate_zeros()
-        return A
-
-    nnz = property(lambda self: self.tocsr().nnz)
+    def tocsr(self):
+        return scatter(self.system.cells, self.shape[0], self.system.fixed)
 
     def tocsc(self):
         return self.tocsr().tocsc()
+
+    nnz = property(lambda self: self.tocsr().nnz)
 
 
 @dataclass
@@ -455,10 +469,11 @@ class GlobalSystem:
         self.fixed = np.union1d(self.fixed, dofs)
 
     def export_coo(self, path):
-        coo = self.matrix.tocsr().tocoo()
+        n = len(self.rhs)
+        rows, cols, vals = summed_entries(self.cells, n, self.fixed)
         with open(path, "w") as fh:
-            fh.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-            for r, c, v in zip(coo.row, coo.col, coo.data):
+            fh.write(f"# {n} {n} {len(vals)}\n")
+            for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
                 fh.write(f"{r} {c} {v:.17e}\n")
 
 
@@ -482,7 +497,10 @@ def assemble_dimension(dm: GlobalDofMap, dim: int) -> dict:
                 continue
             u, p = blk.cell_u_dofs[ci], blk.cell_p_dofs[ci]
             dofs = np.concatenate([u, p, *lower.get((key, ci), [])])
-            cells[(key, ci)] = CellBlock(dofs, len(u), len(p), np.zeros((len(dofs),) * 2))
+            c = blk.geoms[ci].centroid   # a segment's is physical already
+            cells[(key, ci)] = CellBlock(
+                dofs, len(u), len(p), np.zeros((len(dofs),) * 2),
+                c if blk.dim == 1 else blk.point_map(ci, c[None])[0])
             layouts.setdefault(loc.layout, []).append(ci)
         for group in layouts.values():
             for ci, K in zip(group, stiffness([blk.locals_[ci] for ci in group])):

@@ -226,9 +226,9 @@ class RunOutcome:
     def write_manifest(self, path, timings):
         """``manifest.json``: input hashes, stage timings, files, status and
         checks; for a single solve also its DOF counts, residual and how the
-        solve ran (factorized DOFs and entries, residual before refinement,
-        worst pivot ratio of the solve's cell eliminations and of the element
-        solves)."""
+        solve ran (factorized DOFs, the factor's stored entries, fronts and
+        largest front, residual before refinement, worst pivot ratio of the
+        solve's cell eliminations and of the element solves)."""
         manifest = {
             "inputs": {name: hashlib.sha256(
                 text.encode() if isinstance(text, str) else text).hexdigest()
@@ -245,6 +245,7 @@ class RunOutcome:
             manifest["residual"] = sol.residual
             manifest["checks"] = {
                 "global_dofs": sol.global_dofs, "lu_fill": sol.lu_fill,
+                "fronts": sol.fronts, "largest_front": sol.largest_front,
                 "residual_before_refinement": sol.residual_before_refinement,
                 "worst_pivot_ratio": sol.worst_pivot_ratio,
                 "worst_element_pivot_ratio": sol.worst_element_pivot_ratio} | self.checks

@@ -27,7 +27,8 @@ duals and the ``V`` and ``Pi0_hat`` solves) then runs on ``(m, n, n)`` stacks
 over the cells, grouped by face count where the number of DOFs differs.
 Every local SPD solve (``polyspace.spd_solve``) runs on the Jacobi
 equilibrated Cholesky factor, checked for its pivot ratio and inverted by
-``trtri`` as in the global solve's cell eliminations, and is refined once.
+``polyspace.lower_inverse`` as in the global solve's cell eliminations and
+fronts, and is refined once.
 The inverse transmissivity ``nu`` of a block is one positive number, so the
 weighted Gram matrix is ``nu * G`` and the stabilization uses ``nu`` itself
 as its mean.

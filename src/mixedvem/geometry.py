@@ -49,6 +49,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.unique imports it on its first call
+from numpy.polynomial.legendre import leggauss
 
 from .errors import DegenerateGeometryError
 
@@ -102,7 +104,7 @@ def _next(a):
 @lru_cache(maxsize=None)
 def _gauss01(n: int):
     """n-point Gauss-Legendre rule on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
 
 

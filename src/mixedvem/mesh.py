@@ -769,9 +769,10 @@ def cut_with_fracture(mesh: PolyMesh3D, frac: FractureSpec, fracture_index: int,
     One pass over the faces' vertex signs finds the crossed cells (those
     with vertices on both sides of the plane) and the interior faces that
     lie in the plane.  Each crossed cell's cross-section is probed without
-    adding a vertex: only the cells that the polygon cuts add theirs, so
-    every vertex the cut adds is in some face loop.  The face-to-cell map
-    is kept current through the cut.
+    adding a vertex, and clipped by the polygon only where their bounding
+    boxes are within ``eps``: only the cells that the polygon cuts add their
+    vertices, so every vertex the cut adds is in some face loop.  The
+    face-to-cell map is kept current through the cut.
 
     Edge rule: each new vertex is recorded against the mesh edge it splits,
     and one pass over the face loops inserts it into every loop with that
@@ -822,15 +823,21 @@ def cut_with_fracture(mesh: PolyMesh3D, frac: FractureSpec, fracture_index: int,
         return vid
 
     # the crossed cells that the polygon cuts, each with its cross-section
-    # loop of keys and the loop's pieces
+    # loop of keys and the loop's pieces; a cross-section whose bounding box
+    # is more than eps from the polygon's has no piece inside, and is not
+    # clipped
     candidates = []
+    q_lo, q_hi = qpoly.min(axis=0) - eps, qpoly.max(axis=0) + eps
     for cid in sorted(owners(fids[highest > 0]) & owners(fids[lowest < 0])):
         loops = _chain_loops(list(_cross_section(mesh, cid, signs)))
         if len(loops) != 1:
             raise ConformityError(
                 f"cell {cid}: cross-section is not a single loop (non-convex cell?)")
-        pieces, _ = _split_in_plane(plane, [cut_point(*key) for key in loops[0]],
-                                    qpoly, eps)
+        section = np.array([cut_point(*key) for key in loops[0]])
+        flat = plane.to_2d(section)
+        if np.any(flat.max(axis=0) < q_lo) or np.any(flat.min(axis=0) > q_hi):
+            continue
+        pieces, _ = _split_in_plane(plane, section, qpoly, eps)
         if pieces:
             candidates.append((cid, loops[0], pieces))
 

@@ -17,8 +17,9 @@ starts from canonical vector monomials fixed per (d, k), so it is a
 continuous function of the element's mass matrix.  Its SPD algebra is the
 one the element layer and the global solve's cell eliminations use: a Jacobi
 equilibrated Cholesky factor with a pivot-ratio check
-(``equilibrated_cholesky``), its inverse by LAPACK ``trtri``
-(``inverse_factor``) and a solve refined once on it (``spd_solve``).
+(``equilibrated_cholesky``), its inverse (``inverse_factor``) and a solve
+refined once on it (``spd_solve``).  Every triangular inverse, here and in
+the global solve's fronts, is ``lower_inverse``: numpy only, on whole stacks.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from functools import lru_cache
 from math import comb
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
 
 from .errors import ConditioningError
 
@@ -233,20 +233,46 @@ def equilibrated_cholesky(M, what):
     return L, s, ratio
 
 
+# ``lower_inverse`` substitutes row by row up to this size
+SUBSTITUTION_SIZE = 16
+
+
+def lower_inverse(L):
+    """Inverses of a stack (..., n, n) of nonsingular lower-triangular
+    matrices.  Above ``SUBSTITUTION_SIZE`` the 2x2 block recursion
+    ``[[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]`` inverts both
+    diagonal blocks as one stack (at an odd size ``A`` gets a unit row to
+    match ``C``), so the row substitution at the bottom runs once over every
+    block of every matrix."""
+    n = L.shape[-1]
+    if n <= SUBSTITUTION_SIZE:
+        d = 1.0 / np.diagonal(L, axis1=-2, axis2=-1)
+        M = L * -d[..., :, None]   # rows of the unit factor, negated
+        Y = np.zeros(L.shape)
+        Y[..., range(n), range(n)] = 1.0
+        for i in range(1, n):
+            np.matmul(M[..., i:i + 1, :i], Y[..., :i, :i], out=Y[..., i:i + 1, :i])
+        return Y * d[..., None, :]
+    h = n // 2
+    A = L[..., :h, :h]
+    if n % 2:
+        A = np.zeros(L.shape[:-2] + (h + 1, h + 1))
+        A[..., :h, :h] = L[..., :h, :h]
+        A[..., h, h] = 1.0
+    A, C = lower_inverse(np.stack([A, L[..., h:, h:]]))
+    A = A[..., :h, :h]
+    X = np.zeros(L.shape)
+    X[..., :h, :h], X[..., h:, h:] = A, C
+    X[..., h:, :h] = -C @ (L[..., h:, :h] @ A)
+    return X
+
+
 def inverse_factor(M, what):
     """``R`` with ``M^-1 = R^T R`` for a stack of SPD matrices: ``R = L^-1 s``
-    on the factor of ``equilibrated_cholesky`` (whose checks it makes),
-    inverted by LAPACK ``trtri``.  Returns ``R`` and the smallest pivot ratio
-    of each matrix."""
+    on the factor of ``equilibrated_cholesky`` (whose checks it makes).
+    Returns ``R`` and the smallest pivot ratio of each matrix."""
     L, s, ratio = equilibrated_cholesky(M, what)
-    R = np.empty_like(L)
-    if L.shape[1] == 0:   # trtri rejects an empty matrix
-        return R, ratio
-    for i, factor in enumerate(L):
-        R[i], info = dtrtri(factor, lower=1)
-        if info != 0:
-            raise ConditioningError(f"{what} has a singular Cholesky factor")
-    return R * s[:, None, :], ratio
+    return lower_inverse(L) * s[:, None, :], ratio
 
 
 def spd_solve(M, rhs, what):

@@ -23,6 +23,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .assembly import apply_boundary_conditions, assemble_complete
 from .config import RunOutcome, load_config
@@ -147,7 +148,7 @@ def problem1_case(subdivisions=(2, 2, 2), order=4, family3d="RT",
     mesh = box_mesh([-1, -1, -1], [1, 1, 1], subdivisions)
     if artificial_cuts:
         from .mesh import cut_with_fracture
-        rng = np.random.default_rng(2024)
+        rng = default_rng(2024)
         for _ in range(artificial_cuts):
             n = rng.normal(size=3)
             n /= np.linalg.norm(n)

@@ -7,11 +7,15 @@ locally: all of the cell's flux DOFs (a flux set shared by two cells becomes
 one private copy per cell, tied by a multiplier with +1 in the first cell and
 -1 in the second; the shared row's right-hand side goes to the first copy),
 and its own pressures when no interface reads them.  Fixed DOFs are dropped.
-Only the multipliers and the 2D/1D/0D pressures stay global; the negated sum
-of the cells' Schur complements is SPD and is factorized once by SuperLU in
-symmetric mode (hybridization: Arnold & Brezzi, M2AN 19, 1985; Cockburn &
-Gopalakrishnan, SIAM J. Numer. Anal. 42, 2004).  Incomplete factorizations
-failed on every fracture network tried, so there is no iterative branch.
+Only the multipliers and the 2D/1D/0D pressures stay global (hybridization:
+Arnold & Brezzi, M2AN 19, 1985; Cockburn & Gopalakrishnan, SIAM J. Numer.
+Anal. 42, 2004).  The negated sum of the cells' Schur complements is SPD.
+``Multifrontal`` factors it, with numpy only, on a nested dissection of the
+global unknowns by their cells' centroids (George, SIAM J. Numer. Anal. 10,
+1973): one dense front per node of the dissection tree, each the node's
+cells' Schur complements plus its children's updates (Liu, SIAM Review 34,
+1992).  Incomplete factorizations failed on every fracture network tried, so
+there is no iterative branch.
 """
 
 from __future__ import annotations
@@ -19,14 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sps
-import scipy.sparse.linalg as spla
 
-from .assembly import GlobalSystem, cell_fields
+from .assembly import GlobalSystem, cell_fields, summed_entries
 from .errors import ConfigError, SingularSystemError
-from .polyspace import inverse_factor
+from .polyspace import inverse_factor, lower_inverse
 
 DIRECT_SOLVE_LIMIT = 500_000
+# the dissection stops at parts of at most this many unknowns, which keep
+# their natural order and make one front each
+LEAF_SIZE = 192
 
 
 def _t(X):
@@ -42,10 +47,171 @@ def _local_solve(R, Z, T, f_u, f_p):
     return (_t(R) @ (a - Z @ x_p))[:, :, 0], x_p[:, :, 0]
 
 
+def dissect(elem, var, centroids, n):
+    """Nested dissection of the unknowns ``0 .. n-1`` held by elements:
+    element ``elem[i]``, with centroid ``centroids[elem[i]]``, holds unknown
+    ``var[i]``, and two unknowns are neighbours when an element holds both.
+
+    Each unknown sits at the mean centroid of its elements.  A part of more
+    than ``LEAF_SIZE`` unknowns is split at the median of its longest extent;
+    its separator is the smaller of the two one-sided sets of unknowns with a
+    neighbour across the split (empty when no element spans it), and the two
+    halves without it are split in turn.  Each split reads only the part's
+    own element-unknown pairs.  Returns the tree in postorder: each node's
+    own unknowns (a separator, or a leaf in natural order) and its parent
+    (-1 at the root)."""
+    n_elem = len(centroids)
+    count = np.maximum(np.bincount(var, minlength=n), 1)
+    coords = np.stack([np.bincount(var, centroids[elem, i], n) / count
+                       for i in range(centroids.shape[1])], 1)
+    left, cut = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    pivots, parent = [], []
+
+    def split(vs, e, v):
+        children = []
+        if len(vs) > LEAF_SIZE:
+            x = coords[vs]
+            half = np.argpartition(x[:, np.argmax(np.ptp(x, axis=0))], len(vs) // 2)
+            left[vs] = False
+            left[vs[half[:len(vs) // 2]]] = True
+            on_left = left[v]
+            spans = ((np.bincount(e, on_left, n_elem) > 0)
+                     & (np.bincount(e, ~on_left, n_elem) > 0))[e]
+            sep = min(np.unique(v[spans & on_left]), np.unique(v[spans & ~on_left]),
+                      key=len)
+            cut[sep] = True
+            parts = [(vs[(left[vs] == side) & ~cut[vs]], (on_left == side) & ~cut[v])
+                     for side in (True, False)]
+            cut[sep] = False
+            children = [split(part, e[at], v[at]) for part, at in parts if len(part)]
+            vs = sep
+        pivots.append(vs)
+        parent.append(-1)
+        for c in children:
+            parent[c] = len(pivots) - 1
+        return len(pivots) - 1
+
+    split(np.arange(n), elem, var)
+    return pivots, np.array(parent)
+
+
+class Multifrontal:
+    """Cholesky factor of the SPD sum of dense element matrices, on the
+    ``dissect`` tree of their ``n`` unknowns.
+
+    ``elements`` is a list of stacks ``(S, ids, centroids)``: matrices
+    (m, q, q) on the unknowns ``ids`` (m, q), and the elements' centroids.
+    Unknown ``perm[i]`` is eliminated ``i``-th.  Each tree node has one dense
+    front: its own unknowns (pivots), then its boundary, the later unknowns
+    that share an element with its subtree.  One symbolic pass of array
+    operations makes every front's index list, the place of every element
+    entry (in the front of the element's first eliminated unknown) and the
+    place of every child's update in its parent's front.  The numeric pass
+    factors the fronts in postorder: ``L_ss`` by ``np.linalg.cholesky``,
+    ``L_bs = F_bs L_ss^-T`` with ``lower_inverse``, and the update
+    ``F_bb - L_bs L_bs^T`` to the parent.  A non-positive pivot raises
+    ``SingularSystemError`` naming the front.  ``fill`` counts the stored
+    entries (the triangles of ``L_ss``, and ``L_bs``)."""
+
+    def __init__(self, elements, n):
+        stacks = [(S, ids, c) for S, ids, c in elements if ids.shape[1]]
+        q = np.concatenate([np.zeros(0, dtype=int)] + [
+            np.full(len(ids), ids.shape[1]) for _, ids, _ in stacks])
+        var = np.concatenate([np.zeros(0, dtype=int)] + [ids.ravel() for _, ids, _ in stacks])
+        centroids = (np.concatenate([c for *_, c in stacks]) if stacks
+                     else np.zeros((0, 3)))
+        pivots, parent = dissect(np.repeat(np.arange(len(q)), q), var, centroids, n)
+        k = np.array([len(p) for p in pivots])
+        self.perm = np.concatenate(pivots)
+        self.bounds = np.concatenate([[0], np.cumsum(k)])
+        end = self.bounds[1:]
+        pos = np.empty(n, dtype=np.int64)
+        pos[self.perm] = np.arange(n)
+        node = np.repeat(np.arange(len(k)), k)   # the front of each position
+
+        # the symbolic pass, on keys front * n + position.  An element's later
+        # unknowns are in the boundary of its home front (the front of its
+        # first eliminated unknown) ...
+        P = [pos[ids] for _, ids, _ in stacks]
+        home = [node[p].min(axis=1) for p in P]
+        keys = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+            (h[:, None] * n + p)[p >= end[h][:, None]] for h, p in zip(home, P)])
+        # ... and a boundary without its parent's pivots is in the parent's:
+        # carry the keys up one depth at a time, deepest first
+        depth = np.zeros(len(k), dtype=int)
+        for t in range(len(k) - 2, -1, -1):
+            depth[t] = depth[parent[t]] + 1
+        key_depth = depth[keys // n]
+        found, carry = [node * n + np.arange(n)], keys[:0]
+        for d in range(depth.max(), 0, -1):
+            found.append(np.unique(np.concatenate([keys[key_depth == d], carry])))
+            t, r = np.divmod(found[-1], n)
+            stays = r >= end[parent[t]]
+            carry = parent[t[stays]] * n + r[stays]
+        fkeys = np.sort(np.concatenate(found))   # each front: pivots, then boundary
+        fnode, rows = np.divmod(fkeys, n)
+        m = np.bincount(fnode, minlength=len(k))
+        off = np.concatenate([[0], np.cumsum(m)])
+        # each row's place in its parent's front (read for boundary rows)
+        up = np.searchsorted(fkeys, parent[fnode] * n + rows) - off[parent[fnode]]
+        # each element entry's flat place in its home front, grouped by front
+        flat, vals, front = [], [], []
+        for (S, _, _), h, p in zip(stacks, home, P):
+            at = np.searchsorted(fkeys, h[:, None] * n + p) - off[h][:, None]
+            flat.append((at[:, :, None] * m[h][:, None, None] + at[:, None, :]).ravel())
+            vals.append(S.ravel())
+            front.append(np.repeat(h, S.shape[1] ** 2))
+        front = np.concatenate([np.zeros(0, dtype=int)] + front)
+        order = np.argsort(front, kind="stable")
+        flat = np.concatenate([np.zeros(0, dtype=int)] + flat)[order]
+        vals = np.concatenate([np.zeros(0)] + vals)[order]
+        eoff = np.searchsorted(front[order], np.arange(len(k) + 1))
+        del stacks, P, front, order
+
+        # the numeric pass: children's updates wait on a stack for their parent
+        waiting = np.bincount(parent[m > k], minlength=len(k))
+        self.fronts, updates, self.fill = [], [], 0
+        for t in range(len(k)):
+            mt, kt = m[t], k[t]
+            F = np.bincount(flat[eoff[t]:eoff[t + 1]], vals[eoff[t]:eoff[t + 1]],
+                            mt * mt).reshape(mt, mt).astype(float, copy=False)
+            for _ in range(waiting[t]):
+                rel, U = updates.pop()
+                F[np.ix_(rel, rel)] += U
+                del U   # spent: a top front's children hold most of the memory
+            try:
+                Linv = lower_inverse(np.linalg.cholesky(F[:kt, :kt]))
+            except np.linalg.LinAlgError:
+                raise SingularSystemError(
+                    f"front {t} of {len(k)} ({kt} unknowns) has a non-positive "
+                    "pivot") from None
+            Lbs = F[kt:, :kt] @ Linv.T
+            b = slice(off[t] + kt, off[t + 1])
+            if mt > kt:
+                updates.append((up[b], F[kt:, kt:] - Lbs @ Lbs.T))
+            self.fronts.append((Linv, Lbs, rows[b]))
+            self.fill += int(kt * (kt + 1) // 2 + Lbs.size)
+        self.largest_front = int(m.max(initial=0))
+
+    def solve(self, b):
+        """``A^-1 b``: one forward and one backward pass over the fronts."""
+        y = b[self.perm]
+        piv = [slice(a, z) for a, z in zip(self.bounds, self.bounds[1:])]
+        for (Linv, Lbs, rows), p in zip(self.fronts, piv):
+            y[p] = Linv @ y[p]
+            y[rows] -= Lbs @ y[p]
+        for (Linv, Lbs, rows), p in zip(reversed(self.fronts), reversed(piv)):
+            y[p] = Linv.T @ (y[p] - Lbs.T @ y[rows])
+        x = np.empty_like(y)
+        x[self.perm] = y
+        return x
+
+
 class Hybridized:
     """The local eliminations of a boundary-conditioned system's cell blocks,
-    on stacks of equal-size blocks, and the factorized SPD ``matrix`` of its
-    global unknowns: the ``kept`` pressures, then the multipliers."""
+    on stacks of equal-size blocks, and the ``Multifrontal`` factor of the
+    SPD system of its global unknowns: the ``kept`` pressures, then the
+    multipliers."""
 
     def __init__(self, system: GlobalSystem):
         n = len(system.rhs)
@@ -69,7 +235,7 @@ class Hybridized:
         self.kept = np.flatnonzero(~local & ~fixed)
         self.fixed = np.flatnonzero(fixed)
         shared = np.flatnonzero((held == 2) & ~fixed)
-        glob = np.full(n, -1, dtype=np.int32)   # int32 COO triplets below
+        glob = np.full(n, -1, dtype=int)
         glob[self.kept] = np.arange(len(self.kept))
         glob[shared] = len(self.kept) + np.arange(len(shared))
         self.n_global = len(self.kept) + len(shared)
@@ -85,7 +251,7 @@ class Hybridized:
         keys, group = np.unique(np.column_stack([size, counts.reshape(-1, 5)]),
                                 axis=0, return_inverse=True)
 
-        self.stacks, parts, self.worst_pivot_ratio = [], [], 1.0
+        self.stacks, elements, self.worst_pivot_ratio = [], [], 1.0
         for j, (N, n_tied, n_free, n_el, n_g, _) in enumerate(keys):
             members = np.flatnonzero(group.ravel() == j)
             # the group's entries sorted by role, so its blocks align
@@ -112,15 +278,8 @@ class Hybridized:
                                 dofs[at[:, e]]))
             S = _t(Y) @ Y - _t(Q) @ Q
             S[:, n_tied:, n_tied:] += M[:, g, g]   # the blocks' own kept entries
-            parts.append((S.ravel(), np.repeat(ids, n_tied + n_g, 1).ravel(),
-                          np.tile(ids, n_tied + n_g).ravel()))
-        vals, rows, cols = (np.concatenate(x) for x in zip(*parts))
-        del parts
-        self.matrix = sps.csc_matrix((vals, (rows, cols)),
-                                     shape=(self.n_global, self.n_global))
-        del vals, rows, cols   # freed before the factorization
-        self.lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A",
-                            diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            elements.append((S, ids, np.array([cells[c].centroid for c in members])))
+        self.factor = Multifrontal(elements, self.n_global)
 
     def solve(self, b):
         """The solution of the system for the right-hand side ``b``."""
@@ -133,7 +292,7 @@ class Hybridized:
             x_u = _local_solve(R, Z, T, f_u, f_p)[0]
             rhs += np.bincount(g.ravel(), (_t(E) @ x_u[:, :, None]).ravel(),
                                minlength=self.n_global)
-        y = self.lu.solve(rhs)
+        y = self.factor.solve(rhs)
         for (R, Z, T, E, g, u, _, p), (f_u, f_p) in zip(self.stacks, loads):
             x[u], x[p] = _local_solve(R, Z, T, f_u - (E @ y[g][:, :, None])[:, :, 0], f_p)
         x[self.kept] = y[:len(self.kept)]
@@ -150,35 +309,44 @@ def solve(system: GlobalSystem, tol: float = 1e-10) -> "DiscreteSolution":
     if n > DIRECT_SOLVE_LIMIT:
         raise ConfigError(f"the system has {n} DOFs, above the direct solve "
                           f"limit of {DIRECT_SOLVE_LIMIT}")
+    why = ""
     with np.errstate(all="ignore"):
         try:
             hyb = Hybridized(system)
             x = hyb.solve(b)
             before = np.linalg.norm(A @ x - b)
             x = x + hyb.solve(b - A @ x)  # one refinement step
-        except RuntimeError:  # singular factorization
-            x = np.full(n, np.nan)
+        except SingularSystemError as exc:   # a non-positive front pivot
+            x, why = np.full(n, np.nan), f": {exc}"
     scale = np.linalg.norm(b) if np.linalg.norm(b) > 0 else 1.0
     res = np.linalg.norm(A @ x - b)
     if not np.all(np.isfinite(x)) or res > tol * scale:
         null_dim = None
         if n <= 2000:
-            sv = np.linalg.svd(A.tocsr().toarray(), compute_uv=False)
+            dense = np.zeros((n, n))
+            rows, cols, vals = summed_entries(system.cells, n, system.fixed)
+            dense[rows, cols] = vals
+            sv = np.linalg.svd(dense, compute_uv=False)
             null_dim = int(np.sum(sv <= 1e-10 * sv.max()))
         raise SingularSystemError(
-            f"global system singular or solve failed (residual {res:.3e})",
+            f"global system singular or solve failed (residual {res:.3e}){why}",
             null_dim=null_dim)
+    factor = hyb.factor
     return DiscreteSolution(system=system, x=x, residual=res,
                             residual_before_refinement=before,
-                            global_dofs=hyb.n_global, lu_fill=hyb.lu.nnz,
+                            global_dofs=hyb.n_global, lu_fill=factor.fill,
+                            fronts=len(factor.fronts),
+                            largest_front=factor.largest_front,
                             worst_pivot_ratio=hyb.worst_pivot_ratio)
 
 
 @dataclass
 class DiscreteSolution:
     """Global DOF vector with per-domain views and projected velocities, and
-    the solve's health: factorized size and entries, worst local pivot ratio
-    of the cell eliminations and of the element solves."""
+    the solve's health: factorized size, the factor's stored entries
+    (``lu_fill``), its number of fronts and the largest front's size, and the
+    worst local pivot ratio of the cell eliminations and of the element
+    solves."""
 
     system: GlobalSystem
     x: np.ndarray
@@ -186,6 +354,8 @@ class DiscreteSolution:
     residual_before_refinement: float = 0.0
     global_dofs: int = 0
     lu_fill: int = 0
+    fronts: int = 0
+    largest_front: int = 0
     worst_pivot_ratio: float = 1.0
     _proj: dict = field(default_factory=dict)
 

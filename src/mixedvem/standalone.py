@@ -14,6 +14,7 @@ pressure data on the whole external boundary.  Errors come from
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import default_rng
 
 from .assembly import (DomainBlock, GlobalDofMap, GlobalSystem, add_dirichlet_loads,
                        assemble_dimension, assemble_rhs, fill_block)
@@ -100,7 +101,7 @@ def unit_square_mesh(n, distort=0.0, seed=0):
     """n x n polygon mesh of the unit square in the z = 0 plane frame,
     optionally with jittered interior nodes."""
     xs = np.linspace(0.0, 1.0, n + 1)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     nodes = {}
     for i in range(n + 1):
         for j in range(n + 1):

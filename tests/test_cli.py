@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -125,8 +127,8 @@ BUILTIN_RUNS = {
     "problem1_quartic": (
         ["errors.csv", "fields.vtk", "fields.vtk.velocity.vtk", "fluxes.txt"],
         ["worst_relative_error", "max_relative_flux_mismatch", "global_dofs",
-         "lu_fill", "residual_before_refinement", "worst_pivot_ratio",
-         "worst_element_pivot_ratio"]),
+         "lu_fill", "fronts", "largest_front", "residual_before_refinement",
+         "worst_pivot_ratio", "worst_element_pivot_ratio"]),
     "problem2_finite_eta": (
         ["problem2.txt"], ["inflow_ratio", "jump_low_eta", "jump_high_eta"]),
     "convergence_sweep": (["convergence.csv"], ["rates"]),
@@ -165,6 +167,10 @@ def test_cli_run_quartic(tmp_path):
     assert code == 0 and manifest["status"] == "ok"
     assert manifest["checks"]["flux_chart_ok"] is True
     assert manifest["checks"]["worst_relative_error"] <= 1e-8
+    checks = manifest["checks"]
+    # 210 global unknowns, more than one leaf of the dissection
+    assert checks["global_dofs"] == 210 and checks["fronts"] > 1
+    assert 0 < checks["largest_front"] <= checks["global_dofs"]
     assert set(manifest["timings"]) == {"mesh", "assembly", "solve", "post"}
     assert manifest["total_dofs"] > 0 and manifest["dof_counts"]["0"]
 
@@ -213,7 +219,10 @@ def test_cli_run_config(tmp_path, capsys):
     # pressures (3 each) make the factorized system
     checks = manifest["checks"]
     assert checks["global_dofs"] == 8 * 3 + 4 * 2 + 4 * 3
-    assert 0 < checks["lu_fill"] <= 44 * 45
+    # 44 unknowns are one leaf of the dissection: one dense front, whose
+    # factor stores one triangle
+    assert checks["fronts"] == 1 and checks["largest_front"] == 44
+    assert checks["lu_fill"] == 44 * 45 // 2
     assert manifest["residual"] <= checks["residual_before_refinement"] < 1e-12
     assert checks["worst_pivot_ratio"] == pytest.approx(1 / 3)
 
@@ -340,3 +349,37 @@ def test_cli_run_config_nonconforming_mesh(tmp_path, capsys):
     assert manifest["checks"]["conformity_faults"] > 0
     assert "mesh" in manifest["inputs"]
     assert "conformity: cell 0" in capsys.readouterr().out
+
+
+# In a fresh interpreter: the CLI's imports, then the benchmark's fracture-net
+# case (perfbench/workloads.py, argv[1]) from set-up to every output a run
+# writes (into argv[2]); prints the scipy modules imported on the way.
+NO_SCIPY_RUN = """
+import importlib.util, sys
+import mixedvem.cli
+from mixedvem import assembly, solver
+spec = importlib.util.spec_from_file_location("workloads", sys.argv[1])
+workloads = importlib.util.module_from_spec(spec)
+sys.modules["workloads"] = workloads
+spec.loader.exec_module(workloads)
+case = workloads.fracture_net(9400)[0].build()
+system = assembly.assemble_complete(case.md, case.order, family3d=case.family3d)
+assembly.apply_boundary_conditions(system)
+sol = solver.solve(system)
+assert solver.flux_report(sol).max_relative_mismatch() <= 1e-10
+solver.error_norms(sol, case.exact)
+solver.write_fields_vtk(sol, sys.argv[2] + "/fields.vtk")
+system.export_coo(sys.argv[2] + "/system.coo")
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_solve_path_imports_no_scipy(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        [str(root / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    run = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN,
+                          str(root / "perfbench" / "workloads.py"), str(tmp_path)],
+                         capture_output=True, text=True, env=env, check=True)
+    assert (tmp_path / "system.coo").exists()
+    assert run.stdout.split() == []

@@ -147,3 +147,20 @@ def test_divergence_coeffs_against_quadrature():
             fd += (grad.evaluate(pts + e)[:, b, i] - grad.evaluate(pts - e)[:, b, i]) / (2 * h)
         want = low.evaluate(pts) @ div[b]
         assert np.allclose(fd, want, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("n", [0, 1, 16, 17, 180])
+def test_lower_inverse_matches_dense_inverse(n):
+    # n = 16 is the last size substituted row by row, 17 the first split
+    # (its leading block gets a unit row), 180 splits three times
+    rng = np.random.default_rng(n)
+    M = rng.normal(size=(5, n, n))
+    L = np.linalg.cholesky(M @ M.transpose(0, 2, 1) + n * np.eye(n))
+    X = ps.lower_inverse(L)
+    assert X.shape == L.shape
+    if n:
+        ref = np.linalg.inv(L)
+        assert np.abs(X - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert not np.triu(X, 1).any()
+        # a single matrix is a stack of one
+        assert np.abs(ps.lower_inverse(L[0]) - X[0]).max() <= 1e-15 * np.abs(ref).max()

@@ -273,17 +273,22 @@ INTERFACE_SYSTEMS = pytest.mark.parametrize("make", [
 
 
 @CONDENSED_CASES
-def test_multiplier_matrix_is_symmetric_positive_definite(make):
-    _check_multiplier_matrix(make())
+def test_multiplier_matrix_is_symmetric_positive_definite(make, monkeypatch):
+    _check_multiplier_matrix(make(), monkeypatch)
 
 
 @INTERFACE_SYSTEMS
-def test_interface_multiplier_matrix_is_symmetric_positive_definite(make):
-    _check_multiplier_matrix(make())
+def test_interface_multiplier_matrix_is_symmetric_positive_definite(make, monkeypatch):
+    _check_multiplier_matrix(make(), monkeypatch)
 
 
-def _check_multiplier_matrix(system):
-    P = Hybridized(system).matrix.toarray()
+def _check_multiplier_matrix(system, monkeypatch):
+    # the matrix the factor receives, summed from the cells' Schur complements
+    seen = []
+    monkeypatch.setattr(solver, "Multifrontal", lambda *args: seen.append(args))
+    Hybridized(system)
+    [(elements, n)] = seen
+    P = _dense(elements, n)
     assert np.abs(P - P.T).max() <= 1e-12 * np.abs(P).max()
     np.linalg.cholesky(P)    # raises unless positive definite
 
@@ -315,11 +320,12 @@ def test_operator_matches_scattered_matrix(make):
 ], ids=["problem1-order2-cut1", "network-9400-3x3x3"])
 def test_solve_path_never_scatters(make, monkeypatch):
     # the cell blocks are the only copy of the matrix from assembly to the
-    # flux report
-    def no_scatter(cells, n):
+    # flux report; summed_entries is the one routine that sums them
+    def no_scatter(cells, n, fixed=()):
         raise AssertionError("the global matrix was scattered")
 
-    monkeypatch.setattr(assembly, "scatter", no_scatter)
+    monkeypatch.setattr(assembly, "summed_entries", no_scatter)
+    monkeypatch.setattr(solver, "summed_entries", no_scatter)
     sol = solve(make())
     assert flux_report(sol).max_relative_mismatch() <= 1e-10
     with pytest.raises(AssertionError, match="scattered"):
@@ -346,3 +352,63 @@ def test_rt0_box_factorizes_one_multiplier_per_interior_face():
     sol = solve(system)
     assert sol.global_dofs == 12
     assert sol.lu_fill <= 12 * 13   # at most dense L and U, each with the diagonal
+
+
+def _dense(elements, n):
+    A = np.zeros((n, n))
+    for S, ids, _ in elements:
+        np.add.at(A, (ids[:, :, None], ids[:, None, :]), S)
+    return A
+
+
+def _chain(ids, at):
+    """SPD two-unknown elements along ``ids``, the i-th centred at ``at(i)``."""
+    pairs = np.column_stack([ids[:-1], ids[1:]])
+    S = np.tile([[2.0, -1.0], [-1.0, 2.0]], (len(pairs), 1, 1))
+    return S, pairs, np.array([at(i) for i in range(len(pairs))], dtype=float)
+
+
+def test_factor_of_one_front():
+    # at most LEAF_SIZE unknowns are one leaf: one dense front, one triangle
+    rng = np.random.default_rng(3)
+    n = 10
+    B = rng.normal(size=(4, n, n))
+    elements = [(B @ B.transpose(0, 2, 1) + np.eye(n), np.tile(np.arange(n), (4, 1)),
+                 rng.normal(size=(4, 3)))]
+    f = solver.Multifrontal(elements, n)
+    assert len(f.fronts) == 1 and f.largest_front == n
+    assert f.fill == n * (n + 1) // 2
+    b = rng.normal(size=n)
+    assert np.allclose(f.solve(b), np.linalg.solve(_dense(elements, n), b),
+                       rtol=1e-12, atol=0)
+
+
+def test_factor_with_empty_separator():
+    # two chains (A low in x, B high) at y = 0 under a third chain T at y = 1e6,
+    # each joined to T by one element at its first unknown.  The first split
+    # (in y) cuts the two joins; the second (in x) separates A from B, which
+    # share no element, so its separator is empty while its front still
+    # passes the boundary of A and B up
+    L = solver.LEAF_SIZE
+    A, B, T = np.arange(L), L + np.arange(L), 2 * L + np.arange(2 * L)
+    elements = [_chain(A, lambda i: (i, 0, 0)), _chain(B, lambda i: (5000 + i, 0, 0)),
+                _chain(T, lambda i: (i, 1e6, 0)),
+                _chain(np.array([A[0], T[0]]), lambda i: (0, 5e5, 0)),
+                _chain(np.array([B[0], T[-1]]), lambda i: (5000, 5e5, 0))]
+    n = 4 * L
+    f = solver.Multifrontal(elements, n)
+    empty = [len(boundary) for Linv, _, boundary in f.fronts if Linv.shape == (0, 0)]
+    assert len(empty) == 1 and empty[0] > 0
+    b = np.random.default_rng(4).normal(size=n)
+    ref = np.linalg.solve(_dense(elements, n), b)
+    assert np.abs(f.solve(b) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_non_positive_front_pivot_raises_naming_the_front():
+    # the kept pressure's two blocks sum to a negative multiplier matrix
+    cells = [CellBlock(np.array([0, 2]), 1, 0, np.array([[2.0, 1.0], [-1.0, -3.0]])),
+             CellBlock(np.array([1, 2]), 1, 0, np.array([[3.0, 1.0], [-1.0, -3.0]]))]
+    system = GlobalSystem(cells=cells, rhs=np.array([1.0, 2.0, 3.0]), dofmap=None,
+                          md=None, bc_applied=True)
+    with pytest.raises(SingularSystemError, match="front 0 of 1 .*non-positive pivot"):
+        solve(system)

@@ -349,7 +349,7 @@ def _build_1d_block(dm, md, tm, offset):
     lower = {ip.vid: ((0, ip.index), 0,
                       md.spec.intersection_data(ip.index).inverse_eta0)
              for ip in md.intersections
-             if any(s.trace == tm.index for s in ip.sides)}
+             if tm.index in ip.traces}
 
     dofs = fill_block(blk, space, geoms, users, lower)
     _add_interfaces(dm, blk, users, dofs, lower)

@@ -8,10 +8,12 @@ becomes co-planar hanging faces, and neighbours of cut cells acquire hanging
 faces through the shared-face splitting.  Fracture geometry is never altered.
 Each new vertex goes into every face loop with the mesh edge it splits.
 
-After cutting, the 2D fracture meshes are the patchworks of marked faces,
-the 1D trace meshes are the shared edge partitions along fracture-fracture
-intersection segments, and 0D points are collected where traces meet.
-External fracture edges and trace ends are those in a boundary face's loop.
+After cutting, the lower meshes are read from the cut mesh's topology: the
+2D fracture meshes are the patchworks of marked faces, a 1D trace mesh is
+the set of mesh edges that the faces of both its fractures hold, ordered
+along their intersection segment, and the 0D points are the vertices where
+cells of two or more traces end.  External fracture edges and trace ends
+are those in a boundary face's loop.
 
 Data callbacks (boundary data, sources, exact fields) are evaluated on many
 points at once through ``field_values``, on the stacked quadrature points of
@@ -377,14 +379,6 @@ class PolyMesh3D:
         if isinstance(geom, DegenerateGeometryError):
             raise DegenerateGeometryError(*geom.args)
         return geom
-
-    def face_outward_normal(self, fid, cid):
-        """Outward unit normal of face ``fid`` of cell ``cid``: the face
-        record's normal turned by the cell's sign for the face."""
-        for f, s in self.cells[cid]:
-            if f == fid:
-                return s * self.face_geometry([fid])[0].normal
-        raise KeyError(f"face {fid} does not bound cell {cid}")
 
     def domain_diameter(self):
         pts = np.asarray(self.verts)
@@ -882,10 +876,10 @@ def cut_with_fracture(mesh: PolyMesh3D, frac: FractureSpec, fracture_index: int,
             continue
         loop = mesh.faces[fid]
         pieces, flip = _split_in_plane(plane, [mesh.verts[v] for v in loop], qpoly, eps)
+        if pieces and mesh.face_fracture.get(fid, fracture_index) != fracture_index:
+            raise ConformityError("face belongs to two distinct fractures")
         if len(pieces) == 1:
             # the face lies entirely inside the fracture polygon
-            if mesh.face_fracture.get(fid, fracture_index) != fracture_index:
-                raise ConformityError("face belongs to two distinct fractures")
             mesh.face_fracture[fid] = fracture_index
         elif pieces:
             coplanar_children[fid] = tuple(_piece_faces(
@@ -942,7 +936,6 @@ def _replace_faces(mesh, children):
 class FractureCell:
     face_id: int
     vids: tuple            # loop, CCW in the fracture frame
-    coords2d: np.ndarray
     geometry: PolygonGeometry
     cell_plus: int         # 3D cell on the lex-positive co-normal side
     cell_minus: int
@@ -963,28 +956,18 @@ class FractureMesh:
 
 
 @dataclass
-class TraceSide:
-    """One side of a trace inside one fracture."""
-
-    conormal: np.ndarray   # outward in-plane unit normal of that cell, 3D
-
-
-@dataclass
 class TraceCell:
     vid_a: int
     vid_b: int
     s_a: float
     s_b: float
     geometry: SegmentGeometry
-    sides: dict            # fracture index -> list of TraceSide (the +,- sides)
 
 
 @dataclass
 class TraceMesh:
     index: int
     fractures: tuple       # (i, j) owning fracture indices
-    p0: np.ndarray
-    p1: np.ndarray
     tangent: np.ndarray
     length: float
     cells: list
@@ -992,18 +975,11 @@ class TraceMesh:
 
 
 @dataclass
-class IntersectionSide:
-    """One trace cell ending at an intersection point."""
-
-    trace: int
-
-
-@dataclass
 class IntersectionPoint:
     index: int
     coords: np.ndarray
     vid: int
-    sides: list            # list of IntersectionSide
+    traces: list           # the trace of each trace cell that ends at the point
 
 
 @dataclass
@@ -1064,31 +1040,20 @@ def _segment_of_pair(fa: FractureSpec, fb: FractureSpec, eps):
     return p0, p1
 
 
-def _point_on_segment(x, p0, p1, eps):
-    d = p1 - p0
-    L = np.linalg.norm(d)
-    t = (x - p0) @ d / (L * L)
-    if t < -eps / L or t > 1 + eps / L:
-        return None
-    closest = p0 + t * d
-    if np.linalg.norm(x - closest) > eps:
-        return None
-    return t * L
-
-
 def extract_lower_meshes(mesh: PolyMesh3D, spec: NetworkSpec, eps=None):
-    """Collect fracture patchworks, trace partitions and intersection points."""
+    """Collect fracture patchworks, trace partitions and intersection points
+    from the cut mesh's topology.
+
+    A fracture's cells are the faces marked with it; a fracture that keeps
+    none, as one in the domain boundary, raises.  Each pair of fractures
+    whose polygons meet in a segment (``_segment_of_pair``) has a trace, whose
+    cells are the mesh edges that the cells of both fractures hold, ordered
+    by their projection on the segment; they must cover it.  An intersection
+    point is a vertex that cells of two or more traces end at.
+    """
     if eps is None:
         eps = EPS_GEO_FACTOR * mesh.domain_diameter()
     inc = mesh.face_cells()
-
-    # --- traces as geometric segments -----------------------------------
-    traces_geo = []
-    for i in range(len(spec.fractures)):
-        for j in range(i + 1, len(spec.fractures)):
-            seg = _segment_of_pair(spec.fractures[i], spec.fractures[j], eps)
-            if seg is not None:
-                traces_geo.append(((i, j), seg[0], seg[1]))
 
     # --- fracture meshes --------------------------------------------------
     fractures = []
@@ -1096,6 +1061,9 @@ def extract_lower_meshes(mesh: PolyMesh3D, spec: NetworkSpec, eps=None):
         plane = fspec.plane
         cells = []
         fids = [fid for fid in sorted(mesh.faces) if mesh.face_fracture.get(fid) == l]
+        if not fids:
+            raise ConformityError(f"fracture {l} keeps no face; a fracture must "
+                                  f"not lie in the domain boundary")
         for fid, face in zip(fids, mesh.face_geometry(fids)):
             owners = inc.get(fid, ())
             if len(owners) != 2:
@@ -1104,15 +1072,14 @@ def extract_lower_meshes(mesh: PolyMesh3D, spec: NetworkSpec, eps=None):
             # the loop runs counter-clockwise in the fracture frame when its
             # normal is along the (lex-positive) fracture normal
             step = 1 if face.normal @ plane.normal > 0 else -1
-            coords2d = plane.to_2d(face.coords[::step])
             # '+' is the owner whose outward normal is along the fracture normal
             sides = {s * step: cid for cid, s in owners}
             if set(sides) != {1, -1}:
                 raise TopologyError(f"fracture face {fid}: sides not resolvable")
             cells.append(FractureCell(
-                face_id=fid, vids=mesh.faces[fid][::step], coords2d=coords2d,
-                geometry=PolygonGeometry(coords2d), cell_plus=sides[1],
-                cell_minus=sides[-1]))
+                face_id=fid, vids=mesh.faces[fid][::step],
+                geometry=PolygonGeometry(plane.to_2d(face.coords[::step])),
+                cell_plus=sides[1], cell_minus=sides[-1]))
         edge_cells = {}
         for ci, cell in enumerate(cells):
             n = len(cell.vids)
@@ -1129,62 +1096,40 @@ def extract_lower_meshes(mesh: PolyMesh3D, spec: NetworkSpec, eps=None):
     boundary_edges = {tuple(sorted(e)) for loop in bloops
                       for e in zip(loop, loop[1:] + loop[:1])}
 
-    # --- trace meshes -----------------------------------------------------
+    # --- trace meshes: the edges that both fractures of a pair hold ---------
     traces = []
     edge_trace = {}     # 1D edge key -> the trace that claimed it
-    for t, ((i, j), p0, p1) in enumerate(traces_geo):
-        d = p1 - p0
-        L = np.linalg.norm(d)
-        tangent = d / L
-        params = {}
-        for l in (i, j):
-            for cell in fractures[l].cells:
-                for v in cell.vids:
-                    if v in params:
-                        continue
-                    s = _point_on_segment(mesh.verts[v], p0, p1, eps)
-                    if s is not None:
-                        params[v] = min(max(s, 0.0), L)
-        order = sorted(params, key=lambda v: params[v])
+    for i, j in itertools.combinations(range(len(fractures)), 2):
+        seg = _segment_of_pair(spec.fractures[i], spec.fractures[j], eps)
+        if seg is None:
+            continue
+        t, p0 = len(traces), seg[0]
+        L = np.linalg.norm(seg[1] - p0)
+        tangent = (seg[1] - p0) / L
         cells = []
-        for a, b in zip(order[:-1], order[1:]):
-            if params[b] - params[a] <= eps:
-                continue
-            key = (a, b) if a < b else (b, a)
+        for key in fractures[i].edge_cells.keys() & fractures[j].edge_cells.keys():
             if edge_trace.setdefault(key, t) != t:
                 raise TopologyError(
                     f"edge {key} lies on traces {edge_trace[key]} and {t}: a "
                     f"trace shared by more than two fractures is not supported")
-            sides = {}
             for l in (i, j):
-                fm = fractures[l]
-                if key not in fm.edge_cells:
+                if len(fractures[l].edge_cells[key]) > 2:
                     raise ConformityError(
-                        f"trace {t}: segment {key} missing from fracture {l} mesh")
-                fm.edge_class[key] = ("trace", t)
-                srecs = []
-                for ci, k in fm.edge_cells[key]:
-                    nrm2 = fm.cells[ci].geometry.faces[k].normal   # outward
-                    srecs.append(TraceSide(
-                        conormal=nrm2[0] * fm.plane.t1 + nrm2[1] * fm.plane.t2))
-                if len(srecs) not in (1, 2):
-                    raise ConformityError(
-                        f"trace {t}: edge {key} shared by {len(srecs)} cells "
-                        f"of fracture {l}")
-                srecs.sort(key=lambda r: tuple(-r.conormal))  # lex-max first = '+'
-                sides[l] = srecs
-            cells.append(TraceCell(
-                vid_a=a, vid_b=b, s_a=params[a], s_b=params[b],
-                geometry=SegmentGeometry(mesh.verts[a], mesh.verts[b]),
-                sides=sides))
-        if not cells:
-            raise ConformityError(f"trace {t} has no 1D cells")
+                        f"trace {t}: edge {key} shared by "
+                        f"{len(fractures[l].edge_cells[key])} cells of fracture {l}")
+                fractures[l].edge_class[key] = ("trace", t)
+            (s_a, a), (s_b, b) = sorted(
+                (min(max((mesh.verts[v] - p0) @ tangent, 0.0), L), v) for v in key)
+            cells.append(TraceCell(vid_a=a, vid_b=b, s_a=s_a, s_b=s_b,
+                                   geometry=SegmentGeometry(mesh.verts[a],
+                                                            mesh.verts[b])))
+        cells.sort(key=lambda c: c.s_a)
         total = sum(c.s_b - c.s_a for c in cells)
         if abs(total - L) > 1e-10 * L:
             raise ConformityError(
                 f"trace {t}: 1D cells cover {total:.3e} of length {L:.3e}")
-        tm = TraceMesh(index=t, fractures=(i, j), p0=p0, p1=p1,
-                       tangent=tangent, length=L, cells=cells)
+        tm = TraceMesh(index=t, fractures=(i, j), tangent=tangent, length=L,
+                       cells=cells)
         for vid in (cells[0].vid_a, cells[-1].vid_b):
             tm.endpoint_class[vid] = "external" if vid in boundary_vids else "tip"
         traces.append(tm)
@@ -1201,57 +1146,21 @@ def extract_lower_meshes(mesh: PolyMesh3D, spec: NetworkSpec, eps=None):
             else:
                 fm.edge_class[key] = ("tip",)
 
-    # --- intersection points ------------------------------------------------
-    points = []
-    for a in range(len(traces)):
-        for b in range(a + 1, len(traces)):
-            x = _segment_intersection(traces[a], traces[b], eps)
-            if x is not None:
-                points.append(x)
-    merged = []
-    for x in points:
-        if not any(np.linalg.norm(x - y) <= eps for y in merged):
-            merged.append(x)
-
+    # --- intersection points: the vertices where cells of two traces end ---
+    ends = {}           # vid -> the trace of each trace cell ending there
+    for tm in traces:
+        for cell in tm.cells:
+            for vid in (cell.vid_a, cell.vid_b):
+                ends.setdefault(vid, []).append(tm.index)
+    hubs = [vid for vid, ts in ends.items() if len(set(ts)) > 1]
     intersections = []
-    for idx, x in enumerate(sorted(merged, key=tuple)):
-        vid = mesh.find_vertex(x)
-        if vid is None:
-            raise ConformityError("trace intersection is not a mesh vertex")
-        sides = []
-        for t, tm in enumerate(traces):
-            s = _point_on_segment(x, tm.p0, tm.p1, eps)
-            if s is None:
-                continue
-            for cell in tm.cells:
-                if abs(cell.s_b - s) <= eps or abs(cell.s_a - s) <= eps:
-                    sides.append(IntersectionSide(trace=t))
-        if not sides:
-            raise ConformityError("intersection point touches no trace cell")
-        for s in sides:
-            tm = traces[s.trace]
-            if vid in tm.endpoint_class:
-                tm.endpoint_class[vid] = "intersection"
-        intersections.append(IntersectionPoint(index=idx, coords=x, vid=vid,
-                                               sides=sides))
+    for idx, vid in enumerate(sorted(hubs, key=lambda v: tuple(mesh.verts[v]))):
+        for t in ends[vid]:
+            if vid in traces[t].endpoint_class:
+                traces[t].endpoint_class[vid] = "intersection"
+        intersections.append(IntersectionPoint(index=idx, coords=mesh.verts[vid],
+                                               vid=vid, traces=ends[vid]))
     return fractures, traces, intersections
-
-
-def _segment_intersection(ta: TraceMesh, tb: TraceMesh, eps):
-    d1, d2 = ta.tangent, tb.tangent
-    r = tb.p0 - ta.p0
-    c = np.cross(d1, d2)
-    c2 = c @ c
-    if c2 < 1e-20:
-        return None
-    s = np.cross(r, d2) @ c / c2
-    u = np.cross(r, d1) @ c / c2
-    if s < -eps or s > ta.length + eps or u < -eps or u > tb.length + eps:
-        return None
-    x1, x2 = ta.p0 + s * d1, tb.p0 + u * d2
-    if np.linalg.norm(x1 - x2) > eps:
-        return None
-    return 0.5 * (x1 + x2)
 
 
 def cut_background_mesh(mesh: PolyMesh3D, spec: NetworkSpec,
@@ -1315,25 +1224,4 @@ def validate_conformity(md: MixedDimensionalMesh) -> list:
         got = fm.area()
         if abs(got - area) > 1e-10 * area:
             report.append(f"fracture {fm.index}: area {got!r} vs polygon {area!r}")
-        for cell in fm.cells:
-            try:
-                n_plus = mesh.face_outward_normal(cell.face_id, cell.cell_plus)
-                n_minus = mesh.face_outward_normal(cell.face_id, cell.cell_minus)
-            except (DegenerateGeometryError, KeyError) as exc:
-                report.append(f"fracture {fm.index} face {cell.face_id}: {exc}")
-                continue
-            if n_plus @ n_minus > -1 + 1e-10:
-                report.append(f"fracture {fm.index} face {cell.face_id}: owner "
-                              f"normals not opposite")
-
-    for tm in md.traces:
-        covered = sum(c.s_b - c.s_a for c in tm.cells)
-        if abs(covered - tm.length) > 1e-10 * tm.length:
-            report.append(f"trace {tm.index}: covers {covered!r} of {tm.length!r}")
-        for cell in tm.cells:
-            for l, sides in cell.sides.items():
-                if len(sides) == 2:
-                    if sides[0].conormal @ sides[1].conormal > -1 + 1e-8:
-                        report.append(f"trace {tm.index}: sides in fracture {l} "
-                                      f"not opposite")
     return report

@@ -486,7 +486,7 @@ def _face_kind(md, blk, key, users):
             return "fracture"
         return "external" if len(users) == 1 else "shared"
     if blk.dim == 1:
-        if any(ip.vid == key and any(s.trace == blk.index for s in ip.sides)
+        if any(ip.vid == key and blk.index in ip.traces
                for ip in md.intersections):
             return "intersection"
         if len(users) == 2:

@@ -11,7 +11,7 @@ import pytest
 
 from mixedvem import problems
 from mixedvem.assembly import assemble_complete
-from mixedvem.cli import main
+from mixedvem.cli import _apply_thread_env, main
 from mixedvem.config import parse_config
 from mixedvem.errors import ConfigError
 from mixedvem.mesh import box_mesh, cut_background_mesh, write_mesh
@@ -149,6 +149,18 @@ def run_builtin(tmp_path, name, *flags):
     assert set(checks) <= set(manifest["checks"])
     assert manifest["timings"]
     return code, manifest
+
+
+def test_thread_env_caps_only_unset_thread_pools(monkeypatch):
+    env = {}
+    monkeypatch.setattr(os, "environ", env)
+    _apply_thread_env()
+    assert env == {}
+    env.update(MIXEDVEM_THREADS="3", MKL_NUM_THREADS="1")
+    _apply_thread_env()
+    assert env == {"MIXEDVEM_THREADS": "3", "OMP_NUM_THREADS": "3",
+                   "OPENBLAS_NUM_THREADS": "3", "MKL_NUM_THREADS": "1",
+                   "NUMEXPR_NUM_THREADS": "3"}
 
 
 def test_cli_list_builtins(capsys):

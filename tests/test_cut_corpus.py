@@ -1,6 +1,7 @@
 """A fixed corpus of adversarial cuts: fractures within a few eps of grid
 planes, through or next to a grid vertex, along a grid edge, two fractures
-almost coplanar, and a cell with no face across the cutting plane.
+almost coplanar or coplanar and overlapping, a fracture in the domain
+boundary, and a cell with no face across the cutting plane.
 
 Each case on the 4^3 unit box (and one bipyramid cell) must give a conforming
 mesh, with every vertex in some face loop, whose solve conserves mass at
@@ -36,6 +37,11 @@ def rectangle(center, normal, half=0.3):
     c = np.asarray(center, float)
     return FractureSpec(np.array([c + half * (s1 * t1 + s2 * t2)
                                   for s1, s2 in ((1, 1), (-1, 1), (-1, -1), (1, -1))]))
+
+
+def z_square(lo, hi, z=0.5):
+    """The axis-aligned square [lo, hi]^2 in the plane at height ``z``."""
+    return FractureSpec(np.array([[lo, lo, z], [hi, lo, z], [hi, hi, z], [lo, hi, z]]))
 
 
 def box_network(*fractures):
@@ -93,6 +99,19 @@ CORPUS = {
                             rectangle(offset(1e-7, OBLIQUE) + 0.1 * np.array([1, -1, 0]),
                                       OBLIQUE)),
         "DegenerateGeometryError"),
+    # the second finds a face of the first wholly inside it
+    "two-coplanar-overlapping-fractures": (
+        lambda: box_network(rectangle(CENTER, [0, 0, 1]),
+                            rectangle(CENTER + np.array([0.1, 0.05, 0]), [0, 0, 1])),
+        "ConformityError"),
+    # each piece of the first that the second overlaps is only partly inside it
+    "two-coplanar-fractures-overlapping-partly": (
+        lambda: box_network(z_square(0.1, 0.45), z_square(0.3, 0.7)),
+        "ConformityError"),
+    # boundary faces are not fracture faces: the fracture would vanish
+    "fracture-in-a-domain-boundary-plane": (
+        lambda: box_network(rectangle([0.5, 0.5, 0.0], [0, 0, 1])),
+        "ConformityError"),
     "bipyramid-cut-through-its-equator": (bipyramid_cut, "solves"),
 }
 

@@ -113,14 +113,15 @@ def test_problem1_domain_graph():
     # each fracture carries exactly two traces
     for l in range(3):
         assert sum(l in tm.fractures for tm in md.traces) == 2
-    assert sorted({s.trace for s in md.intersections[0].sides}) == [0, 1, 2]
-    # all trace sides are two-sided inside each fracture
+    assert sorted(set(md.intersections[0].traces)) == [0, 1, 2]
+    # all trace cells are two-sided inside each fracture
     for tm in md.traces:
         for cell in tm.cells:
-            for l, sides in cell.sides.items():
-                assert len(sides) == 2
+            key = tuple(sorted((cell.vid_a, cell.vid_b)))
+            for l in tm.fractures:
+                assert len(md.fractures[l].edge_cells[key]) == 2
     # 6 sides at the intersection: 2 per trace
-    assert len(md.intersections[0].sides) == 6
+    assert len(md.intersections[0].traces) == 6
 
 
 def test_no_fractures():
@@ -540,11 +541,6 @@ def test_cached_face_normals_keep_signs_and_sides(make):
             n = _face_loop_normal(mesh, cell.face_id)
             assert owners[cell.cell_plus] * n @ fm.plane.normal > 0
             assert owners[cell.cell_minus] * n @ fm.plane.normal < 0
-    cid = sorted(mesh.cells)[0]
-    stranger = next(f for f in mesh.faces
-                    if f not in dict(mesh.cells[cid]))
-    with pytest.raises(KeyError):
-        mesh.face_outward_normal(stranger, cid)
 
 
 # -- hanging vertices: the cut's edge rule against a scalar geometric search --

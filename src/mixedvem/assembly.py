@@ -43,13 +43,14 @@ approximate the trace pressure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .elements import ElementSpace, local_matrices, local_matrices_1d, stiffness
 from .errors import ConfigError
 from .mesh import MixedDimensionalMesh, field_values_stacked
-from .polyspace import MonomialBasis, dim_poly
+from .polyspace import MonomialBasis, dim_poly, monomials
 
 # an intersection's one pressure: the constant, in physical coordinates
 POINT_BASIS = MonomialBasis(3, 0, np.zeros(3), 1.0)
@@ -217,10 +218,8 @@ def fill_block(blk, space, geoms, face_users, split):
                 next_u += per
             dofs[(key, ci)] = slots[ci][lf] = (ids, sign if shared else 1)
 
-    if space.dim == 1:
-        locs = [local_matrices_1d(space, geom, nu=blk.nu) for geom in geoms]
-    else:
-        locs = local_matrices(space, geoms, nu=blk.nu)
+    build = local_matrices_1d if space.dim == 1 else local_matrices
+    locs = build(space, geoms, nu=blk.nu)
     for ci, (geom, loc) in enumerate(zip(geoms, locs)):
         n_int = loc.layout.n_typeii + loc.layout.n_typeiii
         faces = [slots[ci][lf] for lf in range(len(slots[ci]))]
@@ -264,10 +263,9 @@ def _build_3d_block(dm, md, offset):
             users[fid].append((ci, lf, s))
     lower = {cell.face_id: ((2, fm.index), ci2, fm.spec.inverse_eta2)
              for fm in md.fractures for ci2, cell in enumerate(fm.cells)}
-    for fid, owners in users.items():
-        if len(owners) == 2 and fid not in lower:
-            canon = mesh.face_geometry([fid])[0].lex_sign
-            users[fid] = [(ci, lf, s * canon) for ci, lf, s in owners]
+    shared = [fid for fid, owners in users.items() if len(owners) == 2 and fid not in lower]
+    for fid, face in zip(shared, mesh.face_geometry(shared)):
+        users[fid] = [(ci, lf, s * face.lex_sign) for ci, lf, s in users[fid]]
 
     dofs = fill_block(blk, dm.space(3), geoms, users, lower)
     _add_interfaces(dm, blk, users, dofs, lower)
@@ -373,15 +371,16 @@ def _build_1d_block(dm, md, tm, offset):
 class CellBlock:
     """One cell's dense share of the global matrix, on the global ids
     ``dofs``: its flux DOFs (in the global orientation), its own pressures,
-    then the pressures of the lower cells its interface sides face.  The
-    cell's physical ``centroid`` places its unknowns for the solver's
-    ordering."""
+    then the pressures of the lower cells its interface sides face, which
+    start at ``lower[(lower block key, lower cell)]``.  The cell's physical
+    ``centroid`` places its unknowns for the solver's ordering."""
 
     dofs: np.ndarray
     n_u: int
     n_p: int
     matrix: np.ndarray
     centroid: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    lower: dict = field(default_factory=dict)
 
 
 def summed_entries(cells, n, fixed=()):
@@ -485,7 +484,7 @@ def assemble_dimension(dm: GlobalDofMap, dim: int) -> dict:
     lower = {}
     for side in dm.interfaces:
         if side.upper[0] == dim:
-            lower.setdefault((side.upper, side.cell), []).append(
+            lower.setdefault((side.upper, side.cell), {})[side.lower, side.lower_cell] = (
                 dm.blocks[side.lower].cell_p_dofs[side.lower_cell])
     cells = {}
     for key, blk in dm.blocks.items():
@@ -496,11 +495,14 @@ def assemble_dimension(dm: GlobalDofMap, dim: int) -> dict:
             if loc is None:
                 continue
             u, p = blk.cell_u_dofs[ci], blk.cell_p_dofs[ci]
-            dofs = np.concatenate([u, p, *lower.get((key, ci), [])])
+            low = lower.get((key, ci), {})
+            dofs = np.concatenate([u, p, *low.values()])
+            at = accumulate([len(u) + len(p)] + [len(q) for q in low.values()])
             c = blk.geoms[ci].centroid   # a segment's is physical already
             cells[(key, ci)] = CellBlock(
                 dofs, len(u), len(p), np.zeros((len(dofs),) * 2),
-                c if blk.dim == 1 else blk.point_map(ci, c[None])[0])
+                c if blk.dim == 1 else blk.point_map(ci, c[None])[0],
+                dict(zip(low, at)))
             layouts.setdefault(loc.layout, []).append(ci)
         for group in layouts.values():
             for ci, K in zip(group, stiffness([blk.locals_[ci] for ci in group])):
@@ -547,20 +549,47 @@ def assemble_coupling_same_dim(dm: GlobalDofMap, cells: dict):
 
 def assemble_coupling_cross_dim(dm: GlobalDofMap, cells: dict):
     """Pair each interface side's outward flux with the pressures of its
-    lower cell: +C and -C^T blocks."""
+    lower cell: +C and -C^T blocks.  For all sides of one dimension pair,
+    the face and lower pressure monomials are evaluated on the stacked face
+    rules (one per face and lower cell: a fracture face's two sides share
+    it), and C comes from one batched product, over rules padded with zero
+    rows."""
     qo = 2 * (dm.order + 2)
+    pairs = {}
     for side in dm.interfaces:
-        upper, lower = dm.blocks[side.upper], dm.blocks[side.lower]
-        pts, w, dual = face_rule(upper, side.cell, side.face, qo)
-        lc = side.lower_cell
-        phys = upper.point_map(side.cell, pts)
-        mu = lower.bases_p[lc].evaluate(lower.local_coords(lc, phys))
-        C = dual.T @ (w[:, None] * mu)
-        cb = cells[(side.upper, side.cell)]
-        sl = upper.locals_[side.cell].layout.face_slice(side.face)
-        q = np.flatnonzero(np.isin(cb.dofs, lower.cell_p_dofs[lc]))
-        cb.matrix[sl, q] += C
-        cb.matrix[q, sl] -= C.T
+        pairs.setdefault((side.upper[0], side.lower[0]), []).append(side)
+    for sides in pairs.values():
+        index, rules, r = {}, [], []
+        for side in sides:
+            upper, lower = dm.blocks[side.upper], dm.blocks[side.lower]
+            face = upper.geoms[side.cell].faces[side.face]
+            key = (id(face), side.lower, side.lower_cell)
+            if key not in index:
+                index[key] = len(rules)
+                pts, w = face.quadrature(qo)
+                basis = lower.bases_p[side.lower_cell]
+                y = lower.local_coords(side.lower_cell, upper.point_map(side.cell, pts))
+                rules.append((face.to_face_coords(pts) /
+                              upper.locals_[side.cell].face_scale[side.face],
+                              (y - basis.center) / basis.scale, w))
+            r.append(index[key])
+        xi, z, w = (np.concatenate(x) for x in zip(*rules))
+        n = np.array([len(rule[2]) for rule in rules])
+        at = np.arange(n.max()) < n[:, None]
+        F = np.zeros(at.shape + (dim_poly(xi.shape[1], dm.order),))
+        F[at] = monomials(xi, dm.order)
+        degree = dm.blocks[sides[0].lower].bases_p[0].order
+        mu = np.zeros(at.shape + (dim_poly(z.shape[1], degree),))
+        mu[at] = w[:, None] * monomials(z, degree)
+        dual = np.stack([dm.blocks[s.upper].locals_[s.cell].face_dual[s.face]
+                         for s in sides])
+        for side, C in zip(sides, (F[r] @ dual).transpose(0, 2, 1) @ mu[r]):
+            cb = cells[(side.upper, side.cell)]
+            sl = dm.blocks[side.upper].locals_[side.cell].layout.face_slice(side.face)
+            q0 = cb.lower[side.lower, side.lower_cell]
+            q = slice(q0, q0 + C.shape[1])
+            cb.matrix[sl, q] += C
+            cb.matrix[q, sl] -= C.T
 
 
 def cell_fields(blk, cells, qo, fields):

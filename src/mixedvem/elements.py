@@ -13,11 +13,12 @@ data and stored in a ``LocalMatrixSet``, with the small divergence block
 ``W``.  The stabilized stiffness ``K`` is derived (``stiffness``): assembly
 makes it once per group of cells, straight into the cell blocks, and no
 record keeps a copy.  A segment's velocities are plain polynomials:
-``local_matrices_1d`` builds its exact matrices, with no projection error and
-no stabilization, into the same ``LocalMatrixSet``.  Its ``vec_basis`` is the
-velocity monomials themselves, ``Pi0_hat`` the canonical basis in them and
-``D`` the DOFs of the monomials, so ``D @ Pi0_hat = I``; its faces are its
-two ends, each with the one dual value 1.
+``local_matrices_1d`` builds a trace's exact matrices as one stack, with no
+projection error and no stabilization, into the same ``LocalMatrixSet``.
+Its ``vec_basis`` is the velocity monomials themselves, ``Pi0_hat`` the
+canonical basis in them and ``D`` the DOFs of the monomials, so
+``D @ Pi0_hat = I``; its faces are its two ends, each with the one dual
+value 1.
 
 ``local_matrices`` builds a whole block of cells in one call.  The
 integrals are made cell by cell: the volume mass matrix from the cell's rule,
@@ -327,8 +328,9 @@ def local_matrices(space: ElementSpace, geoms, nu=1.0) -> list:
     return out
 
 
-def local_matrices_1d(space: ElementSpace, geom, nu=1.0) -> LocalMatrixSet:
-    """Exact local matrices of the 1D mixed element on a SegmentGeometry.
+def local_matrices_1d(space: ElementSpace, geoms, nu=1.0) -> list:
+    """Exact local matrices of the 1D mixed element on the SegmentGeometry
+    cells ``geoms`` of a trace, built as one stack: one LocalMatrixSet each.
 
     The velocity is a polynomial of degree grad_order + 1 in the arc-length
     coordinate; endpoint DOFs are outward fluxes and interior DOFs are the
@@ -338,42 +340,44 @@ def local_matrices_1d(space: ElementSpace, geom, nu=1.0) -> LocalMatrixSet:
         raise ValueError("local_matrices_1d requires a 1D space")
     nu = _positive_nu(nu)
     kg = space.grad_order
-    layout = dof_layout(space, geom)
-    L = geom.measure
+    layout = dof_layout(space, geoms[0])
+    L = np.array([geom.measure for geom in geoms])
+    m, n_u, n_p = len(geoms), kg + 2, kg + 1
 
-    basis_u = MonomialBasis(1, kg + 1, np.zeros(1), L)
-    basis_p = MonomialBasis(1, kg, np.zeros(1), L)
-    n_u = basis_u.size
+    # s / L on each rule, exact for the velocity mass; the pressure (and
+    # lower) monomials lead the velocity ones
+    rules = [geom.quadrature(2 * (kg + 2)) for geom in geoms]
+    w = np.stack([w for _, w in rules])
+    xi = np.concatenate([pts for pts, _ in rules]) / np.repeat(L, w.shape[1])[:, None]
+    vals_u = monomials(xi, kg + 1).reshape(m, -1, n_u)
+    vals_p = vals_u[:, :, :n_p]
 
-    # DOF matrix rows: outward flux at both ends, then gradient moments
-    pts, w = geom.quadrature(2 * (kg + 2))   # exact for the velocity mass
-    vals_u = basis_u.evaluate(pts)
-    vals_p = basis_p.evaluate(pts)
-    D = np.zeros((n_u, n_u))
-    for i, end in enumerate(geom.faces):
-        D[i] = end.lex_sign * basis_u.evaluate(end.quadrature(0)[0])[0]
-    if kg >= 1:
-        # gradient moments (1/|E|) int u * m_a' for the non-constant monomials
-        Dp = basis_p.derivative_coeffs(0)  # m' coefficients, degree kg-1 basis
-        vals_lo = MonomialBasis(1, kg - 1, np.zeros(1), L).evaluate(pts)
-        for a in range(1, kg + 1):
-            mprime = vals_lo @ Dp[:, a]
-            D[2 + (a - 1), :] = (w * mprime) @ vals_u / L
-    phi = np.linalg.solve(D, np.eye(n_u))
+    # DOF matrix rows: outward flux at both ends (arc length -L/2 and L/2,
+    # outward along -/+ the tangent), then the gradient moments
+    # (1/|E|) int u * m_a' for the non-constant pressure monomials
+    D = np.empty((m, n_u, n_u))
+    D[:, :2] = np.array([[-1.0], [1.0]]) * monomials(np.array([[-0.5], [0.5]]), kg + 1)
+    for a in range(1, n_p):   # m_a' = a/L (s/L)^(a-1)
+        mprime = w * (vals_u[:, :, a - 1] * (a / L[:, None]))
+        D[:, 1 + a] = (mprime[:, None] @ vals_u)[:, 0] / L[:, None]
+    phi = np.linalg.solve(D, np.broadcast_to(np.eye(n_u), D.shape))
 
-    mass_u = vals_u.T @ (w[:, None] * vals_u)
-    H = vals_p.T @ (w[:, None] * vals_p)
-    Du = basis_u.derivative_coeffs(0)      # u' coefficients in the degree-kg basis
-    dphi = Du @ phi
-    W = vals_p.T @ (w[:, None] * (vals_p @ dphi))
-    V, ratio = spd_solve(H[None], W[None], "1D pressure mass matrix")
-    return LocalMatrixSet(
-        space=space, layout=layout, basis_p=basis_p,
-        vec_basis=VectorPolyBasis(basis_u, np.eye(n_u)[:, None, :]),
-        nu=nu, measure=L, G=mass_u, H=H, H_hash=np.zeros((0, basis_p.size)),
-        W=W, V=V[0], B=mass_u @ phi, D=D, Pi0_hat=phi,
+    mass_u = vals_u.transpose(0, 2, 1) @ (w[:, :, None] * vals_u)
+    H = mass_u[:, :n_p, :n_p]
+    # u' coefficients in the degree-kg basis: d/ds (s/L)^j = j/L (s/L)^(j-1)
+    dphi = np.arange(1, n_u)[None, :, None] / L[:, None, None] * phi[:, 1:]
+    W = vals_p.transpose(0, 2, 1) @ (w[:, :, None] * (vals_p @ dphi))
+    V, ratio = spd_solve(H, W, "1D pressure mass matrix")
+    B = mass_u @ phi
+    return [LocalMatrixSet(
+        space=space, layout=layout, basis_p=MonomialBasis(1, kg, np.zeros(1), L[c]),
+        vec_basis=VectorPolyBasis(MonomialBasis(1, kg + 1, np.zeros(1), L[c]),
+                                  np.eye(n_u)[:, None, :]),
+        nu=nu, measure=float(L[c]), G=mass_u[c], H=H[c], H_hash=np.zeros((0, n_p)),
+        W=W[c], V=V[c], B=B[c], D=D[c], Pi0_hat=phi[c],
         face_dual=np.ones((layout.n_faces, 1, 1)),
-        face_scale=np.ones(layout.n_faces), pivot_ratio=float(ratio[0]))
+        face_scale=np.ones(layout.n_faces), pivot_ratio=float(ratio[c]))
+        for c in range(m)]
 
 
 def dump_local_matrices(local: LocalMatrixSet, stream):

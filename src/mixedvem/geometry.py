@@ -14,8 +14,7 @@ shared by the cells it bounds, and builds all missing ones in one
 (``_Loops``) with array operations: plane fit, lex frame, shoelace, diameter
 and centroid fan for every loop at once; only loops that are not star-shaped
 about their centroid are ear clipped, one by one, and a degenerate loop gets
-a DegenerateGeometryError in place of its record.  ``triangulate_polygon_2d``
-and ``PolygonGeometry`` use the same triangulation on one loop.
+a DegenerateGeometryError in place of its record.
 
 A ``PolyhedronGeometry`` holds (record, sign) pairs and keeps its centroid
 *cone* (the positively oriented tetrahedra joining the face triangles to the
@@ -30,10 +29,13 @@ a degenerate face or no positive volume gets a DegenerateGeometryError in
 place of its record; a sliver or non-star-shaped cell gets a record whose
 ``cone`` raises.
 
-``PolygonGeometry`` keeps its triangulation and its edges as segments.  A
-``SegmentGeometry``'s faces are its two ends: unit measure, a one-point rule
-of weight 1 and face coordinates with no entries.  So segments, polygons and polyhedra offer one face
-interface (``n_faces``, ``faces`` with ``measure``, ``quadrature`` and
+A ``PolygonGeometry`` is a batch record too: ``build_polygons`` makes a
+fracture's polygons by array passes over their 2D loops (area, centroid,
+diameter, every edge's records and segment, and one ``_triangulate`` call),
+and ``PolygonGeometry(coords)`` is a batch of one.  A ``SegmentGeometry``'s
+faces are its two ends: unit measure, a one-point rule of weight 1 and face
+coordinates with no entries.  So segments, polygons and polyhedra offer one
+face interface (``n_faces``, ``faces`` with ``measure``, ``quadrature`` and
 ``to_face_coords``) to the element and assembly code.  No point array is
 kept per order: every ``quadrature(order)`` or ``face_quadrature(order)``
 call maps the cached reference rule onto all simplices in one batch and
@@ -228,19 +230,7 @@ def triangulate_polygon_2d(coords):
     otherwise.  Returns a (t, 3, 2) array.  Collinear (hanging) vertices are
     tolerated.
     """
-    return _polygon_triangles(np.asarray(coords, dtype=float))[0]
-
-
-def _polygon_triangles(coords):
-    """Triangles (t, 3, 2) and areas (t,) of a simple CCW polygon."""
-    area, centroid = polygon_area_centroid_2d(coords)
-    if area < 0:
-        raise ValueError("polygon must be counter-clockwise")
-    tris, areas, _, errors = _triangulate(_Loops([coords]), coords, np.array([area]),
-                                          centroid[None], [None])
-    if errors[0]:
-        raise DegenerateGeometryError(errors[0])
-    return tris, areas
+    return PolygonGeometry(coords).triangulation[0]
 
 
 def _triangulate(loops, xy, area, centroid, errors):
@@ -556,20 +546,17 @@ class PolygonGeometry:
     ``coords`` are the 2D in-frame vertex coordinates (CCW).  The element's
     "faces" are its edges; each edge carries the outward in-plane normal and a
     1D frame (signed arc length from the edge midpoint) for edge monomials.
+    ``values`` come from a ``build_polygons`` batch; without them the polygon
+    is a batch of one, and a degenerate one raises DegenerateGeometryError.
     """
 
-    def __init__(self, coords2d):
-        self.coords = np.asarray(coords2d, dtype=float)
-        area, centroid = polygon_area_centroid_2d(self.coords)
-        scale = float(_diameters(self.coords, np.array([len(self.coords)]))[0])
-        if area <= geo_eps(scale) * scale:
-            raise DegenerateGeometryError("polygon area not positive")
-        self.measure = float(area)
-        self.centroid = centroid
-        self.diameter = scale
-        self._faces = None
-        self._triangulation = None
-        self._face_simplices = None
+    def __init__(self, coords2d, values=None):
+        if values is None:
+            values = _polygon_batch([coords2d])[0]
+            if isinstance(values, DegenerateGeometryError):
+                raise values
+        (self.coords, self.measure, self.centroid, self.diameter, self.faces,
+         self.normals, self.triangulation, self._face_simplices) = values
 
     dim = 2
 
@@ -577,43 +564,12 @@ class PolygonGeometry:
     def n_faces(self):
         return len(self.coords)
 
-    @property
-    def faces(self):
-        if self._faces is None:
-            self._faces = [self._edge_view(i) for i in range(len(self.coords))]
-        return self._faces
-
-    @property
-    def normals(self):
-        return np.array([face.normal for face in self.faces])
-
-    def _edge_view(self, i):
-        a = self.coords[i]
-        b = self.coords[(i + 1) % len(self.coords)]
-        t = b - a
-        L = np.linalg.norm(t)
-        if L <= geo_eps(self.diameter):
-            raise DegenerateGeometryError("zero-length polygon edge")
-        t = t / L
-        normal = np.array([t[1], -t[0]])  # outward for a CCW loop
-        return _EdgeView(a=a, b=b, normal=normal, tangent=t)
-
     def quadrature(self, order):
-        if self._triangulation is None:
-            self._triangulation = _polygon_triangles(self.coords)
-        return _map_rule(*_triangle_ref_rule(order), *self._triangulation)
+        return _map_rule(*_triangle_ref_rule(order), *self.triangulation)
 
     def face_simplices(self):
         """Every edge as a segment: ends in its edge coordinate (e, 2, 1) and
         in the polygon's frame (e, 2, 2), lengths (e,) and edge indices (e,)."""
-        if self._face_simplices is None:
-            faces = self.faces
-            ends = np.stack([self.coords, _next(self.coords)], axis=1)
-            tangents = np.array([f.frame_tangent for f in faces])
-            rel = ends - 0.5 * (ends[:, :1] + ends[:, 1:])
-            local = np.einsum("ekd,ed->ek", rel, tangents)[:, :, None]
-            lengths = np.array([f.measure for f in faces])
-            self._face_simplices = (local, ends, lengths, np.arange(len(faces)))
         return self._face_simplices
 
     def face_quadrature(self, order):
@@ -621,31 +577,72 @@ class PolygonGeometry:
         return _face_quadrature(self.face_simplices(), _segment_ref_rule(order))
 
 
-@dataclass
+def build_polygons(loops):
+    """One PolygonGeometry per CCW 2D vertex loop, made as ``build_faces``
+    makes its records; a degenerate loop gets its (not raised)
+    DegenerateGeometryError in place of its record."""
+    return [values if isinstance(values, DegenerateGeometryError)
+            else PolygonGeometry(None, values) for values in _polygon_batch(loops)]
+
+
+def _polygon_batch(loops):
+    """Per 2D loop, its DegenerateGeometryError (no positive area, a
+    zero-length edge or no triangle) or its (coords, measure, centroid,
+    diameter, edges, edge normals, triangulation, face simplices), from array
+    passes over the concatenated loops and one ``_triangulate`` call."""
+    lp = _Loops([np.asarray(loop, dtype=float) for loop in loops])
+    xy, i = lp.coords, lp.loop_of
+    area, centroid = lp.area_centroids(xy)
+    diameter = _diameters(xy, lp.sizes)
+    tol = EPS_GEO_FACTOR * np.maximum(diameter, 1.0)
+    errors = [None] * len(area)
+    for k in np.flatnonzero(area <= tol * diameter):
+        errors[k] = "polygon area not positive"
+    ends = np.stack([xy, xy[lp.next]], axis=1)
+    t = ends[:, 1] - xy
+    length = np.linalg.norm(t, axis=1)
+    for k in np.unique(i[length <= tol[i]]):
+        errors[k] = errors[k] or "zero-length polygon edge"
+    t = t / np.where(length > 0.0, length, 1.0)[:, None]
+    normal = np.column_stack([t[:, 1], -t[:, 0]])      # outward for a CCW loop
+    sign = lex_sign(t)
+    frame = sign[:, None] * t
+    rel = ends - 0.5 * (ends[:, :1] + ends[:, 1:])
+    local = np.einsum("ekd,ed->ek", rel, frame)[:, :, None]
+    tris, tri_areas, first, errors = _triangulate(lp, xy, area, centroid, errors)
+    edges = [_EdgeView(*row) for row in zip(xy, ends[:, 1], normal, t, sign.tolist(),
+                                            frame, length.tolist())]
+    starts, sizes, first = lp.starts.tolist(), lp.sizes.tolist(), first.tolist()
+    out = []
+    for k, error in enumerate(errors):
+        e, tri = slice(starts[k], starts[k] + sizes[k]), slice(first[k], first[k + 1])
+        out.append(DegenerateGeometryError(error) if error else (
+            xy[e], float(area[k]), centroid[k], float(diameter[k]), edges[e], normal[e],
+            (tris[tri], tri_areas[tri]), (local[e], ends[e], length[e], np.arange(sizes[k]))))
+    return out
+
+
+@dataclass(eq=False)
 class _EdgeView:
     """Edge of a PolygonGeometry, acting as a (d-1)-face.
 
-    Edge monomials use the lexicographically positive tangent so neighbouring
-    cells agree on the edge coordinate; ``lex_sign`` is the sign of the
-    traversal tangent (and of the outward normal) against it.
+    Edge monomials use the lexicographically positive tangent
+    ``frame_tangent`` so neighbouring cells agree on the edge coordinate;
+    ``lex_sign`` is the sign of the traversal tangent (and of the outward
+    normal) against it.
     """
 
     a: np.ndarray
     b: np.ndarray
     normal: np.ndarray
     tangent: np.ndarray
-
-    def __post_init__(self):
-        self.lex_sign = lex_sign(self.tangent)
-        self.frame_tangent = self.lex_sign * self.tangent
+    lex_sign: int
+    frame_tangent: np.ndarray
+    measure: float
 
     @property
     def vertices(self):
         return self.a, self.b
-
-    @property
-    def measure(self):
-        return float(np.linalg.norm(self.b - self.a))
 
     @property
     def centroid(self):

@@ -39,8 +39,8 @@ import numpy as np
 
 from .errors import ConfigError, ConformityError, DegenerateGeometryError, TopologyError
 from .geometry import (EPS_GEO_FACTOR, Plane, PolygonGeometry, PolyhedronGeometry,
-                       SegmentGeometry, build_cells, build_faces, fit_plane,
-                       polygon_area_centroid_2d)
+                       SegmentGeometry, build_cells, build_faces, build_polygons,
+                       fit_plane, polygon_area_centroid_2d)
 
 
 # ---------------------------------------------------------------------------
@@ -1059,11 +1059,11 @@ def extract_lower_meshes(mesh: PolyMesh3D, spec: NetworkSpec, eps=None):
     fractures = []
     for l, fspec in enumerate(spec.fractures):
         plane = fspec.plane
-        cells = []
         fids = [fid for fid in sorted(mesh.faces) if mesh.face_fracture.get(fid) == l]
         if not fids:
             raise ConformityError(f"fracture {l} keeps no face; a fracture must "
                                   f"not lie in the domain boundary")
+        loops, parts = [], []
         for fid, face in zip(fids, mesh.face_geometry(fids)):
             owners = inc.get(fid, ())
             if len(owners) != 2:
@@ -1076,10 +1076,14 @@ def extract_lower_meshes(mesh: PolyMesh3D, spec: NetworkSpec, eps=None):
             sides = {s * step: cid for cid, s in owners}
             if set(sides) != {1, -1}:
                 raise TopologyError(f"fracture face {fid}: sides not resolvable")
-            cells.append(FractureCell(
-                face_id=fid, vids=mesh.faces[fid][::step],
-                geometry=PolygonGeometry(plane.to_2d(face.coords[::step])),
-                cell_plus=sides[1], cell_minus=sides[-1]))
+            loops.append(plane.to_2d(face.coords[::step]))
+            parts.append((fid, mesh.faces[fid][::step], sides))
+        cells = []
+        for (fid, vids, sides), geom in zip(parts, build_polygons(loops)):
+            if isinstance(geom, DegenerateGeometryError):
+                raise geom
+            cells.append(FractureCell(face_id=fid, vids=vids, geometry=geom,
+                                      cell_plus=sides[1], cell_minus=sides[-1]))
         edge_cells = {}
         for ci, cell in enumerate(cells):
             n = len(cell.vids)

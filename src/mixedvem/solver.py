@@ -429,32 +429,27 @@ def error_norms(sol: DiscreteSolution, exact: dict):
         if key not in exact or blk.dim == 0:
             continue
         ex = exact[key]
-        acc = np.zeros(6)
+        sq = np.zeros(2 * (blk.dim + 2))
         fields = (ex.pressure, ex.velocity, ex.divergence)
         for ci, pts, w, (p_ex, u_ex, div_ex) in cell_fields(
                 blk, range(len(blk.geoms)), qo, fields):
             loc = blk.locals_[ci]
-            # the pressure (and divergence) monomials lead the velocity ones:
-            # same centre and scale, graded-lex order, lower degree
-            vb = loc.vec_basis
-            mono = vb.scalar.evaluate(pts)
-            mono_p = mono[:, :loc.basis_p.size]
-            # pressure
-            p_h = mono_p @ sol.pressure_coeffs(blk, ci)
-            acc[0] += np.sum(w * (p_ex - p_h) ** 2)
-            acc[3] += np.sum(w * p_ex ** 2)
-            # velocity
+            # one table over the velocity monomials, whose leading entries are
+            # the pressure (and divergence) monomials: columns p_h, u_h, div_h
+            vb, n_p = loc.vec_basis, loc.basis_p.size
+            table = np.zeros((vb.coeffs.shape[2], blk.dim + 2))
+            table[:n_p, 0] = sol.pressure_coeffs(blk, ci)
+            table[:, 1:-1] = np.einsum("b,bij->ji", sol.projected_velocity(blk, ci),
+                                       vb.coeffs)
+            table[:n_p, -1] = loc.V @ sol.local_flux_dofs(blk, ci)
             if blk.frame is not None:
                 u_ex = u_ex @ blk.frame.T
-            # contract the coefficients first: (n_k, d) monomial rows
-            u_h = mono @ np.einsum(
-                "b,bij->ji", sol.projected_velocity(blk, ci), vb.coeffs)
-            acc[1] += np.sum(w * np.sum((u_ex - u_h) ** 2, axis=1))
-            acc[4] += np.sum(w * np.sum(u_ex ** 2, axis=1))
-            # divergence
-            div_h = mono_p @ (loc.V @ sol.local_flux_dofs(blk, ci))
-            acc[2] += np.sum(w * (div_ex - div_h) ** 2)
-            acc[5] += np.sum(w * div_ex ** 2)
+            E = np.column_stack([p_ex, u_ex, div_ex])
+            E = np.hstack([E - vb.scalar.evaluate(pts) @ table, E])
+            sq += w @ (E * E)
+        d = blk.dim + 2
+        acc = np.array([sq[0], sq[1:d - 1].sum(), sq[d - 1],
+                        sq[d], sq[d + 1:2 * d - 1].sum(), sq[2 * d - 1]])
         out[key] = tuple(np.sqrt(acc))
         agg += acc
     out["aggregate"] = tuple(np.sqrt(agg))

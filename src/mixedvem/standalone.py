@@ -19,8 +19,8 @@ from numpy.random import default_rng
 from .assembly import (DomainBlock, GlobalDofMap, GlobalSystem, add_dirichlet_loads,
                        assemble_dimension, assemble_rhs, fill_block)
 from .elements import ElementSpace
-from .errors import ConfigError
-from .geometry import Plane, PolygonGeometry, SegmentGeometry
+from .errors import ConfigError, DegenerateGeometryError
+from .geometry import Plane, SegmentGeometry, build_polygons
 from .mesh import BoundaryCondition
 from .solver import DiscreteSolution, solve
 
@@ -109,10 +109,10 @@ def unit_square_mesh(n, distort=0.0, seed=0):
             if distort and 0 < i < n and 0 < j < n:
                 p = p + rng.uniform(-distort, distort, 2) / n
             nodes[i, j] = p
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            quad = np.array([nodes[i, j], nodes[i + 1, j],
-                             nodes[i + 1, j + 1], nodes[i, j + 1]])
-            cells.append(PolygonGeometry(quad))
+    cells = build_polygons([np.array([nodes[i, j], nodes[i + 1, j],
+                                      nodes[i + 1, j + 1], nodes[i, j + 1]])
+                            for i in range(n) for j in range(n)])
+    for cell in cells:
+        if isinstance(cell, DegenerateGeometryError):
+            raise cell
     return cells

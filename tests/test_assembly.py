@@ -87,7 +87,7 @@ def test_trace_cells_share_the_element_record_and_face_interface():
     assert len(traces) == 3
     for blk in traces:
         for ci, (geom, loc) in enumerate(zip(blk.geoms, blk.locals_)):
-            again = local_matrices_1d(dm.space(1), geom, nu=blk.nu)
+            again, = local_matrices_1d(dm.space(1), [geom], nu=blk.nu)
             assert isinstance(again, LocalMatrixSet)
             assert np.array_equal(again.K, loc.K)
             assert np.abs(loc.D @ loc.Pi0_hat - np.eye(loc.layout.n_dof)).max() <= 1e-13

@@ -220,7 +220,7 @@ def test_oplus_basis_independence(monkeypatch):
 def test_local_1d_exact_matrices():
     seg = geo.SegmentGeometry([0, 0, 0], [2, 0, 0])
     space = ElementSpace(1, 1)
-    loc = local_matrices_1d(space, seg, nu=3.0)
+    loc, = local_matrices_1d(space, [seg], nu=3.0)
     # velocity space P2 on s in [-1,1]: 3 dofs (2 endpoints + 1 moment)
     assert loc.K_a.shape == (3, 3)
 
@@ -248,6 +248,54 @@ def test_local_1d_exact_matrices():
     assert np.allclose(velocity_values(dofs, s), uu(s), atol=1e-12)
 
 
+def _segment_oracle(space, geom, nu):
+    """The per-segment builder ``local_matrices_1d`` replaced: one segment's
+    monomial bases, DOF rows, solves and products, as (name, matrix) pairs."""
+    kg, L = space.grad_order, geom.measure
+    basis_u = ps.MonomialBasis(1, kg + 1, np.zeros(1), L)
+    basis_p = ps.MonomialBasis(1, kg, np.zeros(1), L)
+    n_u = basis_u.size
+    pts, w = geom.quadrature(2 * (kg + 2))
+    vals_u, vals_p = basis_u.evaluate(pts), basis_p.evaluate(pts)
+    D = np.zeros((n_u, n_u))
+    for i, end in enumerate(geom.faces):
+        D[i] = end.lex_sign * basis_u.evaluate(end.quadrature(0)[0])[0]
+    if kg >= 1:
+        Dp = basis_p.derivative_coeffs(0)
+        vals_lo = ps.MonomialBasis(1, kg - 1, np.zeros(1), L).evaluate(pts)
+        for a in range(1, kg + 1):
+            D[2 + (a - 1), :] = (w * (vals_lo @ Dp[:, a])) @ vals_u / L
+    phi = np.linalg.solve(D, np.eye(n_u))
+    mass_u = vals_u.T @ (w[:, None] * vals_u)
+    H = vals_p.T @ (w[:, None] * vals_p)
+    W = vals_p.T @ (w[:, None] * (vals_p @ (basis_u.derivative_coeffs(0) @ phi)))
+    V = spd_solve(H[None], W[None], "1D pressure mass matrix")[0][0]
+    return [("G", mass_u), ("H", H), ("W", W), ("V", V), ("B", mass_u @ phi),
+            ("D", D), ("Pi0_hat", phi), ("K", np.block(
+                [[phi.T @ (nu * mass_u) @ phi, -W.T], [W, np.zeros((len(W),) * 2)]]))]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 4])
+def test_stacked_1d_builder_matches_per_segment_oracle(order):
+    # the traces of the benchmark network and of the quartic problem, each
+    # one stack, against the per-segment builder to 1e-14 of each matrix
+    from tests.test_assembly import _network_9400_md
+    traces = [tm for md in (_network_9400_md(), _quartic_cut_md()[0])
+              for tm in md.traces]
+    space = ElementSpace(1, order)
+    for tm in traces:
+        geoms = [cell.geometry for cell in tm.cells]
+        locs = local_matrices_1d(space, geoms, nu=2.5)
+        assert len(locs) == len(geoms) > 1
+        for geom, loc in zip(geoms, locs):
+            assert loc.measure == geom.measure
+            assert loc.basis_p.scale == loc.vec_basis.scalar.scale == geom.measure
+            for name, want in _segment_oracle(space, geom, 2.5):
+                got = getattr(loc, name)
+                assert got.shape == want.shape, name
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name
+
+
 @pytest.mark.parametrize("nu", [lambda x: 2.5, np.eye(3), 0.0, -1.0,
                                 np.inf, float("nan"), "2.5"])
 def test_nu_must_be_positive_number(nu):
@@ -255,7 +303,7 @@ def test_nu_must_be_positive_number(nu):
         local_matrices(ElementSpace(3, 1), [cube_geom()], nu=nu)
     with pytest.raises(ConfigError):
         local_matrices_1d(ElementSpace(1, 1),
-                          geo.SegmentGeometry([0, 0, 0], [2, 0, 0]), nu=nu)
+                          [geo.SegmentGeometry([0, 0, 0], [2, 0, 0])], nu=nu)
 
 
 def test_debug_dump(tmp_path):

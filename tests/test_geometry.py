@@ -285,3 +285,124 @@ def test_lex_frame_ignores_roundoff_entries():
     for a, b in [(ahead.plane.normal, back.plane.normal),
                  (ahead.plane.t1, back.plane.t1), (ahead.plane.t2, back.plane.t2)]:
         assert np.abs(a - b).max() <= 1e-15
+
+
+# A batch record matches the per-polygon construction to this share of its
+# scale (measures to its square).
+POLYGON_RTOL = 1e-14
+
+# not star-shaped about its centroid (which lies in the notch): ear clipped
+U_SHAPE = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [2.0, 3.0], [2.0, 1.0],
+                    [1.0, 1.0], [1.0, 3.0], [0.0, 3.0]])
+
+
+def _polygon_oracle(coords):
+    """The per-polygon construction ``build_polygons`` replaced: shoelace
+    area and centroid of the one loop, one record per edge with its own
+    ``lex_sign`` call, the loop triangulated alone and the edge segments from
+    the edge records.  Returns the values a record holds, by name."""
+    coords = np.asarray(coords, dtype=float)
+    area, centroid = geo.polygon_area_centroid_2d(coords)
+    diameter = geo._diameters(coords, np.array([len(coords)]))[0]
+    tris, areas, _, errors = geo._triangulate(geo._Loops([coords]), coords,
+                                              np.array([area]), centroid[None], [None])
+    assert errors == [None]
+    ends = np.stack([coords, np.roll(coords, -1, axis=0)], axis=1)
+    edges = []
+    for a, b in ends:
+        t = (b - a) / np.linalg.norm(b - a)
+        sign = geo.lex_sign(t)
+        edges.append((a, b, np.array([t[1], -t[0]]), t, sign, sign * t,
+                      np.linalg.norm(b - a)))
+    frame = np.array([e[5] for e in edges])
+    rel = ends - 0.5 * (ends[:, :1] + ends[:, 1:])
+    local = np.einsum("ekd,ed->ek", rel, frame)[:, :, None]
+    return {"measure": area, "centroid": centroid, "diameter": diameter,
+            "coords": coords, "normals": np.array([e[2] for e in edges]),
+            "triangles": tris, "triangle areas": areas, "edges": edges,
+            "face simplices": (local, ends, np.array([e[6] for e in edges]),
+                               np.arange(len(coords)))}
+
+
+def _assert_matches_oracle(poly, want):
+    # positions and lengths to POLYGON_RTOL of the loop's reach, areas to
+    # that times its diameter, unit vectors to POLYGON_RTOL
+    reach = max(want["diameter"], np.abs(want["coords"]).max())
+    area_tol, tol = POLYGON_RTOL * reach * want["diameter"], POLYGON_RTOL * reach
+    got = [("measure", poly.measure, area_tol), ("centroid", poly.centroid, tol),
+           ("diameter", poly.diameter, tol), ("coords", poly.coords, 0.0),
+           ("normals", poly.normals, POLYGON_RTOL),
+           ("triangles", poly.triangulation[0], tol),
+           ("triangle areas", poly.triangulation[1], area_tol)]
+    for name, value, bound in got:
+        assert np.shape(value) == np.shape(want[name]), name
+        assert np.abs(value - want[name]).max() <= bound, name
+    assert len(poly.faces) == len(want["edges"]) == poly.n_faces
+    for face, (a, b, normal, t, sign, frame, length) in zip(poly.faces, want["edges"]):
+        assert face.lex_sign == sign
+        for value, ref, bound in [(face.a, a, 0.0), (face.b, b, 0.0),
+                                  (face.normal, normal, POLYGON_RTOL),
+                                  (face.tangent, t, POLYGON_RTOL),
+                                  (face.frame_tangent, frame, POLYGON_RTOL),
+                                  (face.measure, length, tol)]:
+            assert np.abs(value - ref).max() <= bound
+    for value, ref in zip(poly.face_simplices(), want["face simplices"]):
+        assert value.shape == ref.shape
+        assert np.abs(value - ref).max() <= tol
+
+
+def _network_polygon_loops():
+    from mixedvem.mesh import box_mesh, cut_background_mesh
+    from tests.test_mesh import _perfbench_network
+    md = cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (4, 4, 4)),
+                             _perfbench_network(9400))
+    return [[cell.geometry.coords.copy() for cell in fm.cells] for fm in md.fractures]
+
+
+def _standalone_quads():
+    from mixedvem.standalone import unit_square_mesh
+    return [[cell.coords.copy() for cell in unit_square_mesh(4, distort=0.3, seed=3)]]
+
+
+@pytest.mark.parametrize("make", [
+    _network_polygon_loops,
+    _standalone_quads,
+    lambda: [[U_SHAPE, L_SHAPE, 0.5 * U_SHAPE @ np.array([[0.8, 0.6], [-0.6, 0.8]]) + 1.0]],
+], ids=["fracture-net-9400", "standalone-quads", "ear-clipped"])
+def test_polygon_batch_matches_per_polygon_oracle(make):
+    batches = make()
+    for loops in batches:
+        polys = geo.build_polygons(loops)
+        assert len(polys) == len(loops)
+        for poly, loop in zip(polys, loops):
+            _assert_matches_oracle(poly, _polygon_oracle(loop))
+
+
+def test_ear_clipped_polygon_is_in_its_batch():
+    # the U's centroid lies in its notch: its centroid fan would fold over,
+    # so its triangles come from ear clipping, and still tile it
+    poly, square = geo.build_polygons([U_SHAPE, [[0, 0], [1, 0], [1, 1], [0, 1]]])
+    _, centroid = geo.polygon_area_centroid_2d(U_SHAPE)
+    assert 1 < centroid[0] < 2 and 1 < centroid[1] < 3     # in the notch
+    tris, areas = poly.triangulation
+    assert len(tris) == len(U_SHAPE) - 2 and np.all(areas > 0)
+    assert not np.any(np.isclose(tris, centroid).all(axis=-1))
+    assert areas.sum() == pytest.approx(poly.measure, rel=1e-14) and poly.measure == 7.0
+    assert len(square.triangulation[0]) == 4                # the centroid fan
+
+
+def test_degenerate_polygon_spoils_only_its_own_record():
+    good = [L_SHAPE, [[0, 0], [1, 0], [1, 1], [0, 1]]]
+    flat = [[0, 0], [1, 0], [2, 0]]
+    records = geo.build_polygons([good[0], flat, good[1]])
+    assert isinstance(records[1], DegenerateGeometryError)
+    assert "area" in str(records[1])
+    for poly, loop in zip(records[::2], good):
+        _assert_matches_oracle(poly, _polygon_oracle(loop))
+        alone = geo.PolygonGeometry(loop)
+        assert poly.measure == alone.measure
+        assert np.array_equal(poly.triangulation[0], alone.triangulation[0])
+    with pytest.raises(DegenerateGeometryError, match="area"):
+        geo.PolygonGeometry(flat)
+    with pytest.raises(DegenerateGeometryError, match="zero-length polygon edge"):
+        geo.PolygonGeometry([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1]])

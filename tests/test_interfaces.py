@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from mixedvem.assembly import (apply_boundary_conditions, assemble_complete,
+                               assemble_coupling_cross_dim, assemble_dimension,
                                build_dof_map, face_mass, face_rule)
 from mixedvem.problems import problem1_case, problem2_case
 from mixedvem.solver import flux_report, solve
@@ -252,3 +253,59 @@ def test_face_mass_matches_face_quadrature(name):
         want = dual.T @ (w[:, None] * dual)
         got = face_mass(blk, s.cell, s.face)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _per_side_coupling(dm, cells):
+    """The per-side loop ``assemble_coupling_cross_dim`` replaced: each side's
+    face rule and duals, its lower cell's pressure monomials at the rule's
+    physical points, and the columns of those pressures found by searching
+    the cell block's DOFs."""
+    qo = 2 * (dm.order + 2)
+    for side in dm.interfaces:
+        upper, lower = dm.blocks[side.upper], dm.blocks[side.lower]
+        pts, w, dual = face_rule(upper, side.cell, side.face, qo)
+        lc = side.lower_cell
+        phys = upper.point_map(side.cell, pts)
+        mu = lower.bases_p[lc].evaluate(lower.local_coords(lc, phys))
+        C = dual.T @ (w[:, None] * mu)
+        cb = cells[(side.upper, side.cell)]
+        sl = upper.locals_[side.cell].layout.face_slice(side.face)
+        q = np.flatnonzero(np.isin(cb.dofs, lower.cell_p_dofs[lc]))
+        cb.matrix[sl, q] += C
+        cb.matrix[q, sl] -= C.T
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (_network_9400_md(), 1),
+    lambda: (problem1_case((2, 2, 2), order=4, artificial_cuts=2).md, 4),
+], ids=["fracture-net-9400", "quartic-cut"])
+def test_stacked_coupling_matches_per_side_oracle(make):
+    # every C block of every side, stacked per dimension pair, against the
+    # per-side loop to 1e-14 of the block's largest entry
+    md, order = make()
+    dm = build_dof_map(md, order)
+
+    def blocks(couple):
+        cells = {}
+        for d in (3, 2, 1):
+            cells.update(assemble_dimension(dm, d))
+        couple(dm, cells)
+        return cells
+
+    got, want = blocks(assemble_coupling_cross_dim), blocks(_per_side_coupling)
+    assert {(s.upper[0], s.lower[0]) for s in dm.interfaces} == {(3, 2), (2, 1), (1, 0)}
+    for side in dm.interfaces:
+        key = (side.upper, side.cell)
+        p_dofs = dm.blocks[side.lower].cell_p_dofs[side.lower_cell]
+        q0 = got[key].lower[side.lower, side.lower_cell]
+        q = np.arange(q0, q0 + len(p_dofs))
+        assert np.array_equal(got[key].dofs[q], p_dofs)
+        sl = dm.blocks[side.upper].locals_[side.cell].layout.face_slice(side.face)
+        C = want[key].matrix[sl][:, q]
+        assert np.abs(C).max() > 0
+        for block in (np.s_[sl, q0:q0 + len(q)], np.s_[q0:q0 + len(q), sl]):
+            gap = np.abs(got[key].matrix[block] - want[key].matrix[block]).max()
+            assert gap <= 1e-14 * np.abs(C).max()
+    for key, cb in want.items():
+        assert np.array_equal(got[key].dofs, cb.dofs)
+        assert np.abs(got[key].matrix - cb.matrix).max() <= 1e-14 * np.abs(cb.matrix).max()

@@ -176,6 +176,13 @@ def build_dof_map(md: MixedDimensionalMesh, order: int, family3d: str = "RT",
                 raise ConfigError(
                     "trace-flow-neglected mode conflicts with a finite trace "
                     "normal transmissivity (eta1)")
+        data = {f"trace {tm.index}": md.spec.trace_data(tm.index) for tm in md.traces}
+        data.update({f"intersection {ip.index}": md.spec.intersection_data(ip.index)
+                     for ip in md.intersections})
+        for name, d in data.items():
+            if callable(d.source) or d.source != 0 or getattr(d.bc, "kind", "") == "dirichlet":
+                raise ConfigError("trace-flow-neglected mode has no equation for the "
+                                  f"source or Dirichlet data of {name}")
     dm = GlobalDofMap(blocks={}, total=0, order=order, family3d=family3d,
                       trace_flow=trace_flow)
     offset = 0
@@ -445,7 +452,8 @@ class GlobalSystem:
     """One ``CellBlock`` per cell, the only copy of the matrix, and the
     right-hand side.  ``matrix`` applies the blocks, and ``fix`` is the one
     way to change the system after assembly, so the blocks the solver
-    eliminates and the operator it refines with stay one system."""
+    eliminates and the operator it refines with stay one system; it keeps
+    the assembled right-hand side, the ``source_moments``, before any BC."""
 
     cells: list
     rhs: np.ndarray
@@ -454,6 +462,10 @@ class GlobalSystem:
     bc_applied: bool = False
     constrained: np.ndarray = None
     fixed: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int), init=False)
+    source_moments: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.source_moments = self.rhs.copy()
 
     @property
     def matrix(self) -> BlockOperator:

@@ -21,6 +21,8 @@ there is no iterative branch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -340,6 +342,29 @@ def solve(system: GlobalSystem, tol: float = 1e-10) -> "DiscreteSolution":
                             worst_pivot_ratio=hyb.worst_pivot_ratio)
 
 
+class CellStack(NamedTuple):
+    """One dimension's cells with flux DOFs, block ``key``'s in the rows
+    ``rows[key]``: their local matrix sets, signed flux DOFs ``u`` (row
+    ``r``'s from ``start[r]`` on), the (rows, (m, n, 1) stack of ``u``) of
+    each number ``n`` of flux DOFs, and divergence coefficients ``V @ u``."""
+
+    rows: dict
+    locs: tuple
+    u: np.ndarray
+    start: np.ndarray
+    groups: list
+    div: np.ndarray
+
+
+def _batched(locs, groups, name):
+    """``M @ u`` for each cell's local matrix ``M`` named ``name``, one row
+    per cell, from one batched product per group of ``CellStack.groups``."""
+    out = np.empty((len(locs), len(getattr(locs[0], name))))
+    for rows, u_n in groups:
+        out[rows] = (np.array([getattr(locs[r], name) for r in rows]) @ u_n)[:, :, 0]
+    return out
+
+
 @dataclass
 class DiscreteSolution:
     """Global DOF vector with per-domain views and projected velocities, and
@@ -357,7 +382,6 @@ class DiscreteSolution:
     fronts: int = 0
     largest_front: int = 0
     worst_pivot_ratio: float = 1.0
-    _proj: dict = field(default_factory=dict)
 
     @property
     def dofmap(self):
@@ -374,30 +398,43 @@ class DiscreteSolution:
     def md(self):
         return self.system.md
 
+    @cached_property
+    def stacks(self):
+        """Per dimension, its ``CellStack``: one gather of the signed flux
+        DOFs, in each cell's outward convention, and one batched product
+        with ``V`` per group.  Made on first use."""
+        blocks, out = {}, {}
+        for key, blk in self.dofmap.blocks.items():
+            if blk.locals_ and blk.locals_[0] is not None:
+                blocks.setdefault(blk.dim, {})[key] = blk
+        for d, of_dim in blocks.items():
+            locs, dofs, signs = zip(*[cell for blk in of_dim.values() for cell in zip(
+                blk.locals_, blk.cell_u_dofs, blk.cell_u_signs)])
+            sizes = np.array([len(ids) for ids in dofs])
+            start = np.cumsum(sizes) - sizes
+            u = self.x[np.concatenate(dofs)] * np.concatenate(signs)
+            groups = [(rows, u[start[rows][:, None] + np.arange(sizes[rows[0]])][:, :, None])
+                      for rows in (np.flatnonzero(sizes == n) for n in np.unique(sizes))]
+            bounds = np.cumsum([0] + [len(blk.locals_) for blk in of_dim.values()])
+            out[d] = CellStack(dict(zip(of_dim, map(slice, bounds, bounds[1:]))), locs,
+                               u, start, groups, _batched(locs, groups, "V"))
+        return out
+
+    @cached_property
+    def projections(self):
+        """Per dimension, its cells' projected-velocity coefficients
+        ``Pi0_hat @ u``, in the rows of its ``CellStack``."""
+        return {d: _batched(st.locs, st.groups, "Pi0_hat") for d, st in self.stacks.items()}
+
     def local_flux_dofs(self, blk, ci):
         """Element flux DOFs in the element's own outward convention."""
-        return blk.cell_u_signs[ci] * self.x[blk.cell_u_dofs[ci]]
-
-    def pressure_coeffs(self, blk, ci):
-        return self.x[blk.cell_p_dofs[ci]]
+        st = self.stacks[blk.dim]
+        at = st.start[st.rows[blk.dim, blk.index]][ci]
+        return st.u[at:at + len(blk.cell_u_dofs[ci])]
 
     def projected_velocity(self, blk, ci):
-        """Coefficients of the element velocity in the cell's ``vec_basis``
-        (exact on a segment)."""
-        key = (blk.dim, blk.index, ci)
-        if key not in self._proj:
-            self._proj[key] = blk.locals_[ci].Pi0_hat @ self.local_flux_dofs(blk, ci)
-        return self._proj[key]
-
-
-def project_solution(sol: DiscreteSolution):
-    """All per-element projected velocity coefficient tables."""
-    out = {}
-    for key, blk in sol.dofmap.blocks.items():
-        if blk.dim == 0 or blk.locals_[0] is None:
-            continue
-        out[key] = [sol.projected_velocity(blk, ci) for ci in range(len(blk.geoms))]
-    return out
+        """Coefficients of the element velocity in the cell's ``vec_basis``."""
+        return self.projections[blk.dim][self.stacks[blk.dim].rows[blk.dim, blk.index]][ci]
 
 
 @dataclass
@@ -429,6 +466,8 @@ def error_norms(sol: DiscreteSolution, exact: dict):
         if key not in exact or blk.dim == 0:
             continue
         ex = exact[key]
+        rows = sol.stacks[blk.dim].rows[key]
+        proj, div = sol.projections[blk.dim][rows], sol.stacks[blk.dim].div[rows]
         sq = np.zeros(2 * (blk.dim + 2))
         fields = (ex.pressure, ex.velocity, ex.divergence)
         for ci, pts, w, (p_ex, u_ex, div_ex) in cell_fields(
@@ -438,10 +477,9 @@ def error_norms(sol: DiscreteSolution, exact: dict):
             # the pressure (and divergence) monomials: columns p_h, u_h, div_h
             vb, n_p = loc.vec_basis, loc.basis_p.size
             table = np.zeros((vb.coeffs.shape[2], blk.dim + 2))
-            table[:n_p, 0] = sol.pressure_coeffs(blk, ci)
-            table[:, 1:-1] = np.einsum("b,bij->ji", sol.projected_velocity(blk, ci),
-                                       vb.coeffs)
-            table[:n_p, -1] = loc.V @ sol.local_flux_dofs(blk, ci)
+            table[:n_p, 0] = sol.x[blk.cell_p_dofs[ci]]
+            table[:, 1:-1] = np.einsum("b,bij->ji", proj[ci], vb.coeffs)
+            table[:n_p, -1] = div[ci]
             if blk.frame is not None:
                 u_ex = u_ex @ blk.frame.T
             E = np.column_stack([p_ex, u_ex, div_ex])
@@ -538,60 +576,39 @@ def _entity_name(key):
             0: f"intersection_{i}"}[d]
 
 
-def face_flux(sol: DiscreteSolution, blk, ci, lf) -> float:
-    """Outward flux through face ``lf`` of cell ``ci``: the lowest face moment
-    times its sign times the face measure (a segment's end has unit
-    measure)."""
-    j = blk.locals_[ci].layout.face_slice(lf).start
-    return (float(blk.cell_u_signs[ci][j] * sol.x[blk.cell_u_dofs[ci][j]])
-            * blk.geoms[ci].faces[lf].measure)
-
-
-def boundary_face_fluxes(sol: DiscreteSolution, blk) -> list:
+def boundary_face_fluxes(sol: DiscreteSolution, blk) -> np.ndarray:
     """Outward flux through each boundary face of a block, in the order of
-    ``blk.boundary``."""
-    return [face_flux(sol, blk, ci, lf) for ci, lf, *_ in blk.boundary]
+    ``blk.boundary``: its signed lowest moment times its measure."""
+    st, per = sol.stacks[blk.dim], blk.locals_[0].layout.per_face
+    start = st.start[st.rows[blk.dim, blk.index]]
+    return st.u[[start[ci] + lf * per for ci, lf, *_ in blk.boundary]] * [
+        blk.geoms[ci].faces[lf].measure for ci, lf, *_ in blk.boundary]
 
 
 def flux_report(sol: DiscreteSolution) -> FluxReport:
-    """Integrate interface and boundary fluxes directly from face DOF data."""
-    dm, md = sol.dofmap, sol.md
-    entities = {}
-    for key, blk in dm.blocks.items():
-        e = EntityFlux(key=key)
-        entities[key] = e
-        if blk.dim == 0:
-            src = blk.source
-            e.source = src if not callable(src) else src(md.intersections[blk.index].coords)
-            continue
-        # divergence content from the pressure-space moments of div(u_h)
-        for ci in range(len(blk.geoms)):
-            loc = blk.locals_[ci]
-            if loc is None:
-                continue
-            div_coeffs = loc.V @ sol.local_flux_dofs(blk, ci)
-            e.divergence += float(loc.H[0] @ div_coeffs)
-        for flux in boundary_face_fluxes(sol, blk):
-            e.bc_flux += flux
-        # constrained (no-flux) parts contribute zero by construction
-        if callable(blk.source) or float(blk.source) != 0.0:
-            for _, _, w, (f,) in cell_fields(blk, range(len(blk.geoms)),
-                                             2 * (dm.order + 2), (blk.source,)):
-                e.source += float(np.sum(w * f))
+    """Integrate interface and boundary fluxes directly from face DOF data,
+    divergences as ``H[:, 0] . (V u)`` and sources from the assembled
+    constant-monomial moments (``GlobalSystem.source_moments``)."""
+    dm, src = sol.dofmap, sol.system.source_moments
+    entities = {key: EntityFlux(key, source=float(sum(src[p[0]] for p in blk.cell_p_dofs)))
+                for key, blk in dm.blocks.items()}
+    for st in sol.stacks.values():
+        content = np.einsum("ci,ci->c", np.array([loc.H[0] for loc in st.locs]), st.div)
+        for key, rows in st.rows.items():
+            entities[key].divergence = float(content[rows].sum())
+            entities[key].bc_flux = float(boundary_face_fluxes(sol, dm.blocks[key]).sum())
 
-    # interface exchanges: the outward flux of every interface side
-    for side in dm.interfaces:
-        flux = face_flux(sol, dm.blocks[side.upper], side.cell, side.face)
-        sent, received = entities[side.upper].sent, entities[side.lower].received
-        sent[side.lower] = sent.get(side.lower, 0.0) + flux
-        received[side.upper] = received.get(side.upper, 0.0) + flux
-    if dm.trace_flow:
-        for ip in md.intersections:
-            idata = md.spec.intersection_data(ip.index)
-            e = entities[(0, ip.index)]
-            if idata.bc is not None and idata.bc.kind == "dirichlet":
-                e.pinned = True
-                e.bc_flux = sum(e.received.values()) + e.source
+    # interface exchanges: each side's DOFs are outward moments (sign +1)
+    sides, pairs = dm.interfaces, {}
+    pair = [pairs.setdefault((s.upper, s.lower), len(pairs)) for s in sides]
+    flux = sol.x[[s.dofs[0] for s in sides]] * [
+        dm.blocks[s.upper].geoms[s.cell].faces[s.face].measure for s in sides]
+    totals = np.bincount(np.array(pair, dtype=int), flux, len(pairs))
+    for (upper, lower), total in zip(pairs, totals.tolist()):
+        entities[upper].sent[lower] = entities[lower].received[upper] = total
+    for key, e in entities.items():
+        if key[0] == 0 and dm.blocks[key].offset in sol.system.fixed:   # a pressure datum
+            e.pinned, e.bc_flux = True, sum(e.received.values()) + e.source
     return FluxReport(entities=entities)
 
 
@@ -620,43 +637,37 @@ def _lines(fmt, rows):
 
 
 def write_fields_vtk(sol: DiscreteSolution, path):
-    """Legacy-VTK polygon soup with cell pressures, plus centroid velocities
-    in the companion ``<path>.velocity.vtk``; returns both paths."""
+    """Legacy-VTK polygons on shared vertices, each used mesh vertex once,
+    with cell pressures, plus centroid velocities in the companion
+    ``<path>.velocity.vtk``; returns both paths.  A cell's monomials are
+    centred on its centroid: there its pressure is its first coefficient and
+    its velocity the constant-monomial column of ``vec_basis``."""
     dm, md = sol.dofmap, sol.md
     mesh = md.mesh3d
-    polys, pressures, entity = [], [], []
-
-    def centroid_pressure(blk, ci, centroid):
-        return float(blk.locals_[ci].basis_p.evaluate(centroid[None, :])[0]
-                     @ sol.pressure_coeffs(blk, ci))
-
     blk3 = dm.block(3)
-    for ci, cid in enumerate(blk3.cell_ids):
-        p_c = centroid_pressure(blk3, ci, blk3.geoms[ci].centroid)
-        for fid, _ in mesh.cells[cid]:
-            polys.append(mesh.face_coords(fid))
-            pressures.append(p_c)
-            entity.append(3)
-    for fm in md.fractures:
-        blk2 = dm.block(2, fm.index)
-        for ci, cell in enumerate(fm.cells):
-            polys.append(np.array([mesh.verts[v] for v in cell.vids]))
-            pressures.append(centroid_pressure(blk2, ci, cell.geometry.centroid))
-            entity.append(2)
-    sizes = np.array([len(p) for p in polys], dtype=int)
-    points = np.concatenate(polys)
-    # each polygon's line: its size, then its points' consecutive ids
-    ids = np.insert(np.arange(len(points)), np.cumsum(sizes) - sizes, sizes)
+    n_faces = [len(mesh.cells[cid]) for cid in blk3.cell_ids]
+    loops = [mesh.faces[fid] for cid in blk3.cell_ids for fid, _ in mesh.cells[cid]]
+    loops += [cell.vids for fm in md.fractures for cell in fm.cells]
+    sizes = np.array([len(loop) for loop in loops], dtype=int)
+    used, ids = np.unique(np.concatenate(loops), return_inverse=True)
+    points = np.array([mesh.verts[v] for v in used])
+    # each polygon's line: its size, then its points' ids
+    ids = np.insert(ids, np.cumsum(sizes) - sizes, sizes)
     poly_fmt = "".join(" ".join(["%d"] * (n + 1)) + "\n" for n in sizes)
+    first_p = [p[0] for blk in [blk3] + [dm.block(2, fm.index) for fm in md.fractures]
+               for p in blk.cell_p_dofs]
+    n_2d = len(first_p) - len(n_faces)
+    pressures = np.repeat(sol.x[first_p], n_faces + [1] * n_2d)
+    entity = np.repeat([3, 2], [len(loops) - n_2d, n_2d])
 
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\nmixedvem fields\nASCII\n")
         fh.write("DATASET POLYDATA\n")
         fh.write(f"POINTS {len(points)} double\n")
         fh.write(_lines("%.9e %.9e %.9e", points))
-        fh.write(f"POLYGONS {len(polys)} {len(ids)}\n")
+        fh.write(f"POLYGONS {len(loops)} {len(ids)}\n")
         fh.write(poly_fmt % tuple(ids.tolist()))
-        fh.write(f"CELL_DATA {len(polys)}\n")
+        fh.write(f"CELL_DATA {len(loops)}\n")
         fh.write("SCALARS pressure double 1\nLOOKUP_TABLE default\n")
         fh.write(_lines("%.9e", pressures))
         fh.write("SCALARS entity_dim int 1\nLOOKUP_TABLE default\n")
@@ -665,26 +676,23 @@ def write_fields_vtk(sol: DiscreteSolution, path):
     # companion file: cell-centroid velocity vectors
     vec_path = str(path) + ".velocity.vtk"
     centers, vectors = [], []
-    for key, blk in dm.blocks.items():
-        if blk.dim == 0 or blk.locals_[0] is None:
-            continue
-        for ci, loc in enumerate(blk.locals_):
-            c_local = loc.vec_basis.scalar.center[None, :]   # in cell coordinates
-            vec = np.einsum("b,pbi->pi", sol.projected_velocity(blk, ci),
-                            loc.vec_basis.evaluate(c_local))[0]
-            if blk.frame is not None:
-                vec = vec @ blk.frame
-            centers.append(blk.point_map(ci, c_local)[0])
-            vectors.append(vec)
-    n = len(centers)
+    for d, st in sol.stacks.items():
+        vec = np.einsum("cb,cbi->ci", sol.projections[d], np.array(
+            [loc.vec_basis.coeffs[:, :, 0] for loc in st.locs]))
+        for key, rows in st.rows.items():
+            blk = dm.blocks[key]
+            c = np.array([geom.centroid for geom in blk.geoms])
+            centers.append(md.fractures[blk.index].plane.to_3d(c) if d == 2 else c)
+            vectors.append(vec[rows] if blk.frame is None else vec[rows] @ blk.frame)
+    n = sum(len(c) for c in centers)
     with open(vec_path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\nmixedvem velocities\nASCII\n")
         fh.write("DATASET POLYDATA\n")
         fh.write(f"POINTS {n} double\n")
-        fh.write(_lines("%.9e %.9e %.9e", centers))
+        fh.write(_lines("%.9e %.9e %.9e", np.concatenate(centers)))
         fh.write(f"VERTICES {n} {2 * n}\n")
         fh.write(_lines("1 %d", np.arange(n)))
         fh.write(f"POINT_DATA {n}\n")
         fh.write("VECTORS velocity double\n")
-        fh.write(_lines("%.9e %.9e %.9e", vectors))
+        fh.write(_lines("%.9e %.9e %.9e", np.concatenate(vectors)))
     return [str(path), vec_path]

@@ -475,6 +475,28 @@ def test_flux_continuity_conflicts_with_finite_eta1():
         build_dof_map(md, order=0, trace_flow=False)
 
 
+@pytest.mark.parametrize("where, data", [
+    ("trace 0", {"trace_defaults": {"source": 1.0}}),
+    ("trace 0", {"trace_defaults": {"bc": BoundaryCondition("dirichlet", 1.0)}}),
+    ("intersection 0", {"intersection_defaults": {"source": 1.0}}),
+    ("intersection 0",
+     {"intersection_defaults": {"bc": BoundaryCondition("dirichlet", 0.25)}}),
+], ids=["trace-source", "trace-dirichlet", "intersection-source",
+        "intersection-dirichlet"])
+def test_flux_continuity_rejects_data_it_has_no_equation_for(where, data):
+    # without trace flow a trace carries multipliers only and an intersection
+    # no unknown, so its source or pressure datum would be dropped
+    from mixedvem.mesh import IntersectionData, TraceData
+    spec = _perfbench_network(9400)
+    spec.trace_defaults = TraceData(**data.get("trace_defaults", {}))
+    spec.intersection_defaults = IntersectionData(**data.get("intersection_defaults", {}))
+    md = cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (3, 3, 3)), spec)
+    assert md.traces and md.intersections
+    with pytest.raises(ConfigError, match=f"of {where}$"):
+        build_dof_map(md, order=0, trace_flow=False)
+    build_dof_map(md, order=0, trace_flow=True)
+
+
 def _network_9400_md():
     return cut_background_mesh(box_mesh([0, 0, 0], [1, 1, 1], (4, 4, 4)),
                                _perfbench_network(9400))

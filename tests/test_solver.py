@@ -13,7 +13,7 @@ from mixedvem.errors import ConditioningError, ConfigError, SingularSystemError
 from mixedvem.mesh import (BoundaryCondition, FractureSpec, NetworkSpec,
                            box_mesh, cut_background_mesh)
 from mixedvem.solver import (DiscreteSolution, ExactFields, Hybridized,
-                             error_norms, flux_report, project_solution,
+                             error_norms, flux_report,
                              relative_errors, solve, write_error_table,
                              write_fields_vtk)
 from tests.test_interfaces import CASES
@@ -77,8 +77,13 @@ def test_projection_fixes_polynomials_and_matches_definition():
         u_loc = rand.local_flux_dofs(blk, ci)
         c = rand.projected_velocity(blk, ci)
         assert np.allclose(loc.G @ c, loc.B @ u_loc, atol=1e-12)
-    table = project_solution(sol)
-    assert len(table[(3, 0)]) == len(blk.geoms)
+    # the stacked views equal the per-cell products
+    for ci, loc in enumerate(blk.locals_):
+        u_loc = blk.cell_u_signs[ci] * rand.x[blk.cell_u_dofs[ci]]
+        assert np.array_equal(rand.local_flux_dofs(blk, ci), u_loc)
+        for got, ref in ((rand.projected_velocity(blk, ci), loc.Pi0_hat @ u_loc),
+                         (rand.stacks[3].div[ci], loc.V @ u_loc)):
+            assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def test_error_norm_against_dense_oracle():

@@ -153,6 +153,12 @@ def test_export_matches_per_cell_loops(name, solutions, tmp_path, monkeypatch):
     assert np.array_equal(centers, ref_centers)
     assert np.abs(vectors - ref_vectors).max() <= 1e-15 * np.abs(ref_vectors).max()
     assert paths == [str(tmp_path / "fields.vtk"), str(tmp_path / "fields.vtk.velocity.vtk")]
+    # the velocity file: one vertex and one vector per cell, as printed
+    text = (tmp_path / "fields.vtk.velocity.vtk").read_text().splitlines()
+    n = len(ref_centers)
+    assert text[4] == f"POINTS {n} double" and text[5 + n] == f"VERTICES {n} {2 * n}"
+    printed = np.loadtxt(text[-n:])
+    assert np.abs(printed - ref_vectors).max() <= 1e-9 * np.abs(ref_vectors).max()
 
 
 @pytest.mark.parametrize("name", FLUX_CASES)

@@ -11,9 +11,10 @@ per fracture side, and a trace vertex at a trace intersection one DOF per
 1D side.  ``fill_block`` is the one routine that numbers every 1D, 2D and
 3D block (and the standalone 1D/2D meshes): face DOFs in face order, then
 the interiors cell by cell, then the pressures; the ``_build_*_block``
-functions only name the faces, their users' signs and the interfaces.  An
-interface or external face's DOF set is its cell's outward flux moments.
-Each interface set is recorded once, as an ``InterfaceSide`` in
+functions only name the faces, their users' signs, the interfaces and the
+boundary parts, each with its ``BoundaryCondition`` (tips are no-flow
+parts).  An interface or external face's DOF set is its cell's outward flux
+moments.  Each interface set is recorded once, as an ``InterfaceSide`` in
 ``GlobalDofMap.interfaces``; the couplings and the exchange fluxes of the
 flux report are loops over that list.  The assembled matrix has the block
 skeleton
@@ -29,15 +30,18 @@ vanish when inverse_eta = 0) and the cross-dimension C blocks pair flux
 jumps with lower-dimensional pressures.  The matrix is the sum of one dense
 ``CellBlock`` per cell (its signed K, the 1/eta masses of its interface
 sides, its +-C rows and columns), which the solver eliminates cell by cell.
-The blocks are its only copy: ``GlobalSystem.matrix`` applies them block by
-block, the boundary conditions move their fixed columns to the right-hand
-side, and only the export and the singular-system diagnosis sum them
-(``summed_entries``, numpy only); ``tocsr`` (tests, the traced benchmark)
-puts the sum in a scipy CSR matrix.
+``assemble`` makes them, for the mixed-dimensional mesh
+(``assemble_complete``) and the standalone meshes alike.  The blocks are
+the matrix's only copy: ``GlobalSystem.matrix`` applies them block by
+block, ``apply_boundary_conditions`` (one loop over every block's boundary
+parts) moves their fixed columns to the right-hand side, and only the
+export and the singular-system diagnosis sum them (``summed_entries``,
+numpy only); ``tocsr`` (tests, the traced benchmark) puts the sum in a
+scipy CSR matrix.
 
 With trace flow disabled the 1D/0D equations are replaced by Lagrange
 multipliers enforcing weak flux continuity across traces; the multipliers
-approximate the trace pressure.
+approximate the trace pressure, and a trace block holds no element records.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ import numpy as np
 
 from .elements import ElementSpace, local_matrices, local_matrices_1d, stiffness
 from .errors import ConfigError
-from .mesh import MixedDimensionalMesh, field_values_stacked
+from .mesh import NEUMANN, MixedDimensionalMesh, field_values_stacked
 from .polyspace import MonomialBasis, dim_poly, monomials
 
 # an intersection's one pressure: the constant, in physical coordinates
@@ -83,9 +87,11 @@ class DomainBlock:
     bases_p: list = field(default_factory=list)
     nu: object = 1.0
     source: object = 0.0
-    # (cell, local face/edge/endpoint, bc) for external boundary parts
+    # (cell, local face/edge/end, key, BoundaryCondition) of each boundary
+    # part: external parts take their data, tips are NEUMANN (no flow), and
+    # a pinned intersection's one part (cell 0, face 0) holds its datum;
+    # the condition of a 3D face whose tag has none is None
     boundary: list = field(default_factory=list)
-    constrained: list = field(default_factory=list)    # zero-flux dof ids
     cell_ids: list = field(default_factory=list)       # 3D: mesh cell ids
     cell_index_of: dict = field(default_factory=dict)
     point_map: object = _same_points
@@ -193,10 +199,13 @@ def build_dof_map(md: MixedDimensionalMesh, order: int, family3d: str = "RT",
         offset = _build_1d_block(dm, md, tm, offset)
     if trace_flow:
         for ip in md.intersections:
-            dm.blocks[(0, ip.index)] = DomainBlock(
-                dim=0, index=ip.index, offset=offset, n_p=1,
+            idata = md.spec.intersection_data(ip.index)
+            blk = dm.blocks[(0, ip.index)] = DomainBlock(
+                dim=0, index=ip.index, offset=offset, n_p=1, geoms=[ip.coords],
                 cell_p_dofs=[np.array([offset])], bases_p=[POINT_BASIS],
-                source=md.spec.intersection_data(ip.index).source)
+                source=idata.source)
+            if idata.bc is not None and idata.bc.kind == "dirichlet":
+                blk.boundary.append((0, 0, ip.vid, idata.bc))
             offset += 1
     dm.total = offset
     return dm
@@ -279,7 +288,8 @@ def _build_3d_block(dm, md, offset):
     for ci, cid in enumerate(cids):
         for lf, (fid, _) in enumerate(mesh.cells[cid]):
             if len(users[fid]) == 1:
-                blk.boundary.append((ci, lf, fid, mesh.boundary_tags.get(fid)))
+                tag = mesh.boundary_tags.get(fid)
+                blk.boundary.append((ci, lf, (fid, tag), md.spec.bc3.get(tag)))
     blk.cell_index_of = {cid: i for i, cid in enumerate(cids)}
     blk.cell_ids = cids
     dm.blocks[(3, 0)] = blk
@@ -310,12 +320,11 @@ def _build_2d_block(dm, md, fm, offset):
     dofs = fill_block(blk, dm.space(2), [cell.geometry for cell in fm.cells],
                       users, lower)
     _add_interfaces(dm, blk, users, dofs, lower)
+    bcs = {"external": fm.spec.bc, "tip": NEUMANN}
     for ci, keys in enumerate(cell_edges):
         for k, key in enumerate(keys):
-            if kind[key] == "external":
-                blk.boundary.append((ci, k, key, None))
-            elif kind[key] == "tip":
-                blk.constrained.extend(int(v) for v in offset + dofs[(key, ci)][0])
+            if kind[key] in bcs:
+                blk.boundary.append((ci, k, key, bcs[kind[key]]))
     dm.blocks[(2, fm.index)] = blk
     return offset + blk.n_dof
 
@@ -338,11 +347,8 @@ def _build_1d_block(dm, md, tm, offset):
         blk.n_p = n_p_cell * len(geoms)
         for ci, geom in enumerate(geoms):
             blk.geoms.append(geom)
-            blk.locals_.append(None)
             blk.bases_p.append(MonomialBasis(1, space.grad_order, np.zeros(1),
                                              geom.measure))
-            blk.cell_u_dofs.append(np.zeros(0, dtype=int))
-            blk.cell_u_signs.append(np.zeros(0))
             blk.cell_p_dofs.append(offset + n_p_cell * ci + np.arange(n_p_cell))
         dm.blocks[(1, tm.index)] = blk
         return offset + blk.n_dof
@@ -361,10 +367,8 @@ def _build_1d_block(dm, md, tm, offset):
     for vid, owners in users.items():
         if len(owners) == 1 and vid not in lower:
             ci, end, _ = owners[0]
-            if tm.endpoint_class.get(vid, "tip") == "external":
-                blk.boundary.append((ci, end, vid, None))
-            else:
-                blk.constrained.extend(int(v) for v in offset + dofs[(vid, ci)][0])
+            external = tm.endpoint_class.get(vid, "tip") == "external"
+            blk.boundary.append((ci, end, vid, tdata.bc if external else NEUMANN))
     dm.blocks[(1, tm.index)] = blk
     return offset + blk.n_dof
 
@@ -504,8 +508,6 @@ def assemble_dimension(dm: GlobalDofMap, dim: int) -> dict:
             continue
         layouts = {}
         for ci, loc in enumerate(blk.locals_):
-            if loc is None:
-                continue
             u, p = blk.cell_u_dofs[ci], blk.cell_p_dofs[ci]
             low = lower.get((key, ci), {})
             dofs = np.concatenate([u, p, *low.values()])
@@ -616,34 +618,42 @@ def cell_fields(blk, cells, qo, fields):
         yield ci, pts, w, values
 
 
-def assemble_rhs(dm: GlobalDofMap, md) -> np.ndarray:
+def assemble_rhs(dm: GlobalDofMap) -> np.ndarray:
     """Source moments on the pressure rows (physical convention)."""
     rhs = np.zeros(dm.total)
     qo = 2 * (dm.order + 2)
-    for (d, idx), blk in dm.blocks.items():
-        if d == 0:
+    for blk in dm.blocks.values():
+        if blk.dim == 0:
             src = blk.source
-            rhs[blk.offset] = src if not callable(src) else src(md.intersections[idx].coords)
+            rhs[blk.offset] = src if not callable(src) else src(blk.geoms[0])
             continue
         if not callable(blk.source) and float(blk.source) == 0.0:
             continue
-        cells = [ci for ci, loc in enumerate(blk.locals_) if loc is not None]
-        for ci, pts, w, (f,) in cell_fields(blk, cells, qo, (blk.source,)):
+        for ci, pts, w, (f,) in cell_fields(blk, range(len(blk.locals_)), qo,
+                                            (blk.source,)):
             rhs[blk.cell_p_dofs[ci]] += blk.locals_[ci].basis_p.evaluate(pts).T @ (w * f)
     return rhs
 
 
-def assemble_complete(md: MixedDimensionalMesh, order: int, family3d="RT",
-                      trace_flow=True) -> GlobalSystem:
-    """Assemble the full block system (boundary conditions NOT yet applied)."""
-    dm = build_dof_map(md, order, family3d=family3d, trace_flow=trace_flow)
+def assemble(dm: GlobalDofMap, md: MixedDimensionalMesh = None) -> GlobalSystem:
+    """The block system of the numbered domains ``dm`` (boundary conditions
+    NOT yet applied): the cell blocks of every dimension, the couplings of
+    its interfaces and the source moments.  ``md`` is the mesh the solution
+    is post-processed on (None for a standalone mesh)."""
     cells = {}
     for d in (3, 2, 1):
         cells.update(assemble_dimension(dm, d))
     assemble_coupling_same_dim(dm, cells)
     assemble_coupling_cross_dim(dm, cells)
-    return GlobalSystem(cells=list(cells.values()), rhs=assemble_rhs(dm, md),
+    return GlobalSystem(cells=list(cells.values()), rhs=assemble_rhs(dm),
                         dofmap=dm, md=md)
+
+
+def assemble_complete(md: MixedDimensionalMesh, order: int, family3d="RT",
+                      trace_flow=True) -> GlobalSystem:
+    """Assemble the full block system (boundary conditions NOT yet applied)."""
+    return assemble(build_dof_map(md, order, family3d=family3d,
+                                  trace_flow=trace_flow), md)
 
 
 # ---------------------------------------------------------------------------
@@ -652,29 +662,26 @@ def assemble_complete(md: MixedDimensionalMesh, order: int, family3d="RT",
 
 
 def apply_boundary_conditions(system: GlobalSystem) -> GlobalSystem:
-    """Dirichlet data into the flux RHS; homogeneous Neumann DOFs eliminated.
+    """Apply the condition of every block's boundary parts.
 
-    No-flow flux DOFs are fixed at zero and Dirichlet intersection pressures
-    at their datum (``GlobalSystem.fix``), so the system keeps its size.
+    A Neumann part's flux DOFs are fixed at zero, a Dirichlet part's datum
+    moments go into its flux rows, and a pinned intersection's pressure is
+    fixed at its datum (``GlobalSystem.fix``), so the system keeps its size.
     """
     if system.bc_applied:
         raise ValueError("boundary conditions are already applied")
-    dm, md = system.dofmap, system.md
+    dm = system.dofmap
     qo = 2 * (dm.order + 2)
-    no_flow = []
-    for (d, idx), blk in dm.blocks.items():
-        no_flow.extend(blk.constrained)
+    no_flow, pinned = [], {}
+    for blk in dm.blocks.values():
         dirichlet = {}   # id(bc) -> (bc, [(cell, local face), ...])
-        for ci, lf, where, tag in blk.boundary:
-            if d == 3:
-                bc = md.spec.bc3.get(tag)
-                if bc is None:
-                    raise ConfigError(f"external face {where} has boundary tag "
-                                      f"{tag!r} with no boundary condition")
-            else:
-                bc = (md.fractures[idx].spec.bc if d == 2
-                      else md.spec.trace_data(idx).bc)
-            if bc.kind == "neumann":
+        for ci, lf, where, bc in blk.boundary:
+            if bc is None:   # a 3D face, keyed by (face id, tag)
+                raise ConfigError(f"external face {where[0]} has boundary tag "
+                                  f"{where[1]!r} with no boundary condition")
+            if blk.dim == 0:
+                pinned[blk.offset] = bc.datum(blk.geoms[0])
+            elif bc.kind == "neumann":
                 sl = blk.locals_[ci].layout.face_slice(lf)
                 no_flow.extend(blk.cell_u_dofs[ci][sl])
             else:
@@ -682,11 +689,7 @@ def apply_boundary_conditions(system: GlobalSystem) -> GlobalSystem:
         for bc, faces in dirichlet.values():
             add_dirichlet_loads(system.rhs, blk, faces, bc, qo)
 
-    fixed = dict.fromkeys(no_flow, 0.0)
-    for ip in md.intersections if dm.trace_flow else []:
-        bc = md.spec.intersection_data(ip.index).bc
-        if bc is not None and bc.kind == "dirichlet":
-            fixed[dm.block(0, ip.index).offset] = bc.datum(ip.coords)
+    fixed = dict.fromkeys(no_flow, 0.0) | pinned
     system.constrained = np.unique(np.asarray(no_flow, dtype=int))
     system.fix(np.array(list(fixed), dtype=int), np.array(list(fixed.values())))
     system.bc_applied = True

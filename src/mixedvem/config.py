@@ -121,7 +121,7 @@ def parse_config(text) -> ProblemConfig:
         order = int(doc.get("order", 0))
     family3d = str(doc.get("family3d", "RT")).upper()
     if family3d not in ("RT", "BDM"):
-        raise ConfigError("family3d must be RT or BDM (3D block only)")
+        raise ConfigError(f"family3d must be RT or BDM (3D block only), not {family3d!r}")
     if order > 4:
         raise ConfigError("orders above 4 are not supported")
 

@@ -378,13 +378,3 @@ def local_matrices_1d(space: ElementSpace, geoms, nu=1.0) -> list:
         face_dual=np.ones((layout.n_faces, 1, 1)),
         face_scale=np.ones(layout.n_faces), pivot_ratio=float(ratio[c]))
         for c in range(m)]
-
-
-def dump_local_matrices(local: LocalMatrixSet, stream):
-    """Write the per-element matrices as structured text for regression diffs."""
-    for name in ("G", "G_nu", "H", "H_hash", "W", "V", "B", "D",
-                 "Pi0_hat", "Pi0", "K_a", "K_s", "K"):
-        mat = getattr(local, name)
-        stream.write(f"# {name} {mat.shape[0]} {mat.shape[1]}\n")
-        for row in mat:
-            stream.write(" ".join(f"{v:.17e}" for v in row) + "\n")

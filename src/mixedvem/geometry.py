@@ -222,17 +222,6 @@ def polygon_area_centroid_2d(coords):
     return area, np.array([cx, cy])
 
 
-def triangulate_polygon_2d(coords):
-    """Triangulate a simple CCW polygon into positively oriented triangles.
-
-    The triangulation of one loop by ``_triangulate``: a centroid fan when the
-    polygon is star-shaped with respect to its centroid, ear clipping
-    otherwise.  Returns a (t, 3, 2) array.  Collinear (hanging) vertices are
-    tolerated.
-    """
-    return PolygonGeometry(coords).triangulation[0]
-
-
 def _triangulate(loops, xy, area, centroid, errors):
     """Triangles of counter-clockwise 2D loops, all at once.
 
@@ -909,30 +898,3 @@ class PolyhedronGeometry:
     def quadrature(self, order):
         """Positive-weight rule from the centroid cone (see ``cone``)."""
         return _map_rule(*_tet_ref_rule(order), *self.cone())
-
-
-# ---------------------------------------------------------------------------
-# Spec-level convenience operations
-# ---------------------------------------------------------------------------
-
-
-def measure(polytope):
-    """Length / area / volume of a geometry view."""
-    return polytope.measure
-
-
-def centroid_diameter(polytope):
-    return np.asarray(polytope.centroid), polytope.diameter
-
-
-def quadrature(polytope, exactness_order: int):
-    """Rule integrating all monomials of total degree <= exactness_order."""
-    if exactness_order < 0:
-        raise ValueError("exactness_order must be >= 0")
-    return polytope.quadrature(exactness_order)
-
-
-def face_frame(polyhedron: PolyhedronGeometry, face_index: int):
-    """Outward unit normal and in-plane frame of one face of a polyhedron."""
-    plane = polyhedron.faces[face_index].plane
-    return polyhedron.normals[face_index], (plane.t1, plane.t2)

@@ -266,7 +266,7 @@ def boundary_flux_by_tag(sol):
     """Signed boundary flux integral per 3D boundary tag."""
     blk = sol.dofmap.block(3)
     out = {}
-    for (*_, tag), flux in zip(blk.boundary, boundary_face_fluxes(sol, blk)):
+    for (_, _, (_, tag), _), flux in zip(blk.boundary, boundary_face_fluxes(sol, blk)):
         out[tag] = out.get(tag, 0.0) + flux
     return out
 

@@ -392,7 +392,7 @@ class DiscreteSolution:
         """Smallest pivot ratio of the local solves that built the elements
         (``local_matrices``)."""
         return min((loc.pivot_ratio for blk in self.dofmap.blocks.values()
-                    for loc in blk.locals_ if loc is not None), default=1.0)
+                    for loc in blk.locals_), default=1.0)
 
     @property
     def md(self):
@@ -405,7 +405,7 @@ class DiscreteSolution:
         with ``V`` per group.  Made on first use."""
         blocks, out = {}, {}
         for key, blk in self.dofmap.blocks.items():
-            if blk.locals_ and blk.locals_[0] is not None:
+            if blk.locals_:
                 blocks.setdefault(blk.dim, {})[key] = blk
         for d, of_dim in blocks.items():
             locs, dofs, signs = zip(*[cell for blk in of_dim.values() for cell in zip(
@@ -465,6 +465,10 @@ def error_norms(sol: DiscreteSolution, exact: dict):
     for key, blk in dm.blocks.items():
         if key not in exact or blk.dim == 0:
             continue
+        if not blk.locals_:
+            raise ConfigError(f"trace {blk.index} carries only multipliers in "
+                              "trace-flow-neglected mode: it has no velocity to "
+                              "compare with exact data")
         ex = exact[key]
         rows = sol.stacks[blk.dim].rows[key]
         proj, div = sol.projections[blk.dim][rows], sol.stacks[blk.dim].div[rows]

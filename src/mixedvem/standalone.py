@@ -4,11 +4,11 @@ A 1D segment chain lies on the x axis and a 2D polygon mesh in the z = 0
 plane, so their data callbacks take physical (3,) points like every other
 callback.  ``single_domain_block`` numbers the faces and builds one
 ``DomainBlock`` through ``assembly.fill_block``, the routine that numbers
-every 2D/3D block of the mixed-dimensional pipeline (interior faces share one
-flux DOF set); ``solve_single_domain`` then runs the pipeline's cell
-blocks, source moments, Dirichlet face moments and solve on it, with Dirichlet
-pressure data on the whole external boundary.  Errors come from
-``solver.error_norms``.
+every 1D/2D/3D block of the mixed-dimensional pipeline (interior faces share
+one flux DOF set), with Dirichlet pressure data on each external face;
+``solve_single_domain`` then runs it through the pipeline's
+``assembly.assemble``, ``assembly.apply_boundary_conditions`` and
+``solver.solve``.  Errors come from ``solver.error_norms``.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.random import default_rng
 
-from .assembly import (DomainBlock, GlobalDofMap, GlobalSystem, add_dirichlet_loads,
-                       assemble_dimension, assemble_rhs, fill_block)
+from .assembly import (DomainBlock, GlobalDofMap, apply_boundary_conditions, assemble,
+                       fill_block)
 from .elements import ElementSpace
 from .errors import ConfigError, DegenerateGeometryError
 from .geometry import Plane, SegmentGeometry, build_polygons
@@ -40,8 +40,8 @@ def _faces(geom, tol):
             for face in geom.faces]
 
 
-def single_domain_block(geoms, space: ElementSpace, nu=1.0,
-                        source=0.0) -> DomainBlock:
+def single_domain_block(geoms, space: ElementSpace, nu=1.0, source=0.0,
+                        dirichlet=None) -> DomainBlock:
     """Number the DOFs of a 1D or 2D mesh and build its local matrices.
 
     ``geoms`` is a list of SegmentGeometry on the x axis (1D) or of
@@ -49,7 +49,8 @@ def single_domain_block(geoms, space: ElementSpace, nu=1.0,
     rounded coordinates and numbered in order of first use by
     ``assembly.fill_block``; there are no interfaces, so a face used by two
     cells carries one DOF set and one used by a single cell is external and
-    listed in ``boundary``.
+    listed in ``boundary`` with the Dirichlet pressure datum ``dirichlet``
+    (zero if None).
     """
     d = space.dim
     if d == 3:
@@ -67,7 +68,8 @@ def single_domain_block(geoms, space: ElementSpace, nu=1.0,
         for lf, (key, sign) in enumerate(cell_faces):
             users.setdefault(key, []).append((ci, lf, sign))
     fill_block(blk, space, geoms, users, set())
-    blk.boundary = [(ci, lf, key, None) for ci, cell_faces in enumerate(faces)
+    bc = BoundaryCondition("dirichlet", 0.0 if dirichlet is None else dirichlet)
+    blk.boundary = [(ci, lf, key, bc) for ci, cell_faces in enumerate(faces)
                     for lf, (key, _) in enumerate(cell_faces) if len(users[key]) == 1]
     return blk
 
@@ -79,16 +81,10 @@ def solve_single_domain(geoms, space: ElementSpace, nu=1.0, source=0.0,
     Every external face gets the Dirichlet pressure datum ``dirichlet``
     (zero if None).  The solution's only domain has the key (dim, 0).
     """
-    blk = single_domain_block(geoms, space, nu=nu, source=source)
+    blk = single_domain_block(geoms, space, nu=nu, source=source, dirichlet=dirichlet)
     dm = GlobalDofMap(blocks={(blk.dim, 0): blk}, total=blk.n_dof,
                       order=space.order, family3d="RT", trace_flow=True)
-    system = GlobalSystem(cells=list(assemble_dimension(dm, blk.dim).values()),
-                          rhs=assemble_rhs(dm, None), dofmap=dm, md=None)
-    bc = BoundaryCondition("dirichlet", 0.0 if dirichlet is None else dirichlet)
-    add_dirichlet_loads(system.rhs, blk, [(ci, lf) for ci, lf, _, _ in blk.boundary],
-                        bc, 2 * (dm.order + 2))
-    system.bc_applied = True
-    return solve(system)
+    return solve(apply_boundary_conditions(assemble(dm)))
 
 
 def interval_mesh(a, b, n):

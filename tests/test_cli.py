@@ -11,10 +11,11 @@ import pytest
 
 from mixedvem import problems
 from mixedvem.assembly import assemble_complete
-from mixedvem.cli import _apply_thread_env, main
-from mixedvem.config import parse_config
+from mixedvem.cli import _apply_thread_env, build_parser, main
+from mixedvem.config import StageTimer, parse_config
 from mixedvem.errors import ConfigError
 from mixedvem.mesh import box_mesh, cut_background_mesh, write_mesh
+from mixedvem.solver import flux_report
 
 CONFIG = """
 order: 1
@@ -86,9 +87,15 @@ def test_parse_config_legacy_solver_keys():
     ("source3: [1]", "[1]"),
     ("eps_factor: abc", "abc"),
     ("outputs: 5", "5"),
+    ("order: [1, 2", "config parse error"),
+    ("- order: 1", "mapping"),
+    ("family3d: XYZ", "'XYZ'"),
+    ("fractures:\n  - {vertices: [[0, 0, 0], [1, 0, 0], [0, 1, 0]], eta2: big}", "big"),
+    ("mesh: {type: sphere}", "sphere"),
 ], ids=["order", "bc3-entry", "no-vertices", "trace-index", "tolerance",
         "fractures-mapping", "ragged-vertices", "subdivisions", "a3", "source3",
-        "eps-factor", "outputs"])
+        "eps-factor", "outputs", "yaml-syntax", "not-a-mapping", "family3d",
+        "eta-string", "mesh-type"])
 def test_malformed_config_raises_config_error_naming_value(text, value):
     with pytest.raises(ConfigError) as info:
         parse_config(text).build_mesh()
@@ -239,6 +246,53 @@ def test_cli_run_config(tmp_path, capsys):
     assert checks["worst_pivot_ratio"] == pytest.approx(1 / 3)
 
 
+# three fractures through the centre: three traces meeting in one intersection,
+# which the config pins
+PINNED_CONFIG = """
+order: 1
+mesh: {type: box, lo: [-1, -1, -1], hi: [1, 1, 1], subdivisions: [2, 2, 2]}
+bc3:
+  xmin: {type: dirichlet, value: -1.0}
+  xmax: {type: dirichlet, value: 1.0}
+  default: {type: neumann}
+fractures:
+  - vertices: [[0, -1, -1], [0, 1, -1], [0, 1, 1], [0, -1, 1]]
+  - vertices: [[-1, 0, -1], [1, 0, -1], [1, 0, 1], [-1, 0, 1]]
+  - vertices: [[-1, -1, 0], [1, -1, 0], [1, 1, 0], [-1, 1, 0]]
+intersections:
+  default: {bc: {value: 0.25}}
+"""
+
+
+def _run_config(tmp_path, text, *flags):
+    cfg = tmp_path / "problem.yaml"
+    cfg.write_text(text)
+    args = build_parser().parse_args(["run", str(cfg), "--output-dir", str(tmp_path),
+                                      *flags])
+    return problems.run_config(args, StageTimer())
+
+
+def test_cli_run_config_pins_an_intersection(tmp_path):
+    outcome = _run_config(tmp_path, PINNED_CONFIG)
+    assert outcome.ok
+    sol = outcome.solution
+    assert len(sol.md.intersections) == 1
+    assert flux_report(sol).entity(0, 0).pinned
+    assert sol.x[sol.dofmap.block(0, 0).offset] == 0.25
+
+
+def test_cli_run_options_override_the_config(tmp_path, monkeypatch):
+    tolerances = []
+    solve = problems.solve
+    monkeypatch.setattr(problems, "solve", lambda system, tol: (
+        tolerances.append(tol) or solve(system, tol=tol)))
+    outcome = _run_config(tmp_path, CONFIG, "--order", "2", "--family3d", "BDM",
+                          "--tolerance", "1e-9")
+    assert outcome.ok
+    dm = outcome.solution.dofmap
+    assert (dm.order, dm.family3d, tolerances) == (2, "BDM", [1e-9])
+
+
 def _pivot_ratio(M):
     """Smallest over largest pivot of the Jacobi-equilibrated SPD matrix M."""
     s = 1.0 / np.sqrt(np.diag(M))
@@ -265,8 +319,6 @@ def test_cli_run_reports_worst_element_pivot_ratio(tmp_path):
     ratios = []
     for blk in system.dofmap.blocks.values():
         for geom, loc in zip(blk.geoms, blk.locals_):
-            if loc is None:
-                continue
             ratios.append(_pivot_ratio(loc.H))
             if blk.dim > 1:
                 ratios.append(_pivot_ratio(loc.G))

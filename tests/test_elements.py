@@ -306,19 +306,6 @@ def test_nu_must_be_positive_number(nu):
                           [geo.SegmentGeometry([0, 0, 0], [2, 0, 0])], nu=nu)
 
 
-def test_debug_dump(tmp_path):
-    import io as _io
-
-    from mixedvem.elements import dump_local_matrices
-
-    loc = local_matrices(ElementSpace(3, 0), [cube_geom()])[0]
-    buf = _io.StringIO()
-    dump_local_matrices(loc, buf)
-    text = buf.getvalue()
-    assert text.startswith("# G 3 3")
-    assert "# K " in text
-
-
 # -- the per-cell oracle -------------------------------------------------------
 #
 # ``local_matrices`` builds a whole block at once.  The functions below are the

@@ -37,9 +37,8 @@ def test_cube_measure_and_centroid():
     assert np.allclose(cube.centroid, [0.5, 0.5, 0.5], atol=1e-14)
 
     big = geo.PolyhedronGeometry(unit_cube_faces((-1, -1, -1), (1, 1, 1)))
-    c, diam = geo.centroid_diameter(big)
-    assert np.allclose(c, 0.0, atol=1e-14)
-    assert diam == pytest.approx(2 * np.sqrt(3.0), rel=1e-14)
+    assert np.allclose(big.centroid, 0.0, atol=1e-14)
+    assert big.diameter == pytest.approx(2 * np.sqrt(3.0), rel=1e-14)
 
 
 def test_square_face_measure():
@@ -49,9 +48,8 @@ def test_square_face_measure():
 
 def test_segment_centroid():
     seg = geo.SegmentGeometry([0, 0, 0], [2, 0, 0])
-    c, diam = geo.centroid_diameter(seg)
-    assert np.allclose(c, [1, 0, 0])
-    assert diam == pytest.approx(2.0)
+    assert np.allclose(seg.centroid, [1, 0, 0])
+    assert seg.diameter == pytest.approx(2.0)
     # its faces are its ends, a then b: unit measure, one point at -L/2 and
     # +L/2 (arc length from the midpoint) with weight 1, no face coordinates
     assert seg.n_faces == len(seg.faces) == 2
@@ -85,7 +83,7 @@ def test_degenerate_polygon_raises():
 
 def test_quadrature_cube_monomials():
     cube = geo.PolyhedronGeometry(unit_cube_faces())
-    pts, w = geo.quadrature(cube, 3)
+    pts, w = cube.quadrature(3)
     assert np.all(w > 0)
     assert w.sum() == pytest.approx(1.0, rel=1e-12)
     assert np.sum(w * pts[:, 0] * pts[:, 1] * pts[:, 2]) == pytest.approx(1 / 8, rel=1e-12)
@@ -93,7 +91,7 @@ def test_quadrature_cube_monomials():
 
 def test_quadrature_l_shape_against_triangle_oracle():
     poly = geo.PolygonGeometry(L_SHAPE)
-    pts, w = geo.quadrature(poly, 2)
+    pts, w = poly.quadrature(2)
     got = np.sum(w * pts[:, 0] ** 2)
     oracle = 0.0
     for t in l_shape_triangles():
@@ -115,7 +113,7 @@ def test_quadrature_exactness_random_polytopes(order):
         poly = geo.PolygonGeometry(coords)
         pts, w = poly.quadrature(order)
         assert np.all(w > 0)
-        tris = geo.triangulate_polygon_2d(coords)
+        tris = poly.triangulation[0]
         for _ in range(3):
             px, py = RNG.integers(0, order + 1, 2)
             if px + py > order:
@@ -174,7 +172,7 @@ def test_oblique_tet_face_normal():
         np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]], float),
         np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1]], float),
     ])
-    n, _ = geo.face_frame(tet, 3)
+    n = tet.normals[3]
     oracle = np.cross(np.array([0, 1, 0]) - np.array([1, 0, 0]),
                       np.array([0, 0, 1]) - np.array([1, 0, 0]))
     oracle = oracle / np.linalg.norm(oracle)

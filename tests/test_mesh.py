@@ -910,3 +910,14 @@ def test_each_cut_keeps_the_face_map_and_uses_every_vertex(make, tmp_path,
     monkeypatch.setattr(msh, "cut_with_fracture", checked)
     make(tmp_path)
     assert cuts
+
+
+@pytest.mark.parametrize("vertices, kw, match", [
+    ([[0, 0, 0], [1, 0, 0]], {}, "at least 3 vertices"),
+    ([[0, 0, 0], [1, 0, 0], [0, 1, 0]], {"inverse_eta2": -1.0}, "inverse_eta"),
+    # a dart: the vertex (0.5, 0.5) is reflex
+    ([[0, 0, 0], [2, 0, 0], [0.5, 0.5, 0], [0, 2, 0]], {}, "convex"),
+], ids=["two-vertices", "negative-inverse-eta", "dart"])
+def test_fracture_spec_rejects_bad_polygons_and_data(vertices, kw, match):
+    with pytest.raises(ConfigError, match=match):
+        FractureSpec(np.array(vertices, dtype=float), **kw)

@@ -14,7 +14,9 @@ from mixedvem import solver
 from mixedvem.assembly import (apply_boundary_conditions, assemble_complete,
                                cell_fields)
 from mixedvem.problems import poisson3d_case, problem1_case
-from mixedvem.solver import EntityFlux, flux_report, solve, write_fields_vtk
+from mixedvem.errors import ConfigError
+from mixedvem.solver import (EntityFlux, ExactFields, error_norms, flux_report, solve,
+                             write_fields_vtk)
 from tests.test_assembly import (_network_9400_md, _pinned_network_md,
                                  continuity_md)
 
@@ -75,7 +77,7 @@ def per_cell_export(sol):
             polys.append(np.array([mesh.verts[v] for v in cell.vids]))
             pressures.append(centroid_pressure(blk2, ci, cell.geometry.centroid))
     for blk in dm.blocks.values():
-        if blk.dim == 0 or blk.locals_[0] is None:
+        if not blk.locals_:
             continue
         for ci, loc in enumerate(blk.locals_):
             c_local = loc.vec_basis.scalar.center[None, :]   # in cell coordinates
@@ -104,8 +106,7 @@ def per_cell_flux_report(sol):
             e.source = src if not callable(src) else src(md.intersections[blk.index].coords)
             continue
         for ci, loc in enumerate(blk.locals_):
-            if loc is not None:
-                e.divergence += float(loc.H[0] @ (loc.V @ _flux_dofs(sol, blk, ci)))
+            e.divergence += float(loc.H[0] @ (loc.V @ _flux_dofs(sol, blk, ci)))
         for ci, lf, *_ in blk.boundary:
             e.bc_flux += face_flux(blk, ci, lf)
         if callable(blk.source) or float(blk.source) != 0.0:
@@ -159,6 +160,16 @@ def test_export_matches_per_cell_loops(name, solutions, tmp_path, monkeypatch):
     assert text[4] == f"POINTS {n} double" and text[5 + n] == f"VERTICES {n} {2 * n}"
     printed = np.loadtxt(text[-n:])
     assert np.abs(printed - ref_vectors).max() <= 1e-9 * np.abs(ref_vectors).max()
+
+
+def test_error_norms_reject_a_multiplier_only_trace(solutions):
+    # in trace-flow-neglected mode a trace carries only multipliers: it has no
+    # element and no velocity to compare with exact data
+    sol = solutions("no-trace-flow")
+    zero = ExactFields(0.0, np.zeros(3), 0.0)
+    assert np.all(np.isfinite(error_norms(sol, {(2, 0): zero})[(2, 0)]))
+    with pytest.raises(ConfigError, match="trace 0 carries only multipliers"):
+        error_norms(sol, {(1, 0): zero})
 
 
 @pytest.mark.parametrize("name", FLUX_CASES)

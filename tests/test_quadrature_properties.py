@@ -88,7 +88,7 @@ def _cone_oracle(cell, order):
     pts, wts = [], []
     for face in cell.faces:
         orient = 1.0 if face.plane.normal @ face.normal > 0 else -1.0
-        for tri2d in geo.triangulate_polygon_2d(face.coords2d):
+        for tri2d in geo.PolygonGeometry(face.coords2d).triangulation[0]:
             tri3d = face.plane.to_3d(tri2d)
             v = -orient * np.dot(np.cross(tri3d[1] - tri3d[0], tri3d[2] - tri3d[0]),
                                  apex - tri3d[0]) / 6.0
@@ -101,7 +101,7 @@ def _cone_oracle(cell, order):
 
 def _triangle_oracle(cell, order):
     rules = [geo.triangle_quadrature(t, order)
-             for t in geo.triangulate_polygon_2d(cell.coords)]
+             for t in geo.PolygonGeometry(cell.coords).triangulation[0]]
     return np.vstack([p for p, _ in rules]), np.concatenate([w for _, w in rules])
 
 
@@ -138,7 +138,7 @@ def test_polygon_rule_matches_per_triangle_oracle(cell, order):
 def test_face_rules_match_per_triangle_oracle(cell, order):
     for face in cell.faces:
         rules = [geo.triangle_quadrature(face.plane.to_3d(t), order)
-                 for t in geo.triangulate_polygon_2d(face.coords2d)]
+                 for t in geo.PolygonGeometry(face.coords2d).triangulation[0]]
         oracle = (np.vstack([p for p, _ in rules]),
                   np.concatenate([w for _, w in rules]))
         _check_rule(face, face.quadrature(order), oracle, order)
